@@ -92,16 +92,4 @@ module Make (L : LATTICE) = struct
     if !exhausted then
       Budget_exhausted { budget; prog = p.Ir.prog_name; partial = r }
     else Fixpoint r
-
-  (* Most passes want the fixpoint or a loud failure; the suite-facing
-     passes match on the outcome instead and degrade to a diagnostic. *)
-  let solve_exn ?direction ?edge ?widen ?widen_delay ~init ~transfer p =
-    match solve ?direction ?edge ?widen ?widen_delay ~init ~transfer p with
-    | Fixpoint r -> r
-    | Budget_exhausted { budget; prog; _ } ->
-        failwith
-          (Printf.sprintf
-             "Dfa.solve: no fixed point after %d steps on %s (non-monotone \
-              transfer?)"
-             budget prog)
 end

@@ -63,16 +63,4 @@ module Make (L : LATTICE) : sig
       has strictly grown more than [widen_delay] (default 3) times; it
       must satisfy [leq joined (widen old joined)] and stabilize
       ascending chains. *)
-
-  val solve_exn :
-    ?direction:direction ->
-    ?edge:(src:Clara_cir.Ir.block -> dst:int -> L.t -> L.t) ->
-    ?widen:(L.t -> L.t -> L.t) ->
-    ?widen_delay:int ->
-    init:L.t ->
-    transfer:(Clara_cir.Ir.block -> L.t -> L.t) ->
-    Clara_cir.Ir.program ->
-    result
-  (** [solve] that raises [Failure] on [Budget_exhausted], for passes
-      where exhaustion can only mean a broken lattice. *)
 end

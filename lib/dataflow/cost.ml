@@ -89,7 +89,15 @@ let loc_access ctx ~mode (loc : Ir.loc) =
       mem_access_cycles ctx ~mode ~mem_id:(ctx.state_region s)
         ~footprint:(ctx.state_footprint s)
 
-let vcall_cycles ctx (v : Ir.vcall_info) =
+(* One pricing pass.  [total] is summed in the order existing mapping
+   objectives and predictions depend on (float rounding); [mem] and
+   [accel] collect the memory-region and accelerator parts of the same
+   charges, so compute is the residual [total - mem - accel]. *)
+type price = { total : float; mem : float; accel : float }
+
+let core_only total = { total; mem = 0.; accel = 0. }
+
+let vcall_price ctx (v : Ir.vcall_info) =
   let params = ctx.lnic.L.Graph.params in
   let n = eval_size ctx.sizes v.Ir.size in
   match ctx.exec_unit.L.Unit_.kind with
@@ -99,87 +107,15 @@ let vcall_cycles ctx (v : Ir.vcall_info) =
       | Some f ->
           (* Accelerators keep their operands in dedicated SRAM (e.g. the
              flow cache); no extra per-access memory charge. *)
-          Some (L.Cost_fn.eval f n))
+          let c = L.Cost_fn.eval f n in
+          Some { total = c; mem = 0.; accel = c })
   | L.Unit_.General_core _ -> (
       match P.core_vcall_cost params v.Ir.vc with
       | None -> None
       | Some f -> (
           let base = L.Cost_fn.eval f n in
           match v.Ir.state with
-          | None -> Some base
-          | Some st -> (
-              let reads = eval_size ctx.sizes v.Ir.state_reads in
-              let writes = eval_size ctx.sizes v.Ir.state_writes in
-              let r = loc_access ctx ~mode:`Read (Ir.L_state st) in
-              let w = loc_access ctx ~mode:`Write (Ir.L_state st) in
-              match (r, w) with
-              | Some rc, Some wc -> Some (base +. (reads *. rc) +. (writes *. wc))
-              | _ -> None)))
-
-let instr_cycles ctx (i : Ir.instr) =
-  let params = ctx.lnic.L.Graph.params in
-  match i with
-  | Ir.Vcall v -> vcall_cycles ctx v
-  | Ir.Op cls -> (
-      match ctx.exec_unit.L.Unit_.kind with
-      | L.Unit_.Accelerator _ -> None
-      | L.Unit_.General_core { has_fpu; _ } -> Some (P.op_cost params cls ~has_fpu))
-  | Ir.Load loc -> (
-      match ctx.exec_unit.L.Unit_.kind with
-      | L.Unit_.Accelerator _ -> None
-      | L.Unit_.General_core { has_fpu; _ } ->
-          Option.map
-            (fun m -> m +. P.op_cost params P.Load ~has_fpu)
-            (loc_access ctx ~mode:`Read loc))
-  | Ir.Store loc -> (
-      match ctx.exec_unit.L.Unit_.kind with
-      | L.Unit_.Accelerator _ -> None
-      | L.Unit_.General_core { has_fpu; _ } ->
-          Option.map
-            (fun m -> m +. P.op_cost params P.Store ~has_fpu)
-            (loc_access ctx ~mode:`Write loc))
-  | Ir.Atomic_op loc -> (
-      match ctx.exec_unit.L.Unit_.kind with
-      | L.Unit_.Accelerator _ -> None
-      | L.Unit_.General_core { has_fpu; _ } ->
-          Option.map
-            (fun m -> m +. P.op_cost params P.Atomic ~has_fpu)
-            (loc_access ctx ~mode:`Atomic loc))
-
-(* Component breakdown of the same prices, for latency attribution.
-   Mirrors [vcall_cycles]/[instr_cycles]/[node_cycles] rather than
-   refactoring them: the totals those produce are summed in a specific
-   order by the predictor, and changing that order would drift existing
-   predictions by float rounding.  Consumers that need the components to
-   sum exactly to [node_cycles] should take compute as the residual. *)
-
-type breakdown = { b_compute : float; b_mem : float; b_accel : float }
-
-let bzero = { b_compute = 0.; b_mem = 0.; b_accel = 0. }
-
-let badd a b =
-  { b_compute = a.b_compute +. b.b_compute;
-    b_mem = a.b_mem +. b.b_mem;
-    b_accel = a.b_accel +. b.b_accel }
-
-let bscale k b =
-  { b_compute = k *. b.b_compute; b_mem = k *. b.b_mem; b_accel = k *. b.b_accel }
-
-let vcall_breakdown ctx (v : Ir.vcall_info) =
-  let params = ctx.lnic.L.Graph.params in
-  let n = eval_size ctx.sizes v.Ir.size in
-  match ctx.exec_unit.L.Unit_.kind with
-  | L.Unit_.Accelerator kind -> (
-      match P.accel_vcall_cost params kind v.Ir.vc with
-      | None -> None
-      | Some f -> Some { bzero with b_accel = L.Cost_fn.eval f n })
-  | L.Unit_.General_core _ -> (
-      match P.core_vcall_cost params v.Ir.vc with
-      | None -> None
-      | Some f -> (
-          let base = L.Cost_fn.eval f n in
-          match v.Ir.state with
-          | None -> Some { bzero with b_compute = base }
+          | None -> Some (core_only base)
           | Some st -> (
               let reads = eval_size ctx.sizes v.Ir.state_reads in
               let writes = eval_size ctx.sizes v.Ir.state_writes in
@@ -188,43 +124,45 @@ let vcall_breakdown ctx (v : Ir.vcall_info) =
               match (r, w) with
               | Some rc, Some wc ->
                   Some
-                    { bzero with
-                      b_compute = base;
-                      b_mem = (reads *. rc) +. (writes *. wc) }
+                    { total = base +. (reads *. rc) +. (writes *. wc);
+                      mem = (reads *. rc) +. (writes *. wc);
+                      accel = 0. }
               | _ -> None)))
 
-let instr_breakdown ctx (i : Ir.instr) =
+let instr_price ctx (i : Ir.instr) =
   let params = ctx.lnic.L.Graph.params in
-  let core_split op loc ~mode =
+  let core_access op loc ~mode =
     match ctx.exec_unit.L.Unit_.kind with
     | L.Unit_.Accelerator _ -> None
     | L.Unit_.General_core { has_fpu; _ } ->
         Option.map
-          (fun m -> { bzero with b_compute = P.op_cost params op ~has_fpu; b_mem = m })
+          (fun m -> { total = m +. P.op_cost params op ~has_fpu; mem = m; accel = 0. })
           (loc_access ctx ~mode loc)
   in
   match i with
-  | Ir.Vcall v -> vcall_breakdown ctx v
+  | Ir.Vcall v -> vcall_price ctx v
   | Ir.Op cls -> (
       match ctx.exec_unit.L.Unit_.kind with
       | L.Unit_.Accelerator _ -> None
-      | L.Unit_.General_core { has_fpu; _ } ->
-          Some { bzero with b_compute = P.op_cost params cls ~has_fpu })
-  | Ir.Load loc -> core_split P.Load loc ~mode:`Read
-  | Ir.Store loc -> core_split P.Store loc ~mode:`Write
-  | Ir.Atomic_op loc -> core_split P.Atomic loc ~mode:`Atomic
+      | L.Unit_.General_core { has_fpu; _ } -> Some (core_only (P.op_cost params cls ~has_fpu)))
+  | Ir.Load loc -> core_access P.Load loc ~mode:`Read
+  | Ir.Store loc -> core_access P.Store loc ~mode:`Write
+  | Ir.Atomic_op loc -> core_access P.Atomic loc ~mode:`Atomic
 
-let node_breakdown ctx (n : Node.t) =
+let node_price ctx (n : Node.t) =
   let body =
     match n.Node.kind with
-    | Node.N_vcall v -> vcall_breakdown ctx v
+    | Node.N_vcall v -> vcall_price ctx v
     | Node.N_compute is ->
         List.fold_left
           (fun acc i ->
-            match (acc, instr_breakdown ctx i) with
-            | Some a, Some c -> Some (badd a c)
+            match (acc, instr_price ctx i) with
+            | Some a, Some c ->
+                Some
+                  { total = a.total +. c.total; mem = a.mem +. c.mem;
+                    accel = a.accel +. c.accel }
             | _ -> None)
-          (Some bzero) is
+          (Some (core_only 0.)) is
   in
   match body with
   | None -> None
@@ -234,26 +172,6 @@ let node_breakdown ctx (n : Node.t) =
         | None -> 1.
         | Some t -> Float.max 1. (eval_size ctx.sizes t)
       in
-      Some (bscale trip b)
+      Some { total = b.total *. trip; mem = trip *. b.mem; accel = trip *. b.accel }
 
-let node_cycles ctx (n : Node.t) =
-  let body =
-    match n.Node.kind with
-    | Node.N_vcall v -> vcall_cycles ctx v
-    | Node.N_compute is ->
-        List.fold_left
-          (fun acc i ->
-            match (acc, instr_cycles ctx i) with
-            | Some a, Some c -> Some (a +. c)
-            | _ -> None)
-          (Some 0.) is
-  in
-  match body with
-  | None -> None
-  | Some c ->
-      let trip =
-        match n.Node.loop_trip with
-        | None -> 1.
-        | Some t -> Float.max 1. (eval_size ctx.sizes t)
-      in
-      Some (c *. trip)
+let node_cycles ctx n = Option.map (fun p -> p.total) (node_price ctx n)

@@ -39,25 +39,20 @@ val mem_access_cycles :
     NUMA weight of the unit's bus; [None] when the unit cannot reach the
     region. *)
 
-val instr_cycles : ctx -> Clara_cir.Ir.instr -> float option
-(** [None] when the unit cannot execute the instruction (e.g. general
-    compute on an accelerator, or a vcall the accelerator does not
-    implement). *)
-
-val node_cycles : ctx -> Node.t -> float option
-(** Sum over the node's instructions, multiplied by its loop trip. *)
-
-(** {2 Component breakdown} — the same prices split into where the
-    cycles go, for latency attribution. *)
-
-type breakdown = {
-  b_compute : float;  (** Core op/vcall base cost. *)
-  b_mem : float;      (** Memory-region access charges. *)
-  b_accel : float;    (** Accelerator service time. *)
+(** One pricing pass over a node: the total together with its memory and
+    accelerator parts. *)
+type price = {
+  total : float;  (** What {!node_cycles} returns. *)
+  mem : float;    (** Memory-region access charges. *)
+  accel : float;  (** Accelerator service time. *)
 }
 
-val node_breakdown : ctx -> Node.t -> breakdown option
-(** Mirrors {!node_cycles} ([None] in exactly the same cases).  The
-    fields sum to {!node_cycles} up to float rounding; consumers needing
-    an exact decomposition should recompute compute as the residual
-    [node_cycles - b_mem - b_accel]. *)
+val node_price : ctx -> Node.t -> price option
+(** Sum over the node's instructions, multiplied by its loop trip; [None]
+    when the unit cannot execute some instruction (e.g. general compute
+    on an accelerator, or a vcall the accelerator does not implement).
+    Core op and vcall base cost is the residual [total - mem - accel]:
+    consumers that need an exact decomposition take compute that way. *)
+
+val node_cycles : ctx -> Node.t -> float option
+(** [total] of {!node_price}. *)

@@ -24,6 +24,16 @@ val packet_region_for :
     while the packet fits the CTM threshold, external memory once it
     spills (§3.2). *)
 
+val cost_ctx :
+  Clara_lnic.Graph.t ->
+  Clara_lnic.Unit_.t ->
+  sizes:Clara_dataflow.Cost.sizes ->
+  state_region:(string -> int) ->
+  state_footprint:(string -> int) ->
+  Clara_dataflow.Cost.ctx
+(** The cost context for a unit, with the packet region chosen by
+    {!packet_region_for}. *)
+
 val map_nf :
   ?options:Mapping.options ->
   ?dump_lp:string ->

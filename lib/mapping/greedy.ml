@@ -96,16 +96,7 @@ let map_nf_exn ~(options : Mapping.options) lnic (df : D.Graph.t) ~sizes ~prob =
                   None
                 else
                   let ctx =
-                    {
-                      D.Cost.lnic;
-                      exec_unit = u;
-                      state_region;
-                      state_footprint = footprint;
-                      packet_region =
-                        Encode.packet_region_for lnic u
-                          ~packet_bytes:sizes.D.Cost.packet_bytes;
-                      sizes;
-                    }
+                    Encode.cost_ctx lnic u ~sizes ~state_region ~state_footprint:footprint
                   in
                   Option.map (fun cost -> (u, cost)) (D.Cost.node_cycles ctx n))
               classes

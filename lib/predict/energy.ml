@@ -1,8 +1,6 @@
 module L = Clara_lnic
 module D = Clara_dataflow
-module Ir = Clara_cir.Ir
 module M = Clara_mapping.Mapping
-module P = Clara_lnic.Params
 
 type power_table = {
   general_core_w : float;
@@ -40,43 +38,11 @@ type t = {
   breakdown : (string * float) list;
 }
 
-let default_sizes =
-  {
-    D.Cost.payload_bytes = 300.;
-    packet_bytes = 354.;
-    header_bytes = 54.;
-    state_entries = (fun _ -> 0.);
-    opaque_trip = 1.;
-  }
-
-let estimate ?powers ?(sizes = default_sizes) ?(prob = D.Flow.default_probability)
+let estimate ?powers ?(sizes = Pricer.default_sizes) ?(prob = D.Flow.default_probability)
     ~rate_pps lnic (df : D.Graph.t) (mapping : M.t) =
   let powers = match powers with Some p -> p | None -> default_powers lnic in
-  let states = D.Graph.states df in
-  let sizes =
-    { sizes with
-      D.Cost.state_entries =
-        (fun s ->
-          match List.find_opt (fun o -> o.Ir.st_name = s) states with
-          | Some o -> float_of_int o.Ir.st_entries
-          | None -> 0.) }
-  in
-  let footprint s =
-    match List.find_opt (fun o -> o.Ir.st_name = s) states with
-    | Some o -> Ir.state_bytes o
-    | None -> 0
-  in
-  let state_region s =
-    match M.placement_of_state mapping s with
-    | Some (M.In_memory m) -> m
-    | _ -> (
-        match
-          Array.to_list lnic.L.Graph.memories
-          |> List.find_opt (fun m -> m.L.Memory.level = L.Memory.External)
-        with
-        | Some m -> m.L.Memory.id
-        | None -> 0)
-  in
+  let pricer = Pricer.create ~mapping lnic df in
+  let sizes = Pricer.sizes pricer sizes in
   let weights = D.Flow.node_weights df ~prob in
   (* nJ on a unit = cycles × (power W / clock Hz) × 1e9. *)
   let nj_of unit_ cycles =
@@ -93,23 +59,11 @@ let estimate ?powers ?(sizes = default_sizes) ?(prob = D.Flow.default_probabilit
   in
   Array.iter
     (fun (n : D.Node.t) ->
-      let uid = mapping.M.node_unit.(n.D.Node.id) in
-      let unit_ = L.Graph.unit_ lnic uid in
-      let ctx =
-        {
-          D.Cost.lnic;
-          exec_unit = unit_;
-          state_region;
-          state_footprint = footprint;
-          packet_region =
-            Clara_mapping.Encode.packet_region_for lnic unit_
-              ~packet_bytes:sizes.D.Cost.packet_bytes;
-          sizes;
-        }
-      in
-      match D.Cost.node_cycles ctx n with
+      let unit_ = Pricer.mapped_unit pricer n in
+      match Pricer.price_on pricer unit_ sizes n with
       | None -> ()
-      | Some c -> add unit_.L.Unit_.name (nj_of unit_ (weights.(n.D.Node.id) *. c)))
+      | Some { D.Cost.total = c; _ } ->
+          add unit_.L.Unit_.name (nj_of unit_ (weights.(n.D.Node.id) *. c)))
     df.D.Graph.nodes;
   (* DMA energy for moving the packet in and out: W per Gbps is J per
      Gbit, so nJ per packet = W/Gbps × bits moved. *)

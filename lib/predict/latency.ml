@@ -3,7 +3,6 @@ module L = Clara_lnic
 module D = Clara_dataflow
 module Ir = Clara_cir.Ir
 module W = Clara_workload
-module M = Clara_mapping.Mapping
 module P = Clara_lnic.Params
 
 type config = {
@@ -22,7 +21,7 @@ let default_config =
 type t = {
   lnic : L.Graph.t;
   df : D.Graph.t;
-  mapping : M.t;
+  pricer : Pricer.t;
   config : config;
   (* Abstract state: which keys each table has seen (bounded). *)
   flow_seen : (string, Lru.t) Hashtbl.t;
@@ -63,7 +62,8 @@ let create ?(config = default_config) lnic df mapping =
       if sram > 0 then Some (Lru.create ~capacity:(max 1 (sram / 32))) else None
     else None
   in
-  { lnic; df; mapping; config; flow_seen; provisioned; eswitch_cache;
+  { lnic; df; pricer = Pricer.create ~mapping lnic df; config; flow_seen; provisioned;
+    eswitch_cache;
     upcall_cycles = float_of_int (L.Graph.upcall_cycles lnic);
     rng = W.Prng.create ~seed:config.seed; nodes_by_block }
 
@@ -74,54 +74,9 @@ let reset_state t =
 
 type per_packet = { cycles : float; emitted : bool }
 
-let sizes_of_packet (pkt : W.Packet.t) (states : Ir.state_obj list) =
-  {
-    D.Cost.payload_bytes = float_of_int pkt.W.Packet.payload_bytes;
-    packet_bytes = float_of_int (W.Packet.total_bytes pkt);
-    header_bytes = float_of_int (W.Packet.header_bytes pkt);
-    state_entries =
-      (fun s ->
-        match List.find_opt (fun o -> o.Ir.st_name = s) states with
-        | Some o -> float_of_int o.Ir.st_entries
-        | None -> 0.);
-    opaque_trip = 1.;
-  }
-
-let state_region_of_mapping t s =
-  match M.placement_of_state t.mapping s with
-  | Some (M.In_memory m) -> m
-  | Some (M.In_accel _) | None ->
-      (* Accel-hosted state is costed inside the accelerator vcall; if a
-         stray instruction still asks, charge external memory. *)
-      (match
-         Array.to_list t.lnic.L.Graph.memories
-         |> List.find_opt (fun m -> m.L.Memory.level = L.Memory.External)
-       with
-      | Some m -> m.L.Memory.id
-      | None -> 0)
-
-let node_cost t (pkt : W.Packet.t) (n : D.Node.t) =
-  let unit_ = L.Graph.unit_ t.lnic t.mapping.M.node_unit.(n.D.Node.id) in
-  let sizes = sizes_of_packet pkt (D.Graph.states t.df) in
-  let footprint s =
-    match List.find_opt (fun o -> o.Ir.st_name = s) (D.Graph.states t.df) with
-    | Some o -> Ir.state_bytes o
-    | None -> 0
-  in
-  let ctx =
-    {
-      D.Cost.lnic = t.lnic;
-      exec_unit = unit_;
-      state_region = state_region_of_mapping t;
-      state_footprint = footprint;
-      packet_region =
-        Clara_mapping.Encode.packet_region_for t.lnic unit_
-          ~packet_bytes:sizes.D.Cost.packet_bytes;
-      sizes;
-    }
-  in
-  match D.Cost.node_cycles ctx n with
-  | Some c -> c
+let node_price t sizes (n : D.Node.t) =
+  match Pricer.price t.pricer sizes n with
+  | Some p -> p
   | None ->
       (* The mapping guaranteed executability; a None here is a bug. *)
       failwith
@@ -130,33 +85,17 @@ let node_cost t (pkt : W.Packet.t) (n : D.Node.t) =
 (* What [n] would cost run in software on a general core — the price a
    flow-cache miss pays after the upcall, regardless of where the mapping
    placed the node.  Accel-hosted state is charged at external memory
-   here (see [state_region_of_mapping]): the slow path walks the full
-   table in DRAM, not the cached entries. *)
-let software_node_cost t (pkt : W.Packet.t) (n : D.Node.t) =
+   here (the pricer's Γ fallback): the slow path walks the full table in
+   DRAM, not the cached entries. *)
+let software_node_cost t sizes (n : D.Node.t) =
   match L.Graph.general_cores t.lnic with
   | [] -> 0.
-  | core :: _ ->
-      let sizes = sizes_of_packet pkt (D.Graph.states t.df) in
-      let footprint s =
-        match List.find_opt (fun o -> o.Ir.st_name = s) (D.Graph.states t.df) with
-        | Some o -> Ir.state_bytes o
-        | None -> 0
-      in
-      let ctx =
-        {
-          D.Cost.lnic = t.lnic;
-          exec_unit = core;
-          state_region = state_region_of_mapping t;
-          state_footprint = footprint;
-          packet_region =
-            Clara_mapping.Encode.packet_region_for t.lnic core
-              ~packet_bytes:sizes.D.Cost.packet_bytes;
-          sizes;
-        }
-      in
-      Option.value ~default:0. (D.Cost.node_cycles ctx n)
+  | core :: _ -> (
+      match Pricer.price_on t.pricer core sizes n with
+      | Some p -> p.D.Cost.total
+      | None -> 0.)
 
-(* The two-regime off-path charge.  [node_cost] prices an
+(* The two-regime off-path charge.  [node_price] prices an
    eSwitch-mapped vcall at its fast-path hit cost; this adds what the
    miss regime costs on top: the upcall over the fabric plus the
    software replay of the node on the Arm cores.  The hit/miss decision
@@ -165,13 +104,12 @@ let software_node_cost t (pkt : W.Packet.t) (n : D.Node.t) =
    every on-path target ([Graph.upcall_cycles] is 0 there), and only
    stateful vcalls blend — the flow cache caches flows, so stateless
    eSwitch work (parsing, header rewrites) is hit-priced pipeline
-   hardware.  Must be called exactly once per charged node so the LRU
-   state advances identically in every walk. *)
-let eswitch_node_extra t (pkt : W.Packet.t) (n : D.Node.t) =
+   hardware.  Touches the LRU, so [walk] calls it exactly once per
+   executed node. *)
+let eswitch_node_extra t (pkt : W.Packet.t) sizes (n : D.Node.t) =
   if t.upcall_cycles = 0. then 0.
   else
-    let unit_ = L.Graph.unit_ t.lnic t.mapping.M.node_unit.(n.D.Node.id) in
-    match (unit_.L.Unit_.kind, n.D.Node.kind) with
+    match ((Pricer.mapped_unit t.pricer n).L.Unit_.kind, n.D.Node.kind) with
     | L.Unit_.Accelerator L.Unit_.Eswitch, D.Node.N_vcall v
       when v.Ir.state <> None ->
         let miss =
@@ -183,7 +121,7 @@ let eswitch_node_extra t (pkt : W.Packet.t) (n : D.Node.t) =
               | None -> 0.)
         in
         if miss = 0. then 0.
-        else miss *. (t.upcall_cycles +. software_node_cost t pkt n)
+        else miss *. (t.upcall_cycles +. software_node_cost t sizes n)
     | _ -> 0.
 
 (* Resolve a guard against the packet and tracked state.  Table-hit
@@ -207,72 +145,64 @@ let rec resolve_guard t (pkt : W.Packet.t) (g : Ir.guard) =
   | Ir.G_or (a, b) -> resolve_guard t pkt a || resolve_guard t pkt b
 
 let wire_cycles lnic (pkt : W.Packet.t) ~emitted =
-  let params = lnic.L.Graph.params in
-  let bytes = W.Packet.total_bytes pkt in
-  let hub kind =
-    match
-      List.find_opt (fun h -> h.L.Hub.kind = kind) (Array.to_list lnic.L.Graph.hubs)
-    with
-    | Some h -> float_of_int h.L.Hub.per_packet_cycles
-    | None -> 0.
-  in
-  let rx = L.Cost_fn.eval params.P.wire_ingress (float_of_int bytes) +. hub `Ingress in
-  let tx =
-    if emitted then L.Cost_fn.eval params.P.wire_egress (float_of_int bytes) +. hub `Egress
-    else 0.
-  in
-  rx +. tx
+  Pricer.wire_cycles lnic ~bytes:(float_of_int (W.Packet.total_bytes pkt)) ~emitted
 
 let wire_costs t pkt ~emitted =
   if t.config.include_wire then wire_cycles t.lnic pkt ~emitted else 0.
 
 exception Walk_limit
 
-let packet_latency t (pkt : W.Packet.t) =
+(* The predictor's one walk of the structured CFG for [pkt].  Guards
+   resolve against the packet and tracked state; every executed node is
+   priced on its mapped unit and handed to [charge] with its off-path
+   miss extra.  Per node: the price, then the eSwitch LRU touch, then
+   [charge], then the emit/insertion bookkeeping.  The sinks below
+   ([packet_latency], [packet_components], [perfetto_timeline]) differ
+   only in what [charge] keeps.  Returns whether the packet is emitted. *)
+let walk t (pkt : W.Packet.t) ~charge =
   let cir = t.df.D.Graph.cir in
-  let cost = ref 0. in
+  let sizes = Pricer.packet_sizes t.pricer pkt in
   let emitted = ref false in
   let steps = ref 0 in
-  let charge_block bid =
-    List.iter
-      (fun (n : D.Node.t) ->
-        cost := !cost +. node_cost t pkt n +. eswitch_node_extra t pkt n;
-        match n.D.Node.kind with
-        | D.Node.N_vcall v when v.Ir.vc = P.V_emit -> emitted := true
-        | D.Node.N_vcall v when v.Ir.vc = P.V_table_update -> (
-            (* Executed insertion: the flow is now table-resident. *)
-            match v.Ir.state with
-            | Some s -> (
-                match Hashtbl.find_opt t.flow_seen s with
-                | Some seen -> ignore (Lru.touch seen (W.Packet.flow_key pkt))
-                | None -> ())
-            | None -> ())
-        | _ -> ())
-      (Option.value ~default:[] (Hashtbl.find_opt t.nodes_by_block bid))
+  let charge_node (n : D.Node.t) =
+    let price = node_price t sizes n in
+    let extra = eswitch_node_extra t pkt sizes n in
+    charge n price extra;
+    match n.D.Node.kind with
+    | D.Node.N_vcall v when v.Ir.vc = P.V_emit -> emitted := true
+    | D.Node.N_vcall { Ir.vc = P.V_table_update; state = Some s; _ } -> (
+        (* Executed insertion: the flow is now table-resident. *)
+        match Hashtbl.find_opt t.flow_seen s with
+        | Some seen -> ignore (Lru.touch seen (W.Packet.flow_key pkt))
+        | None -> ())
+    | _ -> ()
   in
-  (* Walk the structured CFG.  [stop] is the loop header whose back edge
-     ends the current iteration walk (None at top level). *)
-  let rec walk bid ~stop =
+  (* [stop] is the loop header whose back edge ends the current
+     iteration walk (None at top level). *)
+  let rec go bid ~stop =
     incr steps;
     if !steps > 10_000 then raise Walk_limit;
-    charge_block bid;
+    List.iter charge_node (Option.value ~default:[] (Hashtbl.find_opt t.nodes_by_block bid));
     match (Ir.block cir bid).Ir.term with
     | Ir.Ret -> ()
     | Ir.Jump d ->
         if Some d = stop then () (* end of one loop iteration *)
-        else walk d ~stop
+        else go d ~stop
     | Ir.Cond { guard; then_; else_ } ->
-        if resolve_guard t pkt guard then walk then_ ~stop
-        else walk else_ ~stop
+        if resolve_guard t pkt guard then go then_ ~stop else go else_ ~stop
     | Ir.Loop { body; exit; trip = _ } ->
         (* Body nodes carry the trip multiplier; walk the body once for
            guard resolution, then continue at the exit. *)
-        walk body ~stop:(Some bid);
-        walk exit ~stop
+        go body ~stop:(Some bid);
+        go exit ~stop
   in
-  walk cir.Ir.entry ~stop:None;
-  let total = !cost +. wire_costs t pkt ~emitted:!emitted in
-  { cycles = total; emitted = !emitted }
+  go cir.Ir.entry ~stop:None;
+  !emitted
+
+let packet_latency t (pkt : W.Packet.t) =
+  let cost = ref 0. in
+  let emitted = walk t pkt ~charge:(fun _ p extra -> cost := !cost +. p.D.Cost.total +. extra) in
+  { cycles = !cost +. wire_costs t pkt ~emitted; emitted }
 
 type prediction = {
   mean_cycles : float;
@@ -355,86 +285,26 @@ type pkt_components = {
   pc_emitted : bool;
 }
 
-(* Same walk as [packet_latency] — the total is accumulated in the same
-   order with the same per-node values, and guards consume the RNG
-   identically, so [pc_total] is bit-identical to what [packet_latency]
-   would have returned for this packet at this state.  Compute is the
-   residual of the node total after memory and accelerator charges, so
-   the four components sum to [pc_total] exactly. *)
+(* Compute is the residual of the node total after memory and
+   accelerator charges, so the four components sum to [pc_total]
+   exactly.  The miss-regime extra is charged as compute: it lands in
+   the residual. *)
 let packet_components t (pkt : W.Packet.t) =
-  let cir = t.df.D.Graph.cir in
-  let cost = ref 0. in
-  let mem = ref 0. and accel = ref 0. in
-  let emitted = ref false in
-  let steps = ref 0 in
-  let node_split (n : D.Node.t) =
-    let unit_ = L.Graph.unit_ t.lnic t.mapping.M.node_unit.(n.D.Node.id) in
-    let sizes = sizes_of_packet pkt (D.Graph.states t.df) in
-    let footprint s =
-      match List.find_opt (fun o -> o.Ir.st_name = s) (D.Graph.states t.df) with
-      | Some o -> Ir.state_bytes o
-      | None -> 0
-    in
-    let ctx =
-      {
-        D.Cost.lnic = t.lnic;
-        exec_unit = unit_;
-        state_region = state_region_of_mapping t;
-        state_footprint = footprint;
-        packet_region =
-          Clara_mapping.Encode.packet_region_for t.lnic unit_
-            ~packet_bytes:sizes.D.Cost.packet_bytes;
-        sizes;
-      }
-    in
-    match D.Cost.node_breakdown ctx n with
-    | Some b -> b
-    | None -> D.Cost.{ b_compute = 0.; b_mem = 0.; b_accel = 0. }
+  let cost = ref 0. and mem = ref 0. and accel = ref 0. in
+  let emitted =
+    walk t pkt ~charge:(fun _ p extra ->
+        cost := !cost +. p.D.Cost.total +. extra;
+        mem := !mem +. p.D.Cost.mem;
+        accel := !accel +. p.D.Cost.accel)
   in
-  let charge_block bid =
-    List.iter
-      (fun (n : D.Node.t) ->
-        (* The miss-regime extra is charged as compute: it lands in the
-           residual, keeping the component sums exact. *)
-        cost := !cost +. node_cost t pkt n +. eswitch_node_extra t pkt n;
-        let b = node_split n in
-        mem := !mem +. b.D.Cost.b_mem;
-        accel := !accel +. b.D.Cost.b_accel;
-        (match n.D.Node.kind with
-        | D.Node.N_vcall v when v.Ir.vc = P.V_emit -> emitted := true
-        | D.Node.N_vcall v when v.Ir.vc = P.V_table_update -> (
-            match v.Ir.state with
-            | Some s -> (
-                match Hashtbl.find_opt t.flow_seen s with
-                | Some seen -> ignore (Lru.touch seen (W.Packet.flow_key pkt))
-                | None -> ())
-            | None -> ())
-        | _ -> ()))
-      (Option.value ~default:[] (Hashtbl.find_opt t.nodes_by_block bid))
-  in
-  let rec walk bid ~stop =
-    incr steps;
-    if !steps > 10_000 then raise Walk_limit;
-    charge_block bid;
-    match (Ir.block cir bid).Ir.term with
-    | Ir.Ret -> ()
-    | Ir.Jump d -> if Some d = stop then () else walk d ~stop
-    | Ir.Cond { guard; then_; else_ } ->
-        if resolve_guard t pkt guard then walk then_ ~stop else walk else_ ~stop
-    | Ir.Loop { body; exit; trip = _ } ->
-        walk body ~stop:(Some bid);
-        walk exit ~stop
-  in
-  walk cir.Ir.entry ~stop:None;
-  let wire = wire_costs t pkt ~emitted:!emitted in
-  let total = !cost +. wire in
+  let wire = wire_costs t pkt ~emitted in
   {
-    pc_total = total;
+    pc_total = !cost +. wire;
     pc_compute = !cost -. !mem -. !accel;
     pc_mem = !mem;
     pc_accel = !accel;
     pc_wire = wire;
-    pc_emitted = !emitted;
+    pc_emitted = emitted;
   }
 
 type att_row = {
@@ -570,57 +440,16 @@ let perfetto_timeline t (trace : W.Trace.t) =
         :: !out;
     clock := !clock +. dur
   in
-  let cir = t.df.D.Graph.cir in
   Array.iteri
     (fun seq pkt ->
-      (* Pre-resolve the emitted flag on a copy of the walk?  No — walk
-         once, emitting node spans as we charge them; the wire-rx span
-         goes first with the packet's ingress share, wire-tx last. *)
-      let params = t.lnic.L.Graph.params in
-      let bytes = float_of_int (W.Packet.total_bytes pkt) in
-      let hub kind =
-        match
-          List.find_opt (fun h -> h.L.Hub.kind = kind) (Array.to_list t.lnic.L.Graph.hubs)
-        with
-        | Some h -> float_of_int h.L.Hub.per_packet_cycles
-        | None -> 0.
+      (* Wire-rx first with the packet's ingress share, then one span per
+         charged node, wire-tx last. *)
+      let rx, tx = Pricer.wire_legs t.lnic ~bytes:(float_of_int (W.Packet.total_bytes pkt)) in
+      if t.config.include_wire then span "wire-rx" rx ~seq;
+      let emitted =
+        walk t pkt ~charge:(fun n p extra -> span (node_name n) (p.D.Cost.total +. extra) ~seq)
       in
-      if t.config.include_wire then
-        span "wire-rx" (L.Cost_fn.eval params.P.wire_ingress bytes +. hub `Ingress) ~seq;
-      let emitted = ref false in
-      let steps = ref 0 in
-      let charge_block bid =
-        List.iter
-          (fun (n : D.Node.t) ->
-            span (node_name n) (node_cost t pkt n +. eswitch_node_extra t pkt n) ~seq;
-            match n.D.Node.kind with
-            | D.Node.N_vcall v when v.Ir.vc = P.V_emit -> emitted := true
-            | D.Node.N_vcall v when v.Ir.vc = P.V_table_update -> (
-                match v.Ir.state with
-                | Some s -> (
-                    match Hashtbl.find_opt t.flow_seen s with
-                    | Some seen -> ignore (Lru.touch seen (W.Packet.flow_key pkt))
-                    | None -> ())
-                | None -> ())
-            | _ -> ())
-          (Option.value ~default:[] (Hashtbl.find_opt t.nodes_by_block bid))
-      in
-      let rec walk bid ~stop =
-        incr steps;
-        if !steps > 10_000 then raise Walk_limit;
-        charge_block bid;
-        match (Ir.block cir bid).Ir.term with
-        | Ir.Ret -> ()
-        | Ir.Jump d -> if Some d = stop then () else walk d ~stop
-        | Ir.Cond { guard; then_; else_ } ->
-            if resolve_guard t pkt guard then walk then_ ~stop else walk else_ ~stop
-        | Ir.Loop { body; exit; trip = _ } ->
-            walk body ~stop:(Some bid);
-            walk exit ~stop
-      in
-      walk cir.Ir.entry ~stop:None;
-      if t.config.include_wire && !emitted then
-        span "wire-tx" (L.Cost_fn.eval params.P.wire_egress bytes +. hub `Egress) ~seq)
+      if t.config.include_wire && emitted then span "wire-tx" tx ~seq)
     trace.W.Trace.packets;
   J.Obj
     [

@@ -6,7 +6,11 @@
     membership set, so the first packet of a flow really takes the miss
     path); node costs are priced by {!Clara_dataflow.Cost} with the
     packet's own sizes; wire/hub constants bracket the path.  Averaging
-    over a trace yields the Figure 3 "Predicted" series. *)
+    over a trace yields the Figure 3 "Predicted" series.
+
+    There is one walk per packet.  {!packet_latency},
+    {!packet_components} and {!perfetto_timeline} are sinks over it that
+    keep the total, the component split or one span per node. *)
 
 type config = {
   scan_match_fraction : float;  (** DPI match probability. *)
@@ -71,7 +75,8 @@ val wire_cycles :
 type pkt_components = {
   pc_total : float;
       (** Bit-identical to {!packet_latency}'s [cycles] at the same
-          state: the walk, guard RNG draws and summation order match. *)
+          state: both sum the same walk's node charges in the same
+          order. *)
   pc_compute : float;
       (** Residual [total - mem - accel - wire], so the components sum
           to [pc_total] exactly. *)

@@ -14,15 +14,6 @@ type split = {
   total_ns : float;
 }
 
-let default_sizes =
-  {
-    D.Cost.payload_bytes = 300.;
-    packet_bytes = 354.;
-    header_bytes = 54.;
-    state_entries = (fun _ -> 0.);
-    opaque_trip = 1.;
-  }
-
 let node_state (n : D.Node.t) =
   match n.D.Node.kind with
   | D.Node.N_vcall v -> v.Ir.state
@@ -34,62 +25,20 @@ let node_state (n : D.Node.t) =
           | _ -> None)
         is
 
-(* Cost of one node on a target graph, using the target's fastest core
-   (host) or the mapping's unit (NIC). *)
-let node_ns target unit_ ~sizes ~footprint ~state_region (n : D.Node.t) =
-  let ctx =
-    {
-      D.Cost.lnic = target;
-      exec_unit = unit_;
-      state_region;
-      state_footprint = footprint;
-      packet_region =
-        Clara_mapping.Encode.packet_region_for target unit_
-          ~packet_bytes:sizes.D.Cost.packet_bytes;
-      sizes;
-    }
-  in
-  match D.Cost.node_cycles ctx n with
-  | None -> None
-  | Some cycles -> Some (cycles *. 1000. /. float_of_int unit_.L.Unit_.freq_mhz)
+(* Cost of one node on a unit, in ns. *)
+let node_ns pricer unit_ ~sizes (n : D.Node.t) =
+  Option.map
+    (fun p -> p.D.Cost.total *. 1000. /. float_of_int unit_.L.Unit_.freq_mhz)
+    (Pricer.price_on pricer unit_ sizes n)
 
-let enumerate_splits ?(sizes = default_sizes) ?(prob = D.Flow.default_probability) lnic
+let enumerate_splits ?(sizes = Pricer.default_sizes) ?(prob = D.Flow.default_probability) lnic
     (df : D.Graph.t) (mapping : M.t) =
   let host = L.Host.default in
-  let states = D.Graph.states df in
-  let sizes =
-    { sizes with
-      D.Cost.state_entries =
-        (fun s ->
-          match List.find_opt (fun o -> o.Ir.st_name = s) states with
-          | Some o -> float_of_int o.Ir.st_entries
-          | None -> 0.) }
-  in
-  let footprint s =
-    match List.find_opt (fun o -> o.Ir.st_name = s) states with
-    | Some o -> Ir.state_bytes o
-    | None -> 0
-  in
-  let nic_state_region s =
-    match M.placement_of_state mapping s with
-    | Some (M.In_memory m) -> m
-    | _ -> (
-        match
-          Array.to_list lnic.L.Graph.memories
-          |> List.find_opt (fun m -> m.L.Memory.level = L.Memory.External)
-        with
-        | Some m -> m.L.Memory.id
-        | None -> 0)
-  in
-  (* Host state always lives in host DRAM (LLC-cached). *)
-  let host_dram =
-    match
-      Array.to_list host.L.Graph.memories
-      |> List.find_opt (fun m -> m.L.Memory.level = L.Memory.External)
-    with
-    | Some m -> m.L.Memory.id
-    | None -> 0
-  in
+  let nic = Pricer.create ~mapping lnic df in
+  (* No mapping on the host: its state always lives in host DRAM
+     (LLC-cached), the pricer's external-memory fallback. *)
+  let on_host = Pricer.create host df in
+  let sizes = Pricer.sizes nic sizes in
   let host_core = List.hd (L.Graph.general_cores host) in
   let weights = D.Flow.node_weights df ~prob in
   let order = Array.of_list (D.Graph.topo_order df) in
@@ -102,18 +51,10 @@ let enumerate_splits ?(sizes = default_sizes) ?(prob = D.Flow.default_probabilit
     (fun pos nid ->
       let node = D.Graph.node df nid in
       let w = weights.(nid) in
-      (match
-         node_ns lnic
-           (L.Graph.unit_ lnic mapping.M.node_unit.(nid))
-           ~sizes ~footprint ~state_region:nic_state_region node
-       with
+      (match node_ns nic (Pricer.mapped_unit nic node) ~sizes node with
       | Some ns -> nic_cost.(pos) <- w *. ns
       | None -> feasible_nic.(pos) <- false);
-      match
-        node_ns host host_core ~sizes ~footprint
-          ~state_region:(fun _ -> host_dram)
-          node
-      with
+      match node_ns on_host host_core ~sizes node with
       | Some ns -> host_cost.(pos) <- w *. ns
       | None ->
           (* Host cores run everything in software. *)

@@ -1,7 +1,5 @@
-module L = Clara_lnic
 module D = Clara_dataflow
 module Ir = Clara_cir.Ir
-module M = Clara_mapping.Mapping
 module P = Clara_lnic.Params
 
 type decision = { guard : Clara_cir.Ir.guard; taken : bool }
@@ -12,15 +10,6 @@ type path = {
   emits : bool;
   description : string;
 }
-
-let default_sizes =
-  {
-    D.Cost.payload_bytes = 300.;
-    packet_bytes = 354.;
-    header_bytes = 54.;
-    state_entries = (fun _ -> 0.);
-    opaque_trip = 1.;
-  }
 
 let describe decisions =
   let part { guard; taken } =
@@ -54,33 +43,10 @@ let rec eval_guard assign = function
   | Ir.G_or (a, b) -> eval_guard assign a || eval_guard assign b
   | g -> List.assoc g assign
 
-let enumerate ?(max_paths = 64) ?(sizes = default_sizes) lnic (df : D.Graph.t) mapping =
+let enumerate ?(max_paths = 64) ?(sizes = Pricer.default_sizes) lnic (df : D.Graph.t) mapping =
   let cir = df.D.Graph.cir in
-  let states = D.Graph.states df in
-  let sizes =
-    { sizes with
-      D.Cost.state_entries =
-        (fun s ->
-          match List.find_opt (fun o -> o.Ir.st_name = s) states with
-          | Some o -> float_of_int o.Ir.st_entries
-          | None -> 0.) }
-  in
-  let footprint s =
-    match List.find_opt (fun o -> o.Ir.st_name = s) states with
-    | Some o -> Ir.state_bytes o
-    | None -> 0
-  in
-  let state_region s =
-    match M.placement_of_state mapping s with
-    | Some (M.In_memory m) -> m
-    | _ -> (
-        match
-          Array.to_list lnic.L.Graph.memories
-          |> List.find_opt (fun m -> m.L.Memory.level = L.Memory.External)
-        with
-        | Some m -> m.L.Memory.id
-        | None -> 0)
-  in
+  let pricer = Pricer.create ~mapping lnic df in
+  let sizes = Pricer.sizes pricer sizes in
   let nodes_by_block = Hashtbl.create 32 in
   Array.iter
     (fun (n : D.Node.t) ->
@@ -88,35 +54,7 @@ let enumerate ?(max_paths = 64) ?(sizes = default_sizes) lnic (df : D.Graph.t) m
       Hashtbl.replace nodes_by_block n.D.Node.block (cur @ [ n ]))
     df.D.Graph.nodes;
   let node_cost (n : D.Node.t) =
-    let unit_ = L.Graph.unit_ lnic mapping.M.node_unit.(n.D.Node.id) in
-    let ctx =
-      {
-        D.Cost.lnic;
-        exec_unit = unit_;
-        state_region;
-        state_footprint = footprint;
-        packet_region =
-          Clara_mapping.Encode.packet_region_for lnic unit_
-            ~packet_bytes:sizes.D.Cost.packet_bytes;
-        sizes;
-      }
-    in
-    Option.value ~default:0. (D.Cost.node_cycles ctx n)
-  in
-  let wire ~emits =
-    let params = lnic.L.Graph.params in
-    let hub kind =
-      match
-        List.find_opt (fun h -> h.L.Hub.kind = kind) (Array.to_list lnic.L.Graph.hubs)
-      with
-      | Some h -> float_of_int h.L.Hub.per_packet_cycles
-      | None -> 0.
-    in
-    L.Cost_fn.eval params.P.wire_ingress sizes.D.Cost.packet_bytes
-    +. hub `Ingress
-    +.
-    if emits then L.Cost_fn.eval params.P.wire_egress sizes.D.Cost.packet_bytes +. hub `Egress
-    else 0.
+    match Pricer.price pricer sizes n with Some p -> p.D.Cost.total | None -> 0.
   in
   let results = ref [] in
   let count = ref 0 in
@@ -143,7 +81,8 @@ let enumerate ?(max_paths = 64) ?(sizes = default_sizes) lnic (df : D.Graph.t) m
           incr count;
           results :=
             { decisions = List.rev decisions;
-              cost_cycles = cost +. wire ~emits;
+              cost_cycles =
+                cost +. Pricer.wire_cycles lnic ~bytes:sizes.D.Cost.packet_bytes ~emitted:emits;
               emits;
               description = describe (List.rev decisions) }
             :: !results

@@ -1,6 +1,5 @@
 module L = Clara_lnic
 module D = Clara_dataflow
-module Ir = Clara_cir.Ir
 module M = Clara_mapping.Mapping
 module P = Clara_lnic.Params
 
@@ -18,42 +17,10 @@ type t = {
   resources : bottleneck list;
 }
 
-let default_sizes =
-  {
-    D.Cost.payload_bytes = 300.;
-    packet_bytes = 354.;
-    header_bytes = 54.;
-    state_entries = (fun _ -> 0.);
-    opaque_trip = 1.;
-  }
-
-let estimate ?(sizes = default_sizes) ?(prob = D.Flow.default_probability) lnic
+let estimate ?(sizes = Pricer.default_sizes) ?(prob = D.Flow.default_probability) lnic
     (df : D.Graph.t) (mapping : M.t) =
-  let states = D.Graph.states df in
-  let sizes =
-    { sizes with
-      D.Cost.state_entries =
-        (fun s ->
-          match List.find_opt (fun o -> o.Ir.st_name = s) states with
-          | Some o -> float_of_int o.Ir.st_entries
-          | None -> 0.) }
-  in
-  let footprint s =
-    match List.find_opt (fun o -> o.Ir.st_name = s) states with
-    | Some o -> Ir.state_bytes o
-    | None -> 0
-  in
-  let state_region s =
-    match M.placement_of_state mapping s with
-    | Some (M.In_memory m) -> m
-    | _ -> (
-        match
-          Array.to_list lnic.L.Graph.memories
-          |> List.find_opt (fun m -> m.L.Memory.level = L.Memory.External)
-        with
-        | Some m -> m.L.Memory.id
-        | None -> 0)
-  in
+  let pricer = Pricer.create ~mapping lnic df in
+  let sizes = Pricer.sizes pricer sizes in
   let weights = D.Flow.node_weights df ~prob in
   (* Expected demand per unit: weighted node costs, grouped by the class
      the node was mapped to.  Units of one placement class pool their
@@ -62,22 +29,9 @@ let estimate ?(sizes = default_sizes) ?(prob = D.Flow.default_probability) lnic
   Array.iter
     (fun (n : D.Node.t) ->
       let uid = mapping.M.node_unit.(n.D.Node.id) in
-      let unit_ = L.Graph.unit_ lnic uid in
-      let ctx =
-        {
-          D.Cost.lnic;
-          exec_unit = unit_;
-          state_region;
-          state_footprint = footprint;
-          packet_region =
-            Clara_mapping.Encode.packet_region_for lnic unit_
-              ~packet_bytes:sizes.D.Cost.packet_bytes;
-          sizes;
-        }
-      in
-      match D.Cost.node_cycles ctx n with
+      match Pricer.price pricer sizes n with
       | None -> ()
-      | Some c ->
+      | Some { D.Cost.total = c; _ } ->
           let cur = Option.value ~default:0. (Hashtbl.find_opt demand uid) in
           Hashtbl.replace demand uid (cur +. (weights.(n.D.Node.id) *. c)))
     df.D.Graph.nodes;

@@ -162,6 +162,11 @@ end
 
 module BoolD = A.Dfa.Make (BoolL)
 
+(* A finite lattice with a monotone transfer must reach its fixpoint. *)
+let fixpoint = function
+  | BoolD.Fixpoint r -> r
+  | BoolD.Budget_exhausted _ -> Alcotest.fail "no fixpoint"
+
 let diamond_with_orphan =
   mk_prog
     [
@@ -174,7 +179,7 @@ let diamond_with_orphan =
 
 let test_dfa_forward () =
   let r =
-    BoolD.solve_exn ~init:true ~transfer:(fun _ f -> f) diamond_with_orphan
+    fixpoint (BoolD.solve ~init:true ~transfer:(fun _ f -> f) diamond_with_orphan)
   in
   check "entry reached" true r.BoolD.input.(0);
   check "join block reached" true r.BoolD.output.(3);
@@ -183,9 +188,10 @@ let test_dfa_forward () =
 
 let test_dfa_backward () =
   let r =
-    BoolD.solve_exn ~direction:A.Dfa.Backward ~init:true
-      ~transfer:(fun _ f -> f)
-      diamond_with_orphan
+    fixpoint
+      (BoolD.solve ~direction:A.Dfa.Backward ~init:true
+         ~transfer:(fun _ f -> f)
+         diamond_with_orphan)
   in
   (* Facts flow from the Ret block back to the entry. *)
   check "entry live" true r.BoolD.output.(0);
@@ -217,15 +223,7 @@ let test_dfa_budget () =
   | IntD.Budget_exhausted { budget; prog; partial } ->
       check "budget positive" true (budget > 0);
       Alcotest.(check string) "prog name carried" "hand" prog;
-      check "partial facts usable" true (partial.IntD.input.(0) >= 1));
-  (* solve_exn keeps the old crash-loudly contract. *)
-  let raised =
-    try
-      ignore (IntD.solve_exn ~init:1 ~transfer:(fun _ x -> x + 1) looped);
-      false
-    with Failure _ -> true
-  in
-  check "solve_exn raises" true raised
+      check "partial facts usable" true (partial.IntD.input.(0) >= 1))
 
 module IvD = A.Dfa.Make (A.Interval)
 
@@ -249,13 +247,14 @@ let test_dfa_widening () =
 let test_dfa_edge () =
   (* The edge transfer distinguishes the two arms of a Cond. *)
   let r =
-    BoolD.solve_exn ~init:true
-      ~edge:(fun ~src ~dst f ->
-        match src.Ir.term with
-        | Ir.Cond { else_; _ } when dst = else_ -> false
-        | _ -> f)
-      ~transfer:(fun _ f -> f)
-      diamond_with_orphan
+    fixpoint
+      (BoolD.solve ~init:true
+         ~edge:(fun ~src ~dst f ->
+           match src.Ir.term with
+           | Ir.Cond { else_; _ } when dst = else_ -> false
+           | _ -> f)
+         ~transfer:(fun _ f -> f)
+         diamond_with_orphan)
   in
   check "then edge keeps fact" true r.BoolD.input.(1);
   check "else edge kills fact" false r.BoolD.input.(2);

@@ -244,19 +244,22 @@ let test_perfetto_export () =
 (* ------------------------------------------------------------------ *)
 (* Predictor-side attribution                                          *)
 
-let predictor () =
-  let prof =
-    W.Profile.make ~payload:(W.Dist.Fixed 300) ~packets:1_000 ~flow_count:100
-      ~rate_pps:60_000. ~tcp_fraction:0.8 ()
-  in
-  match
-    Clara.analyze_for_profile lnic ~source:(Clara_nfs.Nat.source ()) ~profile:prof
-  with
+let profile =
+  W.Profile.make ~payload:(W.Dist.Fixed 300) ~packets:1_000 ~flow_count:100
+    ~rate_pps:60_000. ~tcp_fraction:0.8 ()
+
+let predictor ?config ?(lnic = lnic) source =
+  match Clara.analyze_for_profile lnic ~source ~profile with
   | Error e -> Alcotest.fail e
-  | Ok a -> (Lat.create lnic a.Clara.df a.Clara.mapping, W.Trace.synthesize ~seed:3L prof)
+  | Ok a ->
+      (Lat.create ?config lnic a.Clara.df a.Clara.mapping, W.Trace.synthesize ~seed:3L profile)
+
+let nat_predictor () = predictor (Clara_nfs.Nat.source ())
+
+let corpus_source name = (Option.get (Clara_nfs.Corpus.find name)).Clara_nfs.Corpus.source
 
 let test_predict_attribution () =
-  let t, tr = predictor () in
+  let t, tr = nat_predictor () in
   let p = Lat.predict_trace t tr in
   let att = Lat.attribute_trace t tr in
   check "attribution mean = prediction mean" true
@@ -274,35 +277,96 @@ let test_predict_attribution () =
   check "all-row total = mean" true
     (Float.abs (all.Lat.at_total -. att.Lat.att_mean) < 1e-6)
 
+let packets tr = Array.of_list (List.rev (W.Trace.fold (fun acc p -> p :: acc) [] tr))
+
+(* Every corpus NF on bluefield, with the eSwitch flow cache tracked by
+   its LRU (first packet of a flow misses) and pinned at a 0.5 hit
+   ratio (every stateful eSwitch vcall blends in the miss price).  The
+   miss path charges a software replay and touches the eSwitch LRU, so
+   a walk that priced a node twice would drift from [packet_latency]. *)
 let test_predict_packet_components () =
-  let t, tr = predictor () in
-  let pkts =
-    Array.of_list (List.rev (W.Trace.fold (fun acc p -> p :: acc) [] tr))
+  let bf = L.Bluefield.default in
+  let pinned h = { Lat.default_config with Lat.flow_cache_hit_ratio = Some h } in
+  let miss_priced = ref 0 in
+  List.iter
+    (fun name ->
+      let source = corpus_source name in
+      (* Checks one mode and returns its predicted mean. *)
+      let exact mode config =
+        let label s = Printf.sprintf "%s/%s: %s" name mode s in
+        let t, tr = predictor ~config ~lnic:bf source in
+        let pkts = packets tr in
+        Lat.reset_state t;
+        let comps = Array.map (Lat.packet_components t) pkts in
+        Lat.reset_state t;
+        let lats = Array.map (Lat.packet_latency t) pkts in
+        Array.iteri
+          (fun i c ->
+            if c.Lat.pc_total <> lats.(i).Lat.cycles then
+              Alcotest.failf "%s packet %d: %h <> %h" (label "pc_total") i c.Lat.pc_total
+                lats.(i).Lat.cycles;
+            if
+              Float.abs
+                (c.Lat.pc_compute +. c.Lat.pc_mem +. c.Lat.pc_accel +. c.Lat.pc_wire
+               -. c.Lat.pc_total)
+              >= 1e-9
+            then Alcotest.failf "%s packet %d" (label "components sum") i)
+          comps;
+        let p = Lat.predict_trace t tr in
+        check (label "att_mean = mean_cycles") true
+          ((Lat.attribute_trace t tr).Lat.att_mean = p.Lat.mean_cycles);
+        p.Lat.mean_cycles
+      in
+      ignore (exact "lru" Lat.default_config);
+      let half = exact "hit-0.5" (pinned 0.5) in
+      let t, tr = predictor ~config:(pinned 1.) ~lnic:bf source in
+      if half > (Lat.predict_trace t tr).Lat.mean_cycles then incr miss_priced)
+    Clara_nfs.Corpus.names;
+  check "some corpus NF reaches the eSwitch miss path" true (!miss_priced > 0)
+
+(* Span durations of each packet, converted back to cycles, add up to
+   that packet's [packet_latency]. *)
+let check_timeline_sums ~label (t, tr) =
+  let j = Lat.perfetto_timeline t tr in
+  let freq =
+    match field "freq_mhz" (field "otherData" j) with
+    | J.Int f -> float_of_int f
+    | _ -> Alcotest.fail "freq_mhz type"
   in
+  let pkts = packets tr in
+  let sums = Array.make (Array.length pkts) 0. in
+  (match field "traceEvents" j with
+  | J.List evs ->
+      List.iter
+        (fun e ->
+          if field "ph" e = J.String "X" then
+            match (field "seq" (field "args" e), field "dur" e) with
+            | J.Int seq, J.Float dur -> sums.(seq) <- sums.(seq) +. (dur *. freq)
+            | _ -> Alcotest.fail "span seq/dur type")
+        evs
+  | _ -> Alcotest.fail "traceEvents shape");
   Lat.reset_state t;
-  let comps = Array.map (Lat.packet_components t) pkts in
-  Lat.reset_state t;
-  let lats = Array.map (Lat.packet_latency t) pkts in
   Array.iteri
-    (fun i c ->
-      check "pc_total bit-identical to packet_latency" true
-        (c.Lat.pc_total = lats.(i).Lat.cycles);
-      check "components sum exactly" true
-        (Float.abs
-           (c.Lat.pc_compute +. c.Lat.pc_mem +. c.Lat.pc_accel +. c.Lat.pc_wire
-          -. c.Lat.pc_total)
-        < 1e-9))
-    comps
+    (fun i pkt ->
+      let cycles = (Lat.packet_latency t pkt).Lat.cycles in
+      if Float.abs (sums.(i) -. cycles) > 1e-9 *. Float.abs cycles then
+        Alcotest.failf "%s packet %d: spans %.6f cyc, packet_latency %.6f" label i sums.(i)
+          cycles)
+    pkts
 
 let test_predict_timeline_json () =
-  let t, tr = predictor () in
+  let t, tr = nat_predictor () in
   let j = Lat.perfetto_timeline t tr in
   let j' = J.parse_exn (J.to_string j) in
-  match (field "traceEvents" j, field "traceEvents" j') with
+  (match (field "traceEvents" j, field "traceEvents" j') with
   | J.List evs, J.List evs' ->
       check "timeline has events" true (List.length evs > 0);
       check "timeline round-trips" true (List.length evs = List.length evs')
-  | _ -> Alcotest.fail "traceEvents shape"
+  | _ -> Alcotest.fail "traceEvents shape");
+  check_timeline_sums ~label:"nat@netronome" (t, tr);
+  (* Stateful, and its first packet per flow takes the eSwitch miss path. *)
+  check_timeline_sums ~label:"load-balancer@bluefield"
+    (predictor ~lnic:L.Bluefield.default (corpus_source "load-balancer"))
 
 let suite =
   [ Alcotest.test_case "ring buffer semantics" `Quick test_ring_semantics;
