@@ -151,6 +151,14 @@ let update_snapshot fields =
     (fun () -> Clara_util.Json.to_channel oc snapshot);
   Printf.printf "[json] wrote %s\n" path
 
+(* Soft gates: a missed budget warns by default and fails the bench
+   under CLARA_BENCH_ENFORCE=1. *)
+let enforce = Sys.getenv_opt "CLARA_BENCH_ENFORCE" = Some "1"
+
+let soft_fail msg =
+  if enforce then failwith msg
+  else Printf.printf "[warn] %s (CLARA_BENCH_ENFORCE=1 would fail)\n" msg
+
 (* ------------------------------------------------------------------ *)
 (* Figure 1: performance variability of five NFs                       *)
 
@@ -498,13 +506,13 @@ let interference () =
      beyond it the co-resident system simply saturates. *)
   let prof = profile ~packets:8_000 ~rate:500_000. () in
   (match
-     Clara_predict.Interference.analyze_pair lnic
-       ~source_a:(Clara_nfs.Firewall.source ~entries:1_000_000 ())
-       ~source_b:(Clara_nfs.Kv_store.source ())
-       ~profile:prof
+     Clara_predict.Interference.analyze_n lnic
+       ~sources:
+         [| Clara_nfs.Firewall.source ~entries:1_000_000 (); Clara_nfs.Kv_store.source () |]
+       ~profiles:[| prof; prof |]
    with
   | Error e -> Printf.printf "error: %s\n" e
-  | Ok (a, b) ->
+  | Ok reports ->
       let pr name (r : Clara_predict.Interference.report) =
         Printf.printf
           "%-10s solo %9.0f cyc   half-slice %9.0f cyc   contended %9.0f cyc   slowdown %.2fx\n"
@@ -513,8 +521,7 @@ let interference () =
           r.Clara_predict.Interference.contended_cycles
           r.Clara_predict.Interference.slowdown
       in
-      pr "firewall" a;
-      pr "kv-store" b);
+      Array.iter2 pr [| "firewall"; "kv-store" |] reports);
   (* Validate against genuine co-resident simulation: both ports share
      one simulator (caches, flow cache, accelerators, DMA lanes). *)
   let prog_a = Clara_nfs.Firewall.ported ~entries:1_000_000 ~placement:Dev.P_emem () in
@@ -523,7 +530,7 @@ let interference () =
   let tr_b = W.Trace.synthesize ~seed:57L prof in
   let solo_a = Eng.run lnic prog_a tr_a in
   let solo_b = Eng.run lnic prog_b tr_b in
-  let co_a, co_b = Eng.run_pair lnic prog_a prog_b tr_a tr_b in
+  let co = Eng.run_tenants lnic [| prog_a; prog_b |] [| tr_a; tr_b |] in
   let pr name (solo : Eng.result) (co : Eng.result) =
     Printf.printf
       "%-10s simulated solo %9.0f cyc   co-resident %9.0f cyc   slowdown %.2fx\n" name
@@ -531,8 +538,8 @@ let interference () =
       (co.Eng.summary.SStats.mean_cycles /. solo.Eng.summary.SStats.mean_cycles)
   in
   Printf.printf "\n";
-  pr "firewall" solo_a co_a;
-  pr "kv-store" solo_b co_b
+  pr "firewall" solo_a co.(0);
+  pr "kv-store" solo_b co.(1)
 
 (* ------------------------------------------------------------------ *)
 (* NIC selection (§1/§6 use case)                                      *)
@@ -1182,7 +1189,6 @@ let nicsim_bench () =
      packets/sec.  CLARA_BENCH_ENFORCE=1 additionally fails the bench when\n\
      the op-dense NF's speedup drops below 10x or packets/sec regresses\n\
      more than 20%% against the committed BENCH_nicsim.json.\n\n";
-  let enforce = Sys.getenv_opt "CLARA_BENCH_ENFORCE" = Some "1" in
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -1232,13 +1238,9 @@ let nicsim_bench () =
   in
   (let _, ev_pps, fa_pps, _ = List.hd rows in
    let speedup = fa_pps /. ev_pps in
-   if speedup < 10. then begin
-     let msg =
-       Printf.sprintf "wordscan fast-path speedup %.2fx below the 10x floor" speedup
-     in
-     if enforce then failwith msg
-     else Printf.printf "[warn] %s (CLARA_BENCH_ENFORCE=1 would fail)\n" msg
-   end);
+   if speedup < 10. then
+     soft_fail
+       (Printf.sprintf "wordscan fast-path speedup %.2fx below the 10x floor" speedup));
   (* Stateful NF: Auto must detect the state and change nothing. *)
   (let prog = Clara_nfs.Firewall.ported ~entries:8192 ~placement:Dev.P_emem () in
    let trace = W.Trace.synthesize ~seed:31L prof in
@@ -1292,13 +1294,8 @@ let nicsim_bench () =
    Printf.printf
      "%-10s telemetry: identical results; off %6.1f ms   on %6.1f ms   overhead %+5.1f%%\n"
      "nat" (1e3 *. t_off) (1e3 *. t_on) overhead;
-   if overhead > 2. then begin
-     let msg =
-       Printf.sprintf "telemetry overhead %.1f%% exceeds the 2%% budget" overhead
-     in
-     if enforce then failwith msg
-     else Printf.printf "[warn] %s (CLARA_BENCH_ENFORCE=1 would fail)\n" msg
-   end);
+   if overhead > 2. then
+     soft_fail (Printf.sprintf "telemetry overhead %.1f%% exceeds the 2%% budget" overhead));
   (* Snapshot + regression gate.  The committed BENCH_nicsim.json is the
      baseline; CLARA_BENCH_JSON redirects the new snapshot (CI does this
      to keep the tree clean). *)
@@ -1324,13 +1321,10 @@ let nicsim_bench () =
           match old_pps name with
           | None -> ()
           | Some old_ when fa_pps < 0.8 *. old_ ->
-              let msg =
-                Printf.sprintf
-                  "%s fast-path throughput regressed: %.0f pps vs baseline %.0f pps (>20%%)"
-                  name fa_pps old_
-              in
-              if enforce then failwith msg
-              else Printf.printf "[warn] %s (CLARA_BENCH_ENFORCE=1 would fail)\n" msg
+              soft_fail
+                (Printf.sprintf
+                   "%s fast-path throughput regressed: %.0f pps vs baseline %.0f pps (>20%%)"
+                   name fa_pps old_)
           | Some _ -> ())
         rows);
   update_snapshot
@@ -1424,7 +1418,6 @@ let offpath_bench () =
      predict-vs-sim gap may not grow more than 20% (plus a 0.5 pp noise
      floor) over the recorded one.  Warns by default; fails under
      CLARA_BENCH_ENFORCE=1, like the nicsim throughput gate. *)
-  let enforce = Sys.getenv_opt "CLARA_BENCH_ENFORCE" = Some "1" in
   (match
      Option.bind (load_baseline ()) (fun j ->
          Option.bind (Clara_util.Json.member "offpath" j) (fun o ->
@@ -1434,13 +1427,10 @@ let offpath_bench () =
    with
   | None -> ()
   | Some base_err when Float.abs err > (Float.abs base_err *. 1.2) +. 0.5 ->
-      let msg =
-        Printf.sprintf
-          "offpath predict-vs-sim p50 gap regressed: %+.1f%% vs baseline %+.1f%% (>20%%)"
-          err base_err
-      in
-      if enforce then failwith msg
-      else Printf.printf "[warn] %s (CLARA_BENCH_ENFORCE=1 would fail)\n" msg
+      soft_fail
+        (Printf.sprintf
+           "offpath predict-vs-sim p50 gap regressed: %+.1f%% vs baseline %+.1f%% (>20%%)"
+           err base_err)
   | Some base_err ->
       Printf.printf "p50 gap vs baseline: %+.1f%% now, %+.1f%% recorded — ok\n" err
         base_err);
@@ -1482,11 +1472,9 @@ let offpath_bench () =
 let tenants_bench () =
   header "Tenants: N-way co-residence under two-stage WRR scheduling";
   Printf.printf
-    "Three guards: repeated N-tenant runs must be byte-identical (the WRR\n\
-     scheduler is deterministic), run_pair must equal run_tenants at N=2 with\n\
-     equal weights (the pair path is the N=2 special case), and under skewed\n\
-     weights the heavy tenant must see no worse p99 and no more drops than a\n\
-     starved one.\n\n";
+    "Two guards: repeated N-tenant runs must be byte-identical (the WRR\n\
+     scheduler is deterministic), and under skewed weights the heavy tenant\n\
+     must see no worse p99 and no more drops than a starved one.\n\n";
   let jsons rs = Array.map (fun r -> Clara_util.Json.to_string (Eng.result_to_json r)) rs in
   (* Determinism: three distinct tenants, two runs, byte-identical. *)
   let prof = profile ~packets:6_000 ~rate:300_000. () in
@@ -1509,12 +1497,6 @@ let tenants_bench () =
         r.Eng.summary.SStats.drops)
     r1;
   Printf.printf "%-10s deterministic: two N=3 runs byte-identical\n" "tenants";
-  (* Pair parity: run_pair is the N=2 equal-weights case. *)
-  let pa, pb = Eng.run_pair lnic progs.(0) progs.(1) traces.(0) traces.(1) in
-  let ts = Eng.run_tenants lnic [| progs.(0); progs.(1) |] [| traces.(0); traces.(1) |] in
-  if jsons [| pa; pb |] <> jsons ts then
-    failwith "tenants: run_pair differs from run_tenants at N=2 equal weights";
-  Printf.printf "%-10s pair parity: run_pair == run_tenants [|a;b|]\n" "tenants";
   (* Fairness under skewed weights: three copies of a heavy stateless NF
      (no table names to clash) at a rate the starved slices cannot
      sustain; the weight-8 tenant keeps its latency and drop profile. *)

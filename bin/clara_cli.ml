@@ -547,23 +547,7 @@ let lint_cmd =
   let run nf nic json stats stats_json =
     let lnic = or_die (lnic_of_name nic) in
     let _name, source = resolve_nf nf in
-    let ir =
-      match Clara_cir.Lower.lower_source source with
-      | exception Clara_cir.Lexer.Error (msg, pos) ->
-          or_die
-            (Error
-               (Printf.sprintf "lex error at %d:%d: %s" pos.Clara_cir.Ast.line
-                  pos.Clara_cir.Ast.col msg))
-      | exception Clara_cir.Parser.Error (msg, pos) ->
-          or_die
-            (Error
-               (Printf.sprintf "parse error at %d:%d: %s" pos.Clara_cir.Ast.line
-                  pos.Clara_cir.Ast.col msg))
-      | exception Failure msg -> or_die (Error msg)
-      | exception Clara_cir.Ir.Unknown_state s ->
-          or_die (Error (Printf.sprintf "NF references undeclared state '%s'" s))
-      | ir -> fst (Clara_cir.Patterns.run ir)
-    in
+    let ir = fst (Clara_cir.Patterns.run (or_die (Clara_cir.Lower.of_source source))) in
     let report = Clara_analysis.Suite.run ~lnic ir in
     if json then
       print_endline (Clara_util.Json.to_string (Clara_analysis.Suite.to_json report))
@@ -605,13 +589,7 @@ let bounds_cmd =
   let run nf nic slo json stats stats_json =
     let lnic = or_die (lnic_of_name nic) in
     let _name, source = resolve_nf nf in
-    let ir =
-      match Clara_cir.Lower.lower_source source with
-      | exception Failure msg -> or_die (Error msg)
-      | exception Clara_cir.Ir.Unknown_state s ->
-          or_die (Error (Printf.sprintf "NF references undeclared state '%s'" s))
-      | ir -> fst (Clara_cir.Patterns.run ir)
-    in
+    let ir = fst (Clara_cir.Patterns.run (or_die (Clara_cir.Lower.of_source source))) in
     let module B = Clara_analysis.Bounds in
     let b = B.analyze ~lnic ir in
     let diags = B.lint ~lnic ?slo_p99_us:slo ir in
@@ -669,7 +647,7 @@ let trace_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"NF" ~doc)
   in
   let nf_b_arg =
-    let doc = "Optional second corpus NF: trace both co-resident (run_pair)." in
+    let doc = "Optional second corpus NF: trace both co-resident." in
     Arg.(value & pos 1 (some string) None & info [] ~docv:"NF_B" ~doc)
   in
   let out_arg =
@@ -1067,8 +1045,10 @@ let interfere_cmd =
     let lnic = or_die (lnic_of_name nic) in
     let profile = profile_of ~payload ~packets ~flows ~rate ~tcp in
     let name_a, source_a = resolve_nf src_a and name_b, source_b = resolve_nf src_b in
-    let ra, rb =
-      or_die (Clara_predict.Interference.analyze_pair lnic ~source_a ~source_b ~profile)
+    let reports =
+      or_die
+        (Clara_predict.Interference.analyze_n lnic ~sources:[| source_a; source_b |]
+           ~profiles:[| profile; profile |])
     in
     let show name (r : Clara_predict.Interference.report) =
       Printf.printf "%-24s solo %9.0f cyc   half-NIC %9.0f cyc   contended %9.0f cyc   slowdown %.2fx\n"
@@ -1078,8 +1058,7 @@ let interfere_cmd =
         r.Clara_predict.Interference.slowdown
     in
     Printf.printf "co-residence on %s:\n" nic;
-    show name_a ra;
-    show name_b rb;
+    Array.iter2 show [| name_a; name_b |] reports;
     Option.iter
       (fun path ->
         match (Clara_nfs.Corpus.find src_a, Clara_nfs.Corpus.find src_b) with
@@ -1087,15 +1066,17 @@ let interfere_cmd =
             let sink = Nsim.Trace.create () in
             let ta = W.Trace.synthesize ~seed:42L profile in
             let tb = W.Trace.synthesize ~seed:43L profile in
-            let sa, sb =
-              Nsim.Engine.run_pair ~sink lnic ea.Clara_nfs.Corpus.ported
-                eb.Clara_nfs.Corpus.ported ta tb
+            let rs =
+              Nsim.Engine.run_tenants ~sink lnic
+                [| ea.Clara_nfs.Corpus.ported; eb.Clara_nfs.Corpus.ported |]
+                [| ta; tb |]
             in
             Printf.printf "simulated co-residence:\n";
-            Format.printf "  %-14s %a@." src_a Nsim.Engine.pp_result sa;
-            Format.printf "  %-14s %a@." src_b Nsim.Engine.pp_result sb;
+            Array.iter2
+              (fun src r -> Format.printf "  %-14s %a@." src Nsim.Engine.pp_result r)
+              [| src_a; src_b |] rs;
             Format.printf "%a" Nsim.Attribution.pp_report (Nsim.Attribution.analyze sink);
-            Nsim.Trace_export.write_perfetto sink ~freq_mhz:sa.Nsim.Engine.freq_mhz ~path;
+            Nsim.Trace_export.write_perfetto sink ~freq_mhz:rs.(0).Nsim.Engine.freq_mhz ~path;
             Format.eprintf "clara: wrote Perfetto trace to %s@." path
         | _ ->
             prerr_endline

@@ -257,9 +257,9 @@ let analyze ?(payload_max = mtu_payload) ~(lnic : L.Graph.t) (p : Ir.program) =
   in
   let threads = max 1 (L.Graph.total_threads lnic) in
   let queue_cap =
-    Array.to_list lnic.L.Graph.hubs
-    |> List.find_opt (fun (h : L.Hub.t) -> h.L.Hub.kind = `Ingress)
-    |> Option.fold ~none:0 ~some:(fun (h : L.Hub.t) -> h.L.Hub.queue_capacity)
+    Option.fold ~none:0
+      ~some:(fun (h : L.Hub.t) -> h.L.Hub.queue_capacity)
+      (L.Graph.hub lnic `Ingress)
   in
   let exhausted = ref false in
   let per_type =

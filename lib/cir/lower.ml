@@ -487,3 +487,15 @@ let lower_source src =
   let ast = Parser.parse src in
   Typecheck.check_exn ast;
   lower ast
+
+let of_source src =
+  let at what msg (pos : Ast.pos) =
+    Error (Printf.sprintf "%s error at %d:%d: %s" what pos.Ast.line pos.Ast.col msg)
+  in
+  match lower_source src with
+  | ir -> Ok ir
+  | exception Lexer.Error (msg, pos) -> at "lex" msg pos
+  | exception Parser.Error (msg, pos) -> at "parse" msg pos
+  | exception Failure msg -> Error msg
+  | exception Ir.Unknown_state s ->
+      Error (Printf.sprintf "NF references undeclared state '%s'" s)

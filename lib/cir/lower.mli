@@ -15,3 +15,9 @@ val lower_source : string -> Ir.program
 (** Parse + typecheck + lower.
     @raise Lexer.Error | Parser.Error on syntax problems
     @raise Failure on type errors. *)
+
+val of_source : string -> (Ir.program, string) result
+(** {!lower_source} with its exceptions as messages: ["lex error at L:C: msg"],
+    ["parse error at L:C: msg"], the type error's own message, or
+    ["NF references undeclared state 'name'"].  The one front-end error
+    path of the pipeline and the CLI. *)

@@ -18,9 +18,7 @@ let analyze ?options lnic ~sources ~profile =
   if sources = [] then Error "empty chain" else go [] 0 sources
 
 let fabric_hop_cycles (lnic : L.Graph.t) =
-  match
-    List.find_opt (fun h -> h.L.Hub.kind = `Fabric) (Array.to_list lnic.L.Graph.hubs)
-  with
+  match L.Graph.hub lnic `Fabric with
   | Some h -> float_of_int h.L.Hub.per_packet_cycles
   | None -> 0.
 
@@ -36,67 +34,23 @@ let predict ?(config = Lat.default_config) t (trace : W.Trace.t) =
   in
   List.iter Lat.reset_state predictors;
   let hop = fabric_hop_cycles t.lnic in
-  let n = Array.length trace.W.Trace.packets in
-  if n = 0 then
-    { Lat.mean_cycles = 0.; p50_cycles = 0.; p99_cycles = 0.; tcp_mean = Float.nan;
-      udp_mean = Float.nan; syn_mean = Float.nan; emitted_fraction = 0. }
-  else begin
-    let lats = Array.make n 0. in
-    let tcp = ref 0. and tcp_n = ref 0 in
-    let udp = ref 0. and udp_n = ref 0 in
-    let syn = ref 0. and syn_n = ref 0 in
-    let emits = ref 0 in
-    Array.iteri
-      (fun i pkt ->
-        let rec run cost hops = function
-          | [] -> (cost, hops, true)
-          | p :: rest ->
-              let r = Lat.packet_latency p pkt in
-              let cost = cost +. r.Lat.cycles in
-              if r.Lat.emitted then
-                match rest with
-                | [] -> (cost, hops, true)
-                | _ -> run cost (hops + 1) rest
-              else (cost, hops, false)
-        in
-        let compute, hops, emitted = run 0. 0 predictors in
-        let total =
-          compute
-          +. (float_of_int hops *. hop)
-          +. Lat.wire_cycles t.lnic pkt ~emitted
-        in
-        lats.(i) <- total;
-        if emitted then incr emits;
-        (match pkt.W.Packet.proto with
-        | W.Packet.Tcp ->
-            tcp := !tcp +. total;
-            incr tcp_n
-        | W.Packet.Udp ->
-            udp := !udp +. total;
-            incr udp_n
-        | W.Packet.Other _ -> ());
-        if W.Packet.is_syn pkt then begin
-          syn := !syn +. total;
-          incr syn_n
-        end)
-      trace.W.Trace.packets;
-    let sorted = Array.copy lats in
-    Array.sort compare sorted;
-    (* Nearest-rank percentile: the ceil(p*n)-th smallest, 0-indexed. *)
-    let pct p =
-      sorted.(max 0 (min (n - 1) (int_of_float (Float.ceil (float_of_int n *. p)) - 1)))
-    in
-    let div_or_nan s k = if k = 0 then Float.nan else s /. float_of_int k in
-    {
-      Lat.mean_cycles = Array.fold_left ( +. ) 0. lats /. float_of_int n;
-      p50_cycles = pct 0.5;
-      p99_cycles = pct 0.99;
-      tcp_mean = div_or_nan !tcp !tcp_n;
-      udp_mean = div_or_nan !udp !udp_n;
-      syn_mean = div_or_nan !syn !syn_n;
-      emitted_fraction = float_of_int !emits /. float_of_int n;
-    }
-  end
+  Lat.summarize trace (fun pkt ->
+      let rec run cost hops = function
+        | [] -> (cost, hops, true)
+        | p :: rest ->
+            let r = Lat.packet_latency p pkt in
+            let cost = cost +. r.Lat.cycles in
+            if r.Lat.emitted then
+              match rest with
+              | [] -> (cost, hops, true)
+              | _ -> run cost (hops + 1) rest
+            else (cost, hops, false)
+      in
+      let compute, hops, emitted = run 0. 0 predictors in
+      let cycles =
+        compute +. (float_of_int hops *. hop) +. Lat.wire_cycles t.lnic pkt ~emitted
+      in
+      { Lat.cycles; emitted })
 
 let stage_names t =
   List.map

@@ -53,13 +53,9 @@ let prob_of_profile (p : W.Profile.t) =
 let analyze ?(options = Clara_mapping.Mapping.default_options) ?(sizes = default_sizes)
     ?(prob = D.Flow.default_probability) lnic ~source =
   Clara_obs.Registry.span obs "pipeline" @@ fun () ->
-  match Clara_obs.Registry.span obs "lower" (fun () -> Clara_cir.Lower.lower_source source) with
-  | exception Clara_cir.Lexer.Error (msg, pos) ->
-      Error (Printf.sprintf "lex error at %d:%d: %s" pos.Clara_cir.Ast.line pos.Clara_cir.Ast.col msg)
-  | exception Clara_cir.Parser.Error (msg, pos) ->
-      Error (Printf.sprintf "parse error at %d:%d: %s" pos.Clara_cir.Ast.line pos.Clara_cir.Ast.col msg)
-  | exception Failure msg -> Error msg
-  | ir -> (
+  match Clara_obs.Registry.span obs "lower" (fun () -> Clara_cir.Lower.of_source source) with
+  | Error _ as e -> e
+  | Ok ir -> (
       let ir, pattern_report =
         Clara_obs.Registry.span obs "coarsen" (fun () -> Clara_cir.Patterns.run ir)
       in
@@ -95,17 +91,6 @@ let predict ?config a trace =
 
 let predict_profile ?config ?(seed = 42L) a profile =
   predict ?config a (W.Trace.synthesize ~seed profile)
-
-let predict_profile_at_rate ?config ?seed a profile =
-  let p = predict_profile ?config ?seed a profile in
-  let loaded =
-    Clara_predict.Throughput.latency_at_rate
-      ~sizes:(sizes_of_profile profile)
-      ~prob:(prob_of_profile profile)
-      ~base_cycles:p.Clara_predict.Latency.mean_cycles
-      ~rate_pps:profile.W.Profile.rate_pps a.lnic a.df a.mapping
-  in
-  (p, loaded)
 
 let device_placement_of_state a s =
   match Clara_mapping.Mapping.placement_of_state a.mapping s with

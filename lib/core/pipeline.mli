@@ -69,17 +69,6 @@ val predict_profile :
   Clara_predict.Latency.prediction
 (** Synthesizes a trace from the profile, then predicts. *)
 
-val predict_profile_at_rate :
-  ?config:Clara_predict.Latency.config ->
-  ?seed:int64 ->
-  analysis ->
-  Clara_workload.Profile.t ->
-  Clara_predict.Latency.prediction * float option
-(** Like {!predict_profile}, additionally returning the queueing-adjusted
-    mean latency at the profile's offered rate (M/M/k per resource,
-    {!Clara_predict.Throughput.latency_at_rate}); [None] when the rate
-    exceeds the predicted capacity. *)
-
 val device_placement_of_state :
   analysis -> string -> Clara_nicsim.Device.placement option
 (** Translate the mapping's Γ decision for a state object into the

@@ -44,12 +44,7 @@ let mem_access_cycles ctx ~mode ~mem_id ~footprint =
   | None -> None
   | Some weight ->
       let m = L.Graph.memory ctx.lnic mem_id in
-      let flat =
-        match mode with
-        | `Read -> m.L.Memory.read_cycles
-        | `Write -> m.L.Memory.write_cycles
-        | `Atomic -> m.L.Memory.atomic_cycles
-      in
+      let flat = L.Memory.cycles m mode in
       let base =
         match (m.L.Memory.cache, mode) with
         | Some c, (`Read | `Write) ->
@@ -66,20 +61,10 @@ let mem_access_cycles ctx ~mode ~mem_id ~footprint =
       in
       Some (base +. float_of_int weight)
 
-(* Fastest reachable region of level Local (for register/stack traffic);
-   falls back to the fastest reachable region of any level. *)
-let local_region ctx =
-  let reach = L.Graph.reachable_memories ctx.lnic ~unit_id:ctx.exec_unit.L.Unit_.id in
-  match
-    List.find_opt (fun (m, _) -> m.L.Memory.level = L.Memory.Local) reach
-  with
-  | Some (m, _) -> Some m.L.Memory.id
-  | None -> ( match reach with (m, _) :: _ -> Some m.L.Memory.id | [] -> None)
-
 let loc_access ctx ~mode (loc : Ir.loc) =
   match loc with
   | Ir.L_local -> (
-      match local_region ctx with
+      match L.Graph.local_region ctx.lnic ~unit_id:ctx.exec_unit.L.Unit_.id with
       | None -> None
       | Some mem_id -> mem_access_cycles ctx ~mode ~mem_id ~footprint:0)
   | Ir.L_packet ->

@@ -93,13 +93,7 @@ let region_access_r ctx (u : L.Unit_.t) ~mode ~mem_id =
   | None -> None
   | Some weight ->
       let m = L.Graph.memory ctx.lnic mem_id in
-      let flat =
-        float_of_int
-          (match mode with
-          | `Read -> m.L.Memory.read_cycles
-          | `Write -> m.L.Memory.write_cycles
-          | `Atomic -> m.L.Memory.atomic_cycles)
-      in
+      let flat = float_of_int (L.Memory.cycles m mode) in
       let best =
         match (m.L.Memory.cache, mode) with
         | Some c, (`Read | `Write) ->
@@ -118,18 +112,10 @@ let regions_access_r ctx u ~mode regions =
   | [] -> None
   | x :: xs -> Some (List.fold_left rjoin x xs)
 
-let local_region ctx (u : L.Unit_.t) =
-  let reach = L.Graph.reachable_memories ctx.lnic ~unit_id:u.L.Unit_.id in
-  match
-    List.find_opt (fun (m, _) -> m.L.Memory.level = L.Memory.Local) reach
-  with
-  | Some (m, _) -> Some m.L.Memory.id
-  | None -> ( match reach with (m, _) :: _ -> Some m.L.Memory.id | [] -> None)
-
 let loc_access_r ctx u ~mode (loc : Ir.loc) =
   match loc with
   | Ir.L_local -> (
-      match local_region ctx u with
+      match L.Graph.local_region ctx.lnic ~unit_id:u.L.Unit_.id with
       | None -> None
       | Some mem_id -> region_access_r ctx u ~mode ~mem_id)
   | Ir.L_packet -> regions_access_r ctx u ~mode ctx.packet_regions
@@ -289,11 +275,7 @@ let node_r ?(with_trip = true) ctx (n : Node.t) =
 let wire_r lnic ~(packet_bytes : r) ~dir =
   let params = lnic.L.Graph.params in
   let hub kind =
-    match
-      List.find_opt
-        (fun (h : L.Hub.t) -> h.L.Hub.kind = kind)
-        (Array.to_list lnic.L.Graph.hubs)
-    with
+    match L.Graph.hub lnic kind with
     | Some h -> float_of_int h.L.Hub.per_packet_cycles
     | None -> 0.
   in

@@ -2,7 +2,7 @@
    the NF x NIC x mapping-options x workload grid to evaluate, instead
    of a shell loop around the CLI.  [cells] expands the spec into a
    deterministic, stably-ordered list of point questions for the
-   executor; the cache key (key.ml) is derived from cell *content*, so
+   worker pool; the cache key (key.ml) is derived from cell *content*, so
    reordering axes in the file never invalidates cached results. *)
 
 module W = Clara_workload

@@ -13,11 +13,12 @@
 module W = Clara_workload
 module L = Clara_lnic
 module J = Clara_util.Json
+module Pool = Clara_util.Pool
 
 let obs = Clara_obs.Registry.default
 
 (* Coordinator-side counters: workers report per-job outcomes through
-   the executor, and the coordinator bumps these once per sweep so the
+   the pool, and the coordinator bumps these once per sweep so the
    numbers are exact (worker-side increments would race). *)
 let c_cells = Clara_obs.Registry.counter obs "explore.cells"
 let c_hits = Clara_obs.Registry.counter obs "explore.cache.hits"
@@ -224,13 +225,13 @@ let run ?(domains = 1) ?timeout_ms ?cache ?slo_p99_us (spec : Spec.t) =
             | None -> compute () (* well-formed JSON, wrong shape: miss *))
         | None -> compute ()))
   in
-  let results, xstats = Executor.map ~domains ?timeout_ms job n in
+  let results, xstats = Pool.map ~domains ?timeout_ms job n in
   let outcomes =
     Array.mapi
       (fun i r ->
         match r with
-        | Executor.Done (status, cached) -> { cell = cells.(i); status; cached }
-        | Executor.Failed e -> { cell = cells.(i); status = Failed e; cached = false })
+        | Pool.Done (status, cached) -> { cell = cells.(i); status; cached }
+        | Pool.Failed e -> { cell = cells.(i); status = Failed e; cached = false })
       results
   in
   let count p = Array.fold_left (fun n o -> if p o then n + 1 else n) 0 outcomes in
@@ -241,15 +242,15 @@ let run ?(domains = 1) ?timeout_ms ?cache ?slo_p99_us (spec : Spec.t) =
     if Option.is_some cache then n - cache_hits - pruned else 0
   in
   let stats =
-    { domains = xstats.Executor.domains;
+    { domains = xstats.Pool.domains;
       cells = n;
       cache_hits;
       cache_misses;
       failed;
       pruned;
-      wall_ns = xstats.Executor.wall_ns;
-      busy_ns = xstats.Executor.busy_ns;
-      utilization = Executor.utilization xstats }
+      wall_ns = xstats.Pool.wall_ns;
+      busy_ns = xstats.Pool.busy_ns;
+      utilization = Pool.utilization xstats }
   in
   Clara_obs.Metrics.add c_cells n;
   Clara_obs.Metrics.add c_hits cache_hits;

@@ -22,7 +22,7 @@ let get what arr i =
 
 let unit_ t i = get "unit" t.units i
 let memory t i = get "memory" t.memories i
-let hub t i = get "hub" t.hubs i
+let hub t kind = Array.find_opt (fun h -> h.Hub.kind = kind) t.hubs
 
 let general_cores t =
   Array.to_list t.units |> List.filter Unit_.is_general
@@ -42,11 +42,7 @@ let upcall_cycles t =
   match t.arch with
   | On_path | Host_only -> 0
   | Off_path -> (
-      match
-        List.find_opt (fun h -> h.Hub.kind = `Fabric) (Array.to_list t.hubs)
-      with
-      | Some h -> h.Hub.per_packet_cycles
-      | None -> 0)
+      match hub t `Fabric with Some h -> h.Hub.per_packet_cycles | None -> 0)
 
 let access_weight t ~unit_id ~mem_id =
   List.find_map
@@ -59,15 +55,7 @@ let access_weight t ~unit_id ~mem_id =
 let access_cycles t ~unit_id ~mem_id mode =
   match access_weight t ~unit_id ~mem_id with
   | None -> None
-  | Some w ->
-      let m = memory t mem_id in
-      let base =
-        match mode with
-        | `Read -> m.Memory.read_cycles
-        | `Write -> m.Memory.write_cycles
-        | `Atomic -> m.Memory.atomic_cycles
-      in
-      Some (base + w)
+  | Some w -> Some (Memory.cycles (memory t mem_id) mode + w)
 
 let reachable_memories t ~unit_id =
   List.filter_map
@@ -78,6 +66,14 @@ let reachable_memories t ~unit_id =
     t.links
   |> List.sort (fun (m1, w1) (m2, w2) ->
          compare (m1.Memory.read_cycles + w1) (m2.Memory.read_cycles + w2))
+
+(* Fastest reachable region of level Local (register/stack traffic);
+   falls back to the fastest reachable region of any level. *)
+let local_region t ~unit_id =
+  let reach = reachable_memories t ~unit_id in
+  match List.find_opt (fun (m, _) -> m.Memory.level = Memory.Local) reach with
+  | Some (m, _) -> Some m.Memory.id
+  | None -> ( match reach with (m, _) :: _ -> Some m.Memory.id | [] -> None)
 
 let pipeline_ok t u1 u2 =
   u1 = u2 || (unit_ t u1).Unit_.stage <= (unit_ t u2).Unit_.stage

@@ -34,7 +34,8 @@ val unit_ : t -> int -> Unit_.t
 (** @raise Invalid_argument on a bad id. *)
 
 val memory : t -> int -> Memory.t
-val hub : t -> int -> Hub.t
+val hub : t -> Hub.kind -> Hub.t option
+(** The first hub of that kind. *)
 
 val general_cores : t -> Unit_.t list
 val accelerators : t -> Unit_.t list
@@ -54,6 +55,11 @@ val access_cycles : t -> unit_id:int -> mem_id:int -> [ `Read | `Write | `Atomic
 
 val reachable_memories : t -> unit_id:int -> (Memory.t * int) list
 (** Regions a unit can touch, with their NUMA weights, fastest first. *)
+
+val local_region : t -> unit_id:int -> int option
+(** The fastest reachable [Local] region (register/stack traffic), else
+    the fastest reachable region of any level; [None] if the unit
+    reaches no memory. *)
 
 val pipeline_ok : t -> int -> int -> bool
 (** [pipeline_ok g u1 u2]: can work flow from unit [u1] to unit [u2]

@@ -1,9 +1,11 @@
 type discipline = Fifo | Priority of int
 
+type kind = [ `Ingress | `Egress | `Fabric | `Host_dma ]
+
 type t = {
   id : int;
   name : string;
-  kind : [ `Ingress | `Egress | `Fabric | `Host_dma ];
+  kind : kind;
   queue_capacity : int;
   discipline : discipline;
   per_packet_cycles : int;

@@ -8,10 +8,12 @@ type discipline =
   | Fifo
   | Priority of int  (** Number of priority classes. *)
 
+type kind = [ `Ingress | `Egress | `Fabric | `Host_dma ]
+
 type t = {
   id : int;
   name : string;
-  kind : [ `Ingress | `Egress | `Fabric | `Host_dma ];
+  kind : kind;
   queue_capacity : int;   (** Packets queueable before drop/backpressure. *)
   discipline : discipline;
   per_packet_cycles : int; (** Switching cost per packet. *)

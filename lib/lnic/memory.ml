@@ -14,6 +14,11 @@ type t = {
   island : int option;
 }
 
+let cycles t = function
+  | `Read -> t.read_cycles
+  | `Write -> t.write_cycles
+  | `Atomic -> t.atomic_cycles
+
 let level_rank = function Local -> 0 | Cluster -> 1 | Internal -> 2 | External -> 3
 
 let level_name = function

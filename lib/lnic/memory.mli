@@ -28,6 +28,9 @@ type t = {
   island : int option; (** Populated for [Cluster]-level regions. *)
 }
 
+val cycles : t -> [ `Read | `Write | `Atomic ] -> int
+(** Flat (uncached) access latency of one operation of this mode. *)
+
 val level_rank : level -> int
 (** 0 = fastest/closest.  Used for spill ordering. *)
 

@@ -102,16 +102,12 @@ let errors (g : Graph.t) =
                u.Unit_.name)
       end)
     g.units;
-  (if g.arch = Graph.Off_path then
-     let has_dma =
-       Array.exists (fun (h : Hub.t) -> h.Hub.kind = `Host_dma) g.hubs
-     in
-     if not has_dma then
-       add
-         (err "offpath-no-pcie"
-            "off-path NIC %s has no Host_dma hub: add a PCIe DMA link so \
-             slow-path packets can round-trip to the host"
-            g.name));
+  if g.arch = Graph.Off_path && Option.is_none (Graph.hub g `Host_dma) then
+    add
+      (err "offpath-no-pcie"
+         "off-path NIC %s has no Host_dma hub: add a PCIe DMA link so \
+          slow-path packets can round-trip to the host"
+         g.name);
   List.rev !errs
 
 let is_valid g = errors g = []

@@ -48,8 +48,8 @@ type sim = {
   mutable accel_busy : int;
   mutable dma_busy : int;
   mutable upcall_count : int;
-  (* Per-program cache accounting, indexed by [prog_id].  run_pair's
-     per-side hit rates come from here; the shared totals above stay for
+  (* Per-program cache accounting, indexed by [prog_id].  run_tenants'
+     per-tenant hit rates come from here; the shared totals above stay for
      single-program callers. *)
   fc_hits_by : int array;
   fc_misses_by : int array;
@@ -87,7 +87,7 @@ type t = {
   mutable clock : int;
   pkt : W.Packet.t;
   seq : int;       (* packet sequence number within the run, for tracing *)
-  prog_id : int;   (* owning program index (run_pair tags events with it) *)
+  prog_id : int;   (* owning program index (run_tenants tags events with it) *)
   thread : int;    (* bound hardware thread, -1 outside the engine *)
   trace : Trace.t option;
   recorder : recorder option;

@@ -151,8 +151,8 @@ val upcalls : sim -> int
 val mem : sim -> Mem_model.t
 
 (** Per-program cache accounting (indexed by the [prog] passed to
-    {!make_ctx}; out-of-range indices read as 0).  [run_pair] reports
-    each side's own hit rates from these rather than the shared totals
+    {!make_ctx}; out-of-range indices read as 0).  [run_tenants] reports
+    each tenant's own hit rates from these rather than the shared totals
     above. *)
 
 val flow_cache_hits_of : sim -> int -> int

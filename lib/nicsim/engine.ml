@@ -93,7 +93,7 @@ module Tpool = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* The one dispatch core.  [run], [run_pair] and [run_sharded] all feed
+(* The one dispatch core.  [run], [run_tenants] and [run_sharded] all feed
    packets through here: a side is one program's slice of the NIC (its
    threads, its share of the ingress queue, its stats/in-flight window,
    and optionally its fast-path memo table).  The fast path and every
@@ -420,21 +420,11 @@ let run_tenants ?threads ?queue_capacity ?weights ?sink ?metrics ?(fast = Event_
   done;
   Array.map (fun side -> finish sim ~freq_mhz side) sides
 
-(* Pairwise co-residence is now just the N = 2, equal-weights case. *)
-let run_pair ?threads ?queue_capacity ?sink ?fast lnic (prog_a : Device.prog)
-    (prog_b : Device.prog) (trace_a : W.Trace.t) (trace_b : W.Trace.t) =
-  match
-    run_tenants ?threads ?queue_capacity ?sink ?fast lnic [| prog_a; prog_b |]
-      [| trace_a; trace_b |]
-  with
-  | [| a; b |] -> (a, b)
-  | _ -> assert false
-
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel simulation: flows are sharded onto independent NIC
    slices (1/shards of the threads and ingress queue each, like
-   [run_pair]'s halving), the slices simulate concurrently on the shared
-   worker pool, and raw stats merge in shard order — so the merged
+   [run_tenants]' equal-weight split), the slices simulate concurrently
+   on the shared worker pool, and raw stats merge in shard order — so the merged
    result depends on the shard count, never on the domain count. *)
 
 let add_fast (a : Fastpath.stats) (b : Fastpath.stats) =

@@ -127,19 +127,3 @@ val run_tenants :
     [Invalid_argument] when [progs], [traces] and [weights] disagree on
     the tenant count, on an empty tenant list, or on a non-positive
     weight. *)
-
-val run_pair :
-  ?threads:int ->
-  ?queue_capacity:int ->
-  ?sink:Trace.t ->
-  ?fast:fast_mode ->
-  Clara_lnic.Graph.t ->
-  Device.prog ->
-  Device.prog ->
-  Clara_workload.Trace.t ->
-  Clara_workload.Trace.t ->
-  result * result
-(** Co-resident execution (§3.5): exactly {!run_tenants} with two
-    tenants and equal weights (the paper's "half of the NIC" slicing,
-    each half clamped to at least 1, the odd thread to tenant 0).
-    Results are the pair's, in order. *)

@@ -26,11 +26,9 @@ let shrink_emem_cache (g : L.Graph.t) ~by_bytes =
   { g with L.Graph.memories }
 
 let pipeline ?options lnic ~source ~sizes ~prob =
-  match Clara_cir.Lower.lower_source source with
-  | exception Failure m -> Error m
-  | exception Clara_cir.Parser.Error (m, _) -> Error m
-  | exception Clara_cir.Lexer.Error (m, _) -> Error m
-  | ir -> (
+  match Clara_cir.Lower.of_source source with
+  | Error e -> Error e
+  | Ok ir -> (
       let ir, _ = Clara_cir.Patterns.run ir in
       let df = D.Build.of_ir ir in
       match Clara_mapping.Encode.map_nf ?options lnic df ~sizes ~prob with
@@ -170,13 +168,3 @@ let analyze_n ?options ?weights lnic ~sources ~profiles =
       Ok (Array.of_list reports)
     end
   end
-
-let analyze_pair ?options lnic ~source_a ~source_b ~profile =
-  match
-    analyze_n ?options lnic
-      ~sources:[| source_a; source_b |]
-      ~profiles:[| profile; profile |]
-  with
-  | Error e -> Error e
-  | Ok [| a; b |] -> Ok (a, b)
-  | Ok _ -> assert false

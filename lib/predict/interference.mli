@@ -41,16 +41,6 @@ val analyze_n :
     input order.  Errors on tenant-count mismatches, non-positive
     weights, or any per-tenant pipeline failure. *)
 
-val analyze_pair :
-  ?options:Clara_mapping.Mapping.options ->
-  Clara_lnic.Graph.t ->
-  source_a:string ->
-  source_b:string ->
-  profile:Clara_workload.Profile.t ->
-  ((report * report), string) result
-(** {!analyze_n} with two tenants, equal weights, and the same traffic
-    profile each: the paper's half-and-half slicing. *)
-
 val accel_cycles_per_packet :
   Clara_lnic.Graph.t ->
   Clara_dataflow.Graph.t ->

@@ -214,8 +214,7 @@ type prediction = {
   emitted_fraction : float;
 }
 
-let predict_trace t (trace : W.Trace.t) =
-  reset_state t;
+let summarize (trace : W.Trace.t) latency =
   let n = Array.length trace.W.Trace.packets in
   if n = 0 then
     { mean_cycles = 0.; p50_cycles = 0.; p99_cycles = 0.; tcp_mean = Float.nan;
@@ -228,7 +227,7 @@ let predict_trace t (trace : W.Trace.t) =
     let emits = ref 0 in
     Array.iteri
       (fun i pkt ->
-        let r = packet_latency t pkt in
+        let r = latency pkt in
         lats.(i) <- r.cycles;
         if r.emitted then incr emits;
         (match pkt.W.Packet.proto with
@@ -261,6 +260,10 @@ let predict_trace t (trace : W.Trace.t) =
       emitted_fraction = float_of_int !emits /. float_of_int n;
     }
   end
+
+let predict_trace t trace =
+  reset_state t;
+  summarize trace (packet_latency t)
 
 let pp_opt_mean fmt v =
   if Float.is_nan v then Format.pp_print_string fmt "n/a"

@@ -58,8 +58,15 @@ type prediction = {
   emitted_fraction : float;
 }
 
+val summarize :
+  Clara_workload.Trace.t -> (Clara_workload.Packet.t -> per_packet) -> prediction
+(** Applies the per-packet function to every packet of the trace in
+    order and summarizes: overall and per-protocol means, nearest-rank
+    p50/p99 and the emitted fraction (NaN means for absent classes, an
+    all-zero record for an empty trace). *)
+
 val predict_trace : t -> Clara_workload.Trace.t -> prediction
-(** Resets state, then walks every packet. *)
+(** Resets state, then [summarize]s {!packet_latency} over the trace. *)
 
 val pp_prediction : Format.formatter -> prediction -> unit
 

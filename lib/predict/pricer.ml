@@ -76,7 +76,7 @@ let price t sizes n = price_on t (mapped_unit t n) sizes n
 let wire_legs lnic ~bytes =
   let params = lnic.L.Graph.params in
   let hub kind =
-    match Array.find_opt (fun h -> h.L.Hub.kind = kind) lnic.L.Graph.hubs with
+    match L.Graph.hub lnic kind with
     | Some h -> float_of_int h.L.Hub.per_packet_cycles
     | None -> 0.
   in

@@ -12,7 +12,6 @@
 #   - zero replays on a stateful NF, results identical to Event_only;
 #   - sharded runs byte-identical between 1 domain and N domains;
 #   - repeated N-tenant WRR runs byte-identical (scheduler determinism);
-#   - run_pair == run_tenants at N=2 with equal weights;
 #   - under skewed weights the heavy tenant drops no more and admits
 #     no fewer packets than a starved weight-1 tenant (goodput/drops,
 #     not p99 — percentiles cover admitted packets only, so a starved

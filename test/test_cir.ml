@@ -164,6 +164,29 @@ let test_parse_errors () =
   check "bad state kind" true (bad "nf t { state blob x; handler h(p) { } }");
   check "trailing junk" true (bad "nf t { handler h(p) { } } extra")
 
+(* The one front-end error path: every failure of lower_source becomes a
+   message with a stable prefix. *)
+let test_of_source () =
+  let err src =
+    match Low.of_source src with
+    | Ok _ -> Alcotest.fail "malformed source lowered"
+    | Error e -> e
+  in
+  let starts_with prefix s =
+    String.length s >= String.length prefix
+    && String.sub s 0 (String.length prefix) = prefix
+  in
+  Alcotest.(check string) "lexer error" "lex error at 1:8: unexpected character '@'"
+    (err "nf x { @@@ }");
+  Alcotest.(check string) "parser error" "parse error at 1:33: expected ';' (found '}')"
+    (err "nf t { handler h(p) { var x = 1 } }");
+  check "type error" true
+    (starts_with "NF DSL type errors:"
+       (err "nf t { handler h(p) { var x = y; emit(p); } }"));
+  match Low.of_source nat_src with
+  | Ok ir -> check "valid NF lowers" true (ir.Ir.prog_name = "nat")
+  | Error e -> Alcotest.fail e
+
 (* ------------------------------------------------------------------ *)
 (* Typecheck                                                           *)
 
@@ -396,6 +419,7 @@ let suite =
     Alcotest.test_case "parse NAT" `Quick test_parse_nat;
     Alcotest.test_case "parse precedence" `Quick test_parse_precedence;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "of_source error messages" `Quick test_of_source;
     Alcotest.test_case "else-if chains" `Quick test_parse_else_if;
     Alcotest.test_case "typecheck accepts corpus" `Quick test_typecheck_ok;
     Alcotest.test_case "typecheck rejections" `Quick test_typecheck_catches;

@@ -1,9 +1,10 @@
 (* Tests for lib/explore: spec parsing, cache keys, the on-disk result
-   cache, the Domain executor, Pareto frontiers, and whole-sweep
+   cache, the Domain worker pool, Pareto frontiers, and whole-sweep
    determinism (1 domain vs N domains, cold vs warm cache). *)
 
 module E = Clara_explore
 module J = Clara_util.Json
+module Pool = Clara_util.Pool
 module W = Clara_workload
 module L = Clara_lnic
 module M = Clara_mapping.Mapping
@@ -235,50 +236,50 @@ let test_cache_corruption () =
   check "traversal key is a miss" true
     (E.Cache.lookup c ~key:"../../etc/passwd" = None)
 
-(* ---- Executor ------------------------------------------------------- *)
+(* ---- Worker pool (the sweep executor) ------------------------------ *)
 
 let test_executor_ordering () =
   let n = 40 in
-  let results, stats = E.Executor.map ~domains:4 (fun i -> i * i) n in
-  check_int "all jobs ran" n stats.E.Executor.jobs;
+  let results, stats = Pool.map ~domains:4 (fun i -> i * i) n in
+  check_int "all jobs ran" n stats.Pool.jobs;
   Array.iteri
     (fun i r ->
       match r with
-      | E.Executor.Done v -> check_int "slot order" (i * i) v
-      | E.Executor.Failed e -> Alcotest.fail e)
+      | Pool.Done v -> check_int "slot order" (i * i) v
+      | Pool.Failed e -> Alcotest.fail e)
     results
 
 let test_executor_isolation () =
   let results, _ =
-    E.Executor.map ~domains:3
+    Pool.map ~domains:3
       (fun i -> if i mod 5 = 2 then failwith (Printf.sprintf "boom %d" i) else i)
       15
   in
   Array.iteri
     (fun i r ->
       match (r, i mod 5 = 2) with
-      | E.Executor.Failed e, true ->
+      | Pool.Failed e, true ->
           check_str "failure message" (Printf.sprintf "boom %d" i) e
-      | E.Executor.Done v, false -> check_int "survivor" i v
-      | E.Executor.Done _, true -> Alcotest.fail "exception swallowed"
-      | E.Executor.Failed e, false -> Alcotest.fail ("collateral failure: " ^ e))
+      | Pool.Done v, false -> check_int "survivor" i v
+      | Pool.Done _, true -> Alcotest.fail "exception swallowed"
+      | Pool.Failed e, false -> Alcotest.fail ("collateral failure: " ^ e))
     results
 
 let test_executor_timeout () =
   let results, _ =
-    E.Executor.map ~domains:2 ~timeout_ms:50
+    Pool.map ~domains:2 ~timeout_ms:50
       (fun i ->
         if i = 0 then Unix.sleepf 0.25;
         i)
       3
   in
   (match results.(0) with
-  | E.Executor.Failed e ->
+  | Pool.Failed e ->
       check "timeout reported" true
         (String.length e >= 7 && String.sub e 0 7 = "timeout")
-  | E.Executor.Done _ -> Alcotest.fail "overdue job not timed out");
+  | Pool.Done _ -> Alcotest.fail "overdue job not timed out");
   (match results.(1) with
-  | E.Executor.Done 1 -> ()
+  | Pool.Done 1 -> ()
   | _ -> Alcotest.fail "fast job affected by sibling timeout")
 
 (* ---- Frontier ------------------------------------------------------- *)

@@ -324,7 +324,7 @@ let test_engine_thread_parameter () =
     (narrow.Eng.summary.Stats.mean_cycles > wide.Eng.summary.Stats.mean_cycles
     || narrow.Eng.summary.Stats.drops > wide.Eng.summary.Stats.drops)
 
-let test_run_pair_coresidency () =
+let test_pair_coresidency () =
   let prog_a = Clara_nfs.Firewall.ported ~entries:1_000_000 ~placement:Dev.P_emem () in
   let prog_b = Clara_nfs.Kv_store.ported ~placement:Dev.P_emem () in
   let prof rate seed =
@@ -334,7 +334,8 @@ let test_run_pair_coresidency () =
   in
   let tr_a = prof 400_000. 31L and tr_b = prof 400_000. 57L in
   let solo_a = Eng.run lnic prog_a tr_a in
-  let co_a, co_b = Eng.run_pair lnic prog_a prog_b tr_a tr_b in
+  let co = Eng.run_tenants lnic [| prog_a; prog_b |] [| tr_a; tr_b |] in
+  let co_a = co.(0) and co_b = co.(1) in
   check "both sides processed" true
     (co_a.Eng.summary.Stats.packets > 0 && co_b.Eng.summary.Stats.packets > 0);
   (* Sharing the EMEM cache and DMA lanes can only hurt. *)
@@ -372,10 +373,10 @@ let test_engine_out_of_order_retirement () =
     (r.Eng.summary.Stats.drops = 0);
   check_int "everything processed" 2000 r.Eng.summary.Stats.packets
 
-let test_run_pair_capacity_clamp () =
-  (* Regression: run_pair halves the ingress queue; a capacity-1 hub
-     used to round down to zero and drop any packet that found the
-     thread busy. *)
+let test_pair_capacity_clamp () =
+  (* Regression: two equal-weight tenants halve the ingress queue; a
+     capacity-1 hub used to round down to zero and drop any packet that
+     found the thread busy. *)
   let hubs =
     Array.map
       (fun (h : L.Hub.t) ->
@@ -390,7 +391,8 @@ let test_run_pair_capacity_clamp () =
   let tr_a = W.Trace.of_packets [| mk 0L; mk 10L |] in
   let tr_b = W.Trace.of_packets [||] in
   let prog_b = { (simple_prog ()) with Dev.name = "noop-b" } in
-  let ra, _rb = Eng.run_pair ~threads:2 tiny (simple_prog ()) prog_b tr_a tr_b in
+  let rs = Eng.run_tenants ~threads:2 tiny [| simple_prog (); prog_b |] [| tr_a; tr_b |] in
+  let ra = rs.(0) in
   check_int "both packets accepted" 2 ra.Eng.summary.Stats.packets;
   check "no drops with clamped half-queue" true (ra.Eng.summary.Stats.drops = 0)
 
@@ -511,7 +513,7 @@ let test_fastpath_warmup_boundary () =
   check "warmup boundary results identical" true
     (same_result r_all r_zero && same_result r_all r_three)
 
-let test_run_pair_tie_determinism () =
+let test_pair_tie_determinism () =
   (* Regression: the co-run merge sorted on arrival alone with an
      unstable sort, so packets from A and B with colliding timestamps
      interleaved unpredictably.  With many equal-time packets, repeated
@@ -533,12 +535,12 @@ let test_run_pair_tie_determinism () =
           Dev.checksum ctx ~engine:true ~bytes:(W.Packet.total_bytes pkt);
           Dev.Emit) }
   in
-  let run1 = Eng.run_pair lnic (busy "a") (busy "b") tr_a tr_b in
-  let run2 = Eng.run_pair lnic (busy "a") (busy "b") tr_a tr_b in
-  check "pair run deterministic (side a)" true (same_result (fst run1) (fst run2));
-  check "pair run deterministic (side b)" true (same_result (snd run1) (snd run2))
+  let run () = Eng.run_tenants lnic [| busy "a"; busy "b" |] [| tr_a; tr_b |] in
+  let run1 = run () and run2 = run () in
+  check "pair run deterministic (side a)" true (same_result run1.(0) run2.(0));
+  check "pair run deterministic (side b)" true (same_result run1.(1) run2.(1))
 
-let test_run_pair_per_side_hit_rates () =
+let test_pair_per_side_hit_rates () =
   (* Regression: both sides used to report the shared sim's combined
      emem/flow-cache ratios, so A and B were always identical.  Give A a
      cache-friendly one-flow EMEM workload and B a cache-hostile scan;
@@ -575,7 +577,8 @@ let test_run_pair_per_side_hit_rates () =
   in
   let tr_a = W.Trace.of_packets (Array.init 400 mk_a) in
   let tr_b = W.Trace.of_packets (Array.init 400 mk_b) in
-  let ra, rb = Eng.run_pair lnic prog_a prog_b tr_a tr_b in
+  let rs = Eng.run_tenants lnic [| prog_a; prog_b |] [| tr_a; tr_b |] in
+  let ra = rs.(0) and rb = rs.(1) in
   check "side A hit rate high" true (ra.Eng.emem_hit_rate > 0.9);
   check "side B hit rate lower" true (rb.Eng.emem_hit_rate < ra.Eng.emem_hit_rate -. 0.2)
 
@@ -602,7 +605,7 @@ let test_run_sharded_domain_determinism () =
 module Sch = Clara_nicsim.Scheduler
 
 let test_scheduler_split_conserves () =
-  (* Regression: run_pair/run_sharded used floor division, losing up to
+  (* Regression: pair and sharded runs used floor division, losing up to
      shards-1 threads (480/7 dropped 4). *)
   let seven = Sch.split ~total:480 ~weights:(Array.make 7 1) in
   check_int "480/7 sums to 480" 480 (Array.fold_left ( + ) 0 seven);
@@ -630,23 +633,6 @@ let test_scheduler_wrr_order () =
     (List.rev !order
     = [ (0, "a1"); (0, "a2"); (1, "b1"); (0, "a3"); (0, "a4"); (1, "b2") ]);
   check "empty after drain" true (Sch.is_empty s)
-
-let test_run_tenants_matches_run_pair () =
-  (* run_pair is now the N = 2, equal-weights case; the two entry points
-     must agree exactly. *)
-  let tr_a = trace ~packets:1500 ~rate:300_000. () in
-  let tr_b =
-    W.Trace.synthesize ~seed:9L
-      (W.Profile.make ~packets:1500 ~rate_pps:300_000. ~flow_count:50
-         ~tcp_fraction:0.5 ~payload:(W.Dist.Fixed 200) ())
-  in
-  let mk_a () = Clara_nfs.Nat.ported ~checksum_engine:true () in
-  let mk_b () = Clara_nfs.Dpi.ported () in
-  let pa, pb = Eng.run_pair lnic (mk_a ()) (mk_b ()) tr_a tr_b in
-  let rs = Eng.run_tenants lnic [| mk_a (); mk_b () |] [| tr_a; tr_b |] in
-  check_int "two results" 2 (Array.length rs);
-  check "tenant 0 == pair side a" true (same_result pa rs.(0));
-  check "tenant 1 == pair side b" true (same_result pb rs.(1))
 
 let test_run_tenants_deterministic () =
   (* WRR scheduling must be reproducible even with 4-way timestamp
@@ -817,8 +803,8 @@ let suite =
     Alcotest.test_case "FW placement (Fig 1)" `Quick test_firewall_placement_contrast;
     Alcotest.test_case "engine thread parameter" `Quick test_engine_thread_parameter;
     Alcotest.test_case "out-of-order retirement" `Quick test_engine_out_of_order_retirement;
-    Alcotest.test_case "co-resident run_pair" `Quick test_run_pair_coresidency;
-    Alcotest.test_case "run_pair capacity clamp" `Quick test_run_pair_capacity_clamp;
+    Alcotest.test_case "co-resident two-tenant" `Quick test_pair_coresidency;
+    Alcotest.test_case "two-tenant capacity clamp" `Quick test_pair_capacity_clamp;
     Alcotest.test_case "stats nearest-rank percentiles" `Quick
       test_stats_nearest_rank_percentile;
     Alcotest.test_case "fast path: stateless byte-identity" `Quick
@@ -828,15 +814,13 @@ let suite =
     Alcotest.test_case "fast path: closure state poisoned" `Quick
       test_fastpath_closure_state_poisoned;
     Alcotest.test_case "fast path: warm-up boundary" `Quick test_fastpath_warmup_boundary;
-    Alcotest.test_case "run_pair tie-break determinism" `Quick
-      test_run_pair_tie_determinism;
-    Alcotest.test_case "run_pair per-side hit rates" `Quick
-      test_run_pair_per_side_hit_rates;
+    Alcotest.test_case "two-tenant tie-break determinism" `Quick
+      test_pair_tie_determinism;
+    Alcotest.test_case "two-tenant per-side hit rates" `Quick
+      test_pair_per_side_hit_rates;
     Alcotest.test_case "scheduler split conserves pools" `Quick
       test_scheduler_split_conserves;
     Alcotest.test_case "scheduler WRR order" `Quick test_scheduler_wrr_order;
-    Alcotest.test_case "run_tenants == run_pair at N=2" `Quick
-      test_run_tenants_matches_run_pair;
     Alcotest.test_case "run_tenants determinism" `Quick test_run_tenants_deterministic;
     Alcotest.test_case "run_tenants starved tenant" `Quick
       test_run_tenants_starved_tenant;

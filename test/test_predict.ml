@@ -231,21 +231,21 @@ let test_latency_at_rate () =
   | _ -> Alcotest.fail "stable rates must predict");
   check "unstable past capacity" true (at 5_000_000. = None)
 
+(* Two equal-weight tenants on the same traffic profile: the paper's
+   half-and-half slicing. *)
+let analyze_two src_a src_b prof =
+  match Inter.analyze_n lnic ~sources:[| src_a; src_b |] ~profiles:[| prof; prof |] with
+  | Error e -> Alcotest.fail e
+  | Ok rs -> (rs.(0), rs.(1))
+
 let test_interference_slowdown () =
   let prof = profile ~packets:2000 () in
-  match
-    Inter.analyze_pair lnic
-      ~source_a:(Clara_nfs.Nat.source ())
-      ~source_b:(Clara_nfs.Firewall.source ())
-      ~profile:prof
-  with
-  | Error e -> Alcotest.fail e
-  | Ok (ra, rb) ->
-      check "A slowdown >= 1" true (ra.Inter.slowdown >= 0.99);
-      check "B slowdown >= 1" true (rb.Inter.slowdown >= 0.99);
-      check "contended >= sliced" true
-        (ra.Inter.contended_cycles >= ra.Inter.sliced_cycles -. 1.
-        && rb.Inter.contended_cycles >= rb.Inter.sliced_cycles -. 1.)
+  let ra, rb = analyze_two (Clara_nfs.Nat.source ()) (Clara_nfs.Firewall.source ()) prof in
+  check "A slowdown >= 1" true (ra.Inter.slowdown >= 0.99);
+  check "B slowdown >= 1" true (rb.Inter.slowdown >= 0.99);
+  check "contended >= sliced" true
+    (ra.Inter.contended_cycles >= ra.Inter.sliced_cycles -. 1.
+    && rb.Inter.contended_cycles >= rb.Inter.sliced_cycles -. 1.)
 
 (* The exact pipeline Interference runs per tenant (lower -> coarsen ->
    dataflow -> map), reproduced so tests can pin its intermediate
@@ -272,26 +272,20 @@ let test_interference_slice_utilization () =
      the NF actually runs on. *)
   let prof = profile ~packets:2000 () in
   let src = Clara_nfs.Nat.source () in
-  match
-    Inter.analyze_pair lnic ~source_a:src
-      ~source_b:(Clara_nfs.Firewall.source ())
-      ~profile:prof
-  with
-  | Error e -> Alcotest.fail e
-  | Ok (ra, _) ->
-      check "nat drives the accelerators" true (ra.Inter.accel_utilization > 0.);
-      check "below saturation at 60 kpps" false ra.Inter.saturated;
-      let half = L.Graph.slice lnic ~keep_num:1 ~keep_den:2 in
-      let sizes = inter_sizes prof in
-      let prob = D.Flow.default_probability in
-      let df, m = inter_pipeline half src ~sizes ~prob in
-      let cyc = Inter.accel_cycles_per_packet half df m ~sizes ~prob in
-      let freq =
-        float_of_int (List.hd (L.Graph.general_cores half)).L.Unit_.freq_mhz *. 1e6
-      in
-      let expected = prof.W.Profile.rate_pps *. cyc /. freq in
-      check "utilization computed on the slice" true
-        (abs_float (ra.Inter.accel_utilization -. expected) < 1e-9)
+  let ra, _ = analyze_two src (Clara_nfs.Firewall.source ()) prof in
+  check "nat drives the accelerators" true (ra.Inter.accel_utilization > 0.);
+  check "below saturation at 60 kpps" false ra.Inter.saturated;
+  let half = L.Graph.slice lnic ~keep_num:1 ~keep_den:2 in
+  let sizes = inter_sizes prof in
+  let prob = D.Flow.default_probability in
+  let df, m = inter_pipeline half src ~sizes ~prob in
+  let cyc = Inter.accel_cycles_per_packet half df m ~sizes ~prob in
+  let freq =
+    float_of_int (List.hd (L.Graph.general_cores half)).L.Unit_.freq_mhz *. 1e6
+  in
+  let expected = prof.W.Profile.rate_pps *. cyc /. freq in
+  check "utilization computed on the slice" true
+    (abs_float (ra.Inter.accel_utilization -. expected) < 1e-9)
 
 let test_interference_saturation_flag () =
   (* Regression: aggregate utilization >= 1 was silently capped at 0.9;
@@ -302,14 +296,7 @@ let test_interference_saturation_flag () =
       ~tcp_fraction:0.8 ~rate_pps:rate ()
   in
   let run rate =
-    match
-      Inter.analyze_pair lnic
-        ~source_a:(Clara_nfs.Nat.source ())
-        ~source_b:(Clara_nfs.Nat.source ())
-        ~profile:(prof_at rate)
-    with
-    | Error e -> Alcotest.fail e
-    | Ok (ra, _) -> ra
+    fst (analyze_two (Clara_nfs.Nat.source ()) (Clara_nfs.Nat.source ()) (prof_at rate))
   in
   let calm = run 1_000. in
   check "low rate not saturated" false calm.Inter.saturated;
@@ -357,10 +344,10 @@ let test_analyze_n_three () =
   let sources =
     [| Clara_nfs.Nat.source (); Clara_nfs.Firewall.source (); Clara_nfs.Dpi.source |]
   in
-  (match
-     Inter.analyze_n lnic ~weights:[| 2; 1; 1 |] ~sources
-       ~profiles:(Array.make 3 prof)
-   with
+  match
+    Inter.analyze_n lnic ~weights:[| 2; 1; 1 |] ~sources
+      ~profiles:(Array.make 3 prof)
+  with
   | Error e -> Alcotest.fail e
   | Ok rs ->
       Alcotest.(check int) "three reports" 3 (Array.length rs);
@@ -370,17 +357,7 @@ let test_analyze_n_three () =
             (r.Inter.slowdown >= 0.99);
           check (Printf.sprintf "tenant %d contended >= sliced" i) true
             (r.Inter.contended_cycles >= r.Inter.sliced_cycles -. 1.))
-        rs);
-  (* analyze_pair must be exactly the N = 2 equal-weights case. *)
-  let src_a = Clara_nfs.Nat.source () and src_b = Clara_nfs.Firewall.source () in
-  match
-    ( Inter.analyze_pair lnic ~source_a:src_a ~source_b:src_b ~profile:prof,
-      Inter.analyze_n lnic ~sources:[| src_a; src_b |] ~profiles:[| prof; prof |] )
-  with
-  | Ok (ra, rb), Ok rs ->
-      check "pair == analyze_n tenant 0" true (compare ra rs.(0) = 0);
-      check "pair == analyze_n tenant 1" true (compare rb rs.(1) = 0)
-  | Error e, _ | _, Error e -> Alcotest.fail e
+        rs
 
 (* ------------------------------------------------------------------ *)
 (* Predicted vs actual (the Figure 3 methodology, spot checks)         *)

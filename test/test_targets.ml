@@ -216,6 +216,37 @@ let test_chain_on_asic () =
       let p = Clara.Chain.predict c (W.Trace.synthesize ~seed:3L profile) in
       check "asic chain predicts" true (p.Lat.mean_cycles > 0.)
 
+let test_chain_one_stage_is_predict () =
+  (* A one-stage chain charges the wire once and no fabric hop, so it is
+     the standalone prediction: both go through Latency.summarize.  Bit
+     for bit, with NaN class means compared as NaN. *)
+  let same a b =
+    (Float.is_nan a && Float.is_nan b)
+    || Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  in
+  let trace = W.Trace.synthesize ~seed:23L profile in
+  List.iter
+    (fun (nic_name, nic) ->
+      List.iter
+        (fun (e : Clara_nfs.Corpus.entry) ->
+          let what field = Printf.sprintf "%s@%s %s" e.Clara_nfs.Corpus.name nic_name field in
+          match Clara.Chain.analyze nic ~sources:[ e.Clara_nfs.Corpus.source ] ~profile with
+          | Error err -> Alcotest.fail (what err)
+          | Ok c ->
+              let p = Clara.Chain.predict c trace in
+              let q = Clara.predict (List.hd c.Clara.Chain.stages) trace in
+              List.iter
+                (fun (field, a, b) -> check (what field) true (same a b))
+                [ ("mean", p.Lat.mean_cycles, q.Lat.mean_cycles);
+                  ("p50", p.Lat.p50_cycles, q.Lat.p50_cycles);
+                  ("p99", p.Lat.p99_cycles, q.Lat.p99_cycles);
+                  ("tcp", p.Lat.tcp_mean, q.Lat.tcp_mean);
+                  ("udp", p.Lat.udp_mean, q.Lat.udp_mean);
+                  ("syn", p.Lat.syn_mean, q.Lat.syn_mean);
+                  ("emitted", p.Lat.emitted_fraction, q.Lat.emitted_fraction) ])
+        Clara_nfs.Corpus.all)
+    [ ("netronome", lnic); ("bluefield", L.Bluefield.default) ]
+
 let suite =
   [ Alcotest.test_case "asic graph valid" `Quick test_asic_valid;
     Alcotest.test_case "asic feasibility answers" `Quick test_asic_feasibility_answers;
@@ -227,4 +258,6 @@ let suite =
     Alcotest.test_case "chain error reporting" `Quick test_chain_errors;
     Alcotest.test_case "chain latency composition" `Quick test_chain_latency_composition;
     Alcotest.test_case "chain drop short-circuits" `Quick test_chain_drop_short_circuits;
-    Alcotest.test_case "chain on the ASIC" `Quick test_chain_on_asic ]
+    Alcotest.test_case "chain on the ASIC" `Quick test_chain_on_asic;
+    Alcotest.test_case "one-stage chain == predict (corpus)" `Quick
+      test_chain_one_stage_is_predict ]

@@ -1,6 +1,6 @@
 (* Tests for the per-packet tracing layer: ring-buffer sink semantics,
    the tiling invariant attribution relies on, tracing's zero effect on
-   simulation results, run_pair event tagging, Perfetto export, and the
+   simulation results, two-tenant event tagging, Perfetto export, and the
    predictor-side attribution. *)
 
 module Trace = Clara_nicsim.Trace
@@ -119,9 +119,9 @@ let test_ring_truncation_counted () =
     report.Attr.packets
 
 (* ------------------------------------------------------------------ *)
-(* run_pair: merged arrivals, per-program tagging, half-queue clamp    *)
+(* Two tenants: merged arrivals, per-program tagging, half-queue clamp *)
 
-let test_run_pair_tracing () =
+let test_pair_tracing () =
   let prog_a = nat () in
   let prog_b = Clara_nfs.Firewall.ported ~entries:8192 ~placement:Dev.P_imem () in
   let tr_a = workload ~packets:1_000 ~rate:400_000. () in
@@ -131,7 +131,8 @@ let test_run_pair_tracing () =
          ~payload:(W.Dist.Fixed 300) ())
   in
   let sink = Trace.create () in
-  let ra, rb = Eng.run_pair lnic prog_a prog_b ~sink tr_a tr_b in
+  let rs = Eng.run_tenants lnic [| prog_a; prog_b |] ~sink [| tr_a; tr_b |] in
+  let ra = rs.(0) and rb = rs.(1) in
   check "progs named" true
     (Trace.progs sink = [| prog_a.Dev.name; prog_b.Dev.name |]);
   let evs = Trace.events sink in
@@ -165,7 +166,7 @@ let test_run_pair_tracing () =
     (List.exists (fun r -> r.Attr.r_prog = 0) report.Attr.rows
     && List.exists (fun r -> r.Attr.r_prog = 1) report.Attr.rows)
 
-let test_run_pair_clamp_traced () =
+let test_pair_clamp_traced () =
   (* The half-queue clamp regression, now with a sink attached: a
      capacity-1 ingress hub must still clamp to >= 1 and the trace must
      show no Dropped events. *)
@@ -184,10 +185,9 @@ let test_run_pair_clamp_traced () =
     { Dev.name; tables = []; handler = (fun ctx _ -> Dev.alu ctx 10; Dev.Emit) }
   in
   let sink = Trace.create () in
-  let ra, _rb =
-    Eng.run_pair ~threads:2 tiny (noop "a") (noop "b") ~sink
-      (W.Trace.of_packets [| mk 0L; mk 10L |])
-      (W.Trace.of_packets [||])
+  let ra =
+    (Eng.run_tenants ~threads:2 tiny [| noop "a"; noop "b" |] ~sink
+       [| W.Trace.of_packets [| mk 0L; mk 10L |]; W.Trace.of_packets [||] |]).(0)
   in
   check_int "both packets accepted" 2 ra.Eng.summary.Stats.packets;
   check "no Dropped events in trace" true
@@ -375,10 +375,10 @@ let suite =
       test_tiling_invariant;
     Alcotest.test_case "ring truncation counted, never misattributed" `Quick
       test_ring_truncation_counted;
-    Alcotest.test_case "run_pair tracing: merge order + tagging" `Quick
-      test_run_pair_tracing;
-    Alcotest.test_case "run_pair half-queue clamp with sink" `Quick
-      test_run_pair_clamp_traced;
+    Alcotest.test_case "two-tenant trace: merge order + tagging" `Quick
+      test_pair_tracing;
+    Alcotest.test_case "two-tenant half-queue clamp with sink" `Quick
+      test_pair_clamp_traced;
     Alcotest.test_case "perfetto export parses" `Quick test_perfetto_export;
     Alcotest.test_case "predict attribution sums + matches mean" `Quick
       test_predict_attribution;
