@@ -23,14 +23,10 @@ nf heavy_hitter {
 
 let ported ?(buckets = 4096) ?(threshold = 1000) ?(placement = Dev.P_ctm) () =
   let table = "sketch" in
-  let counters = Hashtbl.create 1024 in
   let handler ctx (pkt : W.Packet.t) =
     Dev.parse_header ctx ~engine:true;
     Dev.hash_op ctx;
-    let key = W.Packet.flow_key pkt mod buckets in
-    Dev.count ctx table ~key;
-    let c = 1 + Option.value ~default:0 (Hashtbl.find_opt counters key) in
-    Hashtbl.replace counters key c;
+    let c = Dev.count ctx table ~key:(W.Packet.flow_key pkt mod buckets) in
     Dev.branch ctx;
     if c > threshold then Dev.Drop else Dev.Emit
   in

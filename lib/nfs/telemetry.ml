@@ -30,7 +30,7 @@ let ported ?(buckets = 8192) () =
   let handler ctx (pkt : W.Packet.t) =
     Dev.parse_header ctx ~engine:true;
     Dev.hash_op ctx;
-    Dev.count ctx table ~key:(W.Packet.flow_key pkt mod buckets);
+    ignore (Dev.count ctx table ~key:(W.Packet.flow_key pkt mod buckets));
     (* EWMA: 5 float ops (mul, mul, sub, add, mul) + compare. *)
     Dev.fp_op ctx 6;
     Dev.branch ctx;

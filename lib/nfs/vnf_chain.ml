@@ -37,7 +37,7 @@ let ported ?(stats_entries = 8192) ?(stats_placement = Dev.P_ctm) () =
       Dev.move ctx 1;
       Dev.alu ctx 1;
       Dev.hash_op ctx;
-      Dev.count ctx table ~key:(W.Packet.flow_key pkt);
+      ignore (Dev.count ctx table ~key:(W.Packet.flow_key pkt));
       Dev.Emit
     end
   in

@@ -18,10 +18,31 @@ type table_state = {
   decl : table_decl;
   contents : Lru.t;  (* inserted keys, capacity-bounded *)
   base_addr : int;
+  (* Per-slot counters behind [count]; allocated on the table's first
+     [count], so only counter tables pay for them. *)
+  mutable counts : int array;
 }
 
+(* Dense indices for the cost tables resolved in [create_sim_shared]. *)
+let op_index : P.op_class -> int = function
+  | P.Alu -> 0 | P.Mul -> 1 | P.Div -> 2 | P.Fp -> 3 | P.Move -> 4 | P.Branch -> 5
+  | P.Hash -> 6 | P.Load -> 7 | P.Store -> 8 | P.Atomic -> 9 | P.Call -> 10
+
+let vcall_index : P.vcall -> int = function
+  | P.V_parse_header -> 0 | P.V_modify_header -> 1 | P.V_checksum -> 2
+  | P.V_crypto -> 3 | P.V_table_lookup -> 4 | P.V_lpm_lookup -> 5
+  | P.V_table_update -> 6 | P.V_payload_scan -> 7 | P.V_meter -> 8
+  | P.V_flow_stats -> 9 | P.V_emit -> 10 | P.V_drop -> 11
+
+let n_vcalls = 12 (* = List.length P.all_vcalls, the range of [vcall_index] *)
+
+let all_accel_kinds = L.Unit_.[ Checksum; Crypto; Lookup; Parse; Eswitch ]
+
+let accel_index : L.Unit_.accel_kind -> int = function
+  | L.Unit_.Checksum -> 0 | L.Unit_.Crypto -> 1 | L.Unit_.Lookup -> 2
+  | L.Unit_.Parse -> 3 | L.Unit_.Eswitch -> 4
+
 type sim = {
-  lnic : L.Graph.t;
   params : P.t;
   memm : Mem_model.t;
   flow_cache : Lru.t option;        (* LRU over flow keys *)
@@ -31,14 +52,30 @@ type sim = {
   fc_kind : L.Unit_.accel_kind;
   upcall_cycles : int;
   tables : (string, table_state) Hashtbl.t;
-  accel_free : (L.Unit_.accel_kind, int ref) Hashtbl.t;
+  (* Everything below down to [egress_cycles] is fixed for a given
+     (LNIC, program set) and resolved once in [create_sim_shared], so
+     the per-packet path indexes arrays instead of walking the
+     parameter lists.  [op_cycles] is per [op_index], with the FPU
+     emulation factor applied (nan: class missing from the parameters);
+     [core_vc] per [vcall_index]; [accel_vc] per
+     [accel_index * n_vcalls + vcall_index]. *)
+  op_cycles : float array;
+  core_vc : L.Cost_fn.t option array;
+  accel_vc : L.Cost_fn.t option array;
+  (* Accelerator occupancy per [accel_index]; [has_accel] marks the
+     kinds this NIC actually has. *)
+  has_accel : bool array;
+  accel_free : int array;
+  (* The engine [parse_header ~engine:true] runs on, if any. *)
+  parse_engine : L.Unit_.accel_kind option;
+  ingress_cycles : int option;  (* per-packet cost of the ingress hub *)
+  egress_cycles : int option;
   (* Store-and-forward DMA lanes between the wire and packet memory;
      serialization here is what makes latency rate-dependent. *)
   dma_rx_free : int array;
   dma_tx_free : int array;
   islands : int;       (* general-core islands, for CTM NUMA *)
   ctm_remote_penalty : int;
-  has_fpu : bool;
   mutable fc_hits : int;
   mutable fc_misses : int;
   (* Cumulative occupancy: total cycles any accelerator / DMA lane spent
@@ -86,6 +123,7 @@ type t = {
   sim : sim;
   mutable clock : int;
   pkt : W.Packet.t;
+  mutable fkey : int;  (* the packet's flow key, -1 until first needed *)
   seq : int;       (* packet sequence number within the run, for tracing *)
   prog_id : int;   (* owning program index (run_tenants tags events with it) *)
   thread : int;    (* bound hardware thread, -1 outside the engine *)
@@ -107,12 +145,13 @@ let[@inline] rec_gap r clock =
   let gap = clock - r.mark in
   if gap > 0 then r.rev_segs <- Seg_pure gap :: r.rev_segs
 
-let[@inline] rec_seg ctx seg done_ =
-  match ctx.recorder with
-  | Some r when not r.tainted ->
-      r.rev_segs <- seg :: r.rev_segs;
-      r.mark <- done_
-  | _ -> ()
+(* Record a shared-resource segment requested at [req].  Callers build
+   [seg] only after matching a live recorder, so an unrecorded packet
+   allocates nothing here. *)
+let[@inline] rec_shared r ~req seg done_ =
+  rec_gap r req;
+  r.rev_segs <- seg :: r.rev_segs;
+  r.mark <- done_
 
 let recorded ctx =
   match ctx.recorder with
@@ -148,15 +187,16 @@ let replay sim ~start (p : profile) =
     (fun seg ->
       match seg with
       | Seg_pure c -> clock := !clock + c
-      | Seg_accel (kind, c) -> (
-          match Hashtbl.find_opt sim.accel_free kind with
-          | None -> clock := !clock + c
-          | Some free ->
-              let s = max !clock !free in
-              let done_ = s + c in
-              free := done_;
-              sim.accel_busy <- sim.accel_busy + c;
-              clock := done_)
+      | Seg_accel (kind, c) ->
+          let ki = accel_index kind in
+          if not sim.has_accel.(ki) then clock := !clock + c
+          else begin
+            let s = max !clock sim.accel_free.(ki) in
+            let done_ = s + c in
+            sim.accel_free.(ki) <- done_;
+            sim.accel_busy <- sim.accel_busy + c;
+            clock := done_
+          end
       | Seg_dma_rx c ->
           sim.dma_busy <- sim.dma_busy + c;
           clock := replay_dma sim.dma_rx_free !clock c
@@ -197,10 +237,12 @@ let create_sim_shared lnic progs =
       Hashtbl.add tables decl.t_name
         { decl;
           contents = Lru.create ~capacity:(max 1 decl.t_entries);
-          base_addr = !next_base };
+          base_addr = !next_base;
+          counts = [||] };
       (* Slide bases apart so tables never share cache lines. *)
       next_base := !next_base + (decl.t_entries * decl.t_entry_bytes) + 0x10_0000)
     (List.concat_map (fun p -> p.tables) progs);
+  let fc_kind = Option.value ~default:L.Unit_.Lookup fc_accel in
   let flow_cache =
     match fc_accel with
     | None -> None
@@ -209,17 +251,54 @@ let create_sim_shared lnic progs =
         (* Flow-cache entries are ~32B each. *)
         Some (Lru.create ~capacity:(max 1 (sram / 32)))
   in
-  let accel_free = Hashtbl.create 4 in
-  List.iter
+  let has_accel = Array.make (List.length all_accel_kinds) false in
+  Array.iter
     (fun u ->
       match u.L.Unit_.kind with
-      | L.Unit_.Accelerator k -> Hashtbl.replace accel_free k (ref 0)
+      | L.Unit_.Accelerator k -> has_accel.(accel_index k) <- true
       | L.Unit_.General_core _ -> ())
-    (Array.to_list lnic.L.Graph.units);
+    lnic.L.Graph.units;
   let has_fpu =
     match L.Graph.general_cores lnic with
     | { L.Unit_.kind = L.Unit_.General_core { has_fpu; _ }; _ } :: _ -> has_fpu
     | _ -> false
+  in
+  let op_cycles = Array.make (List.length P.all_op_classes) Float.nan in
+  List.iter
+    (fun op ->
+      match P.op_cost params op ~has_fpu with
+      | c -> op_cycles.(op_index op) <- c
+      | exception Not_found -> ())
+    P.all_op_classes;
+  let core_vc = Array.make n_vcalls None in
+  List.iter (fun vc -> core_vc.(vcall_index vc) <- P.core_vcall_cost params vc) P.all_vcalls;
+  let accel_vc = Array.make (List.length all_accel_kinds * n_vcalls) None in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun vc ->
+          accel_vc.((accel_index kind * n_vcalls) + vcall_index vc) <-
+            P.accel_vcall_cost params kind vc)
+        P.all_vcalls)
+    all_accel_kinds;
+  (* The dedicated parser when the NIC has one; off-path parts parse in
+     the eSwitch match-action pipeline instead.  A NIC with neither
+     (e.g. a plain ARM SoC) parses on the cores even when the program
+     asks for the engine — that's what the hardware would do. *)
+  let parse_engine =
+    let kind =
+      match L.Graph.find_accelerator lnic L.Unit_.Parse with
+      | Some _ -> L.Unit_.Parse
+      | None -> fc_kind
+    in
+    if has_accel.(accel_index kind) && P.accel_vcall_cost params kind P.V_parse_header <> None
+    then Some kind
+    else None
+  in
+  let hub_cycles kind =
+    Array.to_list lnic.L.Graph.hubs
+    |> List.find_opt (fun h -> h.L.Hub.kind = kind)
+    |> Option.map (fun h -> h.L.Hub.per_packet_cycles)
   in
   let islands =
     L.Graph.general_cores lnic
@@ -238,19 +317,24 @@ let create_sim_shared lnic progs =
   in
   let nprogs = max 1 (List.length progs) in
   {
-    lnic;
     params;
     memm = Mem_model.create lnic;
     flow_cache;
-    fc_kind = Option.value ~default:L.Unit_.Lookup fc_accel;
+    fc_kind;
     upcall_cycles = L.Graph.upcall_cycles lnic;
     tables;
-    accel_free;
+    op_cycles;
+    core_vc;
+    accel_vc;
+    has_accel;
+    accel_free = Array.make (Array.length has_accel) 0;
+    parse_engine;
+    ingress_cycles = hub_cycles `Ingress;
+    egress_cycles = hub_cycles `Egress;
     dma_rx_free = Array.make 4 0;
     dma_tx_free = Array.make 4 0;
     islands;
     ctm_remote_penalty;
-    has_fpu;
     fc_hits = 0;
     fc_misses = 0;
     accel_busy = 0;
@@ -272,7 +356,7 @@ let make_ctx ?(seq = -1) ?(prog = 0) ?(thread = -1) ?trace ?recorder sim ~now pk
       r.mark <- now;
       r.rev_segs <- [];
       r.tainted <- false);
-  { sim; clock = now; pkt; seq; prog_id = prog; thread; trace; recorder }
+  { sim; clock = now; pkt; fkey = -1; seq; prog_id = prog; thread; trace; recorder }
 
 let now ctx = ctx.clock
 let sim_of ctx = ctx.sim
@@ -310,61 +394,66 @@ let[@inline] emit_mem ctx ~region ~outcome ~t0 =
         ~t0 ~t1:ctx.clock ~arg
 
 let op_cost ctx cls n =
-  spend ctx
-    (int_of_float
-       (Float.round (float_of_int n *. P.op_cost ctx.sim.params cls ~has_fpu:ctx.sim.has_fpu)))
+  let c = ctx.sim.op_cycles.(op_index cls) in
+  (* A class missing from the parameters fails as [Params.op_cost] does. *)
+  if Float.is_nan c then raise Not_found;
+  spend ctx (int_of_float (Float.round (float_of_int n *. c)))
 
 (* Serialize on an accelerator: wait for it, occupy it for [cycles]. *)
 let use_accel ctx kind cycles =
-  match Hashtbl.find_opt ctx.sim.accel_free kind with
-  | None -> invalid_arg "Device.use_accel: no such accelerator on this NIC"
-  | Some free ->
-      let req = ctx.clock in
-      (match ctx.recorder with
-      | Some r when not r.tainted -> rec_gap r req
-      | _ -> ());
-      let start = max ctx.clock !free in
-      let done_ = start + cycles in
-      free := done_;
-      ctx.sim.accel_busy <- ctx.sim.accel_busy + cycles;
-      ctx.clock <- done_;
-      rec_seg ctx (Seg_accel (kind, cycles)) done_;
-      (match ctx.trace with
-      | None -> ()
-      | Some s ->
-          let label = L.Unit_.accel_name kind in
-          if start > req then
-            Trace.record s ~seq:ctx.seq ~prog:ctx.prog_id ~thread:ctx.thread
-              ~kind:Trace.Accel_wait ~label ~t0:req ~t1:start ~arg:0;
-          Trace.record s ~seq:ctx.seq ~prog:ctx.prog_id ~thread:ctx.thread
-            ~kind:Trace.Accel_use ~label ~t0:start ~t1:done_ ~arg:cycles)
+  let sim = ctx.sim in
+  let ki = accel_index kind in
+  if not sim.has_accel.(ki) then
+    invalid_arg "Device.use_accel: no such accelerator on this NIC";
+  let req = ctx.clock in
+  let start = max req sim.accel_free.(ki) in
+  let done_ = start + cycles in
+  sim.accel_free.(ki) <- done_;
+  sim.accel_busy <- sim.accel_busy + cycles;
+  ctx.clock <- done_;
+  (match ctx.recorder with
+  | Some r when not r.tainted -> rec_shared r ~req (Seg_accel (kind, cycles)) done_
+  | _ -> ());
+  match ctx.trace with
+  | None -> ()
+  | Some s ->
+      let label = L.Unit_.accel_name kind in
+      if start > req then
+        Trace.record s ~seq:ctx.seq ~prog:ctx.prog_id ~thread:ctx.thread
+          ~kind:Trace.Accel_wait ~label ~t0:req ~t1:start ~arg:0;
+      Trace.record s ~seq:ctx.seq ~prog:ctx.prog_id ~thread:ctx.thread
+        ~kind:Trace.Accel_use ~label ~t0:start ~t1:done_ ~arg:cycles
 
 let core_vcall_cost ctx vc n =
-  match P.core_vcall_cost ctx.sim.params vc with
+  match ctx.sim.core_vc.(vcall_index vc) with
   | Some f -> L.Cost_fn.eval_int f n
   | None -> invalid_arg "Device: core cannot run this operation"
 
 let accel_vcall_cost ctx kind vc n =
-  match P.accel_vcall_cost ctx.sim.params kind vc with
+  match ctx.sim.accel_vc.((accel_index kind * n_vcalls) + vcall_index vc) with
   | Some f -> L.Cost_fn.eval_int f n
   | None -> invalid_arg "Device: accelerator cannot run this operation"
 
 let table ctx name =
-  match Hashtbl.find_opt ctx.sim.tables name with
-  | Some t -> t
-  | None -> invalid_arg (Printf.sprintf "Device: unknown table '%s'" name)
+  match Hashtbl.find ctx.sim.tables name with
+  | t -> t
+  | exception Not_found -> invalid_arg (Printf.sprintf "Device: unknown table '%s'" name)
+
+let flow_key ctx =
+  if ctx.fkey < 0 then ctx.fkey <- W.Packet.flow_key ctx.pkt;
+  ctx.fkey
 
 (* The island this packet's thread runs on (packets spread across
    islands; the spread is keyed on the flow so it is deterministic). *)
 let packet_island ctx =
   if ctx.sim.islands <= 1 then 0
-  else W.Packet.flow_key ctx.pkt mod ctx.sim.islands
+  else flow_key ctx mod ctx.sim.islands
 
 (* EMEM cache outcomes feed the per-program hit-rate accounting, and any
    cached access taints the recorder: the LRU line cache is mutable
    shared state, so a packet that touched it cannot be replayed. *)
-let[@inline] note_mem_outcome ctx (outcome : Mem_model.outcome) =
-  match outcome with
+let[@inline] note_mem_outcome ctx =
+  match Mem_model.last_outcome ctx.sim.memm with
   | Mem_model.Uncached -> ()
   | Mem_model.Hit ->
       let s = ctx.sim in
@@ -377,14 +466,21 @@ let[@inline] note_mem_outcome ctx (outcome : Mem_model.outcome) =
         s.emem_misses_by.(ctx.prog_id) <- s.emem_misses_by.(ctx.prog_id) + 1;
       taint ctx
 
+let[@inline] slot_of (ts : table_state) key = (key land max_int) mod ts.decl.t_entries
+
+(* One memory access on the packet's behalf: spend its cycles and
+   account its cache outcome ([Mem_model.last_outcome] keeps it for the
+   trace). *)
+let[@inline] mem_access ctx region ~mode ~addr =
+  spend ctx (Mem_model.access ctx.sim.memm region ~mode ~addr);
+  note_mem_outcome ctx
+
 let table_access ctx (ts : table_state) ~mode ~key =
   let region = region_of_placement ts.decl.t_placement in
-  let slot = (key land max_int) mod ts.decl.t_entries in
-  let addr = ts.base_addr + (slot * ts.decl.t_entry_bytes) in
+  let addr = ts.base_addr + (slot_of ts key * ts.decl.t_entry_bytes) in
   let t0 = ctx.clock in
-  let cycles, outcome = Mem_model.access' ctx.sim.memm region ~mode ~addr in
-  spend ctx cycles;
-  note_mem_outcome ctx outcome;
+  mem_access ctx region ~mode ~addr;
+  let outcome = Mem_model.last_outcome ctx.sim.memm in
   (* CTM is per-island: a CTM-resident table lives on island 0, and
      threads elsewhere pay the cross-island bus (NUMA, §3.1) — an effect
      the static predictor does not model.  The penalty is part of the
@@ -397,26 +493,7 @@ let table_access ctx (ts : table_state) ~mode ~key =
 (* Handler operations                                                  *)
 
 let parse_header ctx ~engine =
-  (* The dedicated parser when the NIC has one; off-path parts parse in
-     the eSwitch match-action pipeline instead.  A NIC with neither
-     (e.g. a plain ARM SoC) parses on the cores even when the program
-     asked for the engine — that's what the hardware would do. *)
-  let engine_kind =
-    if not engine then None
-    else
-      let kind =
-        match L.Graph.find_accelerator ctx.sim.lnic L.Unit_.Parse with
-        | Some _ -> L.Unit_.Parse
-        | None -> ctx.sim.fc_kind
-      in
-      match
-        ( Hashtbl.find_opt ctx.sim.accel_free kind,
-          P.accel_vcall_cost ctx.sim.params kind P.V_parse_header )
-      with
-      | Some _, Some _ -> Some kind
-      | _ -> None
-  in
-  match engine_kind with
+  match if engine then ctx.sim.parse_engine else None with
   | Some kind ->
       use_accel ctx kind
         (accel_vcall_cost ctx kind P.V_parse_header (W.Packet.header_bytes ctx.pkt))
@@ -477,15 +554,11 @@ let packet_region ctx =
 
 let packet_read ctx n =
   let region = packet_region ctx in
-  let base = 0x7000_0000 + (W.Packet.flow_key ctx.pkt land 0xffff) * 2048 in
+  let base = 0x7000_0000 + (flow_key ctx land 0xffff) * 2048 in
   for i = 0 to n - 1 do
     let t0 = ctx.clock in
-    let cycles, outcome =
-      Mem_model.access' ctx.sim.memm region ~mode:`Read ~addr:(base + (i * 64))
-    in
-    spend ctx cycles;
-    note_mem_outcome ctx outcome;
-    emit_mem ctx ~region ~outcome ~t0
+    mem_access ctx region ~mode:`Read ~addr:(base + (i * 64));
+    emit_mem ctx ~region ~outcome:(Mem_model.last_outcome ctx.sim.memm) ~t0
   done
 
 let table_lookup ctx name ~key =
@@ -511,23 +584,16 @@ let table_insert ctx name ~key =
 
 (* Software match/action walk: per-entry compute plus one memory burst
    per 8 entries (entries are small relative to a 64B line/burst). *)
-let lpm_walk ctx (ts : table_state) ~key =
+let lpm_walk ctx (ts : table_state) region =
   let t0 = ctx.clock in
   spend ctx (core_vcall_cost ctx P.V_lpm_lookup ts.decl.t_entries);
   emit_compute ctx ~label:"lpm-walk" ~t0 ~arg:ts.decl.t_entries;
-  let region = region_of_placement ts.decl.t_placement in
   let bursts = max 1 (ts.decl.t_entries / 8) in
   for i = 0 to bursts - 1 do
     let t0 = ctx.clock in
-    let cycles, outcome =
-      Mem_model.access' ctx.sim.memm region ~mode:`Read
-        ~addr:(ts.base_addr + (i * 8 * ts.decl.t_entry_bytes))
-    in
-    spend ctx cycles;
-    note_mem_outcome ctx outcome;
-    emit_mem ctx ~region ~outcome ~t0
-  done;
-  ignore key
+    mem_access ctx region ~mode:`Read ~addr:(ts.base_addr + (i * 8 * ts.decl.t_entry_bytes));
+    emit_mem ctx ~region ~outcome:(Mem_model.last_outcome ctx.sim.memm) ~t0
+  done
 
 let[@inline] bump arr i =
   if i >= 0 && i < Array.length arr then arr.(i) <- arr.(i) + 1
@@ -564,13 +630,11 @@ let lpm_lookup ctx name ~key =
             end;
             (* The walk happens in EMEM regardless of the declared
                placement for flow-cache tables. *)
-            lpm_walk ctx
-              { ts with decl = { ts.decl with t_placement = P_emem } }
-              ~key;
+            lpm_walk ctx ts Mem_model.Emem;
             true
           end)
   | P_ctm | P_imem | P_emem ->
-      lpm_walk ctx ts ~key;
+      lpm_walk ctx ts (region_of_placement ts.decl.t_placement);
       true
 
 let checksum ctx ~engine ~bytes =
@@ -596,7 +660,7 @@ let scan_payload ctx ~bytes =
   spend ctx (core_vcall_cost ctx P.V_payload_scan bytes);
   emit_compute ctx ~label:"payload-scan" ~t0 ~arg:bytes;
   (* Deterministic ~10% match rate keyed on the packet. *)
-  W.Packet.flow_key ctx.pkt mod 10 = 0
+  flow_key ctx mod 10 = 0
 
 let meter ctx =
   let t0 = ctx.clock in
@@ -609,7 +673,12 @@ let count ctx name ~key =
   let t0 = ctx.clock in
   spend ctx (core_vcall_cost ctx P.V_flow_stats 1);
   emit_compute ctx ~label:"flow-stats" ~t0 ~arg:1;
-  table_access ctx ts ~mode:`Atomic ~key
+  table_access ctx ts ~mode:`Atomic ~key;
+  if Array.length ts.counts = 0 then ts.counts <- Array.make ts.decl.t_entries 0;
+  let slot = slot_of ts key in
+  let c = ts.counts.(slot) + 1 in
+  ts.counts.(slot) <- c;
+  c
 
 (* Occupy the earliest-free DMA lane for [cycles]; the packet waits when
    all lanes are busy (rate-dependent queueing). *)
@@ -624,17 +693,17 @@ let use_dma ctx dir cycles =
     if lanes.(i) < lanes.(!li) then li := i
   done;
   let req = ctx.clock in
-  (match ctx.recorder with
-  | Some r when not r.tainted -> rec_gap r req
-  | _ -> ());
-  let start = max ctx.clock lanes.(!li) in
+  let start = max req lanes.(!li) in
   let done_ = start + cycles in
   lanes.(!li) <- done_;
   ctx.sim.dma_busy <- ctx.sim.dma_busy + cycles;
   ctx.clock <- done_;
-  rec_seg ctx
-    (match dir with `Rx -> Seg_dma_rx cycles | `Tx -> Seg_dma_tx cycles)
-    done_;
+  (match ctx.recorder with
+  | Some r when not r.tainted ->
+      rec_shared r ~req
+        (match dir with `Rx -> Seg_dma_rx cycles | `Tx -> Seg_dma_tx cycles)
+        done_
+  | _ -> ());
   match ctx.trace with
   | None -> ()
   | Some s ->
@@ -647,24 +716,20 @@ let use_dma ctx dir cycles =
 let wire_rx ctx =
   let bytes = W.Packet.total_bytes ctx.pkt in
   use_dma ctx `Rx (L.Cost_fn.eval_int ctx.sim.params.P.wire_ingress bytes);
-  match Array.to_list ctx.sim.lnic.L.Graph.hubs with
-  | hubs -> (
-      match List.find_opt (fun h -> h.L.Hub.kind = `Ingress) hubs with
-      | Some h ->
-          let t0 = ctx.clock in
-          spend ctx h.L.Hub.per_packet_cycles;
-          emit ctx ~kind:Trace.Hub ~label:"ingress" ~t0 ~arg:0
-      | None -> ())
+  match ctx.sim.ingress_cycles with
+  | Some c ->
+      let t0 = ctx.clock in
+      spend ctx c;
+      emit ctx ~kind:Trace.Hub ~label:"ingress" ~t0 ~arg:0
+  | None -> ()
 
 let wire_tx ctx =
   let bytes = W.Packet.total_bytes ctx.pkt in
   use_dma ctx `Tx (L.Cost_fn.eval_int ctx.sim.params.P.wire_egress bytes);
-  match
-    List.find_opt (fun h -> h.L.Hub.kind = `Egress) (Array.to_list ctx.sim.lnic.L.Graph.hubs)
-  with
-  | Some h ->
+  match ctx.sim.egress_cycles with
+  | Some c ->
       let t0 = ctx.clock in
-      spend ctx h.L.Hub.per_packet_cycles;
+      spend ctx c;
       emit ctx ~kind:Trace.Hub ~label:"egress" ~t0 ~arg:0
   | None -> ()
 

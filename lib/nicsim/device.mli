@@ -120,8 +120,11 @@ val scan_payload : t -> bytes:int -> bool
     ~10% of packets). *)
 
 val meter : t -> unit
-val count : t -> string -> key:int -> unit
-(** Atomic counter increment in the table's region. *)
+val count : t -> string -> key:int -> int
+(** Atomic counter increment in the table's region; returns the
+    counter's new value.  Counters are per table slot (keys sharing a
+    slot share one, as in a hardware counter array) and live in the
+    {!sim}, so every simulator — and every shard — starts from zero. *)
 
 val fp_op : t -> int -> unit
 

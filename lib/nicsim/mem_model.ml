@@ -5,6 +5,8 @@ type region = Local | Ctm | Imem | Emem
 
 type lat = { read : int; write : int; atomic : int }
 
+type outcome = Hit | Miss | Uncached
+
 type t = {
   local : lat;
   ctm : lat;
@@ -14,6 +16,7 @@ type t = {
   emem_hit_cycles : int;
   mutable hits : int;
   mutable misses : int;
+  mutable last : outcome;
 }
 
 let line_bytes = 64
@@ -58,12 +61,11 @@ let create (g : L.Graph.t) =
     emem_hit_cycles = hit_cycles;
     hits = 0;
     misses = 0;
+    last = Uncached;
   }
 
 let flat lat mode =
   match mode with `Read -> lat.read | `Write -> lat.write | `Atomic -> lat.atomic
-
-type outcome = Hit | Miss | Uncached
 
 let region_name = function
   | Local -> "local"
@@ -71,28 +73,40 @@ let region_name = function
   | Imem -> "imem"
   | Emem -> "emem"
 
-let access' t region ~mode ~addr =
+(* The outcome goes to [t.last] rather than into a returned tuple, so an
+   access allocates nothing. *)
+let access t region ~mode ~addr =
   match region with
-  | Local -> (flat t.local mode, Uncached)
-  | Ctm -> (flat t.ctm mode, Uncached)
-  | Imem -> (flat t.imem mode, Uncached)
+  | Local ->
+      t.last <- Uncached;
+      flat t.local mode
+  | Ctm ->
+      t.last <- Uncached;
+      flat t.ctm mode
+  | Imem ->
+      t.last <- Uncached;
+      flat t.imem mode
   | Emem -> (
       match t.emem_cache with
-      | None -> (flat t.emem mode, Uncached)
+      | None ->
+          t.last <- Uncached;
+          flat t.emem mode
       | Some cache ->
           let line = addr / line_bytes in
           if Lru.touch cache line then begin
             t.hits <- t.hits + 1;
+            t.last <- Hit;
             match mode with
-            | `Read | `Write -> (t.emem_hit_cycles, Hit)
-            | `Atomic -> (flat t.emem mode, Hit)
+            | `Read | `Write -> t.emem_hit_cycles
+            | `Atomic -> flat t.emem mode
           end
           else begin
             t.misses <- t.misses + 1;
-            (flat t.emem mode, Miss)
+            t.last <- Miss;
+            flat t.emem mode
           end)
 
-let access t region ~mode ~addr = fst (access' t region ~mode ~addr)
+let last_outcome t = t.last
 
 let emem_hits t = t.hits
 let emem_misses t = t.misses

@@ -14,19 +14,20 @@ val create : Clara_lnic.Graph.t -> t
     regions; regions absent from the graph fall back to the next slower
     present level. *)
 
-val access :
-  t -> region -> mode:[ `Read | `Write | `Atomic ] -> addr:int -> int
-(** Cycles for one access.  [addr] identifies the cached line for [Emem]
-    accesses; other regions are flat-latency. *)
-
 type outcome = Hit | Miss | Uncached
 (** Cache outcome of one access: [Hit]/[Miss] for cache-backed EMEM,
     [Uncached] for flat-latency regions (or an EMEM without a cache). *)
 
-val access' :
-  t -> region -> mode:[ `Read | `Write | `Atomic ] -> addr:int -> int * outcome
-(** Like {!access}, also reporting the cache outcome — the trace layer
-    records it per event. *)
+val access :
+  t -> region -> mode:[ `Read | `Write | `Atomic ] -> addr:int -> int
+(** Cycles for one access.  [addr] identifies the cached line for [Emem]
+    accesses; other regions are flat-latency.  Allocates nothing; the
+    cache outcome is left for {!last_outcome}. *)
+
+val last_outcome : t -> outcome
+(** Outcome of the most recent {!access} ([Uncached] before any) — the
+    simulator's hit-rate accounting and the trace layer read it right
+    after each access. *)
 
 val region_name : region -> string
 (** Stable lower-case name ("local", "ctm", "imem", "emem"). *)

@@ -208,6 +208,63 @@ let test_device_errors () =
        false
      with Invalid_argument _ -> true)
 
+(* The simulator resolves its op and vcall costs into per-sim tables;
+   every op must still cost exactly what the [Params] lookups say, on
+   every target (netronome's cores emulate floating point in software). *)
+let test_device_cost_tables () =
+  let module P = L.Params in
+  List.iter
+    (fun (name, (g : L.Graph.t)) ->
+      let params = g.L.Graph.params in
+      let has_fpu =
+        match L.Graph.general_cores g with
+        | { L.Unit_.kind = L.Unit_.General_core { has_fpu; _ }; _ } :: _ -> has_fpu
+        | _ -> false
+      in
+      let prog = { Dev.name = "t"; tables = []; handler = (fun _ _ -> Dev.Drop) } in
+      let fresh () = Dev.make_ctx (Dev.create_sim g prog) ~now:0 (pkt ()) in
+      let round_cycles x = int_of_float (Float.round x) in
+      let cost cls = P.op_cost params cls ~has_fpu in
+      (* A counted op rounds n x cost once; [branch]/[hash_op] are single
+         ops, so n calls round each one. *)
+      let counted op cls = (op, fun n -> round_cycles (float_of_int n *. cost cls)) in
+      let single op cls =
+        ((fun ctx n -> for _ = 1 to n do op ctx done), fun n -> n * round_cycles (cost cls))
+      in
+      List.iter
+        (fun (label, (op, expect)) ->
+          List.iter
+            (fun n ->
+              let ctx = fresh () in
+              op ctx n;
+              check_int (Printf.sprintf "%s %s x%d" name label n) (expect n) (Dev.now ctx))
+            [ 1; 3; 17 ])
+        [ ("alu", counted Dev.alu P.Alu); ("mul", counted Dev.mul P.Mul);
+          ("move", counted Dev.move P.Move); ("fp", counted Dev.fp_op P.Fp);
+          ("branch", single Dev.branch P.Branch); ("hash", single Dev.hash_op P.Hash) ];
+      let hb = W.Packet.header_bytes (pkt ()) in
+      let core = Option.get (P.core_vcall_cost params P.V_parse_header) in
+      let ctx = fresh () in
+      Dev.parse_header ctx ~engine:false;
+      check_int (name ^ " core parse") (L.Cost_fn.eval_int core hb) (Dev.now ctx);
+      (* The engine: the parser, else the flow-cache front end, when it
+         can parse at all; otherwise the cores. *)
+      let has k = L.Graph.find_accelerator g k <> None in
+      let kind =
+        if has L.Unit_.Parse then L.Unit_.Parse
+        else if has L.Unit_.Eswitch then L.Unit_.Eswitch
+        else L.Unit_.Lookup
+      in
+      let engine_fn =
+        if has kind then P.accel_vcall_cost params kind P.V_parse_header else None
+      in
+      let ctx = fresh () in
+      Dev.parse_header ctx ~engine:true;
+      check_int (name ^ " engine parse")
+        (L.Cost_fn.eval_int (Option.value ~default:core engine_fn) hb)
+        (Dev.now ctx))
+    L.Targets.all
+
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
 
@@ -599,6 +656,32 @@ let test_run_sharded_domain_determinism () =
   let rf = Eng.run_sharded ~domains:4 ~shards:4 ~fast:(Eng.Auto { warmup = 50 }) lnic (prog ()) tr in
   check "sharded fast path identical" true (same_result r1 rf)
 
+(* Heavy-hitter's per-bucket counts live in the simulator, so shards and
+   runs never share them.  Four flows over 6000 packets push every bucket
+   past the 1000-packet threshold, so the counts decide verdicts. *)
+let test_heavy_hitter_counts_per_sim () =
+  let module HH = Clara_nfs.Heavy_hitter in
+  let tr =
+    W.Trace.synthesize ~seed:5L
+      (W.Profile.make ~packets:6000 ~rate_pps:200_000. ~flow_count:4 ~tcp_fraction:0.8
+         ~payload:(W.Dist.Fixed 300) ())
+  in
+  let json r = Clara_util.Json.to_string ~pretty:false (Eng.result_to_json r) in
+  let sharded domains = json (Eng.run_sharded ~domains ~shards:2 lnic (HH.ported ()) tr) in
+  Alcotest.(check string) "sharded: 1 vs 2 domains" (sharded 1) (sharded 2);
+  let port = HH.ported () in
+  let first = json (Eng.run lnic port tr) in
+  Alcotest.(check string) "rerun of one port value" first (json (Eng.run lnic port tr));
+  (* Pinned from the closure-counter implementation's fresh-port run. *)
+  Alcotest.(check string) "fresh port unchanged"
+    ({|{"packets":6000,"drops":0,"mean_cycles":2783.092,"p50_cycles":3423,|}
+     ^ {|"p99_cycles":3471,"max_cycles":3786,"tcp_mean_cycles":2568.054318788958,|}
+     ^ {|"udp_mean_cycles":3423.6419098143238,"syn_mean_cycles":3471,|}
+     ^ {|"emem_hit_rate":null,"flow_cache_hit_rate":null,"freq_mhz":800,|}
+     ^ {|"fast_replayed":0,"fast_executed":0,"fast_confirmed":0,"fast_poisoned":0,|}
+     ^ {|"fast_enabled":false}|})
+    first
+
 (* ------------------------------------------------------------------ *)
 (* N-tenant WRR scheduling                                             *)
 
@@ -793,6 +876,7 @@ let suite =
     Alcotest.test_case "lpm placement matters" `Quick test_device_lpm_placement_matters;
     Alcotest.test_case "accelerator serialization" `Quick test_device_accel_serialization;
     Alcotest.test_case "device errors" `Quick test_device_errors;
+    Alcotest.test_case "device cost tables match params" `Quick test_device_cost_tables;
     Alcotest.test_case "engine accounting" `Quick test_engine_accounting;
     Alcotest.test_case "engine latency composition" `Quick test_engine_latency_composition;
     Alcotest.test_case "engine saturation" `Quick test_engine_saturation;
@@ -831,5 +915,6 @@ let suite =
     Alcotest.test_case "run_sharded odd shard count" `Quick test_run_sharded_odd_shards;
     Alcotest.test_case "run_sharded domain determinism" `Quick
       test_run_sharded_domain_determinism;
+    Alcotest.test_case "heavy-hitter counts per sim" `Quick test_heavy_hitter_counts_per_sim;
     Alcotest.test_case "stats merge" `Quick test_stats_merge ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_lru_capacity; prop_heap_drains_sorted ]
