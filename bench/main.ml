@@ -561,11 +561,7 @@ let nic_selection () =
           | Ok a ->
               let p = Clara.predict_profile a prof in
               let tp = Clara_predict.Throughput.estimate target a.Clara.df a.Clara.mapping in
-              let freq =
-                match L.Graph.general_cores target with
-                | u :: _ -> u.L.Unit_.freq_mhz
-                | [] -> 1
-              in
+              let freq = L.Graph.freq_mhz target in
               Printf.printf "  %-16s latency %8.0f cyc (%6.1f us)   tput %10.0f pps\n" tname
                 p.Lat.mean_cycles
                 (p.Lat.mean_cycles /. float_of_int freq)
@@ -1445,11 +1441,7 @@ let offpath_bench () =
     match Clara.analyze_for_profile lnic' ~source:src' ~profile:prof with
     | Error e -> failwith ("offpath: " ^ e)
     | Ok a' ->
-        let freq =
-          match L.Graph.general_cores lnic' with
-          | u :: _ -> float_of_int u.L.Unit_.freq_mhz
-          | [] -> 1.
-        in
+        let freq = float_of_int (L.Graph.freq_mhz lnic') in
         (Clara.predict a' trace).Lat.mean_cycles /. freq
   in
   let verdict name src' =

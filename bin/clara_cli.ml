@@ -197,9 +197,7 @@ let predict_cmd =
     in
     let p = Clara.predict ~config analysis trace in
     Format.printf "%a@." Clara_predict.Latency.pp_prediction p;
-    let freq =
-      match L.Graph.general_cores lnic with u :: _ -> u.L.Unit_.freq_mhz | [] -> 1
-    in
+    let freq = L.Graph.freq_mhz lnic in
     Format.printf "mean latency: %.2f us at %d MHz@."
       (p.Clara_predict.Latency.mean_cycles /. float_of_int freq)
       freq;
@@ -262,11 +260,7 @@ let nics_cmd =
         | Ok a ->
             let p = Clara.predict_profile a profile in
             let tp = Clara_predict.Throughput.estimate lnic a.Clara.df a.Clara.mapping in
-            let freq =
-              match L.Graph.general_cores lnic with
-              | u :: _ -> u.L.Unit_.freq_mhz
-              | [] -> 1
-            in
+            let freq = L.Graph.freq_mhz lnic in
             Printf.printf
               "%-12s %-9s latency %9.0f cyc (%7.2f us)   max tput %10.0f pps\n"
               name
@@ -1186,11 +1180,7 @@ let tenants_cmd =
       end
       else Error "simulation skipped: not every NF is a corpus name (see 'clara corpus')"
     in
-    let freq_mhz =
-      match L.Graph.general_cores lnic with
-      | u :: _ -> float_of_int u.L.Unit_.freq_mhz
-      | [] -> 1e3
-    in
+    let freq_mhz = float_of_int (L.Graph.freq_mhz lnic) in
     let duration_s = float_of_int packets /. rate in
     let wsum = Array.fold_left ( + ) 0 weights in
     (* Per-tenant rows: predicted always; simulated when available. *)

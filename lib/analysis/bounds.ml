@@ -14,7 +14,7 @@
       widening hook keeps the pass terminating on anything else.
 
    2. A cost composition: each block's count interval multiplies its
-      nodes' {!Clara_dataflow.Cost_interval} envelopes (trip-free — the
+      nodes' {!Cost_range} envelopes (trip-free — the
       counts carry loop multiplicity), summed into per-axis intervals
       on the [queue; compute; accel_wait; mem; wire] basis the
       calibration ledger uses.  The service axes (compute/mem/accel/
@@ -28,7 +28,7 @@
 
 module Ir = Clara_cir.Ir
 module D = Clara_dataflow
-module Ci = D.Cost_interval
+module Cr = Cost_range
 module L = Clara_lnic
 module I = Interval
 
@@ -39,31 +39,25 @@ module I = Interval
 let mtu_payload = 1500.
 
 let header_range_of_type = function
-  | "tcp" | "tcp-syn" -> { Ci.rlo = 54.; rhi = 54. }
-  | "udp" -> { Ci.rlo = 42.; rhi = 42. }
-  | "other" -> { Ci.rlo = 34.; rhi = 34. }
-  | _ -> { Ci.rlo = 34.; rhi = 54. }
+  | "tcp" | "tcp-syn" -> I.const 54.
+  | "udp" -> I.const 42.
+  | "other" -> I.const 34.
+  | _ -> I.make 34. 54.
 
 let sizes_for (p : Ir.program) ~ptype ~payload_max =
-  let payload = { Ci.rlo = 0.; rhi = payload_max } in
+  let payload = I.make 0. payload_max in
   let header = header_range_of_type ptype in
   {
-    Ci.payload_bytes = payload;
-    packet_bytes = Ci.radd payload header;
+    Cr.payload_bytes = payload;
+    packet_bytes = I.add payload header;
     header_bytes = header;
     state_entries =
       (fun s ->
         match List.find_opt (fun o -> o.Ir.st_name = s) p.Ir.states with
-        | Some o -> Ci.rconst (float_of_int o.Ir.st_entries)
-        | None -> Ci.rzero);
-    opaque_trip = { Ci.rlo = 1.; rhi = Float.infinity };
+        | Some o -> I.const (float_of_int o.Ir.st_entries)
+        | None -> I.const 0.);
+    opaque_trip = I.make 1. Float.infinity;
   }
-
-(* Trip range of a loop: zero iterations admissible at the fast end,
-   at least one charged at the slow end. *)
-let trip_range sizes trip =
-  let v = Ci.eval_size sizes trip in
-  I.make (Float.max 0. v.Ci.rlo) (Float.max 1. v.Ci.rhi)
 
 (* ---- packet types -------------------------------------------------- *)
 
@@ -128,7 +122,7 @@ let exec_counts (p : Ir.program) ~sizes ~facts =
           else if Paths.assuming facts guard (not pol) = None then x
           else I.make 0. (I.hi x)
       | Ir.Loop { body; exit = _; trip } when dst = body ->
-          I.mul x (trip_range sizes trip)
+          I.mul x (Cr.trip sizes trip)
       | _ -> x
   in
   match
@@ -148,7 +142,7 @@ let exec_counts (p : Ir.program) ~sizes ~facts =
    in the cost sum. *)
 let header_multiplier sizes (b : Ir.block) =
   match b.Ir.term with
-  | Ir.Loop { trip; _ } -> I.add (trip_range sizes trip) (I.const 1.)
+  | Ir.Loop { trip; _ } -> I.add (Cr.trip sizes trip) (I.const 1.)
   | _ -> I.const 1.
 
 (* ---- results ------------------------------------------------------- *)
@@ -200,13 +194,11 @@ let unbounded_loops ?(payload_max = mtu_payload) (p : Ir.program) =
          match b.Ir.term with
          | Ir.Loop { trip; _ }
            when reachable.(b.Ir.bid)
-                && not (Float.is_finite (I.hi (trip_range sizes trip))) ->
+                && not (Float.is_finite (I.hi (Cr.trip sizes trip))) ->
              Some b.Ir.bid
          | _ -> None)
 
 (* ---- the analysis -------------------------------------------------- *)
-
-let iv_of_r (r : Ci.r) = I.make r.Ci.rlo r.Ci.rhi
 
 let analyze ?(payload_max = mtu_payload) ~(lnic : L.Graph.t) (p : Ir.program) =
   let df = D.Build.of_ir p in
@@ -250,11 +242,6 @@ let analyze ?(payload_max = mtu_payload) ~(lnic : L.Graph.t) (p : Ir.program) =
     L.Graph.placement_classes lnic
     |> List.map (fun (c : L.Graph.placement_class) -> c.L.Graph.rep)
   in
-  let freq_mhz =
-    match L.Graph.general_cores lnic with
-    | u :: _ -> u.L.Unit_.freq_mhz
-    | [] -> 1
-  in
   let threads = max 1 (L.Graph.total_threads lnic) in
   let queue_cap =
     Option.fold ~none:0
@@ -267,12 +254,12 @@ let analyze ?(payload_max = mtu_payload) ~(lnic : L.Graph.t) (p : Ir.program) =
       (fun (ptype, facts) ->
         let sizes = sizes_for p ~ptype ~payload_max in
         let ctx =
-          { Ci.lnic; units; state_regions;
-            packet_regions =
+          Cr.ctx lnic ~units ~state_regions
+            ~packet_regions:
               (if packet_regions = [] then
                  List.map (fun (m : L.Memory.t) -> m.L.Memory.id) shared_regions
-               else packet_regions);
-            state_footprint = footprint; sizes }
+               else packet_regions)
+            ~state_footprint:footprint sizes
         in
         let counts =
           match exec_counts p ~sizes ~facts with
@@ -299,15 +286,15 @@ let analyze ?(payload_max = mtu_payload) ~(lnic : L.Graph.t) (p : Ir.program) =
               List.iter
                 (fun (n : D.Node.t) ->
                   let bd =
-                    match Ci.node_r ~with_trip:false ctx n with
+                    match Cr.node ctx n with
                     | Some bd -> bd
                     | None ->
-                        { Ci.i_compute = { Ci.rlo = 0.; rhi = Float.infinity };
-                          i_mem = Ci.rzero; i_accel = Ci.rzero }
+                        { Cr.compute = I.make 0. Float.infinity; mem = I.const 0.;
+                          accel = I.const 0. }
                   in
-                  cadd compute (I.mul c (iv_of_r bd.Ci.i_compute));
-                  cadd mem (I.mul c (iv_of_r bd.Ci.i_mem));
-                  cadd accel (I.mul c (iv_of_r bd.Ci.i_accel));
+                  cadd compute (I.mul c bd.Cr.compute);
+                  cadd mem (I.mul c bd.Cr.mem);
+                  cadd accel (I.mul c bd.Cr.accel);
                   match n.D.Node.kind with
                   | D.Node.N_vcall v when v.Ir.vc = L.Params.V_emit ->
                       if I.hi c > 0. then emit_ever := true;
@@ -320,12 +307,12 @@ let analyze ?(payload_max = mtu_payload) ~(lnic : L.Graph.t) (p : Ir.program) =
         let compute = orz !compute
         and mem = orz !mem
         and accel = orz !accel in
-        let rx = iv_of_r (Ci.wire_r lnic ~packet_bytes:sizes.Ci.packet_bytes ~dir:`Rx) in
-        let tx_r = Ci.wire_r lnic ~packet_bytes:sizes.Ci.packet_bytes ~dir:`Tx in
+        let rx = Cr.wire lnic ~packet_bytes:sizes.Cr.packet_bytes ~dir:`Rx in
+        let tx_r = Cr.wire lnic ~packet_bytes:sizes.Cr.packet_bytes ~dir:`Tx in
         let tx =
           I.make
-            (if !emit_always then tx_r.Ci.rlo else 0.)
-            (if !emit_ever then tx_r.Ci.rhi else 0.)
+            (if !emit_always then I.lo tx_r else 0.)
+            (if !emit_ever then I.hi tx_r else 0.)
         in
         let wire = I.add rx tx in
         (* Fold accelerator service into compute — the basis the
@@ -362,7 +349,7 @@ let analyze ?(payload_max = mtu_payload) ~(lnic : L.Graph.t) (p : Ir.program) =
   {
     bt_prog = p.Ir.prog_name;
     bt_target = lnic.L.Graph.name;
-    bt_freq_mhz = freq_mhz;
+    bt_freq_mhz = L.Graph.freq_mhz lnic;
     bt_per_type = per_type;
     bt_unbounded_loops = unbounded_loops ~payload_max p;
     bt_exhausted = !exhausted;

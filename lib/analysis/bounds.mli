@@ -5,7 +5,7 @@
     block can execute for one packet (loop trips inferred from guards
     and payload-length ranges; branch arms contradicted by the class's
     guard facts killed), then multiplies the counts into
-    {!Clara_dataflow.Cost_interval} node envelopes to yield sound
+    {!Cost_range} node envelopes to yield sound
     per-axis cycle intervals on the [queue; compute; accel_wait; mem;
     wire] basis the calibration ledger uses.
 

@@ -41,8 +41,11 @@ val narrow : t -> t -> t
 
 val add : t -> t -> t
 
+val mulf : float -> float -> float
+(** Float product with [0 * inf = 0] (a never-executed unbounded block). *)
+
 val mul : t -> t -> t
-(** [0 * inf = 0] (a never-executed unbounded block). *)
+(** Endpoint products by {!mulf}. *)
 
 val scale : float -> t -> t
 val pp : Format.formatter -> t -> unit

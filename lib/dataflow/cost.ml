@@ -20,6 +20,51 @@ let rec eval_size sizes = function
   | Ir.S_plus (e, k) -> Float.max 0. (eval_size sizes e +. float_of_int k)
   | Ir.S_opaque -> sizes.opaque_trip
 
+type mode = [ `Read | `Write | `Atomic ]
+
+type term =
+  | T_op of float
+  | T_access of { op : float; mode : mode; loc : Ir.loc }
+  | T_core_vcall of { fn : L.Cost_fn.t; v : Ir.vcall_info }
+  | T_accel_vcall of { fn : L.Cost_fn.t; v : Ir.vcall_info }
+
+let term params (u : L.Unit_.t) (i : Ir.instr) =
+  match u.L.Unit_.kind with
+  | L.Unit_.Accelerator kind -> (
+      match i with
+      | Ir.Vcall v ->
+          Option.map (fun fn -> T_accel_vcall { fn; v }) (P.accel_vcall_cost params kind v.Ir.vc)
+      | _ -> None)
+  | L.Unit_.General_core { has_fpu; _ } -> (
+      let access op mode loc = Some (T_access { op = P.op_cost params op ~has_fpu; mode; loc }) in
+      match i with
+      | Ir.Vcall v ->
+          Option.map (fun fn -> T_core_vcall { fn; v }) (P.core_vcall_cost params v.Ir.vc)
+      | Ir.Op cls -> Some (T_op (P.op_cost params cls ~has_fpu))
+      | Ir.Load loc -> access P.Load `Read loc
+      | Ir.Store loc -> access P.Store `Write loc
+      | Ir.Atomic_op loc -> access P.Atomic `Atomic loc)
+
+let instrs (n : Node.t) =
+  match n.Node.kind with Node.N_vcall v -> [ Ir.Vcall v ] | Node.N_compute is -> is
+
+let node_terms params u n =
+  let rec go acc = function
+    | [] -> Some (List.rev acc)
+    | i :: rest -> (
+        match term params u i with None -> None | Some t -> go (t :: acc) rest)
+  in
+  go [] (instrs n)
+
+let wire lnic dir =
+  let params = lnic.L.Graph.params in
+  let fn, hub =
+    match dir with
+    | `Rx -> (params.P.wire_ingress, `Ingress)
+    | `Tx -> (params.P.wire_egress, `Egress)
+  in
+  (fn, match L.Graph.hub lnic hub with Some h -> float_of_int h.L.Hub.per_packet_cycles | None -> 0.)
+
 type ctx = {
   lnic : L.Graph.t;
   exec_unit : L.Unit_.t;
@@ -74,89 +119,65 @@ let loc_access ctx ~mode (loc : Ir.loc) =
       mem_access_cycles ctx ~mode ~mem_id:(ctx.state_region s)
         ~footprint:(ctx.state_footprint s)
 
-(* One pricing pass.  [total] is summed in the order existing mapping
-   objectives and predictions depend on (float rounding); [mem] and
-   [accel] collect the memory-region and accelerator parts of the same
-   charges, so compute is the residual [total - mem - accel]. *)
 type price = { total : float; mem : float; accel : float }
 
-let core_only total = { total; mem = 0.; accel = 0. }
+(* The point fold accumulates in place: without flambda, floats threaded
+   through a recursive call are boxed at every step of the per-packet
+   walk. *)
+type acc = { mutable a_total : float; mutable a_mem : float; mutable a_accel : float }
 
-let vcall_price ctx (v : Ir.vcall_info) =
-  let params = ctx.lnic.L.Graph.params in
-  let n = eval_size ctx.sizes v.Ir.size in
-  match ctx.exec_unit.L.Unit_.kind with
-  | L.Unit_.Accelerator kind -> (
-      match P.accel_vcall_cost params kind v.Ir.vc with
-      | None -> None
-      | Some f ->
-          (* Accelerators keep their operands in dedicated SRAM (e.g. the
-             flow cache); no extra per-access memory charge. *)
-          let c = L.Cost_fn.eval f n in
-          Some { total = c; mem = 0.; accel = c })
-  | L.Unit_.General_core _ -> (
-      match P.core_vcall_cost params v.Ir.vc with
-      | None -> None
-      | Some f -> (
-          let base = L.Cost_fn.eval f n in
-          match v.Ir.state with
-          | None -> Some (core_only base)
-          | Some st -> (
-              let reads = eval_size ctx.sizes v.Ir.state_reads in
-              let writes = eval_size ctx.sizes v.Ir.state_writes in
-              let r = loc_access ctx ~mode:`Read (Ir.L_state st) in
-              let w = loc_access ctx ~mode:`Write (Ir.L_state st) in
-              match (r, w) with
-              | Some rc, Some wc ->
-                  Some
-                    { total = base +. (reads *. rc) +. (writes *. wc);
-                      mem = (reads *. rc) +. (writes *. wc);
-                      accel = 0. }
-              | _ -> None)))
+(* Adds one term's charge; false when the unit cannot reach a region the
+   term touches.  Each [a_total] increment is the term's own total, summed
+   in the order mapping objectives and predictions depend on (float
+   rounding). *)
+let charge ctx acc = function
+  | T_op c ->
+      acc.a_total <- acc.a_total +. c;
+      true
+  | T_access { op; mode; loc } -> (
+      match loc_access ctx ~mode loc with
+      | None -> false
+      | Some m ->
+          acc.a_total <- acc.a_total +. (m +. op);
+          acc.a_mem <- acc.a_mem +. m;
+          true)
+  | T_accel_vcall { fn; v } ->
+      (* Accelerators keep their operands in dedicated SRAM (e.g. the
+         flow cache); no extra per-access memory charge. *)
+      let c = L.Cost_fn.eval fn (eval_size ctx.sizes v.Ir.size) in
+      acc.a_total <- acc.a_total +. c;
+      acc.a_accel <- acc.a_accel +. c;
+      true
+  | T_core_vcall { fn; v } -> (
+      let base = L.Cost_fn.eval fn (eval_size ctx.sizes v.Ir.size) in
+      match v.Ir.state with
+      | None ->
+          acc.a_total <- acc.a_total +. base;
+          true
+      | Some st -> (
+          let reads = eval_size ctx.sizes v.Ir.state_reads in
+          let writes = eval_size ctx.sizes v.Ir.state_writes in
+          match
+            (loc_access ctx ~mode:`Read (Ir.L_state st), loc_access ctx ~mode:`Write (Ir.L_state st))
+          with
+          | Some rc, Some wc ->
+              acc.a_total <- acc.a_total +. (base +. (reads *. rc) +. (writes *. wc));
+              acc.a_mem <- acc.a_mem +. ((reads *. rc) +. (writes *. wc));
+              true
+          | _ -> false))
 
-let instr_price ctx (i : Ir.instr) =
-  let params = ctx.lnic.L.Graph.params in
-  let core_access op loc ~mode =
-    match ctx.exec_unit.L.Unit_.kind with
-    | L.Unit_.Accelerator _ -> None
-    | L.Unit_.General_core { has_fpu; _ } ->
-        Option.map
-          (fun m -> { total = m +. P.op_cost params op ~has_fpu; mem = m; accel = 0. })
-          (loc_access ctx ~mode loc)
-  in
-  match i with
-  | Ir.Vcall v -> vcall_price ctx v
-  | Ir.Op cls -> (
-      match ctx.exec_unit.L.Unit_.kind with
-      | L.Unit_.Accelerator _ -> None
-      | L.Unit_.General_core { has_fpu; _ } -> Some (core_only (P.op_cost params cls ~has_fpu)))
-  | Ir.Load loc -> core_access P.Load loc ~mode:`Read
-  | Ir.Store loc -> core_access P.Store loc ~mode:`Write
-  | Ir.Atomic_op loc -> core_access P.Atomic loc ~mode:`Atomic
+let price_terms ctx (n : Node.t) terms =
+  let acc = { a_total = 0.; a_mem = 0.; a_accel = 0. } in
+  if not (List.for_all (charge ctx acc) terms) then None
+  else
+    let trip =
+      match n.Node.loop_trip with
+      | None -> 1.
+      | Some t -> Float.max 1. (eval_size ctx.sizes t)
+    in
+    Some { total = acc.a_total *. trip; mem = trip *. acc.a_mem; accel = trip *. acc.a_accel }
 
-let node_price ctx (n : Node.t) =
-  let body =
-    match n.Node.kind with
-    | Node.N_vcall v -> vcall_price ctx v
-    | Node.N_compute is ->
-        List.fold_left
-          (fun acc i ->
-            match (acc, instr_price ctx i) with
-            | Some a, Some c ->
-                Some
-                  { total = a.total +. c.total; mem = a.mem +. c.mem;
-                    accel = a.accel +. c.accel }
-            | _ -> None)
-          (Some (core_only 0.)) is
-  in
-  match body with
-  | None -> None
-  | Some b ->
-      let trip =
-        match n.Node.loop_trip with
-        | None -> 1.
-        | Some t -> Float.max 1. (eval_size ctx.sizes t)
-      in
-      Some { total = b.total *. trip; mem = trip *. b.mem; accel = trip *. b.accel }
+let node_price ctx n =
+  Option.bind (node_terms ctx.lnic.L.Graph.params ctx.exec_unit n) (price_terms ctx n)
 
 let node_cycles ctx n = Option.map (fun p -> p.total) (node_price ctx n)

@@ -133,11 +133,7 @@ let evaluate (cell : Spec.cell) =
             Clara_predict.Energy.estimate ~sizes ~prob
               ~rate_pps:profile.W.Profile.rate_pps lnic a.Clara.df a.Clara.mapping
           in
-          let freq_mhz =
-            match L.Graph.general_cores lnic with
-            | u :: _ -> u.L.Unit_.freq_mhz
-            | [] -> 1
-          in
+          let freq_mhz = L.Graph.freq_mhz lnic in
           let us cycles = cycles /. float_of_int freq_mhz in
           Ok
             { mean_cycles = p.Clara_predict.Latency.mean_cycles;

@@ -27,6 +27,11 @@ let hub t kind = Array.find_opt (fun h -> h.Hub.kind = kind) t.hubs
 let general_cores t =
   Array.to_list t.units |> List.filter Unit_.is_general
 
+let freq_mhz t =
+  match general_cores t with
+  | u :: _ -> u.Unit_.freq_mhz
+  | [] -> invalid_arg "Lnic.Graph.freq_mhz: NIC has no general cores"
+
 let accelerators t =
   Array.to_list t.units |> List.filter (fun u -> not (Unit_.is_general u))
 

@@ -38,6 +38,11 @@ val hub : t -> Hub.kind -> Hub.t option
 (** The first hub of that kind. *)
 
 val general_cores : t -> Unit_.t list
+val freq_mhz : t -> int
+(** Clock of the first general core: the one cycles-to-time conversion
+    for predictions, bounds and simulation.
+    @raise Invalid_argument when the NIC has no general core. *)
+
 val accelerators : t -> Unit_.t list
 val find_accelerator : t -> Unit_.accel_kind -> Unit_.t option
 

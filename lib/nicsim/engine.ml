@@ -39,11 +39,6 @@ let[@inline] ev sink ~seq ~prog ~thread ~kind ~label ~t0 ~t1 ~arg =
   | None -> ()
   | Some s -> Trace.record s ~seq ~prog ~thread ~kind ~label ~t0 ~t1 ~arg
 
-let freq_of ~who lnic =
-  match L.Graph.general_cores lnic with
-  | u :: _ -> u.L.Unit_.freq_mhz
-  | [] -> invalid_arg (who ^ ": NIC has no general cores")
-
 let default_queue_capacity lnic =
   match
     List.find_opt (fun h -> h.L.Hub.kind = `Ingress) (Array.to_list lnic.L.Graph.hubs)
@@ -243,7 +238,7 @@ let finish sim ~freq_mhz side =
 let run_core ?threads ?queue_capacity ?sink ?tel ~fast ~obs_on lnic (prog : Device.prog)
     (trace : W.Trace.t) =
   let sim = Device.create_sim lnic prog in
-  let freq_mhz = freq_of ~who:"Engine.run" lnic in
+  let freq_mhz = L.Graph.freq_mhz lnic in
   let nthreads =
     match threads with Some n -> max 1 n | None -> max 1 (L.Graph.total_threads lnic)
   in
@@ -341,7 +336,7 @@ let run_tenants ?threads ?queue_capacity ?weights ?sink ?metrics ?(fast = Event_
   Clara_obs.Registry.span obs "nicsim-tenants" @@ fun () ->
   Clara_obs.Metrics.incr c_runs;
   let sim = Device.create_sim_shared lnic (Array.to_list progs) in
-  let freq_mhz = freq_of ~who:"Engine.run_tenants" lnic in
+  let freq_mhz = L.Graph.freq_mhz lnic in
   let total_threads =
     match threads with Some n -> max 1 n | None -> max 1 (L.Graph.total_threads lnic)
   in
@@ -444,7 +439,7 @@ let run_sharded ?(domains = 1) ?shards ?threads ?queue_capacity ?metrics
   (match metrics with
   | None -> ()
   | Some t -> Telemetry.set_tenants t [| prog.Device.name |]);
-  let freq_mhz = freq_of ~who:"Engine.run_sharded" lnic in
+  let freq_mhz = L.Graph.freq_mhz lnic in
   let total_threads =
     match threads with Some n -> max 1 n | None -> max 1 (L.Graph.total_threads lnic)
   in

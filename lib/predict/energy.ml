@@ -10,9 +10,7 @@ type power_table = {
 }
 
 let default_powers (g : L.Graph.t) =
-  let clock =
-    match L.Graph.general_cores g with u :: _ -> u.L.Unit_.freq_mhz | [] -> 800
-  in
+  let clock = L.Graph.freq_mhz g in
   (* NPU-class (<1 GHz) vs ARM-class (1-2.5 GHz) vs Xeon-class. *)
   let general_core_w =
     if clock < 1000 then 0.35 else if clock <= 2500 then 1.8 else 9.0

@@ -66,11 +66,6 @@ let sizes_of profile =
     opaque_trip = 1.;
   }
 
-let freq_hz_of lnic =
-  match L.Graph.general_cores lnic with
-  | u :: _ -> float_of_int u.L.Unit_.freq_mhz *. 1e6
-  | [] -> 1e9
-
 (* N-tenant interference: tenant [i] runs on a [weights.(i)]/sum slice
    of the NIC, its EMEM cache shrunk by the summed state footprint of
    its co-residents, and its accelerator operations inflated by the
@@ -113,7 +108,8 @@ let analyze_n ?options ?weights lnic ~sources ~profiles =
             let* df, m = pipeline ?options slice ~source:sources.(i) ~sizes ~prob in
             let fp = state_footprint_of df in
             let accel_cyc = accel_cycles_per_packet slice df m ~sizes ~prob in
-            let u = profiles.(i).W.Profile.rate_pps *. accel_cyc /. freq_hz_of slice in
+            let hz = float_of_int (L.Graph.freq_mhz slice) *. 1e6 in
+            let u = profiles.(i).W.Profile.rate_pps *. accel_cyc /. hz in
             Ok (slice, fp, u))
           idxs
       in

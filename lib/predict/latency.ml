@@ -419,11 +419,7 @@ let node_name (n : D.Node.t) =
 let perfetto_timeline t (trace : W.Trace.t) =
   let module J = Clara_util.Json in
   reset_state t;
-  let freq_mhz =
-    match L.Graph.general_cores t.lnic with
-    | u :: _ -> u.L.Unit_.freq_mhz
-    | [] -> 1
-  in
+  let freq_mhz = L.Graph.freq_mhz t.lnic in
   let us cycles = cycles /. float_of_int freq_mhz in
   let out = ref [] in
   let clock = ref 0. in

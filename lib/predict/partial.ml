@@ -81,12 +81,7 @@ let enumerate_splits ?(sizes = Pricer.default_sizes) ?(prob = D.Flow.default_pro
       | `In -> params.Clara_lnic.Params.wire_ingress
       | `Out -> params.Clara_lnic.Params.wire_egress
     in
-    let freq =
-      match L.Graph.general_cores target with
-      | u :: _ -> float_of_int u.L.Unit_.freq_mhz
-      | [] -> 1000.
-    in
-    L.Cost_fn.eval f bytes *. 1000. /. freq
+    L.Cost_fn.eval f bytes *. 1000. /. float_of_int (L.Graph.freq_mhz target)
   in
   let bytes = sizes.D.Cost.packet_bytes in
   let splits = ref [] in

@@ -10,6 +10,9 @@ type t = {
   state_entries : string -> float;
   state_footprint : string -> int;
   state_region : string -> int;
+  mapped : D.Cost.term list option array;
+      (* Node id -> its terms on its mapped unit, resolved once so the
+         per-packet walk never re-dispatches on [Params]. *)
 }
 
 let create ?mapping lnic (df : D.Graph.t) =
@@ -38,6 +41,16 @@ let create ?mapping lnic (df : D.Graph.t) =
     state_entries = (fun s -> Option.value ~default:0. (Hashtbl.find_opt entries s));
     state_footprint = (fun s -> Option.value ~default:0 (Hashtbl.find_opt footprints s));
     state_region;
+    mapped =
+      (match mapping with
+      | None -> [||]
+      | Some m ->
+          Array.map
+            (fun (n : D.Node.t) ->
+              D.Cost.node_terms lnic.L.Graph.params
+                (L.Graph.unit_ lnic m.M.node_unit.(n.D.Node.id))
+                n)
+            df.D.Graph.nodes);
   }
 
 let default_sizes =
@@ -65,23 +78,22 @@ let mapped_unit t (n : D.Node.t) =
   | Some m -> L.Graph.unit_ t.lnic m.M.node_unit.(n.D.Node.id)
   | None -> invalid_arg "Pricer.mapped_unit: no mapping"
 
-let price_on t unit_ sizes n =
-  D.Cost.node_price
-    (Clara_mapping.Encode.cost_ctx t.lnic unit_ ~sizes ~state_region:t.state_region
-       ~state_footprint:t.state_footprint)
-    n
+let cost_ctx t unit_ sizes =
+  Clara_mapping.Encode.cost_ctx t.lnic unit_ ~sizes ~state_region:t.state_region
+    ~state_footprint:t.state_footprint
 
-let price t sizes n = price_on t (mapped_unit t n) sizes n
+let price_on t unit_ sizes n = D.Cost.node_price (cost_ctx t unit_ sizes) n
+
+let price t sizes (n : D.Node.t) =
+  let unit_ = mapped_unit t n in
+  Option.bind t.mapped.(n.D.Node.id) (D.Cost.price_terms (cost_ctx t unit_ sizes) n)
 
 let wire_legs lnic ~bytes =
-  let params = lnic.L.Graph.params in
-  let hub kind =
-    match L.Graph.hub lnic kind with
-    | Some h -> float_of_int h.L.Hub.per_packet_cycles
-    | None -> 0.
+  let leg dir =
+    let fn, hub = D.Cost.wire lnic dir in
+    L.Cost_fn.eval fn bytes +. hub
   in
-  ( L.Cost_fn.eval params.L.Params.wire_ingress bytes +. hub `Ingress,
-    L.Cost_fn.eval params.L.Params.wire_egress bytes +. hub `Egress )
+  (leg `Rx, leg `Tx)
 
 let wire_cycles lnic ~bytes ~emitted =
   let rx, tx = wire_legs lnic ~bytes in

@@ -29,20 +29,25 @@ val packet_sizes : t -> Clara_workload.Packet.t -> Clara_dataflow.Cost.sizes
 val mapped_unit : t -> Clara_dataflow.Node.t -> Clara_lnic.Unit_.t
 (** @raise Invalid_argument when created without a mapping. *)
 
+val cost_ctx : t -> Clara_lnic.Unit_.t -> Clara_dataflow.Cost.sizes -> Clara_dataflow.Cost.ctx
+(** The point-pricing context of the given unit: Γ places state where
+    the mapping put it; accelerator-held or unplaced state is charged at
+    external memory (a stray instruction touching it, or a software
+    replay of an accelerator node, walks the full table in DRAM). *)
+
 val price_on :
   t ->
   Clara_lnic.Unit_.t ->
   Clara_dataflow.Cost.sizes ->
   Clara_dataflow.Node.t ->
   Clara_dataflow.Cost.price option
-(** The node run on the given unit.  Γ places state where the mapping
-    put it; accelerator-held or unplaced state is charged at external
-    memory (a stray instruction touching it, or a software replay of an
-    accelerator node, walks the full table in DRAM). *)
+(** {!Clara_dataflow.Cost.node_price} of the node run on the given unit,
+    in its {!cost_ctx}. *)
 
 val price :
   t -> Clara_dataflow.Cost.sizes -> Clara_dataflow.Node.t -> Clara_dataflow.Cost.price option
-(** {!price_on} the node's mapped unit. *)
+(** {!price_on} the node's mapped unit, from the node's terms there,
+    which {!create} resolves once. *)
 
 val wire_legs : Clara_lnic.Graph.t -> bytes:float -> float * float
 (** Receive and transmit cost of a packet of [bytes]: the wire DMA cost

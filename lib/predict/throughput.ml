@@ -64,11 +64,7 @@ let estimate ?(sizes = Pricer.default_sizes) ?(prob = D.Flow.default_probability
       L.Cost_fn.eval params.P.wire_ingress sizes.D.Cost.packet_bytes
       +. L.Cost_fn.eval params.P.wire_egress sizes.D.Cost.packet_bytes
     in
-    let freq =
-      match L.Graph.general_cores lnic with
-      | u :: _ -> float_of_int u.L.Unit_.freq_mhz *. 1e6
-      | [] -> 1e9
-    in
+    let freq = float_of_int (L.Graph.freq_mhz lnic) *. 1e6 in
     (* Several DMA lanes in practice; model 8. *)
     { resource = "wire-dma"; cycles_per_packet = cycles; parallelism = 8;
       max_pps = pps_of ~hz:freq ~parallelism:8 cycles }

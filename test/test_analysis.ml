@@ -725,6 +725,80 @@ let test_bounds_verdict () =
   check "CLARA403 on violation" true (has403 (lo_us /. 2.));
   check "no CLARA403 when unclear" false (has403 ((lo_us +. hi_us) /. 2.))
 
+(* The point and range evaluators fold the same Cost terms: on every
+   corpus NF, each node's point price on its mapped unit lies inside its
+   range restricted to that unit, its Γ regions and its packet region,
+   times the trip range. *)
+let test_point_price_inside_range () =
+  let module C = D.Cost in
+  let module Cr = A.Cost_range in
+  let module I = A.Interval in
+  let module Pr = Clara_predict.Pricer in
+  let module W = Clara_workload in
+  let inside what x iv =
+    let slack v = 1e-9 *. Float.abs v in
+    if not (I.lo iv -. slack (I.lo iv) <= x && x <= I.hi iv +. slack (I.hi iv)) then
+      Alcotest.failf "%s: point %.17g outside %a" what x I.pp iv
+  in
+  let tcp payload_bytes =
+    { W.Packet.src_ip = 1l; dst_ip = 2l; src_port = 10; dst_port = 80;
+      proto = W.Packet.Tcp; flags = 0; payload_bytes; arrival_ns = 0L }
+  in
+  List.iter
+    (fun target ->
+      let lnic = List.assoc target L.Targets.all in
+      List.iter
+        (fun (e : Clara_nfs.Corpus.entry) ->
+          let name = e.Clara_nfs.Corpus.name in
+          match
+            Clara.analyze_for_profile lnic ~source:e.Clara_nfs.Corpus.source
+              ~profile:W.Profile.default
+          with
+          | Error err -> Alcotest.failf "%s@%s: %s" name target err
+          | Ok a ->
+              let pricer = Pr.create ~mapping:a.Clara.mapping lnic a.Clara.df in
+              List.iter
+                (fun (label, (sizes : C.sizes)) ->
+                  let range_sizes =
+                    { Cr.payload_bytes = I.const sizes.C.payload_bytes;
+                      packet_bytes = I.const sizes.C.packet_bytes;
+                      header_bytes = I.const sizes.C.header_bytes;
+                      state_entries = (fun s -> I.const (sizes.C.state_entries s));
+                      opaque_trip = I.const sizes.C.opaque_trip }
+                  in
+                  Array.iter
+                    (fun (n : D.Node.t) ->
+                      let what =
+                        Printf.sprintf "%s@%s %s n%d" name target label n.D.Node.id
+                      in
+                      let u = Pr.mapped_unit pricer n in
+                      let ctx = Pr.cost_ctx pricer u sizes in
+                      let rctx =
+                        Cr.ctx lnic ~units:[ u ]
+                          ~state_regions:(fun s -> [ ctx.C.state_region s ])
+                          ~packet_regions:[ ctx.C.packet_region ]
+                          ~state_footprint:ctx.C.state_footprint range_sizes
+                      in
+                      match (Pr.price pricer sizes n, Cr.node rctx n) with
+                      | Some p, Some r ->
+                          let trip =
+                            match n.D.Node.loop_trip with
+                            | None -> I.const 1.
+                            | Some t -> Cr.trip range_sizes t
+                          in
+                          let total = I.add r.Cr.compute (I.add r.Cr.mem r.Cr.accel) in
+                          inside (what ^ " total") p.C.total (I.mul trip total);
+                          inside (what ^ " mem") p.C.mem (I.mul trip r.Cr.mem);
+                          inside (what ^ " accel") p.C.accel (I.mul trip r.Cr.accel)
+                      | None, _ -> Alcotest.failf "%s: no point price" what
+                      | _, None -> Alcotest.failf "%s: no range price" what)
+                    a.Clara.df.D.Graph.nodes)
+                [ ("default", Pr.sizes pricer Pr.default_sizes);
+                  ("tcp64", Pr.packet_sizes pricer (tcp 64));
+                  ("tcp1500", Pr.packet_sizes pricer (tcp 1500)) ])
+        Clara_nfs.Corpus.all)
+    [ "netronome"; "soc"; "bluefield" ]
+
 let test_report_json_shape () =
   let r = lint ~lnic:L.Netronome.default racy_src in
   match A.Suite.to_json r with
@@ -791,5 +865,7 @@ let suite =
       test_bounds_unbounded_loop;
     Alcotest.test_case "bounds: SLO verdict three-way" `Quick
       test_bounds_verdict;
+    Alcotest.test_case "cost: point price inside range price" `Quick
+      test_point_price_inside_range;
     Alcotest.test_case "report json shape" `Quick test_report_json_shape;
   ]
