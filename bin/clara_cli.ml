@@ -102,7 +102,7 @@ let or_die = function
 
 let trace_of ~pcap ~profile ~seed =
   match pcap with
-  | Some file -> W.Pcap.read_file file
+  | Some file -> or_die (W.Pcap.read_file file)
   | None -> W.Trace.synthesize ~seed:(Int64.of_int seed) profile
 
 (* ---- observability (lib/obs) -------------------------------------- *)

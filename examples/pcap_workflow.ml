@@ -25,7 +25,9 @@ let () =
       Printf.printf "capture: %s\n" path;
 
       (* Operator side: read the capture and look at it. *)
-      let trace = W.Pcap.read_file path in
+      let trace =
+        match W.Pcap.read_file path with Ok t -> t | Error e -> failwith e
+      in
       Format.printf "trace: %a@." W.Trace.pp_stats (W.Trace.stats trace);
 
       (* Predict the firewall's latency under exactly this traffic. *)

@@ -71,14 +71,7 @@ type ctx = {
    that the per-region prices do not carry; the largest access-link
    weight, folded into every access's upper endpoint, covers it. *)
 let ctx lnic ~units ~state_regions ~packet_regions ~state_footprint sizes =
-  let island_slack =
-    List.fold_left
-      (fun acc (l : L.Link.t) ->
-        match l.L.Link.kind with
-        | L.Link.Access (_, _) -> Float.max acc (float_of_int l.L.Link.weight_cycles)
-        | _ -> acc)
-      0. lnic.L.Graph.links
-  in
+  let island_slack = float_of_int (L.Graph.max_access_weight lnic) in
   { lnic; units; state_regions; packet_regions; state_footprint; sizes; island_slack }
 
 (* One access by [u] to region [mem_id]: best case a cache hit, worst

@@ -116,14 +116,7 @@ let create () =
   (match List.rev stages with
   | last :: _ -> link (Link.Hub_edge (1, Link.U last.Unit_.id)) 0
   | [] -> ());
-  {
-    Graph.name = "asic-pipeline-100g";
-    arch = Graph.On_path;
-    units = Array.of_list (List.rev !units);
-    memories;
-    hubs;
-    links = List.rev !links;
-    params;
-  }
+  Graph.make ~name:"asic-pipeline-100g" ~arch:Graph.On_path
+    ~units:(Array.of_list (List.rev !units)) ~memories ~hubs ~links:(List.rev !links) ~params
 
 let default = create ()

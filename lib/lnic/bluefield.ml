@@ -149,14 +149,7 @@ let create ?(cores = 8) () =
   link (Link.Hub_edge (1, Link.U eswitch.Unit_.id)) 0;
   link (Link.Hub_edge (2, Link.U eswitch.Unit_.id)) 0;
   link (Link.Hub_edge (3, Link.M 3)) 0;
-  {
-    Graph.name = "bluefield-dpu-25g";
-    arch = Graph.Off_path;
-    units = Array.of_list (List.rev !units);
-    memories;
-    hubs;
-    links = List.rev !links;
-    params;
-  }
+  Graph.make ~name:"bluefield-dpu-25g" ~arch:Graph.Off_path
+    ~units:(Array.of_list (List.rev !units)) ~memories ~hubs ~links:(List.rev !links) ~params
 
 let default = create ()

@@ -5,6 +5,16 @@ let arch_name = function
   | Off_path -> "off-path"
   | Host_only -> "host"
 
+(* Answers to the three unit-to-memory questions the cost model asks per
+   access, built once from [links] so each answer is an array read. *)
+type index = {
+  weights : int option array array;
+      (* [unit][memory]: weight of the first access link, as a scan finds it *)
+  reach : (Memory.t * int) list array;  (* per unit, fastest first *)
+  local : int option array;             (* per unit *)
+  max_access : int;
+}
+
 type t = {
   name : string;
   arch : arch;
@@ -13,12 +23,57 @@ type t = {
   hubs : Hub.t array;
   links : Link.t list;
   params : Params.t;
+  index : index;
 }
 
+let in_range arr i = i >= 0 && i < Array.length arr
+
+(* Links with out-of-range ids stay out of the index; [Validate] reports
+   them from [links]. *)
+let build_index units memories links =
+  let weights = Array.map (fun _ -> Array.make (Array.length memories) None) units in
+  let reach = Array.make (Array.length units) [] in
+  let max_access = ref 0 in
+  List.iter
+    (fun l ->
+      match l.Link.kind with
+      | Link.Access (u, m) when in_range units u && in_range memories m ->
+          let w = l.Link.weight_cycles in
+          if Option.is_none weights.(u).(m) then weights.(u).(m) <- Some w;
+          reach.(u) <- (memories.(m), w) :: reach.(u);
+          max_access := max !max_access w
+      | _ -> ())
+    links;
+  let reach =
+    Array.map
+      (fun r ->
+        List.rev r
+        |> List.sort (fun (m1, w1) (m2, w2) ->
+               compare (m1.Memory.read_cycles + w1) (m2.Memory.read_cycles + w2)))
+      reach
+  in
+  (* Fastest reachable region of level Local (register/stack traffic);
+     falls back to the fastest reachable region of any level. *)
+  let local_of r =
+    match List.find_opt (fun (m, _) -> m.Memory.level = Memory.Local) r with
+    | Some (m, _) -> Some m.Memory.id
+    | None -> ( match r with (m, _) :: _ -> Some m.Memory.id | [] -> None)
+  in
+  { weights; reach; local = Array.map local_of reach; max_access = !max_access }
+
+let make ~name ~arch ~units ~memories ~hubs ~links ~params =
+  { name; arch; units; memories; hubs; links; params;
+    index = build_index units memories links }
+
+let update ?name ?units ?memories ?hubs ?links ?params t =
+  let ( // ) o d = Option.value o ~default:d in
+  make ~name:(name // t.name) ~arch:t.arch ~units:(units // t.units)
+    ~memories:(memories // t.memories) ~hubs:(hubs // t.hubs) ~links:(links // t.links)
+    ~params:(params // t.params)
+
 let get what arr i =
-  if i < 0 || i >= Array.length arr then
-    invalid_arg (Printf.sprintf "Lnic.Graph: bad %s id %d" what i)
-  else arr.(i)
+  if in_range arr i then arr.(i)
+  else invalid_arg (Printf.sprintf "Lnic.Graph: bad %s id %d" what i)
 
 let unit_ t i = get "unit" t.units i
 let memory t i = get "memory" t.memories i
@@ -50,12 +105,8 @@ let upcall_cycles t =
       match hub t `Fabric with Some h -> h.Hub.per_packet_cycles | None -> 0)
 
 let access_weight t ~unit_id ~mem_id =
-  List.find_map
-    (fun l ->
-      match l.Link.kind with
-      | Link.Access (u, m) when u = unit_id && m = mem_id -> Some l.Link.weight_cycles
-      | _ -> None)
-    t.links
+  let w = t.index.weights in
+  if in_range w unit_id && in_range w.(unit_id) mem_id then w.(unit_id).(mem_id) else None
 
 let access_cycles t ~unit_id ~mem_id mode =
   match access_weight t ~unit_id ~mem_id with
@@ -63,22 +114,12 @@ let access_cycles t ~unit_id ~mem_id mode =
   | Some w -> Some (Memory.cycles (memory t mem_id) mode + w)
 
 let reachable_memories t ~unit_id =
-  List.filter_map
-    (fun l ->
-      match l.Link.kind with
-      | Link.Access (u, m) when u = unit_id -> Some (memory t m, l.Link.weight_cycles)
-      | _ -> None)
-    t.links
-  |> List.sort (fun (m1, w1) (m2, w2) ->
-         compare (m1.Memory.read_cycles + w1) (m2.Memory.read_cycles + w2))
+  if in_range t.index.reach unit_id then t.index.reach.(unit_id) else []
 
-(* Fastest reachable region of level Local (register/stack traffic);
-   falls back to the fastest reachable region of any level. *)
 let local_region t ~unit_id =
-  let reach = reachable_memories t ~unit_id in
-  match List.find_opt (fun (m, _) -> m.Memory.level = Memory.Local) reach with
-  | Some (m, _) -> Some m.Memory.id
-  | None -> ( match reach with (m, _) :: _ -> Some m.Memory.id | [] -> None)
+  if in_range t.index.local unit_id then t.index.local.(unit_id) else None
+
+let max_access_weight t = t.index.max_access
 
 let pipeline_ok t u1 u2 =
   u1 = u2 || (unit_ t u1).Unit_.stage <= (unit_ t u2).Unit_.stage
@@ -205,12 +246,10 @@ let slice t ~keep_num ~keep_den =
         Option.map (fun m' -> { l with Link.kind = Link.Hub_edge (h, Link.M m') }) (m_ok m)
     | Link.Hub_edge (_, Link.H _) -> Some l
   in
-  { t with
-    name = Printf.sprintf "%s[%d/%d]" t.name keep_num keep_den;
-    units;
-    memories;
-    hubs;
-    links = List.filter_map remap_link t.links }
+  update t
+    ~name:(Printf.sprintf "%s[%d/%d]" t.name keep_num keep_den)
+    ~units ~memories ~hubs
+    ~links:(List.filter_map remap_link t.links)
 
 let pp fmt t =
   Format.fprintf fmt "LNIC %s (%s): %d units, %d memories, %d hubs, %d links@." t.name

@@ -20,7 +20,11 @@ val arch_name : arch -> string
 (** Stable lower-case name ("on-path", "off-path", "host") — printed by
     [clara nics] and used in reports. *)
 
-type t = {
+type index
+(** The unit-to-memory answers ({!access_weight}, {!reachable_memories},
+    {!local_region}, {!max_access_weight}), precomputed from [links]. *)
+
+type t = private {
   name : string;
   arch : arch;
   units : Unit_.t array;
@@ -28,7 +32,37 @@ type t = {
   hubs : Hub.t array;
   links : Link.t list;
   params : Params.t;
+  index : index;
 }
+(** Private so that every graph comes from {!make}, which builds [index]
+    from [links]: a functional update could otherwise change the links,
+    units or memories and leave the index stale.  Use {!update} instead.
+    The arrays are shared with the index; do not mutate them. *)
+
+val make :
+  name:string ->
+  arch:arch ->
+  units:Unit_.t array ->
+  memories:Memory.t array ->
+  hubs:Hub.t array ->
+  links:Link.t list ->
+  params:Params.t ->
+  t
+(** Builds the graph and its index in one pass over [links].  Never
+    raises: access links with out-of-range ids stay out of the index, and
+    {!Validate} reports them from [links]. *)
+
+val update :
+  ?name:string ->
+  ?units:Unit_.t array ->
+  ?memories:Memory.t array ->
+  ?hubs:Hub.t array ->
+  ?links:Link.t list ->
+  ?params:Params.t ->
+  t ->
+  t
+(** [{ g with ... }] for graphs: the given fields replaced, the index
+    rebuilt. *)
 
 val unit_ : t -> int -> Unit_.t
 (** @raise Invalid_argument on a bad id. *)
@@ -52,19 +86,25 @@ val upcall_cycles : t -> int
     graphs (a miss there never changes execution domains). *)
 
 val access_weight : t -> unit_id:int -> mem_id:int -> int option
-(** NUMA weight of the bus between a unit and a region; [None] when the
-    unit cannot reach the region at all. *)
+(** NUMA weight of the bus between a unit and a region (the first such
+    link when there are several); [None] when the unit cannot reach the
+    region at all. *)
 
 val access_cycles : t -> unit_id:int -> mem_id:int -> [ `Read | `Write | `Atomic ] -> int option
 (** Full access latency: region base cost + bus weight. *)
 
 val reachable_memories : t -> unit_id:int -> (Memory.t * int) list
-(** Regions a unit can touch, with their NUMA weights, fastest first. *)
+(** Regions a unit can touch, with their NUMA weights, fastest first
+    (ties in link order; one entry per access link, duplicates kept). *)
 
 val local_region : t -> unit_id:int -> int option
 (** The fastest reachable [Local] region (register/stack traffic), else
     the fastest reachable region of any level; [None] if the unit
     reaches no memory. *)
+
+val max_access_weight : t -> int
+(** The largest access-link weight (0 when there is none): the worst
+    cross-island bus penalty of the NIC. *)
 
 val pipeline_ok : t -> int -> int -> bool
 (** [pipeline_ok g u1 u2]: can work flow from unit [u1] to unit [u2]

@@ -87,14 +87,7 @@ let create ?(cores = 6) () =
   link (Link.Hierarchy (0, 1)) 0;
   link (Link.Hierarchy (1, 2)) 0;
   link (Link.Hierarchy (2, 3)) 0;
-  {
-    Graph.name = "x86-host";
-    arch = Graph.Host_only;
-    units;
-    memories;
-    hubs;
-    links = List.rev !links;
-    params;
-  }
+  Graph.make ~name:"x86-host" ~arch:Graph.Host_only
+    ~units ~memories ~hubs ~links:(List.rev !links) ~params
 
 let default = create ()

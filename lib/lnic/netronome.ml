@@ -173,15 +173,9 @@ let create ?(islands = 5) ?(npus_per_island = 12) () =
   link (Link.Hub_edge (0, Link.U lookup_accel.Unit_.id)) 0;
   List.iter (fun (npu : Unit_.t) -> link (Link.Hub_edge (2, Link.U npu.id)) 0) npus;
   link (Link.Hub_edge (1, Link.U csum_accel.Unit_.id)) 0;
-  {
-    Graph.name = "netronome-agilio-cx-40g";
-    arch = Graph.On_path;
-    units = Array.of_list (List.rev !units);
-    memories = Array.of_list (List.rev !memories);
-    hubs;
-    links = List.rev !links;
-    params;
-  }
+  Graph.make ~name:"netronome-agilio-cx-40g" ~arch:Graph.On_path
+    ~units:(Array.of_list (List.rev !units))
+    ~memories:(Array.of_list (List.rev !memories)) ~hubs ~links:(List.rev !links) ~params
 
 let default = create ()
 

@@ -105,14 +105,7 @@ let create ?(cores = 8) () =
       link (Link.Hub_edge (0, Link.U c.Unit_.id)) 0)
     arm_cores;
   link (Link.Hub_edge (1, Link.U csum_accel.Unit_.id)) 0;
-  {
-    Graph.name = "soc-armnic-25g";
-    arch = Graph.On_path;
-    units = Array.of_list (List.rev !units);
-    memories;
-    hubs;
-    links = List.rev !links;
-    params;
-  }
+  Graph.make ~name:"soc-armnic-25g" ~arch:Graph.On_path
+    ~units:(Array.of_list (List.rev !units)) ~memories ~hubs ~links:(List.rev !links) ~params
 
 let default = create ()

@@ -295,25 +295,11 @@ let create_sim_shared lnic progs =
     then Some kind
     else None
   in
-  let hub_cycles kind =
-    Array.to_list lnic.L.Graph.hubs
-    |> List.find_opt (fun h -> h.L.Hub.kind = kind)
-    |> Option.map (fun h -> h.L.Hub.per_packet_cycles)
-  in
+  let hub_cycles kind = Option.map (fun h -> h.L.Hub.per_packet_cycles) (L.Graph.hub lnic kind) in
   let islands =
     L.Graph.general_cores lnic
     |> List.filter_map (fun u -> u.L.Unit_.island)
     |> List.sort_uniq compare |> List.length |> max 1
-  in
-  (* Remote-island CTM penalty, read off an actual cross-island bus when
-     the topology has one. *)
-  let ctm_remote_penalty =
-    List.fold_left
-      (fun acc l ->
-        match l.L.Link.kind with
-        | L.Link.Access (_, _) -> max acc l.L.Link.weight_cycles
-        | _ -> acc)
-      0 lnic.L.Graph.links
   in
   let nprogs = max 1 (List.length progs) in
   {
@@ -334,7 +320,9 @@ let create_sim_shared lnic progs =
     dma_rx_free = Array.make 4 0;
     dma_tx_free = Array.make 4 0;
     islands;
-    ctm_remote_penalty;
+    (* Remote-island CTM penalty, read off an actual cross-island bus when
+       the topology has one. *)
+    ctm_remote_penalty = L.Graph.max_access_weight lnic;
     fc_hits = 0;
     fc_misses = 0;
     accel_busy = 0;

@@ -40,11 +40,7 @@ let[@inline] ev sink ~seq ~prog ~thread ~kind ~label ~t0 ~t1 ~arg =
   | Some s -> Trace.record s ~seq ~prog ~thread ~kind ~label ~t0 ~t1 ~arg
 
 let default_queue_capacity lnic =
-  match
-    List.find_opt (fun h -> h.L.Hub.kind = `Ingress) (Array.to_list lnic.L.Graph.hubs)
-  with
-  | Some h -> h.L.Hub.queue_capacity
-  | None -> 512
+  match L.Graph.hub lnic `Ingress with Some h -> h.L.Hub.queue_capacity | None -> 512
 
 (* Earliest-free thread selection.  A lexicographic (free_cycle, index)
    binary heap picks exactly the thread the naive scan would — earliest

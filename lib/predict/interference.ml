@@ -23,7 +23,7 @@ let shrink_emem_cache (g : L.Graph.t) ~by_bytes =
         | _ -> m)
       g.L.Graph.memories
   in
-  { g with L.Graph.memories }
+  L.Graph.update g ~memories
 
 let pipeline ?options lnic ~source ~sizes ~prob =
   match Clara_cir.Lower.of_source source with

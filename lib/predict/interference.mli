@@ -25,6 +25,11 @@ type report = {
           [contended_cycles] is a lower bound. *)
 }
 
+val shrink_emem_cache : Clara_lnic.Graph.t -> by_bytes:int -> Clara_lnic.Graph.t
+(** The graph with every external region's cache shrunk by [by_bytes]
+    (floored at 64 KiB): what a tenant sees after its co-residents'
+    state has taken its share. *)
+
 val analyze_n :
   ?options:Clara_mapping.Mapping.options ->
   ?weights:int array ->

@@ -145,51 +145,64 @@ let parse_frame bytes ~ts_ns =
       }
   end
 
+exception Malformed of string
+
+let malformed fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
+
+let read_channel ic =
+  let ghdr = Bytes.create 24 in
+  (match really_input ic ghdr 0 24 with
+  | () -> ()
+  | exception End_of_file ->
+      malformed "truncated global header (need 24 bytes)");
+  let file_magic = r32 ghdr 0 in
+  let swapped = file_magic = magic_swapped in
+  if file_magic <> magic && not swapped then
+    malformed "bad magic 0x%08x (expected 0x%08x or 0x%08x)" file_magic magic magic_swapped;
+  (* Header fields are in the writer's byte order: little-endian for
+     the native magic, big-endian for the swapped one. *)
+  let ru32 b off = if swapped then rbe32i b off else r32 b off in
+  let declared_snaplen =
+    let s = ru32 ghdr 16 in
+    if s > 0 then s else snaplen
+  in
+  let packets = ref [] in
+  (* A truncated final record (header or frame) ends the capture, as it
+     does when tcpdump is killed mid-write. *)
+  (try
+     while true do
+       let rhdr = Bytes.create 16 in
+       really_input ic rhdr 0 16;
+       let ts_sec = ru32 rhdr 0 and ts_us = ru32 rhdr 4 in
+       let incl = ru32 rhdr 8 in
+       (* Never trust incl: a corrupt record would otherwise drive a
+          multi-GB Bytes.create or an Invalid_argument. *)
+       if incl > declared_snaplen then
+         malformed
+           "record claims %d captured bytes, above the file's snaplen %d (corrupt or \
+            truncated capture)"
+           incl declared_snaplen;
+       let frame = Bytes.create incl in
+       really_input ic frame 0 incl;
+       let ts_ns =
+         Int64.add
+           (Int64.mul (Int64.of_int ts_sec) 1_000_000_000L)
+           (Int64.mul (Int64.of_int ts_us) 1000L)
+       in
+       match parse_frame frame ~ts_ns with
+       | Some p -> packets := p :: !packets
+       | None -> ()
+     done
+   with End_of_file -> ());
+  Trace.of_packets (Array.of_list (List.rev !packets))
+
 let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let ghdr = Bytes.create 24 in
-      really_input ic ghdr 0 24;
-      let file_magic = r32 ghdr 0 in
-      let swapped = file_magic = magic_swapped in
-      if file_magic <> magic && not swapped then
-        failwith
-          (Printf.sprintf "Pcap.read_file: bad magic 0x%08x (expected 0x%08x or 0x%08x)"
-             file_magic magic magic_swapped);
-      (* Header fields are in the writer's byte order: little-endian for
-         the native magic, big-endian for the swapped one. *)
-      let ru32 b off = if swapped then rbe32i b off else r32 b off in
-      let declared_snaplen =
-        let s = ru32 ghdr 16 in
-        if s > 0 then s else snaplen
-      in
-      let packets = ref [] in
-      (try
-         while true do
-           let rhdr = Bytes.create 16 in
-           really_input ic rhdr 0 16;
-           let ts_sec = ru32 rhdr 0 and ts_us = ru32 rhdr 4 in
-           let incl = ru32 rhdr 8 in
-           (* Never trust incl: a corrupt record would otherwise drive a
-              multi-GB Bytes.create or an Invalid_argument. *)
-           if incl > declared_snaplen then
-             failwith
-               (Printf.sprintf
-                  "Pcap.read_file: record claims %d captured bytes, above the file's \
-                   snaplen %d (corrupt or truncated capture)"
-                  incl declared_snaplen);
-           let frame = Bytes.create incl in
-           really_input ic frame 0 incl;
-           let ts_ns =
-             Int64.add
-               (Int64.mul (Int64.of_int ts_sec) 1_000_000_000L)
-               (Int64.mul (Int64.of_int ts_us) 1000L)
-           in
-           match parse_frame frame ~ts_ns with
-           | Some p -> packets := p :: !packets
-           | None -> ()
-         done
-       with End_of_file -> ());
-      Trace.of_packets (Array.of_list (List.rev !packets)))
+  match open_in_bin path with
+  | exception Sys_error e -> Error e
+  | ic -> (
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          match read_channel ic with
+          | trace -> Ok trace
+          | exception Malformed m -> Error (Printf.sprintf "%s: malformed pcap: %s" path m)))

@@ -12,8 +12,12 @@
 val write_file : string -> Trace.t -> unit
 (** @raise Sys_error on IO failure. *)
 
-val read_file : string -> Trace.t
-(** @raise Failure on malformed files (bad magic, truncated records). *)
+val read_file : string -> (Trace.t, string) result
+(** [Error] when the file cannot be opened, its global header is short,
+    its magic is neither byte order's, or a record claims more captured
+    bytes than the declared snap length.  A truncated {e final} record
+    is not an error: reading stops there and the complete records before
+    it are kept, as when a capture is cut off mid-write. *)
 
 val snaplen : int
 (** Capture length used by the writer (262144, tcpdump's default). *)

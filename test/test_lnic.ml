@@ -146,20 +146,119 @@ let test_validate_catches () =
   let g = N.default in
   (* Dangling link. *)
   let bad =
-    { g with G.links = { Clara_lnic.Link.kind = Clara_lnic.Link.Access (999, 0); weight_cycles = 0 } :: g.G.links }
+    G.update g
+      ~links:({ Clara_lnic.Link.kind = Clara_lnic.Link.Access (999, 0); weight_cycles = 0 } :: g.G.links)
   in
   check "dangling link caught" false (V.is_valid bad);
   (* Backwards pipeline edge. *)
   let csum = Option.get (G.find_accelerator g U.Checksum) in
   let parse = Option.get (G.find_accelerator g U.Parse) in
   let bad2 =
-    { g with
-      G.links =
-        { Clara_lnic.Link.kind = Clara_lnic.Link.Pipeline (csum.U.id, parse.U.id);
-          weight_cycles = 0 }
-        :: g.G.links }
+    G.update g
+      ~links:
+        ({ Clara_lnic.Link.kind = Clara_lnic.Link.Pipeline (csum.U.id, parse.U.id);
+           weight_cycles = 0 }
+        :: g.G.links)
   in
   check "stage violation caught" false (V.is_valid bad2)
+
+(* The access index must give exactly what a scan over [links] gives:
+   the first link's weight, every link's region in stable fastest-first
+   order, and the local region picked from that list. *)
+let scan_weight g ~unit_id ~mem_id =
+  List.find_map
+    (fun l ->
+      match l.Clara_lnic.Link.kind with
+      | Clara_lnic.Link.Access (u, m) when u = unit_id && m = mem_id ->
+          Some l.Clara_lnic.Link.weight_cycles
+      | _ -> None)
+    g.G.links
+
+let scan_reach g ~unit_id =
+  List.filter_map
+    (fun l ->
+      match l.Clara_lnic.Link.kind with
+      | Clara_lnic.Link.Access (u, m) when u = unit_id ->
+          Some (g.G.memories.(m), l.Clara_lnic.Link.weight_cycles)
+      | _ -> None)
+    g.G.links
+  |> List.sort (fun (m1, w1) (m2, w2) ->
+         compare (m1.Mem.read_cycles + w1) (m2.Mem.read_cycles + w2))
+
+let scan_local g ~unit_id =
+  let reach = scan_reach g ~unit_id in
+  match List.find_opt (fun (m, _) -> m.Mem.level = Mem.Local) reach with
+  | Some (m, _) -> Some m.Mem.id
+  | None -> ( match reach with (m, _) :: _ -> Some m.Mem.id | [] -> None)
+
+let check_index_agrees what g =
+  Array.iteri
+    (fun unit_id _ ->
+      Array.iteri
+        (fun mem_id _ ->
+          check
+            (Printf.sprintf "%s: weight u%d m%d" what unit_id mem_id)
+            true
+            (G.access_weight g ~unit_id ~mem_id = scan_weight g ~unit_id ~mem_id))
+        g.G.memories;
+      check (Printf.sprintf "%s: reach u%d" what unit_id) true
+        (G.reachable_memories g ~unit_id = scan_reach g ~unit_id);
+      check (Printf.sprintf "%s: local u%d" what unit_id) true
+        (G.local_region g ~unit_id = scan_local g ~unit_id))
+    g.G.units;
+  let max_w =
+    List.fold_left
+      (fun acc l ->
+        match l.Clara_lnic.Link.kind with
+        | Clara_lnic.Link.Access _ -> max acc l.Clara_lnic.Link.weight_cycles
+        | _ -> acc)
+      0 g.G.links
+  in
+  check_int (what ^ ": max access weight") max_w (G.max_access_weight g)
+
+let test_access_index () =
+  List.iter (fun (name, g) -> check_index_agrees name g) Clara_lnic.Targets.all;
+  check_index_agrees "netronome[1/2]" (G.slice N.default ~keep_num:1 ~keep_den:2);
+  check_index_agrees "shrunk emem cache"
+    (Clara_predict.Interference.shrink_emem_cache N.default ~by_bytes:(1024 * 1024));
+  (* Two links for one (unit, memory): the first one's weight wins, and
+     both show up in the reachable list. *)
+  let g = Soc.default in
+  let u, m, w =
+    List.find_map
+      (fun l ->
+        match l.Clara_lnic.Link.kind with
+        | Clara_lnic.Link.Access (u, m) -> Some (u, m, l.Clara_lnic.Link.weight_cycles)
+        | _ -> None)
+      g.G.links
+    |> Option.get
+  in
+  let dup =
+    G.update g
+      ~links:
+        (g.G.links
+        @ [ { Clara_lnic.Link.kind = Clara_lnic.Link.Access (u, m); weight_cycles = w + 100 } ])
+  in
+  check_index_agrees "duplicate access link" dup;
+  check "first link wins" true (G.access_weight dup ~unit_id:u ~mem_id:m = Some w);
+  check_int "duplicate kept in reach"
+    (List.length (G.reachable_memories g ~unit_id:u) + 1)
+    (List.length (G.reachable_memories dup ~unit_id:u));
+  (* Dangling ids never reach the index, and validation still sees them. *)
+  let dangle kind =
+    G.update N.default
+      ~links:({ Clara_lnic.Link.kind; weight_cycles = 0 } :: N.default.G.links)
+  in
+  (* [test_validate_catches] checks that validation reports this one. *)
+  let bad_unit = dangle (Clara_lnic.Link.Access (999, 0)) in
+  check_index_agrees "dangling unit" bad_unit;
+  check "dangling unit not indexed" true
+    (G.access_weight bad_unit ~unit_id:999 ~mem_id:0 = None
+    && G.reachable_memories bad_unit ~unit_id:999 = []);
+  let bad_mem = dangle (Clara_lnic.Link.Access (0, 999)) in
+  check "dangling memory not indexed" true
+    (G.access_weight bad_mem ~unit_id:0 ~mem_id:999 = None);
+  check "dangling memory caught" false (V.is_valid bad_mem)
 
 let test_bluefield_shape () =
   let g = Clara_lnic.Bluefield.default in
@@ -192,24 +291,23 @@ let test_validate_offpath_shapes () =
     || Clara_lnic.Link.dst l = Clara_lnic.Link.U esw.U.id
   in
   let cut =
-    { bf with G.links = List.filter (fun l -> not (touches l)) bf.G.links }
+    G.update bf ~links:(List.filter (fun l -> not (touches l)) bf.G.links)
   in
   check "disconnected eSwitch caught" true (has "eswitch-disconnected" cut);
   check "intact bluefield has no such error" false
     (has "eswitch-disconnected" bf);
   (* Zero-capacity flow cache. *)
   let no_sram =
-    { bf with G.params = { bf.G.params with P.accel_sram_bytes = [] } }
+    G.update bf ~params:{ bf.G.params with P.accel_sram_bytes = [] }
   in
   check "zero flow cache caught" true (has "eswitch-no-flow-cache" no_sram);
   (* Off-path NIC whose hub array lost its PCIe DMA hub. *)
   let no_pcie =
-    { bf with
-      G.hubs = Array.sub bf.G.hubs 0 3;
-      G.links =
-        List.filter
-          (fun l -> Clara_lnic.Link.src l <> Clara_lnic.Link.H 3)
-          bf.G.links }
+    G.update bf ~hubs:(Array.sub bf.G.hubs 0 3)
+      ~links:
+        (List.filter
+           (fun l -> Clara_lnic.Link.src l <> Clara_lnic.Link.H 3)
+           bf.G.links)
   in
   check "missing PCIe DMA hub caught" true (has "offpath-no-pcie" no_pcie);
   (* An on-path NIC without a Host_dma hub is fine. *)
@@ -231,8 +329,8 @@ let test_warnings () =
        asic_warns);
   (* A broken parameter set is flagged. *)
   let broken =
-    { N.default with
-      G.params = { N.default.G.params with P.core_vcalls = []; accel_vcalls = [] } }
+    G.update N.default
+      ~params:{ N.default.G.params with P.core_vcalls = []; accel_vcalls = [] }
   in
   check "gutted params warn a lot" true (List.length (V.warnings broken) > 5)
 
@@ -264,3 +362,4 @@ let suite =
     Alcotest.test_case "validate off-path shapes" `Quick test_validate_offpath_shapes;
     Alcotest.test_case "validate warnings" `Quick test_warnings ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_slice_monotonic ]
+  @ [ Alcotest.test_case "access index agrees with a link scan" `Quick test_access_index ]

@@ -318,7 +318,7 @@ let one_thread_nic () =
         | _ -> u)
       g.L.Graph.units
   in
-  { g with L.Graph.units }
+  L.Graph.update g ~units
 
 let test_accel_class_filter () =
   (* Regression: any bottleneck row with parallelism = 1 (other than
@@ -437,10 +437,10 @@ let test_throughput_wire_cost_convention () =
   let a = analyze (Clara_nfs.Nat.source ()) prof in
   let base = lnic.L.Graph.params in
   let with_wire c =
-    { lnic with
-      L.Graph.params =
+    L.Graph.update lnic
+      ~params:
         { base with L.Params.wire_ingress = L.Cost_fn.const c;
-          L.Params.wire_egress = L.Cost_fn.const c } }
+          L.Params.wire_egress = L.Cost_fn.const c }
   in
   let wire_of t =
     List.find (fun (r : Tp.bottleneck) -> r.Tp.resource = "wire-dma") t.Tp.resources

@@ -176,7 +176,7 @@ let test_pair_clamp_traced () =
         if h.L.Hub.kind = `Ingress then { h with L.Hub.queue_capacity = 1 } else h)
       lnic.L.Graph.hubs
   in
-  let tiny = { lnic with L.Graph.hubs = hubs } in
+  let tiny = L.Graph.update lnic ~hubs in
   let mk arrival_ns =
     { W.Packet.src_ip = 1l; dst_ip = 2l; src_port = 1; dst_port = 2;
       proto = W.Packet.Udp; flags = 0; payload_bytes = 64; arrival_ns }

@@ -137,6 +137,14 @@ let test_packet_helpers () =
   check "same tuple same key" true (W.Packet.flow_key p = W.Packet.flow_key { p with W.Packet.payload_bytes = 9 });
   check "diff tuple diff key" true (W.Packet.flow_key p <> W.Packet.flow_key q)
 
+let read_pcap path =
+  match W.Pcap.read_file path with Ok t -> t | Error e -> Alcotest.fail e
+
+let contains m sub =
+  let n = String.length m and k = String.length sub in
+  let rec go i = i + k <= n && (String.sub m i k = sub || go (i + 1)) in
+  go 0
+
 let test_pcap_roundtrip () =
   let profile = W.Profile.make ~flow_count:100 ~packets:500 () in
   let tr = W.Trace.synthesize ~seed:9L profile in
@@ -145,7 +153,7 @@ let test_pcap_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       W.Pcap.write_file path tr;
-      let tr2 = W.Pcap.read_file path in
+      let tr2 = read_pcap path in
       check_int "packet count preserved" (Array.length tr.W.Trace.packets)
         (Array.length tr2.W.Trace.packets);
       Array.iteri
@@ -170,7 +178,7 @@ let test_pcap_bad_magic () =
       output_string oc "not a pcap file at all.....";
       close_out oc;
       check "bad magic rejected" true
-        (try ignore (W.Pcap.read_file path); false with Failure _ -> true))
+        (match W.Pcap.read_file path with Error m -> contains m "magic" | Ok _ -> false))
 
 let test_trace_utilities () =
   let p = W.Profile.make ~packets:500 ~flow_count:100 ~tcp_fraction:0.7 () in
@@ -211,7 +219,7 @@ let test_pcap_snaplen_truncation () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       W.Pcap.write_file path (W.Trace.of_packets [| monster |]);
-      let back = W.Pcap.read_file path in
+      let back = read_pcap path in
       match back.W.Trace.packets with
       | [| p |] ->
           (* IPv4 total length is 16-bit, so huge payloads alias modulo
@@ -310,8 +318,8 @@ let test_pcap_swapped_endian () =
       byteswap_pcap native swapped;
       (* Sanity: the transform really produced the swapped magic. *)
       check "swapped magic on disk" true (le32 (read_bytes swapped) 0 = 0xd4c3b2a1);
-      let a = W.Pcap.read_file native in
-      let b = W.Pcap.read_file swapped in
+      let a = read_pcap native in
+      let b = read_pcap swapped in
       check_int "same packet count" (Array.length a.W.Trace.packets)
         (Array.length b.W.Trace.packets);
       check "byte order is transparent" true (a.W.Trace.packets = b.W.Trace.packets))
@@ -336,16 +344,21 @@ let test_pcap_corrupt_incl () =
       Bytes.set b (24 + 10) '\xff';
       Bytes.set b (24 + 11) '\x7f';
       write_bytes path b;
+      (* The error should say what went wrong, not just explode. *)
       check "corrupt incl rejected" true
-        (try ignore (W.Pcap.read_file path); false
-         with Failure m ->
-           (* The error should say what went wrong, not just explode. *)
-           let has_snaplen =
-             let n = String.length m in
-             let rec go i = i + 7 <= n && (String.sub m i 7 = "snaplen" || go (i + 1)) in
-             go 0
-           in
-           has_snaplen))
+        (match W.Pcap.read_file path with Error m -> contains m "snaplen" | Ok _ -> false);
+      (* A global header cut short after the magic. *)
+      write_bytes path (Bytes.of_string "\xd4\xc3\xb2\xa1\x02\x00");
+      check "short global header rejected" true
+        (match W.Pcap.read_file path with
+        | Error m -> contains m "global header"
+        | Ok _ -> false);
+      (* A truncated final record is dropped, the records before it kept. *)
+      W.Pcap.write_file path (W.Trace.of_packets [| pkt; pkt |]);
+      let b = read_bytes path in
+      write_bytes path (Bytes.sub b 0 (Bytes.length b - 3));
+      check_int "truncated final record dropped" 1
+        (Array.length (read_pcap path).W.Trace.packets))
 
 let prop_trace_respects_profile =
   QCheck.Test.make ~name:"synthesized mix tracks the profile" ~count:20
@@ -372,7 +385,7 @@ let prop_pcap_roundtrip =
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
           W.Pcap.write_file path tr;
-          let tr2 = W.Pcap.read_file path in
+          let tr2 = read_pcap path in
           Array.length tr2.W.Trace.packets = n
           && Array.for_all2
                (fun (a : W.Packet.t) (b : W.Packet.t) ->
