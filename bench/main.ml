@@ -506,20 +506,20 @@ let interference () =
      beyond it the co-resident system simply saturates. *)
   let prof = profile ~packets:8_000 ~rate:500_000. () in
   (match
-     Clara_predict.Interference.analyze_n lnic
+     Clara.Interference.analyze_n lnic
        ~sources:
          [| Clara_nfs.Firewall.source ~entries:1_000_000 (); Clara_nfs.Kv_store.source () |]
        ~profiles:[| prof; prof |]
    with
   | Error e -> Printf.printf "error: %s\n" e
   | Ok reports ->
-      let pr name (r : Clara_predict.Interference.report) =
+      let pr name (r : Clara.Interference.report) =
         Printf.printf
           "%-10s solo %9.0f cyc   half-slice %9.0f cyc   contended %9.0f cyc   slowdown %.2fx\n"
-          name r.Clara_predict.Interference.solo_cycles
-          r.Clara_predict.Interference.sliced_cycles
-          r.Clara_predict.Interference.contended_cycles
-          r.Clara_predict.Interference.slowdown
+          name r.Clara.Interference.solo_cycles
+          r.Clara.Interference.sliced_cycles
+          r.Clara.Interference.contended_cycles
+          r.Clara.Interference.slowdown
       in
       Array.iter2 pr [| "firewall"; "kv-store" |] reports);
   (* Validate against genuine co-resident simulation: both ports share
@@ -560,7 +560,10 @@ let nic_selection () =
           | Error e -> Printf.printf "  %-16s error: %s\n" tname e
           | Ok a ->
               let p = Clara.predict_profile a prof in
-              let tp = Clara_predict.Throughput.estimate target a.Clara.df a.Clara.mapping in
+              let tp =
+                Clara_predict.Throughput.estimate ~sizes:a.Clara.sizes ~prob:a.Clara.prob
+                  target a.Clara.df a.Clara.mapping
+              in
               let freq = L.Graph.freq_mhz target in
               Printf.printf "  %-16s latency %8.0f cyc (%6.1f us)   tput %10.0f pps\n" tname
                 p.Lat.mean_cycles
@@ -587,7 +590,10 @@ let throughput_validation () =
       | Error e -> Printf.printf "%-12s error: %s
 " name e
       | Ok a ->
-          let tp = Clara_predict.Throughput.estimate lnic a.Clara.df a.Clara.mapping in
+          let tp =
+            Clara_predict.Throughput.estimate ~sizes:a.Clara.sizes ~prob:a.Clara.prob lnic
+              a.Clara.df a.Clara.mapping
+          in
           let base =
             (Eng.run lnic prog (W.Trace.synthesize ~seed:31L (prof_at 30_000.)))
               .Eng.summary.SStats.p50_cycles
@@ -639,8 +645,9 @@ let load_latency () =
       List.iter
         (fun rate ->
           let predicted =
-            Clara_predict.Throughput.latency_at_rate ~base_cycles:base ~rate_pps:rate
-              lnic a.Clara.df a.Clara.mapping
+            Clara_predict.Throughput.latency_at_rate ~sizes:a.Clara.sizes
+              ~prob:a.Clara.prob ~base_cycles:base ~rate_pps:rate lnic a.Clara.df
+              a.Clara.mapping
           in
           let prof = profile ~packets:12_000 ~rate () in
           let sim =
@@ -701,8 +708,8 @@ let energy () =
         match Clara.analyze_for_profile target ~source:src ~profile:prof with
         | Error _ -> Float.nan
         | Ok a ->
-            (Clara_predict.Energy.estimate ~rate_pps:prof.W.Profile.rate_pps target
-               a.Clara.df a.Clara.mapping)
+            (Clara_predict.Energy.estimate ~sizes:a.Clara.sizes ~prob:a.Clara.prob
+               ~rate_pps:prof.W.Profile.rate_pps target a.Clara.df a.Clara.mapping)
               .Clara_predict.Energy.nj_per_packet
       in
       let nic = nj lnic and host = nj L.Host.default in
@@ -729,7 +736,10 @@ let partial () =
       | Error e -> Printf.printf "%-14s error: %s
 " name e
       | Ok a ->
-          let s = Clara_predict.Partial.best_split lnic a.Clara.df a.Clara.mapping in
+          let s =
+            Clara_predict.Partial.best_split ~sizes:a.Clara.sizes ~prob:a.Clara.prob lnic
+              a.Clara.df a.Clara.mapping
+          in
           Printf.printf "%-14s %-46s %8.0f ns
 " name
             (Clara_predict.Partial.describe a.Clara.df s)

@@ -12,7 +12,6 @@
      corpus      list/dump the bundled NF sources
      trace-gen   synthesize a pcap trace from an abstract profile
      sweep       parallel design-space exploration from a spec file
-     interfere   slowdown of two NFs co-resident on one NIC
      tenants     N NFs co-resident under weighted-round-robin scheduling
      trace       simulate a ported NF with per-packet event tracing
      sim         simulate a ported NF fast: steady-state replay + domain sharding
@@ -210,9 +209,9 @@ let predict_cmd =
     Format.printf "attribution (mean cycles per packet):@.%a"
       Clara_predict.Latency.pp_attribution att;
     (match
-       Clara_predict.Throughput.latency_at_rate
-         ~base_cycles:p.Clara_predict.Latency.mean_cycles ~rate_pps:rate lnic
-         analysis.Clara.df analysis.Clara.mapping
+       Clara_predict.Throughput.latency_at_rate ~sizes:analysis.Clara.sizes
+         ~prob:analysis.Clara.prob ~base_cycles:p.Clara_predict.Latency.mean_cycles
+         ~rate_pps:rate lnic analysis.Clara.df analysis.Clara.mapping
      with
     | Some loaded when loaded > p.Clara_predict.Latency.mean_cycles +. 1. ->
         Format.printf "with queueing at %.0f pps: %.0f cycles@." rate loaded
@@ -259,7 +258,10 @@ let nics_cmd =
               e
         | Ok a ->
             let p = Clara.predict_profile a profile in
-            let tp = Clara_predict.Throughput.estimate lnic a.Clara.df a.Clara.mapping in
+            let tp =
+              Clara_predict.Throughput.estimate ~sizes:a.Clara.sizes ~prob:a.Clara.prob lnic
+                a.Clara.df a.Clara.mapping
+            in
             let freq = L.Graph.freq_mhz lnic in
             Printf.printf
               "%-12s %-9s latency %9.0f cyc (%7.2f us)   max tput %10.0f pps\n"
@@ -302,7 +304,9 @@ let paths_cmd =
     let profile = profile_of ~payload ~packets ~flows ~rate ~tcp in
     let options = options_of ~no_flow_cache ~no_accels in
     let a = or_die (Clara.analyze_for_profile ~options lnic ~source ~profile) in
-    let paths = Clara_predict.Symexec.enumerate lnic a.Clara.df a.Clara.mapping in
+    let paths =
+      Clara_predict.Symexec.enumerate ~sizes:a.Clara.sizes lnic a.Clara.df a.Clara.mapping
+    in
     List.iter (fun p -> Format.printf "%a@." Clara_predict.Symexec.pp_path p) paths
   in
   let doc = "Enumerate per-packet-type latency profiles (symbolic execution)." in
@@ -319,7 +323,10 @@ let partial_cmd =
     let source = read_file src in
     let profile = profile_of ~payload ~packets ~flows ~rate ~tcp in
     let a = or_die (Clara.analyze_for_profile lnic ~source ~profile) in
-    let splits = Clara_predict.Partial.enumerate_splits lnic a.Clara.df a.Clara.mapping in
+    let splits =
+      Clara_predict.Partial.enumerate_splits ~sizes:a.Clara.sizes ~prob:a.Clara.prob lnic
+        a.Clara.df a.Clara.mapping
+    in
     List.iteri
       (fun i s ->
         if i < 8 then
@@ -343,7 +350,10 @@ let energy_cmd =
     let source = read_file src in
     let profile = profile_of ~payload ~packets ~flows ~rate ~tcp in
     let a = or_die (Clara.analyze_for_profile lnic ~source ~profile) in
-    let e = Clara_predict.Energy.estimate ~rate_pps:rate lnic a.Clara.df a.Clara.mapping in
+    let e =
+      Clara_predict.Energy.estimate ~sizes:a.Clara.sizes ~prob:a.Clara.prob ~rate_pps:rate
+        lnic a.Clara.df a.Clara.mapping
+    in
     Format.printf "%a@." Clara_predict.Energy.pp e;
     List.iter
       (fun (name, nj) -> Format.printf "  %-20s %10.1f nJ/pkt@." name nj)
@@ -475,7 +485,7 @@ let sweep_cmd =
 module Nsim = Clara_nicsim
 
 let corpus_entry name =
-  match Clara_nfs.Corpus.find name with
+  match Clara_nfs.Corpus.resolve name with
   | Some e -> e
   | None ->
       prerr_endline
@@ -1016,78 +1026,6 @@ let report_cmd =
   Cmd.v (Cmd.info "report" ~doc)
     Term.(const run $ ledger_arg $ threshold_arg $ json_arg)
 
-(* ---- interfere ------------------------------------------------------ *)
-
-let interfere_cmd =
-  let src_a_arg =
-    let doc = "First NF: a DSL source file, or a corpus NF name." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"A" ~doc)
-  in
-  let src_b_arg =
-    let doc = "Second NF: a DSL source file, or a corpus NF name." in
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"B" ~doc)
-  in
-  let trace_out_arg =
-    let doc =
-      "Also run the two NFs co-resident in the simulator with event tracing and \
-       write the shared timeline as Perfetto JSON to $(docv); both NFs must be \
-       corpus names (the simulator needs their ported handlers)."
-    in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-  in
-  let run src_a src_b nic payload packets flows rate tcp trace_out =
-    let lnic = or_die (lnic_of_name nic) in
-    let profile = profile_of ~payload ~packets ~flows ~rate ~tcp in
-    let name_a, source_a = resolve_nf src_a and name_b, source_b = resolve_nf src_b in
-    let reports =
-      or_die
-        (Clara_predict.Interference.analyze_n lnic ~sources:[| source_a; source_b |]
-           ~profiles:[| profile; profile |])
-    in
-    let show name (r : Clara_predict.Interference.report) =
-      Printf.printf "%-24s solo %9.0f cyc   half-NIC %9.0f cyc   contended %9.0f cyc   slowdown %.2fx\n"
-        name r.Clara_predict.Interference.solo_cycles
-        r.Clara_predict.Interference.sliced_cycles
-        r.Clara_predict.Interference.contended_cycles
-        r.Clara_predict.Interference.slowdown
-    in
-    Printf.printf "co-residence on %s:\n" nic;
-    Array.iter2 show [| name_a; name_b |] reports;
-    Option.iter
-      (fun path ->
-        match (Clara_nfs.Corpus.find src_a, Clara_nfs.Corpus.find src_b) with
-        | Some ea, Some eb ->
-            let sink = Nsim.Trace.create () in
-            let ta = W.Trace.synthesize ~seed:42L profile in
-            let tb = W.Trace.synthesize ~seed:43L profile in
-            let rs =
-              Nsim.Engine.run_tenants ~sink lnic
-                [| ea.Clara_nfs.Corpus.ported; eb.Clara_nfs.Corpus.ported |]
-                [| ta; tb |]
-            in
-            Printf.printf "simulated co-residence:\n";
-            Array.iter2
-              (fun src r -> Format.printf "  %-14s %a@." src Nsim.Engine.pp_result r)
-              [| src_a; src_b |] rs;
-            Format.printf "%a" Nsim.Attribution.pp_report (Nsim.Attribution.analyze sink);
-            Nsim.Trace_export.write_perfetto sink ~freq_mhz:rs.(0).Nsim.Engine.freq_mhz ~path;
-            Format.eprintf "clara: wrote Perfetto trace to %s@." path
-        | _ ->
-            prerr_endline
-              "clara: --trace needs corpus NF names (the simulator runs ported \
-               handlers); see 'clara corpus'";
-            exit 1)
-      trace_out
-  in
-  let doc =
-    "Predict the slowdown of two NFs sharing one NIC (sliced cores, shrunken \
-     cache, accelerator contention)."
-  in
-  Cmd.v (Cmd.info "interfere" ~doc)
-    Term.(
-      const run $ src_a_arg $ src_b_arg $ nic_arg $ payload_arg $ packets_arg
-      $ flows_arg $ rate_arg $ tcp_arg $ trace_out_arg)
-
 (* ---- tenants -------------------------------------------------------- *)
 
 let tenants_cmd =
@@ -1151,19 +1089,12 @@ let tenants_cmd =
     let sources = Array.of_list (List.map snd resolved) in
     let reports =
       or_die
-        (Clara_predict.Interference.analyze_n ~weights lnic ~sources
+        (Clara.Interference.analyze_n ~weights lnic ~sources
            ~profiles:(Array.make n profile))
     in
-    (* Simulation needs ported handlers: every argument must name a
-       corpus NF (a file path counts when its basename matches one). *)
-    let entry_of arg =
-      let key =
-        if Sys.file_exists arg then Filename.remove_extension (Filename.basename arg)
-        else arg
-      in
-      Clara_nfs.Corpus.find key
-    in
-    let entries = List.map entry_of nfs in
+    (* Simulation needs ported handlers: every argument must resolve to
+       a corpus NF (a file path counts when its basename names one). *)
+    let entries = List.map Clara_nfs.Corpus.resolve nfs in
     let sim =
       if List.for_all Option.is_some entries then begin
         let progs =
@@ -1197,8 +1128,8 @@ let tenants_cmd =
                  let iso =
                    100.
                    *. (s.Nsim.Stats.mean_cycles
-                       -. pred.Clara_predict.Interference.sliced_cycles)
-                   /. pred.Clara_predict.Interference.sliced_cycles
+                       -. pred.Clara.Interference.sliced_cycles)
+                   /. pred.Clara.Interference.sliced_cycles
                  in
                  (s, tput, iso))
                rs)
@@ -1208,7 +1139,7 @@ let tenants_cmd =
       | Some rows ->
           let s, _, _ = rows.(i) in
           float_of_int s.Nsim.Stats.p99_cycles /. freq_mhz
-      | None -> reports.(i).Clara_predict.Interference.contended_cycles /. freq_mhz
+      | None -> reports.(i).Clara.Interference.contended_cycles /. freq_mhz
     in
     let fairness =
       match sim_rows with
@@ -1220,8 +1151,8 @@ let tenants_cmd =
       | None ->
           jain
             (Array.map
-               (fun (r : Clara_predict.Interference.report) ->
-                 1. /. Float.max 1e-9 r.Clara_predict.Interference.slowdown)
+               (fun (r : Clara.Interference.report) ->
+                 1. /. Float.max 1e-9 r.Clara.Interference.slowdown)
                reports)
     in
     let fair = fairness >= 0.9 in
@@ -1232,7 +1163,7 @@ let tenants_cmd =
         slo
     in
     let saturated =
-      Array.exists (fun r -> r.Clara_predict.Interference.saturated) reports
+      Array.exists (fun r -> r.Clara.Interference.saturated) reports
     in
     if json then begin
       let tenant i =
@@ -1242,12 +1173,12 @@ let tenants_cmd =
             ("nf", Clara_util.Json.String names.(i));
             ("weight", Clara_util.Json.Int weights.(i));
             ("share", Clara_util.Json.Float (float_of_int weights.(i) /. float_of_int wsum));
-            ("predicted_solo_cycles", Clara_util.Json.Float r.Clara_predict.Interference.solo_cycles);
-            ("predicted_slice_cycles", Clara_util.Json.Float r.Clara_predict.Interference.sliced_cycles);
-            ("predicted_contended_cycles", Clara_util.Json.Float r.Clara_predict.Interference.contended_cycles);
-            ("slowdown", Clara_util.Json.Float r.Clara_predict.Interference.slowdown);
-            ("accel_utilization", Clara_util.Json.Float r.Clara_predict.Interference.accel_utilization);
-            ("saturated", Clara_util.Json.Bool r.Clara_predict.Interference.saturated);
+            ("predicted_solo_cycles", Clara_util.Json.Float r.Clara.Interference.solo_cycles);
+            ("predicted_slice_cycles", Clara_util.Json.Float r.Clara.Interference.sliced_cycles);
+            ("predicted_contended_cycles", Clara_util.Json.Float r.Clara.Interference.contended_cycles);
+            ("slowdown", Clara_util.Json.Float r.Clara.Interference.slowdown);
+            ("accel_utilization", Clara_util.Json.Float r.Clara.Interference.accel_utilization);
+            ("saturated", Clara_util.Json.Bool r.Clara.Interference.saturated);
           ]
         in
         let simj =
@@ -1290,14 +1221,15 @@ let tenants_cmd =
            (Array.to_list (Array.map string_of_int weights)));
       (match sim with Error m -> Printf.printf "  [%s]\n" m | Ok _ -> ());
       Array.iteri
-        (fun i (r : Clara_predict.Interference.report) ->
+        (fun i (r : Clara.Interference.report) ->
           Printf.printf
-            "  %-16s w=%-3d slice %9.0f cyc   contended %9.0f cyc   slowdown %.2fx   accel-u %.2f%s\n"
-            names.(i) weights.(i) r.Clara_predict.Interference.sliced_cycles
-            r.Clara_predict.Interference.contended_cycles
-            r.Clara_predict.Interference.slowdown
-            r.Clara_predict.Interference.accel_utilization
-            (if r.Clara_predict.Interference.saturated then "   SATURATED" else "");
+            "  %-16s w=%-3d solo %9.0f cyc   slice %9.0f cyc   contended %9.0f cyc   slowdown %.2fx   accel-u %.2f%s\n"
+            names.(i) weights.(i) r.Clara.Interference.solo_cycles
+            r.Clara.Interference.sliced_cycles
+            r.Clara.Interference.contended_cycles
+            r.Clara.Interference.slowdown
+            r.Clara.Interference.accel_utilization
+            (if r.Clara.Interference.saturated then "   SATURATED" else "");
           (match sim_rows with
           | None -> ()
           | Some rows ->
@@ -1376,5 +1308,5 @@ let () =
        (Cmd.group info
           [ analyze_cmd; predict_cmd; microbench_cmd; nics_cmd; trace_gen_cmd;
             paths_cmd; partial_cmd; energy_cmd; corpus_cmd; chain_cmd; sweep_cmd;
-            interfere_cmd; tenants_cmd; trace_cmd; sim_cmd; calibrate_cmd;
+            tenants_cmd; trace_cmd; sim_cmd; calibrate_cmd;
             report_cmd; lint_cmd; bounds_cmd; json_check_cmd ]))

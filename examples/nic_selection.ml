@@ -41,7 +41,8 @@ let () =
             | Ok a ->
                 let p = Clara.predict_profile a profile in
                 let tp =
-                  Clara_predict.Throughput.estimate lnic a.Clara.df a.Clara.mapping
+                  Clara_predict.Throughput.estimate ~sizes:a.Clara.sizes ~prob:a.Clara.prob lnic
+                    a.Clara.df a.Clara.mapping
                 in
                 let freq =
                   match L.Graph.general_cores lnic with

@@ -38,11 +38,15 @@ module I = Interval
    minimal header to an MTU-sized frame. *)
 let mtu_payload = 1500.
 
-let header_range_of_type = function
-  | "tcp" | "tcp-syn" -> I.const 54.
-  | "udp" -> I.const 42.
-  | "other" -> I.const 34.
-  | _ -> I.make 34. 54.
+let header_range_of_type ptype =
+  let module P = Clara_workload.Packet in
+  let bytes p = float_of_int (P.proto_header_bytes p) in
+  let tcp = bytes P.Tcp and other = bytes (P.Other 0) in
+  match ptype with
+  | "tcp" | "tcp-syn" -> I.const tcp
+  | "udp" -> I.const (bytes P.Udp)
+  | "other" -> I.const other
+  | _ -> I.make other tcp
 
 let sizes_for (p : Ir.program) ~ptype ~payload_max =
   let payload = I.make 0. payload_max in

@@ -217,134 +217,126 @@ let default_case ~nf ~nic =
     case_seed = 42;
   }
 
-(* Example files are named with underscores (syn_proxy.clara), the
-   corpus with hyphens (syn-proxy); a path argument reduces to its
-   basename so `clara calibrate examples/nf_sources/*.clara` works. *)
-let normalize_nf name =
-  String.map
-    (function '_' -> '-' | c -> c)
-    (Filename.remove_extension (Filename.basename name))
-
 let workload_descr c =
   Printf.sprintf "p%d,n%d,f%d,r%.0f,tcp%.2f" c.case_payload c.case_packets
     c.case_flows c.case_rate c.case_tcp
 
 let pct pred sim = if sim = 0. then Float.nan else 100. *. (pred -. sim) /. sim
 
-let run_case_exn c =
-  let name = normalize_nf c.case_nf in
-  match Clara_nfs.Corpus.find name with
-  | None ->
-      Error
-        (Printf.sprintf "unknown NF '%s' (try: %s)" name
-           (String.concat " " Clara_nfs.Corpus.names))
-  | Some entry -> (
-      let* lnic = L.Targets.of_name c.case_nic in
-      let profile =
-        W.Profile.make
-          ~payload:(W.Dist.Fixed c.case_payload)
-          ~packets:c.case_packets ~flow_count:c.case_flows ~rate_pps:c.case_rate
-          ~tcp_fraction:c.case_tcp ()
+let run_entry c (entry : Clara_nfs.Corpus.entry) =
+  let name = entry.Clara_nfs.Corpus.name in
+  let* lnic = L.Targets.of_name c.case_nic in
+  let profile =
+    W.Profile.make
+      ~payload:(W.Dist.Fixed c.case_payload)
+      ~packets:c.case_packets ~flow_count:c.case_flows ~rate_pps:c.case_rate
+      ~tcp_fraction:c.case_tcp ()
+  in
+  match
+    Clara.analyze_for_profile lnic ~source:entry.Clara_nfs.Corpus.source ~profile
+  with
+  | Error e -> Error (Printf.sprintf "%s on %s: %s" name c.case_nic e)
+  | Ok analysis ->
+      let trace = W.Trace.synthesize ~seed:(Int64.of_int c.case_seed) profile in
+      (* Predictor side: prediction + component decomposition on the
+         same trace and RNG seed, so the totals match exactly. *)
+      let pt = Lat.create lnic analysis.Clara.df analysis.Clara.mapping in
+      let p = Lat.predict_trace pt trace in
+      let att = Lat.attribute_trace pt trace in
+      let pall =
+        List.find (fun (r : Lat.att_row) -> r.Lat.at_type = "all") att.Lat.att_rows
       in
-      match
-        Clara.analyze_for_profile lnic ~source:entry.Clara_nfs.Corpus.source ~profile
-      with
-      | Error e -> Error (Printf.sprintf "%s on %s: %s" name c.case_nic e)
-      | Ok analysis ->
-          let trace = W.Trace.synthesize ~seed:(Int64.of_int c.case_seed) profile in
-          (* Predictor side: prediction + component decomposition on the
-             same trace and RNG seed, so the totals match exactly. *)
-          let pt = Lat.create lnic analysis.Clara.df analysis.Clara.mapping in
-          let p = Lat.predict_trace pt trace in
-          let att = Lat.attribute_trace pt trace in
-          let pall =
-            List.find (fun (r : Lat.att_row) -> r.Lat.at_type = "all") att.Lat.att_rows
-          in
-          (* No queueing / accelerator contention in the static model;
-             accelerator service folds into compute to mirror the
-             simulator's attribution basis. *)
-          let pred_comp =
-            {
-              c_queue = 0.;
-              c_compute = pall.Lat.at_compute +. pall.Lat.at_accel;
-              c_accel_wait = 0.;
-              c_mem = pall.Lat.at_mem;
-              c_wire = pall.Lat.at_wire;
-            }
-          in
-          (* Simulator side: run with a trace sink sized to keep every
-             event, then attribute. *)
-          let sink = Nsim.Trace.create ~limit:(max 65_536 (c.case_packets * 64)) () in
-          let r = Nsim.Engine.run ~sink lnic entry.Clara_nfs.Corpus.ported trace in
-          let rep = Nsim.Attribution.analyze sink in
-          let sall =
-            List.find_opt
-              (fun (row : Nsim.Attribution.row) ->
-                row.Nsim.Attribution.r_prog = 0 && row.Nsim.Attribution.r_type = "all")
-              rep.Nsim.Attribution.rows
-          in
-          let* sall =
-            match sall with
-            | Some row -> Ok row
-            | None -> Error (name ^ ": simulator attributed no packets")
-          in
-          let sim_comp =
-            {
-              c_queue = sall.Nsim.Attribution.r_queue;
-              c_compute = sall.Nsim.Attribution.r_compute;
-              c_accel_wait = sall.Nsim.Attribution.r_accel_wait;
-              c_mem = sall.Nsim.Attribution.r_mem;
-              c_wire = sall.Nsim.Attribution.r_wire;
-            }
-          in
-          (* Use the attribution's own mean as the sim total so the
-             signed component errors sum to the mean gap exactly. *)
-          let sim_mean = sall.Nsim.Attribution.r_total in
-          let summary = r.Nsim.Engine.summary in
-          let err_comp =
-            {
-              c_queue = pred_comp.c_queue -. sim_comp.c_queue;
-              c_compute = pred_comp.c_compute -. sim_comp.c_compute;
-              c_accel_wait = pred_comp.c_accel_wait -. sim_comp.c_accel_wait;
-              c_mem = pred_comp.c_mem -. sim_comp.c_mem;
-              c_wire = pred_comp.c_wire -. sim_comp.c_wire;
-            }
-          in
-          let sim_p50 = float_of_int summary.Nsim.Stats.p50_cycles in
-          let sim_p99 = float_of_int summary.Nsim.Stats.p99_cycles in
-          let options_hash =
-            Printf.sprintf "%08x"
-              (Hashtbl.hash (name, c.case_nic, workload_descr c, c.case_seed))
-          in
-          Ok
-            {
-              nf = name;
-              nic = c.case_nic;
-              workload = workload_descr c;
-              seed = c.case_seed;
-              packets = sall.Nsim.Attribution.r_count;
-              pred_mean = p.Lat.mean_cycles;
-              pred_p50 = p.Lat.p50_cycles;
-              pred_p99 = p.Lat.p99_cycles;
-              sim_mean;
-              sim_p50;
-              sim_p99;
-              gap_mean_pct = pct p.Lat.mean_cycles sim_mean;
-              gap_p50_pct = pct p.Lat.p50_cycles sim_p50;
-              gap_p99_pct = pct p.Lat.p99_cycles sim_p99;
-              pred_comp;
-              sim_comp;
-              err_comp;
-              prov = current_provenance ~options_hash;
-            })
+      (* No queueing / accelerator contention in the static model;
+         accelerator service folds into compute to mirror the
+         simulator's attribution basis. *)
+      let pred_comp =
+        {
+          c_queue = 0.;
+          c_compute = pall.Lat.at_compute +. pall.Lat.at_accel;
+          c_accel_wait = 0.;
+          c_mem = pall.Lat.at_mem;
+          c_wire = pall.Lat.at_wire;
+        }
+      in
+      (* Simulator side: run with a trace sink sized to keep every
+         event, then attribute. *)
+      let sink = Nsim.Trace.create ~limit:(max 65_536 (c.case_packets * 64)) () in
+      let r = Nsim.Engine.run ~sink lnic entry.Clara_nfs.Corpus.ported trace in
+      let rep = Nsim.Attribution.analyze sink in
+      let sall =
+        List.find_opt
+          (fun (row : Nsim.Attribution.row) ->
+            row.Nsim.Attribution.r_prog = 0 && row.Nsim.Attribution.r_type = "all")
+          rep.Nsim.Attribution.rows
+      in
+      let* sall =
+        match sall with
+        | Some row -> Ok row
+        | None -> Error (name ^ ": simulator attributed no packets")
+      in
+      let sim_comp =
+        {
+          c_queue = sall.Nsim.Attribution.r_queue;
+          c_compute = sall.Nsim.Attribution.r_compute;
+          c_accel_wait = sall.Nsim.Attribution.r_accel_wait;
+          c_mem = sall.Nsim.Attribution.r_mem;
+          c_wire = sall.Nsim.Attribution.r_wire;
+        }
+      in
+      (* Use the attribution's own mean as the sim total so the
+         signed component errors sum to the mean gap exactly. *)
+      let sim_mean = sall.Nsim.Attribution.r_total in
+      let summary = r.Nsim.Engine.summary in
+      let err_comp =
+        {
+          c_queue = pred_comp.c_queue -. sim_comp.c_queue;
+          c_compute = pred_comp.c_compute -. sim_comp.c_compute;
+          c_accel_wait = pred_comp.c_accel_wait -. sim_comp.c_accel_wait;
+          c_mem = pred_comp.c_mem -. sim_comp.c_mem;
+          c_wire = pred_comp.c_wire -. sim_comp.c_wire;
+        }
+      in
+      let sim_p50 = float_of_int summary.Nsim.Stats.p50_cycles in
+      let sim_p99 = float_of_int summary.Nsim.Stats.p99_cycles in
+      let options_hash =
+        Printf.sprintf "%08x"
+          (Hashtbl.hash (name, c.case_nic, workload_descr c, c.case_seed))
+      in
+      Ok
+        {
+          nf = name;
+          nic = c.case_nic;
+          workload = workload_descr c;
+          seed = c.case_seed;
+          packets = sall.Nsim.Attribution.r_count;
+          pred_mean = p.Lat.mean_cycles;
+          pred_p50 = p.Lat.p50_cycles;
+          pred_p99 = p.Lat.p99_cycles;
+          sim_mean;
+          sim_p50;
+          sim_p99;
+          gap_mean_pct = pct p.Lat.mean_cycles sim_mean;
+          gap_p50_pct = pct p.Lat.p50_cycles sim_p50;
+          gap_p99_pct = pct p.Lat.p99_cycles sim_p99;
+          pred_comp;
+          sim_comp;
+          err_comp;
+          prov = current_provenance ~options_hash;
+        }
 
 (* The simulator raises on programs a device genuinely cannot execute
    (e.g. an accelerator op the target lacks); fold those into the same
    skippable-error channel as analysis failures. *)
 let run_case c =
-  try run_case_exn c with
-  | Invalid_argument e | Failure e ->
-      Error (Printf.sprintf "%s on %s: %s" (normalize_nf c.case_nf) c.case_nic e)
+  match Clara_nfs.Corpus.resolve c.case_nf with
+  | None ->
+      Error
+        (Printf.sprintf "unknown NF '%s' (try: %s)" c.case_nf
+           (String.concat " " Clara_nfs.Corpus.names))
+  | Some entry -> (
+      try run_entry c entry with
+      | Invalid_argument e | Failure e ->
+          Error (Printf.sprintf "%s on %s: %s" entry.Clara_nfs.Corpus.name c.case_nic e))
 
 (* --- the ledger ------------------------------------------------------ *)
 

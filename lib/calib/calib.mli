@@ -72,10 +72,8 @@ val current_provenance : options_hash:string -> provenance
 (** {2 Running a case} *)
 
 type case = {
-  case_nf : string;    (** Corpus NF name; a file path reduces to its
-                           basename and '_' normalizes to '-', so
-                           [examples/nf_sources/syn_proxy.clara] resolves
-                           to the [syn-proxy] corpus entry. *)
+  case_nf : string;    (** Corpus NF name or source path, resolved by
+                           {!Clara_nfs.Corpus.resolve}. *)
   case_nic : string;
   case_packets : int;
   case_payload : int;

@@ -13,24 +13,16 @@ type analysis = {
   pattern_report : Clara_cir.Patterns.report;
   options : Clara_mapping.Mapping.options;
   lint : Clara_analysis.Suite.report;
+  sizes : D.Cost.sizes;
+  prob : Clara_cir.Ir.guard -> float;
 }
 
-let default_sizes =
-  {
-    D.Cost.payload_bytes = 300.;
-    packet_bytes = 352.;
-    header_bytes = 52.;
-    state_entries = (fun _ -> 0.); (* resolved from the program by Encode *)
-    opaque_trip = 1.;
-  }
-
 let sizes_of_profile (p : W.Profile.t) =
-  let payload = W.Profile.mean_payload p in
   {
-    D.Cost.payload_bytes = payload;
+    D.Cost.payload_bytes = W.Profile.mean_payload p;
     packet_bytes = W.Profile.mean_packet_bytes p;
-    header_bytes = (p.W.Profile.tcp_fraction *. 54.) +. ((1. -. p.W.Profile.tcp_fraction) *. 42.);
-    state_entries = (fun _ -> 0.);
+    header_bytes = W.Profile.mean_header_bytes p;
+    state_entries = (fun _ -> 0.); (* resolved from the program by Encode *)
     opaque_trip = 1.;
   }
 
@@ -50,9 +42,10 @@ let prob_of_profile (p : W.Profile.t) =
   D.Flow.guard_probability ~tcp_fraction:p.W.Profile.tcp_fraction ~syn_fraction:syn
     ~hit_fraction:hit ~match_fraction:0.1 ~exceed_fraction:0.05
 
-let analyze ?(options = Clara_mapping.Mapping.default_options) ?(sizes = default_sizes)
-    ?(prob = D.Flow.default_probability) lnic ~source =
+let analyze_for_profile ?(options = Clara_mapping.Mapping.default_options) lnic ~source
+    ~profile =
   Clara_obs.Registry.span obs "pipeline" @@ fun () ->
+  let sizes = sizes_of_profile profile and prob = prob_of_profile profile in
   match Clara_obs.Registry.span obs "lower" (fun () -> Clara_cir.Lower.of_source source) with
   | Error _ as e -> e
   | Ok ir -> (
@@ -78,11 +71,7 @@ let analyze ?(options = Clara_mapping.Mapping.default_options) ?(sizes = default
             Clara_mapping.Encode.map_nf ~options lnic df ~sizes ~prob)
       with
       | Error e -> Error ("mapping: " ^ e)
-      | Ok mapping -> Ok { lnic; df; mapping; pattern_report; options; lint })
-
-let analyze_for_profile ?options lnic ~source ~profile =
-  analyze ?options ~sizes:(sizes_of_profile profile) ~prob:(prob_of_profile profile) lnic
-    ~source
+      | Ok mapping -> Ok { lnic; df; mapping; pattern_report; options; lint; sizes; prob })
 
 let predict ?config a trace =
   Clara_obs.Registry.span obs "predict" @@ fun () ->

@@ -8,7 +8,7 @@
 
     {[
       let lnic = Clara_lnic.Netronome.default in
-      let a = Clara.analyze lnic ~source |> Result.get_ok in
+      let a = Clara.analyze_for_profile lnic ~source ~profile |> Result.get_ok in
       let trace = Clara_workload.Trace.synthesize profile in
       let p = Clara.predict a trace in
       Format.printf "predicted mean: %.0f cycles@." p.mean_cycles
@@ -24,27 +24,26 @@ type analysis = {
           lint pass injected when the caller left them empty. *)
   lint : Clara_analysis.Suite.report;
       (** Static-analysis report over the coarsened CIR.  Diagnostics
-          never fail [analyze] (use [clara lint] for a gate); the
-          sharing verdicts feed the encoder so racy state is priced as
-          if properly synchronized. *)
+          never fail [analyze_for_profile] (use [clara lint] for a
+          gate); the sharing verdicts feed the encoder so racy state is
+          priced as if properly synchronized. *)
+  sizes : Clara_dataflow.Cost.sizes;
+      (** The profile's mean sizes ({!sizes_of_profile}) the mapping was
+          solved at.  Every aggregate estimate over this analysis
+          (throughput, energy, paths, partial offload, interference)
+          prices at them too. *)
+  prob : Clara_cir.Ir.guard -> float;
+      (** The profile's guard probabilities ({!prob_of_profile}),
+          likewise shared by the mapping and the estimates. *)
 }
 
-val analyze :
-  ?options:Clara_mapping.Mapping.options ->
-  ?sizes:Clara_dataflow.Cost.sizes ->
-  ?prob:(Clara_cir.Ir.guard -> float) ->
-  Clara_lnic.Graph.t ->
-  source:string ->
-  (analysis, string) result
-(** Parse → typecheck → lower → coarsen → dataflow → map.  [sizes]
-    defaults to a 300-byte-payload average; [prob] to
-    {!Clara_dataflow.Flow.default_probability}; both only steer the
-    mapping objective, not correctness.  Errors cover syntax, type and
-    mapping infeasibility. *)
-
 val sizes_of_profile : Clara_workload.Profile.t -> Clara_dataflow.Cost.sizes
+(** Mean payload, packet and header bytes of the profile's mix. *)
+
 val prob_of_profile :
   Clara_workload.Profile.t -> Clara_cir.Ir.guard -> float
+(** Guard probabilities implied by the profile: its TCP fraction, its
+    table-hit fraction (packets per flow) and its SYN share. *)
 
 val analyze_for_profile :
   ?options:Clara_mapping.Mapping.options ->
@@ -52,8 +51,10 @@ val analyze_for_profile :
   source:string ->
   profile:Clara_workload.Profile.t ->
   (analysis, string) result
-(** [analyze] with sizes and probabilities derived from a workload
-    profile — the paper's intended workflow (§3.5). *)
+(** Parse → typecheck → lower → coarsen → lint → dataflow → map, at the
+    sizes and guard probabilities of a workload profile — the paper's
+    workflow (§3.5).  Errors cover syntax, type and mapping
+    infeasibility. *)
 
 val predict :
   ?config:Clara_predict.Latency.config ->

@@ -21,50 +21,39 @@ let node_label (n : D.Node.t) =
   | D.Node.N_compute is -> Printf.sprintf "n%d compute[%d]" n.D.Node.id (List.length is)
 
 let build ?trace ?rate_pps (a : Pipeline.analysis) =
+  let lnic = a.Pipeline.lnic and df = a.Pipeline.df and mapping = a.Pipeline.mapping in
+  let sizes = a.Pipeline.sizes and prob = a.Pipeline.prob in
   let mapping_lines =
-    (Array.to_list a.Pipeline.df.D.Graph.nodes
+    (Array.to_list df.D.Graph.nodes
     |> List.map (fun n ->
-           ( node_label n,
-             (L.Graph.unit_ a.Pipeline.lnic a.Pipeline.mapping.M.node_unit.(n.D.Node.id))
-               .L.Unit_.name )))
-    @ (D.Graph.states a.Pipeline.df
+           (node_label n, (L.Graph.unit_ lnic mapping.M.node_unit.(n.D.Node.id)).L.Unit_.name)))
+    @ (D.Graph.states df
       |> List.map (fun (s : Ir.state_obj) ->
              let where =
-               match M.placement_of_state a.Pipeline.mapping s.Ir.st_name with
-               | Some (M.In_memory m) ->
-                   (L.Graph.memory a.Pipeline.lnic m).L.Memory.name
-               | Some (M.In_accel u) ->
-                   (L.Graph.unit_ a.Pipeline.lnic u).L.Unit_.name ^ " (SRAM)"
+               match M.placement_of_state mapping s.Ir.st_name with
+               | Some (M.In_memory m) -> (L.Graph.memory lnic m).L.Memory.name
+               | Some (M.In_accel u) -> (L.Graph.unit_ lnic u).L.Unit_.name ^ " (SRAM)"
                | None -> "?"
              in
              (Printf.sprintf "state %s (%d x %dB)" s.Ir.st_name s.Ir.st_entries
                 s.Ir.st_entry_bytes, where)))
   in
-  let paths =
-    Clara_predict.Symexec.enumerate a.Pipeline.lnic a.Pipeline.df a.Pipeline.mapping
-  in
+  let paths = Clara_predict.Symexec.enumerate ~sizes lnic df mapping in
   let prediction = Option.map (Pipeline.predict a) trace in
-  let throughput =
-    Clara_predict.Throughput.estimate a.Pipeline.lnic a.Pipeline.df a.Pipeline.mapping
-  in
+  let throughput = Clara_predict.Throughput.estimate ~sizes ~prob lnic df mapping in
   let energy =
     Option.map
-      (fun rate ->
-        Clara_predict.Energy.estimate ~rate_pps:rate a.Pipeline.lnic a.Pipeline.df
-          a.Pipeline.mapping)
+      (fun rate -> Clara_predict.Energy.estimate ~sizes ~prob ~rate_pps:rate lnic df mapping)
       rate_pps
   in
   let best_split =
     (* Meaningless when analyzing the host itself. *)
-    if a.Pipeline.lnic.L.Graph.name = "x86-host" then None
-    else
-      Some
-        (Clara_predict.Partial.best_split a.Pipeline.lnic a.Pipeline.df
-           a.Pipeline.mapping)
+    if lnic.L.Graph.name = "x86-host" then None
+    else Some (Clara_predict.Partial.best_split ~sizes ~prob lnic df mapping)
   in
   {
-    nf_name = a.Pipeline.df.D.Graph.cir.Ir.prog_name;
-    nic_name = a.Pipeline.lnic.L.Graph.name;
+    nf_name = df.D.Graph.cir.Ir.prog_name;
+    nic_name = lnic.L.Graph.name;
     mapping_lines;
     paths;
     prediction;

@@ -11,7 +11,6 @@ let node t i =
   else t.nodes.(i)
 
 let successors t i = List.filter_map (fun (s, d) -> if s = i then Some d else None) t.edges
-let predecessors t i = List.filter_map (fun (s, d) -> if d = i then Some s else None) t.edges
 
 let topo_order t =
   let n = Array.length t.nodes in
@@ -36,7 +35,6 @@ let topo_order t =
   List.rev !out
 
 let vcall_nodes t = Array.to_list t.nodes |> List.filter Node.is_vcall
-let compute_nodes t = Array.to_list t.nodes |> List.filter (fun n -> not (Node.is_vcall n))
 
 let states t = t.cir.Clara_cir.Ir.states
 

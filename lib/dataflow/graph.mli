@@ -16,14 +16,12 @@ val node : t -> int -> Node.t
 (** @raise Invalid_argument on a bad id. *)
 
 val successors : t -> int -> int list
-val predecessors : t -> int -> int list
 
 val topo_order : t -> int list
 (** Topological order over the forward edges; entry first.
     @raise Failure if the graph is not a DAG (a Build bug). *)
 
 val vcall_nodes : t -> Node.t list
-val compute_nodes : t -> Node.t list
 
 val states : t -> Clara_cir.Ir.state_obj list
 (** State objects of the underlying program, for Γ placement. *)

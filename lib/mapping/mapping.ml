@@ -19,7 +19,6 @@ type options = {
 let default_options =
   { disallowed_accels = []; pin_state = []; node_limit = 200_000; sharing = [] }
 
-let unit_of_node t n = t.node_unit.(n)
 let placement_of_state t s = List.assoc_opt s t.state_place
 
 let pp lnic fmt t =

@@ -38,6 +38,5 @@ type options = {
 
 val default_options : options
 
-val unit_of_node : t -> int -> int
 val placement_of_state : t -> string -> placement option
 val pp : Clara_lnic.Graph.t -> Format.formatter -> t -> unit

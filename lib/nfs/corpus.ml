@@ -56,4 +56,10 @@ let all =
       ported = Tunnel_gw.ported () } ]
 
 let find name = List.find_opt (fun e -> e.name = name) all
+
+let resolve arg =
+  find
+    (String.map
+       (function '_' -> '-' | c -> c)
+       (Filename.remove_extension (Filename.basename arg)))
 let names = List.map (fun e -> e.name) all

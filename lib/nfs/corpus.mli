@@ -13,4 +13,10 @@ val all : entry list
 (** Twelve NFs: the paper's five (plus its VNF chain) and six extensions. *)
 
 val find : string -> entry option
+
+val resolve : string -> entry option
+(** {!find} for a name or a source path: the basename without its
+    extension, with '_' read as '-', so
+    [examples/nf_sources/syn_proxy.clara] resolves to [syn-proxy]. *)
+
 val names : string list

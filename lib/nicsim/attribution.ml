@@ -307,38 +307,6 @@ let utilization ?interval t =
     (iv, out)
   end
 
-let queue_depth ?interval t =
-  let evs = Trace.events t in
-  if Array.length evs = 0 then ((match interval with Some i -> max 1 i | None -> 1), [])
-  else begin
-    let t_lo, t_hi = span_of_trace evs in
-    let span = max 1 (t_hi - t_lo) in
-    let iv = match interval with Some i -> max 1 i | None -> max 1 (span / 64) in
-    let nbuckets = ((span - 1) / iv) + 1 in
-    let progs = Trace.progs t in
-    let series : (string, int array) Hashtbl.t = Hashtbl.create 4 in
-    Array.iter
-      (fun (e : Trace.event) ->
-        match e.Trace.kind with
-        | Trace.Arrival ->
-            let name = prog_name progs e.Trace.prog in
-            let s =
-              match Hashtbl.find_opt series name with
-              | Some s -> s
-              | None ->
-                  let s = Array.make nbuckets 0 in
-                  Hashtbl.add series name s;
-                  s
-            in
-            let k = min (nbuckets - 1) ((e.Trace.t0 - t_lo) / iv) in
-            s.(k) <- max s.(k) e.Trace.arg
-        | _ -> ())
-      evs;
-    ( iv,
-      Hashtbl.fold (fun name s acc -> (name, s) :: acc) series []
-      |> List.sort (fun (a, _) (b, _) -> compare a b) )
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 

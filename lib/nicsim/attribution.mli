@@ -83,10 +83,6 @@ val utilization : ?interval:int -> Trace.t -> int * util list
     after.  Returns [(interval_cycles, units)]; [interval] defaults to
     1/64th of the trace's time span.  Units sorted by name. *)
 
-val queue_depth : ?interval:int -> Trace.t -> int * (string * int array) list
-(** Max ingress-queue depth per fixed interval, one series per program
-    (sampled at [Arrival] events).  Returns [(interval_cycles, series)]. *)
-
 val pp_report : Format.formatter -> report -> unit
 (** The per-type attribution table with dominant-bottleneck verdicts. *)
 

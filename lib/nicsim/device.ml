@@ -347,7 +347,6 @@ let make_ctx ?(seq = -1) ?(prog = 0) ?(thread = -1) ?trace ?recorder sim ~now pk
   { sim; clock = now; pkt; fkey = -1; seq; prog_id = prog; thread; trace; recorder }
 
 let now ctx = ctx.clock
-let sim_of ctx = ctx.sim
 
 let spend ctx cycles = ctx.clock <- ctx.clock + max 0 cycles
 

@@ -87,7 +87,6 @@ val make_ctx :
     fast-path profile capture for this packet ({!recorded}). *)
 
 val now : t -> int
-val sim_of : t -> sim
 
 (** {2 Operations a ported handler may use} *)
 

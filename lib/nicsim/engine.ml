@@ -266,8 +266,6 @@ let run ?threads ?queue_capacity ?sink ?metrics ?(fast = Event_only) lnic prog t
   in
   finish sim ~freq_mhz side
 
-let mean_latency_cycles r = r.summary.Stats.mean_cycles
-
 let pp_hit_rate fmt r =
   (* A rate can legitimately be NaN (feature never exercised); say so
      instead of printing "nan%". *)

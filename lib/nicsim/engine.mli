@@ -91,8 +91,6 @@ val run_sharded :
     fresh collector and merges them in shard order, so the telemetry —
     like the stats — is deterministic in the shard count. *)
 
-val mean_latency_cycles : result -> float
-
 val pp_result : Format.formatter -> result -> unit
 (** Hit rates that are NaN (feature never exercised) print as "n/a". *)
 

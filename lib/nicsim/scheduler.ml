@@ -26,7 +26,6 @@ let create ~weights =
 
 let tenants t = Array.length t.queues
 let length t = t.occupancy
-let queue_length t i = Queue.length t.queues.(i)
 let credit t i = t.credit.(i)
 let is_empty t = t.occupancy = 0
 

@@ -21,8 +21,6 @@ val tenants : _ t -> int
 val length : _ t -> int
 (** Total queued items across all tenants. *)
 
-val queue_length : _ t -> int -> int
-
 val credit : _ t -> int -> int
 (** The tenant's remaining per-round credit — its current WRR deficit
     counter.  Replenishes to the weight when every backlogged tenant has

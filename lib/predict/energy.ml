@@ -36,8 +36,7 @@ type t = {
   breakdown : (string * float) list;
 }
 
-let estimate ?powers ?(sizes = Pricer.default_sizes) ?(prob = D.Flow.default_probability)
-    ~rate_pps lnic (df : D.Graph.t) (mapping : M.t) =
+let estimate ?powers ~sizes ~prob ~rate_pps lnic (df : D.Graph.t) (mapping : M.t) =
   let powers = match powers with Some p -> p | None -> default_powers lnic in
   let pricer = Pricer.create ~mapping lnic df in
   let sizes = Pricer.sizes pricer sizes in

@@ -28,8 +28,8 @@ type t = {
 
 val estimate :
   ?powers:power_table ->
-  ?sizes:Clara_dataflow.Cost.sizes ->
-  ?prob:(Clara_cir.Ir.guard -> float) ->
+  sizes:Clara_dataflow.Cost.sizes ->
+  prob:(Clara_cir.Ir.guard -> float) ->
   rate_pps:float ->
   Clara_lnic.Graph.t ->
   Clara_dataflow.Graph.t ->

@@ -31,8 +31,7 @@ let node_ns pricer unit_ ~sizes (n : D.Node.t) =
     (fun p -> p.D.Cost.total *. 1000. /. float_of_int unit_.L.Unit_.freq_mhz)
     (Pricer.price_on pricer unit_ sizes n)
 
-let enumerate_splits ?(sizes = Pricer.default_sizes) ?(prob = D.Flow.default_probability) lnic
-    (df : D.Graph.t) (mapping : M.t) =
+let enumerate_splits ~sizes ~prob lnic (df : D.Graph.t) (mapping : M.t) =
   let host = L.Host.default in
   let nic = Pricer.create ~mapping lnic df in
   (* No mapping on the host: its state always lives in host DRAM
@@ -117,8 +116,8 @@ let enumerate_splits ?(sizes = Pricer.default_sizes) ?(prob = D.Flow.default_pro
   done;
   List.sort (fun a b -> compare a.total_ns b.total_ns) !splits
 
-let best_split ?sizes ?prob lnic df mapping =
-  match enumerate_splits ?sizes ?prob lnic df mapping with
+let best_split ~sizes ~prob lnic df mapping =
+  match enumerate_splits ~sizes ~prob lnic df mapping with
   | best :: _ -> best
   | [] -> failwith "Partial.best_split: no feasible split (not even all-host?)"
 

@@ -21,8 +21,8 @@ type split = {
 }
 
 val enumerate_splits :
-  ?sizes:Clara_dataflow.Cost.sizes ->
-  ?prob:(Clara_cir.Ir.guard -> float) ->
+  sizes:Clara_dataflow.Cost.sizes ->
+  prob:(Clara_cir.Ir.guard -> float) ->
   Clara_lnic.Graph.t ->
   Clara_dataflow.Graph.t ->
   Clara_mapping.Mapping.t ->
@@ -31,8 +31,8 @@ val enumerate_splits :
     (cut = 0), cheapest total first. *)
 
 val best_split :
-  ?sizes:Clara_dataflow.Cost.sizes ->
-  ?prob:(Clara_cir.Ir.guard -> float) ->
+  sizes:Clara_dataflow.Cost.sizes ->
+  prob:(Clara_cir.Ir.guard -> float) ->
   Clara_lnic.Graph.t ->
   Clara_dataflow.Graph.t ->
   Clara_mapping.Mapping.t ->

@@ -53,15 +53,6 @@ let create ?mapping lnic (df : D.Graph.t) =
             df.D.Graph.nodes);
   }
 
-let default_sizes =
-  {
-    D.Cost.payload_bytes = 300.;
-    packet_bytes = 354.;
-    header_bytes = 54.;
-    state_entries = (fun _ -> 0.);
-    opaque_trip = 1.;
-  }
-
 let sizes t base = { base with D.Cost.state_entries = t.state_entries }
 
 let packet_sizes t (pkt : W.Packet.t) =

@@ -15,10 +15,6 @@ val create :
     LNIC's external memory (how the host side of a partial offload keeps
     its state in DRAM); {!price} then has no mapped unit to use. *)
 
-val default_sizes : Clara_dataflow.Cost.sizes
-(** A 300 B payload behind a 54 B header, one opaque-loop trip: the
-    sizes the estimators assume when the caller gives none. *)
-
 val sizes : t -> Clara_dataflow.Cost.sizes -> Clara_dataflow.Cost.sizes
 (** The given sizes with [state_entries] resolved against the program's
     declared states (0 for unknown names). *)

@@ -43,7 +43,7 @@ let rec eval_guard assign = function
   | Ir.G_or (a, b) -> eval_guard assign a || eval_guard assign b
   | g -> List.assoc g assign
 
-let enumerate ?(max_paths = 64) ?(sizes = Pricer.default_sizes) lnic (df : D.Graph.t) mapping =
+let enumerate ?(max_paths = 64) ~sizes lnic (df : D.Graph.t) mapping =
   let cir = df.D.Graph.cir in
   let pricer = Pricer.create ~mapping lnic df in
   let sizes = Pricer.sizes pricer sizes in

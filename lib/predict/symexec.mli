@@ -17,13 +17,14 @@ type path = {
 
 val enumerate :
   ?max_paths:int ->
-  ?sizes:Clara_dataflow.Cost.sizes ->
+  sizes:Clara_dataflow.Cost.sizes ->
   Clara_lnic.Graph.t ->
   Clara_dataflow.Graph.t ->
   Clara_mapping.Mapping.t ->
   path list
 (** Paths in decreasing cost order.  [max_paths] (default 64) bounds the
     enumeration; guards encountered twice on one path resolve
-    consistently.  [sizes] defaults to a 300-byte payload. *)
+    consistently.  Nodes are priced at [sizes]; a path's cost does not
+    depend on guard probabilities. *)
 
 val pp_path : Format.formatter -> path -> unit

@@ -17,8 +17,7 @@ type t = {
   resources : bottleneck list;
 }
 
-let estimate ?(sizes = Pricer.default_sizes) ?(prob = D.Flow.default_probability) lnic
-    (df : D.Graph.t) (mapping : M.t) =
+let estimate ~sizes ~prob lnic (df : D.Graph.t) (mapping : M.t) =
   let pricer = Pricer.create ~mapping lnic df in
   let sizes = Pricer.sizes pricer sizes in
   let weights = D.Flow.node_weights df ~prob in
@@ -102,8 +101,8 @@ let mmk_wait ~service ~k ~rho =
     Some (Float.pow rho expo /. (kf *. (1. -. rho)) *. service)
   end
 
-let latency_at_rate ?sizes ?prob ~base_cycles ~rate_pps lnic df mapping =
-  let t = estimate ?sizes ?prob lnic df mapping in
+let latency_at_rate ~sizes ~prob ~base_cycles ~rate_pps lnic df mapping =
+  let t = estimate ~sizes ~prob lnic df mapping in
   let rec add acc = function
     | [] -> Some acc
     | (r : bottleneck) :: rest ->

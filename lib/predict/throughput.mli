@@ -22,18 +22,20 @@ type t = {
 }
 
 val estimate :
-  ?sizes:Clara_dataflow.Cost.sizes ->
-  ?prob:(Clara_cir.Ir.guard -> float) ->
+  sizes:Clara_dataflow.Cost.sizes ->
+  prob:(Clara_cir.Ir.guard -> float) ->
   Clara_lnic.Graph.t ->
   Clara_dataflow.Graph.t ->
   Clara_mapping.Mapping.t ->
   t
+(** Demand is priced at [sizes] and weighted by [prob]: pass the
+    analysis's own, the values its mapping was solved at. *)
 
 val pp : Format.formatter -> t -> unit
 
 val latency_at_rate :
-  ?sizes:Clara_dataflow.Cost.sizes ->
-  ?prob:(Clara_cir.Ir.guard -> float) ->
+  sizes:Clara_dataflow.Cost.sizes ->
+  prob:(Clara_cir.Ir.guard -> float) ->
   base_cycles:float ->
   rate_pps:float ->
   Clara_lnic.Graph.t ->

@@ -314,5 +314,4 @@ let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
 let to_int_opt = function Int i -> Some i | Float f when Float.is_integer f -> Some (int_of_float f) | _ -> None
 let to_float_opt = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None
 let to_string_opt = function String s -> Some s | _ -> None
-let to_bool_opt = function Bool b -> Some b | _ -> None
 let to_list_opt = function List l -> Some l | _ -> None

@@ -42,5 +42,4 @@ val to_float_opt : t -> float option
 (** [Float], or [Int] widened. *)
 
 val to_string_opt : t -> string option
-val to_bool_opt : t -> bool option
 val to_list_opt : t -> t list option

@@ -15,9 +15,13 @@ let proto_number = function Tcp -> 6 | Udp -> 17 | Other n -> n
 
 let proto_of_number = function 6 -> Tcp | 17 -> Udp | n -> Other n
 
-let header_bytes t =
+let proto_header_bytes = function
   (* Ethernet 14 + IPv4 20 + (TCP 20 | UDP 8 | none). *)
-  match t.proto with Tcp -> 54 | Udp -> 42 | Other _ -> 34
+  | Tcp -> 54
+  | Udp -> 42
+  | Other _ -> 34
+
+let header_bytes t = proto_header_bytes t.proto
 
 let total_bytes t = header_bytes t + t.payload_bytes
 

@@ -19,8 +19,12 @@ val proto_number : proto -> int
 
 val proto_of_number : int -> proto
 
+val proto_header_bytes : proto -> int
+(** Ethernet + IPv4 + L4 header bytes (54 TCP / 42 UDP / 34 other): the
+    one place Clara decides how big a packet's headers are. *)
+
 val header_bytes : t -> int
-(** Ethernet + IPv4 + L4 header bytes (54 TCP / 42 UDP / 34 other). *)
+(** [proto_header_bytes] of the packet's protocol. *)
 
 val total_bytes : t -> int
 (** Header + payload. *)

@@ -108,7 +108,8 @@ let write_file path (t : Trace.t) =
 
 let parse_frame bytes ~ts_ns =
   let len = Bytes.length bytes in
-  if len < 34 then None
+  (* Shorter than Ethernet + IPv4: no 5-tuple to read. *)
+  if len < Packet.proto_header_bytes (Packet.Other 0) then None
   else if rbe16 bytes 12 <> 0x0800 then None (* not IPv4 *)
   else begin
     let ihl = Char.code (Bytes.get bytes 14) land 0xf in

@@ -27,9 +27,17 @@ let make ?(tcp_fraction = default.tcp_fraction) ?(flow_count = default.flow_coun
 
 let mean_payload t = Dist.mean t.payload
 
+let tcp_header = float_of_int (Packet.proto_header_bytes Packet.Tcp)
+let udp_header = float_of_int (Packet.proto_header_bytes Packet.Udp)
+
+let mean_header_bytes t =
+  (t.tcp_fraction *. tcp_header) +. ((1. -. t.tcp_fraction) *. udp_header)
+
+(* Summed term by term rather than as [mean_payload +. mean_header_bytes]:
+   float addition is not associative, and mappings are solved at this
+   value. *)
 let mean_packet_bytes t =
-  (* TCP 54 / UDP 42 header bytes, mix-weighted. *)
-  mean_payload t +. (t.tcp_fraction *. 54.) +. ((1. -. t.tcp_fraction) *. 42.)
+  mean_payload t +. (t.tcp_fraction *. tcp_header) +. ((1. -. t.tcp_fraction) *. udp_header)
 
 let validate t =
   if t.tcp_fraction < 0. || t.tcp_fraction > 1. then Error "tcp_fraction outside [0,1]"

@@ -33,7 +33,10 @@ val make :
   t
 
 val mean_payload : t -> float
+val mean_header_bytes : t -> float
+(** {!Packet.proto_header_bytes} weighted by the TCP/UDP mix. *)
+
 val mean_packet_bytes : t -> float
-(** Payload plus the protocol-mix-weighted header size. *)
+(** Payload plus {!mean_header_bytes}. *)
 
 val validate : t -> (unit, string) result

@@ -523,7 +523,7 @@ let test_mapping_hardens_racy_state () =
 
 let test_pipeline_injects_lint_verdicts () =
   let lnic = L.Netronome.default in
-  match Clara.analyze lnic ~source:racy_src with
+  match Clara.analyze_for_profile lnic ~source:racy_src ~profile:Clara_workload.Profile.default with
   | Error e -> Alcotest.fail e
   | Ok a ->
       check "lint report attached" true
@@ -793,7 +793,7 @@ let test_point_price_inside_range () =
                       | None, _ -> Alcotest.failf "%s: no point price" what
                       | _, None -> Alcotest.failf "%s: no range price" what)
                     a.Clara.df.D.Graph.nodes)
-                [ ("default", Pr.sizes pricer Pr.default_sizes);
+                [ ("profile", Pr.sizes pricer a.Clara.sizes);
                   ("tcp64", Pr.packet_sizes pricer (tcp 64));
                   ("tcp1500", Pr.packet_sizes pricer (tcp 1500)) ])
         Clara_nfs.Corpus.all)

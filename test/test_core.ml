@@ -28,10 +28,10 @@ let test_analyze_ok () =
 let test_analyze_errors () =
   let bad_syntax = "nf x { handler h(p) { var = ; } }" in
   let bad_types = "nf x { handler h(p) { emit(q); } }" in
-  (match Clara.analyze lnic ~source:bad_syntax with
+  (match Clara.analyze_for_profile lnic ~source:bad_syntax ~profile with
   | Error e -> check "syntax error reported" true (String.length e > 0)
   | Ok _ -> Alcotest.fail "syntax error not caught");
-  match Clara.analyze lnic ~source:bad_types with
+  match Clara.analyze_for_profile lnic ~source:bad_types ~profile with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "type error not caught"
 
@@ -55,6 +55,28 @@ let test_report_contents () =
       check "mentions state placement" true (contains "flow_table");
       check "prediction present" true (r.Clara.Report.prediction <> None);
       check "paths non-empty" true (r.Clara.Report.paths <> [])
+
+(* Every section of the report prices at the profile's own sizes: a
+   64 B and a 1400 B payload must move throughput, energy and the best
+   split, not only the per-packet walk. *)
+let test_report_follows_payload () =
+  let at payload =
+    let profile = W.Profile.make ~payload:(W.Dist.Fixed payload) ~packets:1_000 () in
+    match Clara.analyze_for_profile lnic ~source:(Clara_nfs.Nat.source ()) ~profile with
+    | Error e -> Alcotest.fail e
+    | Ok a -> Clara.Report.build ~rate_pps:profile.W.Profile.rate_pps a
+  in
+  let small = at 64 and large = at 1400 in
+  let max_pps (r : Clara.Report.t) = r.Clara.Report.throughput.Clara_predict.Throughput.max_pps in
+  let nj (r : Clara.Report.t) =
+    (Option.get r.Clara.Report.energy).Clara_predict.Energy.nj_per_packet
+  in
+  let split_ns (r : Clara.Report.t) =
+    (Option.get r.Clara.Report.best_split).Clara_predict.Partial.total_ns
+  in
+  check "throughput max_pps follows payload" true (max_pps small <> max_pps large);
+  check "energy nJ/pkt follows payload" true (nj small <> nj large);
+  check "best split total_ns follows payload" true (split_ns small <> split_ns large)
 
 let test_fit_linear () =
   (* Perfect line recovered exactly. *)
@@ -166,6 +188,8 @@ let suite =
   [ Alcotest.test_case "analyze accepts the NF corpus" `Quick test_analyze_ok;
     Alcotest.test_case "analyze reports errors" `Quick test_analyze_errors;
     Alcotest.test_case "report contents" `Quick test_report_contents;
+    Alcotest.test_case "report follows the profile's payload" `Quick
+      test_report_follows_payload;
     Alcotest.test_case "linear fitting" `Quick test_fit_linear;
     Alcotest.test_case "calibration recovers §3.2 parameters" `Quick
       test_calibration_recovers_params;

@@ -169,7 +169,8 @@ let prop_symexec_paths_finite =
       | Error _ -> true
       | Ok a ->
           let paths =
-            Clara_predict.Symexec.enumerate ~max_paths:32 lnic a.Clara.df a.Clara.mapping
+            Clara_predict.Symexec.enumerate ~max_paths:32 ~sizes:a.Clara.sizes lnic a.Clara.df
+              a.Clara.mapping
           in
           List.length paths <= 32
           && (let costs = List.map (fun p -> p.Clara_predict.Symexec.cost_cycles) paths in

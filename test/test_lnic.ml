@@ -220,7 +220,7 @@ let test_access_index () =
   List.iter (fun (name, g) -> check_index_agrees name g) Clara_lnic.Targets.all;
   check_index_agrees "netronome[1/2]" (G.slice N.default ~keep_num:1 ~keep_den:2);
   check_index_agrees "shrunk emem cache"
-    (Clara_predict.Interference.shrink_emem_cache N.default ~by_bytes:(1024 * 1024));
+    (Clara.Interference.shrink_emem_cache N.default ~by_bytes:(1024 * 1024));
   (* Two links for one (unit, memory): the first one's weight wins, and
      both show up in the reachable list. *)
   let g = Soc.default in

@@ -93,7 +93,9 @@ let test_kv_store_get_set_paths () =
   match Clara.analyze_for_profile lnic ~source:(Clara_nfs.Kv_store.source ()) ~profile with
   | Error e -> Alcotest.fail e
   | Ok a ->
-      let paths = Clara_predict.Symexec.enumerate lnic a.Clara.df a.Clara.mapping in
+      let paths =
+        Clara_predict.Symexec.enumerate ~sizes:a.Clara.sizes lnic a.Clara.df a.Clara.mapping
+      in
       check "at least 4 packet types" true (List.length paths >= 4);
       check "value-table hit distinguished" true
         (List.exists
@@ -121,7 +123,10 @@ let test_partial_offload_decisions () =
     match Clara.analyze_for_profile lnic ~source:src ~profile with
     | Error e -> Alcotest.fail e
     | Ok a ->
-        let s = Clara_predict.Partial.best_split lnic a.Clara.df a.Clara.mapping in
+        let s =
+          Clara_predict.Partial.best_split ~sizes:a.Clara.sizes ~prob:a.Clara.prob lnic
+            a.Clara.df a.Clara.mapping
+        in
         let n = List.length s.Clara_predict.Partial.assignment in
         if s.Clara_predict.Partial.cut = n then `Nic
         else if s.Clara_predict.Partial.cut = 0 then `Host
@@ -134,7 +139,10 @@ let test_partial_split_invariants () =
   match Clara.analyze_for_profile lnic ~source:(Clara_nfs.Vnf_chain.source ()) ~profile with
   | Error e -> Alcotest.fail e
   | Ok a ->
-      let splits = Clara_predict.Partial.enumerate_splits lnic a.Clara.df a.Clara.mapping in
+      let splits =
+        Clara_predict.Partial.enumerate_splits ~sizes:a.Clara.sizes ~prob:a.Clara.prob lnic
+          a.Clara.df a.Clara.mapping
+      in
       check "at least the two trivial splits" true (List.length splits >= 2);
       let sorted = List.map (fun s -> s.Clara_predict.Partial.total_ns) splits in
       check "cheapest first" true (sorted = List.sort compare sorted);
@@ -172,7 +180,8 @@ let test_energy_estimates () =
     match Clara.analyze_for_profile target ~source:src ~profile with
     | Error e -> Alcotest.fail e
     | Ok a ->
-        Clara_predict.Energy.estimate ~rate_pps:60_000. target a.Clara.df a.Clara.mapping
+        Clara_predict.Energy.estimate ~sizes:a.Clara.sizes ~prob:a.Clara.prob ~rate_pps:60_000.
+          target a.Clara.df a.Clara.mapping
   in
   let nat_npu = energy lnic (Clara_nfs.Nat.source ()) in
   check "positive energy" true (nat_npu.Clara_predict.Energy.nj_per_packet > 0.);
@@ -215,6 +224,14 @@ let test_host_model_valid () =
          | _ -> false)
        (L.Graph.general_cores L.Host.default))
 
+let test_corpus_resolves_paths () =
+  let name arg = Option.map (fun (e : Clara_nfs.Corpus.entry) -> e.Clara_nfs.Corpus.name)
+      (Clara_nfs.Corpus.resolve arg) in
+  Alcotest.(check (option string)) "source path" (Some "syn-proxy")
+    (name "examples/nf_sources/syn_proxy.clara");
+  Alcotest.(check (option string)) "corpus name" (Some "nat") (name "nat");
+  Alcotest.(check (option string)) "unknown" None (name "examples/nf_sources/nope.clara")
+
 let suite =
   [ Alcotest.test_case "all sources analyze (netronome)" `Quick test_all_sources_analyze;
     Alcotest.test_case "all ports run" `Quick test_all_ports_run;
@@ -229,4 +246,5 @@ let suite =
     Alcotest.test_case "partial split invariants" `Quick test_partial_split_invariants;
     Alcotest.test_case "energy estimates" `Quick test_energy_estimates;
     Alcotest.test_case "corpus registry" `Quick test_corpus_registry;
+    Alcotest.test_case "corpus resolves source paths" `Quick test_corpus_resolves_paths;
     Alcotest.test_case "host model" `Quick test_host_model_valid ]

@@ -8,7 +8,7 @@ module D = Clara_dataflow
 module Lat = Clara_predict.Latency
 module Sym = Clara_predict.Symexec
 module Tp = Clara_predict.Throughput
-module Inter = Clara_predict.Interference
+module Inter = Clara.Interference
 module Eng = Clara_nicsim.Engine
 module SStats = Clara_nicsim.Stats
 module Dev = Clara_nicsim.Device
@@ -62,7 +62,7 @@ let test_prediction_first_packet_miss () =
 let test_symexec_nat_paths () =
   let prof = profile () in
   let a = analyze (Clara_nfs.Nat.source ()) prof in
-  let paths = Sym.enumerate lnic a.Clara.df a.Clara.mapping in
+  let paths = Sym.enumerate ~sizes:a.Clara.sizes lnic a.Clara.df a.Clara.mapping in
   check "several packet types" true (List.length paths >= 3);
   (* Sorted by decreasing cost. *)
   let costs = List.map (fun p -> p.Sym.cost_cycles) paths in
@@ -96,7 +96,7 @@ let test_symexec_nat_paths () =
 let test_symexec_no_infeasible_protocols () =
   let prof = profile () in
   let a = analyze (Clara_nfs.Nat.source ()) prof in
-  let paths = Sym.enumerate lnic a.Clara.df a.Clara.mapping in
+  let paths = Sym.enumerate ~sizes:a.Clara.sizes lnic a.Clara.df a.Clara.mapping in
   List.iter
     (fun p ->
       let protos_true =
@@ -116,8 +116,11 @@ let test_throughput_bottleneck () =
   in
   let a = analyze ~options (Clara_nfs.Lpm.source ~entries:30000) prof
   and a_small = analyze ~options (Clara_nfs.Lpm.source ~entries:1000) prof in
-  let tp = Tp.estimate lnic a.Clara.df a.Clara.mapping in
-  let tp_small = Tp.estimate lnic a_small.Clara.df a_small.Clara.mapping in
+  let tp = Tp.estimate ~sizes:a.Clara.sizes ~prob:a.Clara.prob lnic a.Clara.df a.Clara.mapping in
+  let tp_small =
+    Tp.estimate ~sizes:a_small.Clara.sizes ~prob:a_small.Clara.prob lnic a_small.Clara.df
+      a_small.Clara.mapping
+  in
   check "finite" true (Float.is_finite tp.Tp.max_pps);
   check "positive" true (tp.Tp.max_pps > 0.);
   check "smaller table -> higher throughput" true (tp_small.Tp.max_pps > tp.Tp.max_pps);
@@ -221,7 +224,8 @@ let test_latency_at_rate () =
   let a = analyze (Clara_nfs.Nat.source ()) prof in
   let base = 4000. in
   let at rate =
-    Tp.latency_at_rate ~base_cycles:base ~rate_pps:rate lnic a.Clara.df a.Clara.mapping
+    Tp.latency_at_rate ~sizes:a.Clara.sizes ~prob:a.Clara.prob ~base_cycles:base
+      ~rate_pps:rate lnic a.Clara.df a.Clara.mapping
   in
   (match (at 10_000., at 1_000_000., at 1_900_000.) with
   | Some lo, Some mid, Some hi ->
@@ -247,24 +251,6 @@ let test_interference_slowdown () =
     (ra.Inter.contended_cycles >= ra.Inter.sliced_cycles -. 1.
     && rb.Inter.contended_cycles >= rb.Inter.sliced_cycles -. 1.)
 
-(* The exact pipeline Interference runs per tenant (lower -> coarsen ->
-   dataflow -> map), reproduced so tests can pin its intermediate
-   values. *)
-let inter_sizes prof =
-  { D.Cost.payload_bytes = W.Profile.mean_payload prof;
-    packet_bytes = W.Profile.mean_packet_bytes prof;
-    header_bytes = 50.;
-    state_entries = (fun _ -> 0.);
-    opaque_trip = 1. }
-
-let inter_pipeline ?options nic src ~sizes ~prob =
-  let ir = Clara_cir.Lower.lower_source src in
-  let ir, _ = Clara_cir.Patterns.run ir in
-  let df = D.Build.of_ir ir in
-  match Clara_mapping.Encode.map_nf ?options nic df ~sizes ~prob with
-  | Ok m -> (df, m)
-  | Error e -> Alcotest.fail e
-
 let test_interference_slice_utilization () =
   (* Regression: utilization was computed against the full NIC but the
      head-of-line inflation applied on the slice.  The reported
@@ -276,16 +262,43 @@ let test_interference_slice_utilization () =
   check "nat drives the accelerators" true (ra.Inter.accel_utilization > 0.);
   check "below saturation at 60 kpps" false ra.Inter.saturated;
   let half = L.Graph.slice lnic ~keep_num:1 ~keep_den:2 in
-  let sizes = inter_sizes prof in
-  let prob = D.Flow.default_probability in
-  let df, m = inter_pipeline half src ~sizes ~prob in
-  let cyc = Inter.accel_cycles_per_packet half df m ~sizes ~prob in
+  let cyc =
+    match Clara.analyze_for_profile half ~source:src ~profile:prof with
+    | Ok a -> Inter.accel_cycles_per_packet a
+    | Error e -> Alcotest.fail e
+  in
   let freq =
     float_of_int (List.hd (L.Graph.general_cores half)).L.Unit_.freq_mhz *. 1e6
   in
   let expected = prof.W.Profile.rate_pps *. cyc /. freq in
   check "utilization computed on the slice" true
     (abs_float (ra.Inter.accel_utilization -. expected) < 1e-9)
+
+(* One pipeline: a tenant's solo number is exactly what
+   [analyze_for_profile] + [predict] give on the same profile and the
+   seed-17 trace Interference walks, for every corpus NF and target. *)
+let test_interference_solo_is_pipeline () =
+  let prof = profile ~packets:300 () in
+  let trace = W.Trace.synthesize ~seed:17L prof in
+  List.iter
+    (fun target ->
+      let nic = List.assoc target L.Targets.all in
+      List.iter
+        (fun (e : Clara_nfs.Corpus.entry) ->
+          let source = e.Clara_nfs.Corpus.source in
+          let what = e.Clara_nfs.Corpus.name ^ "@" ^ target in
+          match
+            ( Inter.analyze_n nic ~sources:[| source |] ~profiles:[| prof |],
+              Clara.analyze_for_profile nic ~source ~profile:prof )
+          with
+          | Ok [| r |], Ok a ->
+              let mean = (Clara.predict a trace).Lat.mean_cycles in
+              if Int64.bits_of_float r.Inter.solo_cycles <> Int64.bits_of_float mean then
+                Alcotest.failf "%s: solo %h, pipeline %h" what r.Inter.solo_cycles mean
+          | Error err, _ | _, Error err -> Alcotest.failf "%s: %s" what err
+          | Ok _, Ok _ -> Alcotest.failf "%s: expected one report" what)
+        Clara_nfs.Corpus.all)
+    [ "netronome"; "soc"; "bluefield" ]
 
 let test_interference_saturation_flag () =
   (* Regression: aggregate utilization >= 1 was silently capped at 0.9;
@@ -328,16 +341,16 @@ let test_accel_class_filter () =
   let nic = one_thread_nic () in
   Alcotest.(check int) "nic really has one thread" 1 (L.Graph.total_threads nic);
   let prof = profile ~packets:500 () in
-  let sizes = inter_sizes prof in
-  let prob = D.Flow.default_probability in
   let no_accels =
     { Clara_mapping.Mapping.default_options with
       Clara_mapping.Mapping.disallowed_accels =
         [ L.Unit_.Parse; L.Unit_.Checksum; L.Unit_.Lookup; L.Unit_.Crypto ] }
   in
-  let df, m = inter_pipeline ~options:no_accels nic Clara_nfs.Dpi.source ~sizes ~prob in
-  check "single general thread is not accelerator time" true
-    (Inter.accel_cycles_per_packet nic df m ~sizes ~prob = 0.)
+  match Clara.analyze_for_profile ~options:no_accels nic ~source:Clara_nfs.Dpi.source ~profile:prof with
+  | Error e -> Alcotest.fail e
+  | Ok a ->
+      check "single general thread is not accelerator time" true
+        (Inter.accel_cycles_per_packet a = 0.)
 
 let test_analyze_n_three () =
   let prof = profile ~packets:1000 () in
@@ -452,12 +465,13 @@ let test_throughput_wire_cost_convention () =
   in
   (* 0.125 cycles each way = 0.25 cycles/packet over 8 lanes: pre-fix
      this clamped to 1 cycle (max 8*freq pps); honored, it is 32*freq. *)
-  let sub = wire_of (Tp.estimate (with_wire 0.125) a.Clara.df a.Clara.mapping) in
+  let estimate nic = Tp.estimate ~sizes:a.Clara.sizes ~prob:a.Clara.prob nic a.Clara.df a.Clara.mapping in
+  let sub = wire_of (estimate (with_wire 0.125)) in
   check "sub-cycle wire cost honored" true (sub.Tp.max_pps > 12. *. freq);
   (* Zero cost means the wire imposes no throughput bound at all. *)
-  let free = wire_of (Tp.estimate (with_wire 0.) a.Clara.df a.Clara.mapping) in
+  let free = wire_of (estimate (with_wire 0.)) in
   check "zero wire cost is unbounded" true (free.Tp.max_pps = Float.infinity);
-  let t0 = Tp.estimate (with_wire 0.) a.Clara.df a.Clara.mapping in
+  let t0 = estimate (with_wire 0.) in
   check "free wire is never the bottleneck" true
     (t0.Tp.bottleneck.Tp.resource <> "wire-dma")
 
@@ -479,6 +493,8 @@ let suite =
       test_interference_slice_utilization;
     Alcotest.test_case "interference saturation flag" `Quick
       test_interference_saturation_flag;
+    Alcotest.test_case "interference solo is the one pipeline" `Quick
+      test_interference_solo_is_pipeline;
     Alcotest.test_case "accelerator class filter" `Quick test_accel_class_filter;
     Alcotest.test_case "analyze_n three tenants" `Quick test_analyze_n_three;
     Alcotest.test_case "accuracy: NAT" `Quick test_accuracy_nat;
