@@ -87,11 +87,7 @@ let profile_of ~payload ~packets ~flows ~rate ~tcp =
   W.Profile.make ~payload:(W.Dist.Fixed payload) ~packets ~flow_count:flows
     ~rate_pps:rate ~tcp_fraction:tcp ()
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let or_die = function
   | Ok v -> v
@@ -141,9 +137,11 @@ let analyze_cmd =
     let lnic = or_die (lnic_of_name nic) in
     let source = read_file src in
     let profile = profile_of ~payload ~packets ~flows ~rate ~tcp in
+    let trace = trace_of ~pcap ~profile ~seed in
+    (* A capture is analyzed at its own mix, not at the flags'. *)
+    let profile = W.Trace.profile_of trace in
     let options = options_of ~no_flow_cache ~no_accels in
     let analysis = or_die (Clara.analyze_for_profile ~options lnic ~source ~profile) in
-    let trace = trace_of ~pcap ~profile ~seed in
     let report = Clara.Report.build ~trace ~rate_pps:rate analysis in
     if json then
       print_endline (Clara_util.Json.to_string (Clara.Report.to_json report))
@@ -187,9 +185,11 @@ let predict_cmd =
     let lnic = or_die (lnic_of_name nic) in
     let source = read_file src in
     let profile = profile_of ~payload ~packets ~flows ~rate ~tcp in
+    let trace = trace_of ~pcap ~profile ~seed in
+    (* A capture is analyzed at its own mix, not at the flags'. *)
+    let profile = W.Trace.profile_of trace in
     let options = options_of ~no_flow_cache ~no_accels in
     let analysis = or_die (Clara.analyze_for_profile ~options lnic ~source ~profile) in
-    let trace = trace_of ~pcap ~profile ~seed in
     let config =
       { Clara_predict.Latency.default_config with
         Clara_predict.Latency.flow_cache_hit_ratio = hit_ratio }
@@ -485,14 +485,7 @@ let sweep_cmd =
 module Nsim = Clara_nicsim
 
 let corpus_entry name =
-  match Clara_nfs.Corpus.resolve name with
-  | Some e -> e
-  | None ->
-      prerr_endline
-        ("clara: unknown NF '" ^ name ^ "' (try: "
-        ^ String.concat " " Clara_nfs.Corpus.names
-        ^ ")");
-      exit 1
+  or_die (Clara_nfs.Corpus.resolve name)
 
 (* A source argument is a file path if one exists, else a corpus name. *)
 let resolve_nf arg =
@@ -1093,13 +1086,13 @@ let tenants_cmd =
            ~profiles:(Array.make n profile))
     in
     (* Simulation needs ported handlers: every argument must resolve to
-       a corpus NF (a file path counts when its basename names one). *)
+       a corpus NF (a file path counts when it is that NF's source). *)
     let entries = List.map Clara_nfs.Corpus.resolve nfs in
     let sim =
-      if List.for_all Option.is_some entries then begin
+      if List.for_all Result.is_ok entries then begin
         let progs =
           Array.of_list
-            (List.map (fun e -> (Option.get e).Clara_nfs.Corpus.ported) entries)
+            (List.map (fun e -> (Result.get_ok e).Clara_nfs.Corpus.ported) entries)
         in
         let traces =
           Array.init n (fun i ->
@@ -1109,7 +1102,7 @@ let tenants_cmd =
         | rs -> Ok rs
         | exception Invalid_argument m -> Error ("simulation skipped: " ^ m)
       end
-      else Error "simulation skipped: not every NF is a corpus name (see 'clara corpus')"
+      else Error "simulation skipped: not every NF is a corpus NF (see 'clara corpus')"
     in
     let freq_mhz = float_of_int (L.Graph.freq_mhz lnic) in
     let duration_s = float_of_int packets /. rate in

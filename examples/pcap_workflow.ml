@@ -33,16 +33,9 @@ let () =
       (* Predict the firewall's latency under exactly this traffic. *)
       let lnic = Clara_lnic.Netronome.default in
       let source = Clara_nfs.Firewall.source () in
-      (* Derive an abstract profile from the trace for the mapping
-         objective; prediction then walks the real packets. *)
-      let s = W.Trace.stats trace in
-      let profile =
-        W.Profile.make ~tcp_fraction:s.W.Trace.tcp_fraction
-          ~payload:(W.Dist.Fixed (int_of_float s.W.Trace.mean_payload))
-          ~flow_count:(max 1 s.W.Trace.distinct_flows)
-          ~packets:s.W.Trace.count ~rate_pps:60_000. ()
-      in
-      match Clara.analyze_for_profile lnic ~source ~profile with
+      (* The mapping is solved at the capture's own mix; prediction then
+         walks the real packets. *)
+      match Clara.analyze_for_profile lnic ~source ~profile:(W.Trace.profile_of trace) with
       | Error e -> failwith e
       | Ok a ->
           let p = Clara.predict a trace in

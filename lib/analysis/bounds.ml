@@ -81,20 +81,6 @@ let packet_types : (string * Paths.fact list) list =
 
 module Solver = Dfa.Make (I)
 
-(* Blocks inside a structured loop body: reachable from [body] without
-   passing through the header or the exit (same notion as
-   Dataflow.Build). *)
-let body_blocks (p : Ir.program) ~header ~body ~exit =
-  let seen = ref [] in
-  let rec go bid =
-    if bid <> header && bid <> exit && not (List.mem bid !seen) then begin
-      seen := bid :: !seen;
-      List.iter go (Ir.successors (Ir.block p bid).Ir.term)
-    end
-  in
-  go body;
-  !seen
-
 (* Edges from inside a loop body back to its header. *)
 let back_edge_set (p : Ir.program) =
   let set = Hashtbl.create 8 in
@@ -104,7 +90,7 @@ let back_edge_set (p : Ir.program) =
       | Ir.Loop { body; exit; trip = _ } ->
           List.iter
             (fun m -> Hashtbl.replace set (m, b.Ir.bid) ())
-            (body_blocks p ~header:b.Ir.bid ~body ~exit)
+            (Ir.loop_body p ~header:b.Ir.bid ~body ~exit)
       | _ -> ())
     p.Ir.blocks;
   set
@@ -206,14 +192,6 @@ let unbounded_loops ?(payload_max = mtu_payload) (p : Ir.program) =
 
 let analyze ?(payload_max = mtu_payload) ~(lnic : L.Graph.t) (p : Ir.program) =
   let df = D.Build.of_ir p in
-  let nodes_by_block = Hashtbl.create 32 in
-  Array.iter
-    (fun (n : D.Node.t) ->
-      let cur =
-        Option.value ~default:[] (Hashtbl.find_opt nodes_by_block n.D.Node.block)
-      in
-      Hashtbl.replace nodes_by_block n.D.Node.block (cur @ [ n ]))
-    df.D.Graph.nodes;
   let footprint s =
     match List.find_opt (fun o -> o.Ir.st_name = s) p.Ir.states with
     | Some o -> Ir.state_bytes o
@@ -287,7 +265,7 @@ let analyze ?(payload_max = mtu_payload) ~(lnic : L.Graph.t) (p : Ir.program) =
               I.mul counts.(b.Ir.bid) (header_multiplier sizes b)
             in
             if not (I.is_bottom c) then
-              List.iter
+              Array.iter
                 (fun (n : D.Node.t) ->
                   let bd =
                     match Cr.node ctx n with
@@ -304,8 +282,7 @@ let analyze ?(payload_max = mtu_payload) ~(lnic : L.Graph.t) (p : Ir.program) =
                       if I.hi c > 0. then emit_ever := true;
                       if I.lo c >= 1. then emit_always := true
                   | _ -> ())
-                (Option.value ~default:[]
-                   (Hashtbl.find_opt nodes_by_block b.Ir.bid)))
+                df.D.Graph.block_nodes.(b.Ir.bid))
           p.Ir.blocks;
         let orz v = I.join v (I.const 0.) in
         let compute = orz !compute

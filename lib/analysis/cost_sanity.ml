@@ -5,26 +5,6 @@ let rec payload_scaled = function
   | Ir.S_scaled (e, _) | Ir.S_plus (e, _) -> payload_scaled e
   | Ir.S_const _ | Ir.S_header | Ir.S_state_entries _ | Ir.S_opaque -> false
 
-(* Blocks making up a loop's body: reachable from [body] without
-   passing through the header (the back edge ends an iteration) or the
-   exit. *)
-let body_blocks (p : Ir.program) ~header ~body ~exit_ =
-  let seen = Hashtbl.create 8 in
-  let rec go b =
-    if b <> header && b <> exit_ && not (Hashtbl.mem seen b) then (
-      Hashtbl.add seen b ();
-      List.iter go (Ir.successors p.Ir.blocks.(b).Ir.term))
-  in
-  go body;
-  Hashtbl.fold (fun b () acc -> b :: acc) seen []
-
-let state_of_instr = function
-  | Ir.Load (Ir.L_state s) | Ir.Store (Ir.L_state s)
-  | Ir.Atomic_op (Ir.L_state s) ->
-      Some s
-  | Ir.Vcall { state = Some s; _ } -> Some s
-  | _ -> None
-
 let analyze (p : Ir.program) =
   let diags = ref [] in
   let emit d = diags := d :: !diags in
@@ -38,7 +18,7 @@ let analyze (p : Ir.program) =
               (function Ir.Store Ir.L_packet -> true | _ -> false)
               p.Ir.blocks.(bid).Ir.instrs
           in
-          let bodies = body_blocks p ~header:b.Ir.bid ~body ~exit_:exit in
+          let bodies = Ir.loop_body p ~header:b.Ir.bid ~body ~exit in
           if List.exists writes_packet bodies then
             emit
               (Diag.make ~block:b.Ir.bid ~code:"CLARA301" ~severity:Diag.Warn
@@ -58,7 +38,7 @@ let analyze (p : Ir.program) =
     (fun (b : Ir.block) ->
       List.iteri
         (fun i instr ->
-          match state_of_instr instr with
+          match Ir.instr_state instr with
           | Some s
             when Ir.state_obj_opt p s = None && not (Hashtbl.mem reported s)
             ->

@@ -329,11 +329,8 @@ let run_entry c (entry : Clara_nfs.Corpus.entry) =
    skippable-error channel as analysis failures. *)
 let run_case c =
   match Clara_nfs.Corpus.resolve c.case_nf with
-  | None ->
-      Error
-        (Printf.sprintf "unknown NF '%s' (try: %s)" c.case_nf
-           (String.concat " " Clara_nfs.Corpus.names))
-  | Some entry -> (
+  | Error _ as e -> e
+  | Ok entry -> (
       try run_entry c entry with
       | Invalid_argument e | Failure e ->
           Error (Printf.sprintf "%s on %s: %s" entry.Clara_nfs.Corpus.name c.case_nic e))

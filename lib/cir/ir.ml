@@ -84,6 +84,23 @@ let block p bid =
     invalid_arg (Printf.sprintf "Ir.block: bad block id %d" bid)
   else p.blocks.(bid)
 
+let instr_state = function
+  | Load (L_state s) | Store (L_state s) | Atomic_op (L_state s)
+  | Vcall { state = Some s; _ } ->
+      Some s
+  | _ -> None
+
+let loop_body p ~header ~body ~exit =
+  let seen = ref [] in
+  let rec go bid =
+    if bid <> header && bid <> exit && not (List.mem bid !seen) then begin
+      seen := bid :: !seen;
+      List.iter go (successors (block p bid).term)
+    end
+  in
+  go body;
+  !seen
+
 let vcall ?state ?(reads = S_const 0) ?(writes = S_const 0) vc size =
   Vcall { vc; size; state; state_reads = reads; state_writes = writes }
 

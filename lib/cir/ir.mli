@@ -99,6 +99,15 @@ val successors : terminator -> int list
 val block : program -> int -> block
 (** @raise Invalid_argument on a bad block id. *)
 
+val instr_state : instr -> string option
+(** The state object an instruction loads, stores, updates or calls on,
+    if any. *)
+
+val loop_body : program -> header:int -> body:int -> exit:int -> int list
+(** The blocks of a structured loop's body: those reachable from [body]
+    without passing through the [header] (the back edge ends an
+    iteration) or the [exit]. *)
+
 val vcall :
   ?state:string -> ?reads:size_expr -> ?writes:size_expr ->
   Clara_lnic.Params.vcall -> size_expr -> instr

@@ -54,22 +54,6 @@ let eliminate_dead_blocks (p : Ir.program) =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Loop-body collection                                                *)
-
-(* Blocks of a structured loop body: reachable from [body] without
-   passing through [header] or [exit]. *)
-let body_blocks (p : Ir.program) ~header ~body ~exit =
-  let seen = ref [] in
-  let rec go bid =
-    if bid <> header && bid <> exit && not (List.mem bid !seen) then begin
-      seen := bid :: !seen;
-      List.iter go (Ir.successors (Ir.block p bid).Ir.term)
-    end
-  in
-  go body;
-  !seen
-
-(* ------------------------------------------------------------------ *)
 (* Loop classification                                                 *)
 
 type loop_shape = Sh_checksum | Sh_scan | Sh_unknown
@@ -164,7 +148,7 @@ let coarsen_loops (p : Ir.program) =
       (fun (b : Ir.block) ->
         match b.Ir.term with
         | Ir.Loop { body; exit; trip } when payloadish (strip_size trip) -> (
-            let bblocks = body_blocks p ~header:b.Ir.bid ~body ~exit in
+            let bblocks = Ir.loop_body p ~header:b.Ir.bid ~body ~exit in
             match classify_loop p bblocks with
             | Sh_unknown -> b
             | shape ->

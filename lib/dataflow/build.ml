@@ -1,18 +1,5 @@
 module Ir = Clara_cir.Ir
 
-(* Blocks inside a structured loop body: reachable from [body] without
-   passing through the header or the exit. *)
-let body_blocks (p : Ir.program) ~header ~body ~exit =
-  let seen = ref [] in
-  let rec go bid =
-    if bid <> header && bid <> exit && not (List.mem bid !seen) then begin
-      seen := bid :: !seen;
-      List.iter go (Ir.successors (Ir.block p bid).Ir.term)
-    end
-  in
-  go body;
-  !seen
-
 let of_ir (p : Ir.program) : Graph.t =
   let nblocks = Array.length p.Ir.blocks in
   (* Loop structure: trip count per block, and back edges to drop. *)
@@ -22,7 +9,7 @@ let of_ir (p : Ir.program) : Graph.t =
     (fun (b : Ir.block) ->
       match b.Ir.term with
       | Ir.Loop { body; exit; trip } ->
-          let members = body_blocks p ~header:b.Ir.bid ~body ~exit in
+          let members = Ir.loop_body p ~header:b.Ir.bid ~body ~exit in
           List.iter
             (fun m ->
               block_trip.(m) <- Some trip;
@@ -32,11 +19,10 @@ let of_ir (p : Ir.program) : Graph.t =
             members
       | _ -> ())
     p.Ir.blocks;
-  (* Split blocks into segments; record first/last node per block. *)
+  (* Split blocks into segments; record each block's node ids. *)
   let nodes = ref [] in
   let next_id = ref 0 in
-  let first_node = Array.make nblocks (-1) in
-  let last_node = Array.make nblocks (-1) in
+  let block_ids = Array.make nblocks [] in
   let intra_edges = ref [] in
   let add_node block kind =
     let id = !next_id in
@@ -51,18 +37,13 @@ let of_ir (p : Ir.program) : Graph.t =
            is additionally split when it would touch a second state object
            — the mapping ILP prices each node against a single placement
            decision. *)
-        let instr_state = function
-          | Ir.Load (Ir.L_state s) | Ir.Store (Ir.L_state s) | Ir.Atomic_op (Ir.L_state s) ->
-              Some s
-          | _ -> None
-        in
         let rec split acc cur cur_state = function
           | [] -> List.rev (if cur = [] then acc else Node.N_compute (List.rev cur) :: acc)
           | (Ir.Vcall v) :: rest ->
               let acc = if cur = [] then acc else Node.N_compute (List.rev cur) :: acc in
               split (Node.N_vcall v :: acc) [] None rest
           | i :: rest -> (
-              match (instr_state i, cur_state) with
+              match (Ir.instr_state i, cur_state) with
               | Some s', Some s when s' <> s ->
                   split (Node.N_compute (List.rev cur) :: acc) [ i ] (Some s') rest
               | Some s', _ -> split acc (i :: cur) (Some s') rest
@@ -73,8 +54,7 @@ let of_ir (p : Ir.program) : Graph.t =
         | segs -> segs
       in
       let ids = List.map (add_node b.Ir.bid) segments in
-      first_node.(b.Ir.bid) <- List.hd ids;
-      last_node.(b.Ir.bid) <- List.nth ids (List.length ids - 1);
+      block_ids.(b.Ir.bid) <- ids;
       let rec chain = function
         | a :: (b2 :: _ as rest) ->
             intra_edges := (a, b2) :: !intra_edges;
@@ -83,21 +63,31 @@ let of_ir (p : Ir.program) : Graph.t =
       in
       chain ids)
     p.Ir.blocks;
+  let nodes = Array.of_list (List.rev !nodes) in
+  let block_nodes =
+    Array.map (fun ids -> Array.of_list (List.map (Array.get nodes) ids)) block_ids
+  in
   (* Inter-block edges following terminators, minus back edges. *)
+  let first bid = block_nodes.(bid).(0).Node.id in
+  let last bid =
+    let ns = block_nodes.(bid) in
+    ns.(Array.length ns - 1).Node.id
+  in
   let inter_edges = ref [] in
   Array.iter
     (fun (b : Ir.block) ->
       let add d =
         if not (List.mem (b.Ir.bid, d) !back_edges) then
-          inter_edges := (last_node.(b.Ir.bid), first_node.(d)) :: !inter_edges
+          inter_edges := (last b.Ir.bid, first d) :: !inter_edges
       in
       List.iter add (Ir.successors b.Ir.term))
     p.Ir.blocks;
   {
-    Graph.nodes = Array.of_list (List.rev !nodes);
+    Graph.nodes;
     edges = List.rev !intra_edges @ List.rev !inter_edges;
-    entry = first_node.(p.Ir.entry);
+    entry = first p.Ir.entry;
     cir = p;
+    block_nodes;
   }
 
 let of_source src =

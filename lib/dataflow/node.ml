@@ -12,6 +12,11 @@ type t = {
 let is_vcall t = match t.kind with N_vcall _ -> true | N_compute _ -> false
 let vcall t = match t.kind with N_vcall v -> Some v | N_compute _ -> None
 
+let state t =
+  match t.kind with
+  | N_vcall v -> v.Clara_cir.Ir.state
+  | N_compute is -> List.find_map Clara_cir.Ir.instr_state is
+
 let instr_count t =
   match t.kind with N_vcall _ -> 1 | N_compute is -> List.length is
 

@@ -19,5 +19,10 @@ type t = {
 
 val is_vcall : t -> bool
 val vcall : t -> Clara_cir.Ir.vcall_info option
+val state : t -> string option
+(** The state object a node touches: a vcall's [state], or the first
+    state access among a compute node's instructions.  {!Build} splits
+    compute runs so a node touches at most one. *)
+
 val instr_count : t -> int
 val pp : Format.formatter -> t -> unit

@@ -14,18 +14,6 @@ let c_racy_states = Clara_obs.Registry.counter obs "mapping.sharing.racy_states"
 let c_hardened =
   Clara_obs.Registry.counter obs "mapping.sharing.hardened_instrs"
 
-(* State object a node touches (at most one, guaranteed by Build). *)
-let node_state (n : D.Node.t) =
-  match n.D.Node.kind with
-  | D.Node.N_vcall v -> v.Ir.state
-  | D.Node.N_compute is ->
-      List.find_map
-        (function
-          | Ir.Load (Ir.L_state s) | Ir.Store (Ir.L_state s) | Ir.Atomic_op (Ir.L_state s) ->
-              Some s
-          | _ -> None)
-        is
-
 (* Packet data region as seen from a unit: cluster memory while the packet
    fits the CTM threshold, external memory otherwise (§3.2). *)
 let packet_region_for lnic (u : L.Unit_.t) ~packet_bytes =
@@ -117,7 +105,7 @@ let map_nf_exn ~(options : Mapping.options) ?dump_lp lnic (df : D.Graph.t) ~size
      generic "cannot run on any unit" (no y variable to pair with). *)
   Array.iter
     (fun (n : D.Node.t) ->
-      match node_state n with
+      match D.Node.state n with
       | Some s when not (List.exists (fun o -> o.Ir.st_name = s) states) ->
           raise (Ir.Unknown_state s)
       | _ -> ())
@@ -144,7 +132,7 @@ let map_nf_exn ~(options : Mapping.options) ?dump_lp lnic (df : D.Graph.t) ~size
            | L.Memory.Local -> false)
   in
   let touching s =
-    Array.to_list nodes |> List.filter (fun n -> node_state n = Some s)
+    Array.to_list nodes |> List.filter (fun n -> D.Node.state n = Some s)
   in
   let accel_kinds =
     Array.to_list classes
@@ -232,7 +220,7 @@ let map_nf_exn ~(options : Mapping.options) ?dump_lp lnic (df : D.Graph.t) ~size
         Hashtbl.add x_vars (nid, ci) v;
         choice_vars := v :: !choice_vars
       in
-      (match node_state n with
+      (match D.Node.state n with
       | None ->
           for ci = 0 to nclasses - 1 do
             let ctx =

@@ -70,17 +70,6 @@ let map_nf_exn ~(options : Mapping.options) lnic (df : D.Graph.t) ~sizes ~prob =
       let total = ref 0. in
       let min_stage = ref 0 in
       let errors = ref [] in
-      let touches_state (n : D.Node.t) =
-        match n.D.Node.kind with
-        | D.Node.N_vcall v -> v.Ir.state <> None
-        | D.Node.N_compute is ->
-            List.exists
-              (function
-                | Ir.Load (Ir.L_state _) | Ir.Store (Ir.L_state _) | Ir.Atomic_op (Ir.L_state _) ->
-                    true
-                | _ -> false)
-              is
-      in
       List.iter
         (fun nid ->
           let n = D.Graph.node df nid in
@@ -89,7 +78,7 @@ let map_nf_exn ~(options : Mapping.options) lnic (df : D.Graph.t) ~sizes ~prob =
               (fun (c : L.Graph.placement_class) ->
                 let u = c.L.Graph.rep in
                 if u.L.Unit_.stage < !min_stage then None
-                else if touches_state n && not (L.Unit_.is_general u) then
+                else if D.Node.state n <> None && not (L.Unit_.is_general u) then
                   (* The greedy port placed all state in memory regions;
                      it never discovers that moving a table into an
                      accelerator's SRAM (the flow cache) is possible. *)

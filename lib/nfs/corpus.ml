@@ -57,9 +57,25 @@ let all =
 
 let find name = List.find_opt (fun e -> e.name = name) all
 
-let resolve arg =
-  find
-    (String.map
-       (function '_' -> '-' | c -> c)
-       (Filename.remove_extension (Filename.basename arg)))
+(* A file is an entry's NF when both lower to the same CIR: comments and
+   layout may differ, the program may not. *)
+let same_program path e =
+  let lower = Clara_cir.Lower.of_source in
+  match (lower (In_channel.with_open_bin path In_channel.input_all), lower e.source) with
+  | Ok a, Ok b -> a = b
+  | _ | (exception Sys_error _) -> false
+
 let names = List.map (fun e -> e.name) all
+
+let resolve arg =
+  match
+    find
+      (String.map
+         (function '_' -> '-' | c -> c)
+         (Filename.remove_extension (Filename.basename arg)))
+  with
+  | Some e when Sys.file_exists arg && not (same_program arg e) ->
+      Error (Printf.sprintf "'%s' is not the source of corpus NF '%s'" arg e.name)
+  | Some e -> Ok e
+  | None ->
+      Error (Printf.sprintf "unknown NF '%s' (try: %s)" arg (String.concat " " names))

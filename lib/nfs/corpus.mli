@@ -14,9 +14,12 @@ val all : entry list
 
 val find : string -> entry option
 
-val resolve : string -> entry option
+val resolve : string -> (entry, string) result
 (** {!find} for a name or a source path: the basename without its
     extension, with '_' read as '-', so
-    [examples/nf_sources/syn_proxy.clara] resolves to [syn-proxy]. *)
+    [examples/nf_sources/syn_proxy.clara] resolves to [syn-proxy].  When
+    the argument is an existing file, it resolves only if it lowers to
+    the same CIR as the entry's source: a different NF saved under a
+    corpus name is not that NF.  [Error] says why, ready to print. *)
 
 val names : string list

@@ -34,16 +34,9 @@ type t = {
   eswitch_cache : Lru.t option;
   upcall_cycles : float;
   mutable rng : W.Prng.t;
-  nodes_by_block : (int, D.Node.t list) Hashtbl.t;
 }
 
 let create ?(config = default_config) lnic df mapping =
-  let nodes_by_block = Hashtbl.create 32 in
-  Array.iter
-    (fun (n : D.Node.t) ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt nodes_by_block n.D.Node.block) in
-      Hashtbl.replace nodes_by_block n.D.Node.block (cur @ [ n ]))
-    df.D.Graph.nodes;
   let flow_seen = Hashtbl.create 8 in
   let provisioned = Hashtbl.create 4 in
   List.iter
@@ -65,7 +58,7 @@ let create ?(config = default_config) lnic df mapping =
   { lnic; df; pricer = Pricer.create ~mapping lnic df; config; flow_seen; provisioned;
     eswitch_cache;
     upcall_cycles = float_of_int (L.Graph.upcall_cycles lnic);
-    rng = W.Prng.create ~seed:config.seed; nodes_by_block }
+    rng = W.Prng.create ~seed:config.seed }
 
 let reset_state t =
   Hashtbl.iter (fun _ l -> Lru.clear l) t.flow_seen;
@@ -150,9 +143,7 @@ let wire_cycles lnic (pkt : W.Packet.t) ~emitted =
 let wire_costs t pkt ~emitted =
   if t.config.include_wire then wire_cycles t.lnic pkt ~emitted else 0.
 
-exception Walk_limit
-
-(* The predictor's one walk of the structured CFG for [pkt].  Guards
+(* The predictor's walk of [pkt] through {!D.Graph.walk}.  Guards
    resolve against the packet and tracked state; every executed node is
    priced on its mapped unit and handed to [charge] with its off-path
    miss extra.  Per node: the price, then the eSwitch LRU touch, then
@@ -160,43 +151,20 @@ exception Walk_limit
    ([packet_latency], [packet_components], [perfetto_timeline]) differ
    only in what [charge] keeps.  Returns whether the packet is emitted. *)
 let walk t (pkt : W.Packet.t) ~charge =
-  let cir = t.df.D.Graph.cir in
   let sizes = Pricer.packet_sizes t.pricer pkt in
   let emitted = ref false in
-  let steps = ref 0 in
-  let charge_node (n : D.Node.t) =
-    let price = node_price t sizes n in
-    let extra = eswitch_node_extra t pkt sizes n in
-    charge n price extra;
-    match n.D.Node.kind with
-    | D.Node.N_vcall v when v.Ir.vc = P.V_emit -> emitted := true
-    | D.Node.N_vcall { Ir.vc = P.V_table_update; state = Some s; _ } -> (
-        (* Executed insertion: the flow is now table-resident. *)
-        match Hashtbl.find_opt t.flow_seen s with
-        | Some seen -> ignore (Lru.touch seen (W.Packet.flow_key pkt))
-        | None -> ())
-    | _ -> ()
-  in
-  (* [stop] is the loop header whose back edge ends the current
-     iteration walk (None at top level). *)
-  let rec go bid ~stop =
-    incr steps;
-    if !steps > 10_000 then raise Walk_limit;
-    List.iter charge_node (Option.value ~default:[] (Hashtbl.find_opt t.nodes_by_block bid));
-    match (Ir.block cir bid).Ir.term with
-    | Ir.Ret -> ()
-    | Ir.Jump d ->
-        if Some d = stop then () (* end of one loop iteration *)
-        else go d ~stop
-    | Ir.Cond { guard; then_; else_ } ->
-        if resolve_guard t pkt guard then go then_ ~stop else go else_ ~stop
-    | Ir.Loop { body; exit; trip = _ } ->
-        (* Body nodes carry the trip multiplier; walk the body once for
-           guard resolution, then continue at the exit. *)
-        go body ~stop:(Some bid);
-        go exit ~stop
-  in
-  go cir.Ir.entry ~stop:None;
+  D.Graph.walk t.df ~guard:(resolve_guard t pkt) ~visit:(fun (n : D.Node.t) ->
+      let price = node_price t sizes n in
+      let extra = eswitch_node_extra t pkt sizes n in
+      charge n price extra;
+      match n.D.Node.kind with
+      | D.Node.N_vcall v when v.Ir.vc = P.V_emit -> emitted := true
+      | D.Node.N_vcall { Ir.vc = P.V_table_update; state = Some s; _ } -> (
+          (* Executed insertion: the flow is now table-resident. *)
+          match Hashtbl.find_opt t.flow_seen s with
+          | Some seen -> ignore (Lru.touch seen (W.Packet.flow_key pkt))
+          | None -> ())
+      | _ -> ());
   !emitted
 
 let packet_latency t (pkt : W.Packet.t) =

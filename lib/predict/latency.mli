@@ -8,7 +8,8 @@
     packet's own sizes; wire/hub constants bracket the path.  Averaging
     over a trace yields the Figure 3 "Predicted" series.
 
-    There is one walk per packet.  {!packet_latency},
+    There is one walk per packet, {!Clara_dataflow.Graph.walk}, the
+    same walk {!Symexec} replays per path.  {!packet_latency},
     {!packet_components} and {!perfetto_timeline} are sinks over it that
     keep the total, the component split or one span per node. *)
 

@@ -14,17 +14,6 @@ type split = {
   total_ns : float;
 }
 
-let node_state (n : D.Node.t) =
-  match n.D.Node.kind with
-  | D.Node.N_vcall v -> v.Ir.state
-  | D.Node.N_compute is ->
-      List.find_map
-        (function
-          | Ir.Load (Ir.L_state s) | Ir.Store (Ir.L_state s) | Ir.Atomic_op (Ir.L_state s) ->
-              Some s
-          | _ -> None)
-        is
-
 (* Cost of one node on a unit, in ns. *)
 let node_ns pricer unit_ ~sizes (n : D.Node.t) =
   Option.map
@@ -65,7 +54,7 @@ let enumerate_splits ~sizes ~prob lnic (df : D.Graph.t) (mapping : M.t) =
     let nic_states = Hashtbl.create 4 and host_states = Hashtbl.create 4 in
     Array.iteri
       (fun pos nid ->
-        match node_state (D.Graph.node df nid) with
+        match D.Node.state (D.Graph.node df nid) with
         | None -> ()
         | Some s ->
             if pos < k then Hashtbl.replace nic_states s ()

@@ -43,101 +43,77 @@ let rec eval_guard assign = function
   | Ir.G_or (a, b) -> eval_guard assign a || eval_guard assign b
   | g -> List.assoc g assign
 
+(* Every assignment of [atoms] to booleans, the first atom true first;
+   each comes back in reverse atom order. *)
+let rec assignments acc = function
+  | [] -> [ acc ]
+  | a :: rest -> assignments ((a, true) :: acc) rest @ assignments ((a, false) :: acc) rest
+
+(* Protocols are mutually exclusive: at most one G_proto atom may hold. *)
+let feasible assign =
+  List.length (List.filter (function Ir.G_proto _, true -> true | _ -> false) assign) <= 1
+
+(* Each path is one run of {!D.Graph.walk}.  Every Cond is a choice
+   point over the feasible assignments of its guard's atoms not yet
+   decided on this run (all false is always one).  A run takes the
+   picks in [script] at its first choice points and the first
+   assignment after them; [run] returns the path and its choice points,
+   last first, as (pick, number of options). *)
 let enumerate ?(max_paths = 64) ~sizes lnic (df : D.Graph.t) mapping =
-  let cir = df.D.Graph.cir in
   let pricer = Pricer.create ~mapping lnic df in
   let sizes = Pricer.sizes pricer sizes in
-  let nodes_by_block = Hashtbl.create 32 in
-  Array.iter
-    (fun (n : D.Node.t) ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt nodes_by_block n.D.Node.block) in
-      Hashtbl.replace nodes_by_block n.D.Node.block (cur @ [ n ]))
-    df.D.Graph.nodes;
   let node_cost (n : D.Node.t) =
     match Pricer.price pricer sizes n with Some p -> p.D.Cost.total | None -> 0.
   in
-  let results = ref [] in
-  let count = ref 0 in
-  (* DFS over the structured CFG; [assign] fixes atomic guards already
-     decided on this path.  [stop] is a stack of enclosing loop headers;
-     jumping to the innermost one ends the current iteration walk. *)
-  let rec walk bid ~stop ~assign ~decisions ~cost ~emits ~depth =
-    if !count >= max_paths || depth > 4096 then ()
-    else begin
-      let cost, emits =
-        List.fold_left
-          (fun (c, e) (n : D.Node.t) ->
-            ( c +. node_cost n,
-              e
-              ||
-              match n.D.Node.kind with
-              | D.Node.N_vcall v -> v.Ir.vc = P.V_emit
-              | _ -> false ))
-          (cost, emits)
-          (Option.value ~default:[] (Hashtbl.find_opt nodes_by_block bid))
+  let run script =
+    let trail = ref [] in
+    let assign = ref [] and decisions = ref [] in
+    let cost = ref 0. and emits = ref false in
+    let guard g =
+      let undecided = List.filter (fun a -> not (List.mem_assoc a !assign)) (atoms g) in
+      let options =
+        List.filter (fun extra -> feasible (extra @ !assign)) (assignments [] undecided)
       in
-      match (Ir.block cir bid).Ir.term with
-      | Ir.Ret ->
-          incr count;
-          results :=
-            { decisions = List.rev decisions;
-              cost_cycles =
-                cost +. Pricer.wire_cycles lnic ~bytes:sizes.D.Cost.packet_bytes ~emitted:emits;
-              emits;
-              description = describe (List.rev decisions) }
-            :: !results
-      | Ir.Jump d ->
-          (match stop with
-          | header :: outer when d = header ->
-              (* Loop iteration boundary: resume at the loop's exit. *)
-              (match (Ir.block cir header).Ir.term with
-              | Ir.Loop { exit; _ } ->
-                  walk exit ~stop:outer ~assign ~decisions ~cost ~emits
-                    ~depth:(depth + 1)
-              | _ -> ())
-          | _ -> walk d ~stop ~assign ~decisions ~cost ~emits ~depth:(depth + 1))
-      | Ir.Cond { guard; then_; else_ } ->
-          let needed = atoms guard in
-          let undecided = List.filter (fun a -> not (List.mem_assoc a assign)) needed in
-          let rec assignments acc = function
-            | [] -> [ acc ]
-            | a :: rest ->
-                assignments ((a, true) :: acc) rest @ assignments ((a, false) :: acc) rest
-          in
-          let feasible assign =
-            (* Protocols are mutually exclusive: at most one G_proto atom
-               may hold. *)
-            let protos_true =
-              List.filter
-                (fun (g, v) -> v && match g with Ir.G_proto _ -> true | _ -> false)
-                assign
-            in
-            List.length protos_true <= 1
-          in
-          List.iter
-            (fun extra ->
-              let assign = extra @ assign in
-              if not (feasible assign) then ()
-              else
-              let v = eval_guard assign guard in
-              let decisions =
-                (* Record only newly-decided atoms to keep descriptions
-                   short. *)
-                List.rev_append
-                  (List.map (fun (g, taken) -> { guard = g; taken }) extra)
-                  decisions
-              in
-              walk (if v then then_ else else_) ~stop ~assign ~decisions ~cost ~emits
-                ~depth:(depth + 1))
-            (assignments [] undecided)
-      | Ir.Loop { body; exit = _; trip = _ } ->
-          (* Body nodes carry trips; walk body once, then exit. *)
-          walk body ~stop:(bid :: stop) ~assign ~decisions ~cost ~emits
-            ~depth:(depth + 1)
-    end
+      let depth = List.length !trail in
+      let pick = if depth < Array.length script then script.(depth) else 0 in
+      trail := (pick, List.length options) :: !trail;
+      let extra = List.nth options pick in
+      assign := extra @ !assign;
+      (* Record only newly-decided atoms to keep descriptions short. *)
+      decisions :=
+        List.rev_append (List.map (fun (g, taken) -> { guard = g; taken }) extra) !decisions;
+      eval_guard !assign g
+    in
+    D.Graph.walk df ~guard ~visit:(fun n ->
+        cost := !cost +. node_cost n;
+        emits :=
+          !emits || match n.D.Node.kind with N_vcall v -> v.Ir.vc = P.V_emit | _ -> false);
+    let decisions = List.rev !decisions in
+    ( { decisions;
+        cost_cycles =
+          !cost +. Pricer.wire_cycles lnic ~bytes:sizes.D.Cost.packet_bytes ~emitted:!emits;
+        emits = !emits;
+        description = describe decisions },
+      !trail )
   in
-  walk cir.Ir.entry ~stop:[] ~assign:[] ~decisions:[] ~cost:0. ~emits:false ~depth:0;
-  List.sort (fun a b -> compare b.cost_cycles a.cost_cycles) !results
+  (* The next script steps the last run's choice points like an
+     odometer: the last one with an untried option advances and the
+     later ones reset, which visits the paths in depth-first order. *)
+  let rec next = function
+    | [] -> None
+    | (k, n) :: earlier when k + 1 < n ->
+        Some (Array.of_list (List.rev (k + 1 :: List.map fst earlier)))
+    | _ :: earlier -> next earlier
+  in
+  let rec loop script count acc =
+    if count >= max_paths then acc
+    else
+      let path, trail = run script in
+      match next trail with
+      | None -> path :: acc
+      | Some script -> loop script (count + 1) (path :: acc)
+  in
+  List.sort (fun a b -> compare b.cost_cycles a.cost_cycles) (loop [||] 0 [])
 
 let pp_path fmt p =
   Format.fprintf fmt "%-40s %10.0f cyc %s" p.description p.cost_cycles

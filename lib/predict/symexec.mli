@@ -22,8 +22,11 @@ val enumerate :
   Clara_dataflow.Graph.t ->
   Clara_mapping.Mapping.t ->
   path list
-(** Paths in decreasing cost order.  [max_paths] (default 64) bounds the
-    enumeration; guards encountered twice on one path resolve
+(** Paths in decreasing cost order.  Each path is one run of
+    {!Clara_dataflow.Graph.walk}, the walk {!Latency} takes per packet,
+    so a packet whose guards match a path's decisions costs that path.
+    Runs visit the paths depth-first; [max_paths] (default 64) bounds
+    the enumeration; guards encountered twice on one path resolve
     consistently.  Nodes are priced at [sizes]; a path's cost does not
     depend on guard probabilities. *)
 

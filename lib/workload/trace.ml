@@ -82,6 +82,20 @@ let stats t =
     }
   end
 
+let profile_of t =
+  match t.profile with
+  | Some p -> p
+  | None ->
+      let s = stats t in
+      let count = max 1 s.count in
+      Profile.make ~tcp_fraction:s.tcp_fraction ~flow_count:(max 1 s.distinct_flows)
+        ~payload:(Dist.Fixed (int_of_float (Float.round s.mean_payload)))
+        ~rate_pps:
+          (if s.duration_ns > 0L then
+             float_of_int count *. 1e9 /. Int64.to_float s.duration_ns
+           else Profile.default.Profile.rate_pps)
+        ~packets:count ~new_flow_syn:(s.syn_fraction > 0.) ()
+
 let iter f t = Array.iter f t.packets
 let fold f init t = Array.fold_left f init t.packets
 

@@ -26,6 +26,14 @@ type stats = {
 }
 
 val stats : t -> stats
+val profile_of : t -> Profile.t
+(** The trace's own workload mix, at which an analysis of it is solved:
+    the generating profile of a synthetic trace; for any other trace (a
+    capture), one built from {!stats}: its TCP fraction, distinct flows,
+    packet count and arrival rate, a fixed payload at the rounded mean,
+    and SYN-on-new-flow when any packet carries SYN.  The flow skew is
+    {!Profile.default}'s. *)
+
 val iter : (Packet.t -> unit) -> t -> unit
 val fold : ('a -> Packet.t -> 'a) -> 'a -> t -> 'a
 val pp_stats : Format.formatter -> stats -> unit

@@ -54,7 +54,11 @@ let gen_program : string QCheck.Gen.t =
         return "v3 = count(cnt, v0);";
         return "meter(hdr.src_ip);";
         return "checksum_update(hdr);";
-        return "v1 = hash(hdr.src_ip, hdr.dst_ip);" ]
+        return "v1 = hash(hdr.src_ip, hdr.dst_ip);";
+        (* Early exits, also inside loop bodies: a [return] ends the
+           packet wherever it sits. *)
+        return "if ((hdr.flags & 2) != 0) { drop(pkt); return; }";
+        return "if (hdr.proto == 17) { return; }" ]
   in
   let rec block depth budget =
     if budget <= 0 then return ""
@@ -176,10 +180,54 @@ let prop_symexec_paths_finite =
           && (let costs = List.map (fun p -> p.Clara_predict.Symexec.cost_cycles) paths in
               costs = List.sort (fun x y -> compare y x) costs))
 
+(* Guards a packet alone decides (protocol, flags): with no state or
+   random draw behind a branch, every packet takes one symbolic path. *)
+let rec packet_stable = function
+  | Ir.G_proto _ | Ir.G_flag _ -> true
+  | Ir.G_not g -> packet_stable g
+  | Ir.G_or (a, b) -> packet_stable a && packet_stable b
+  | Ir.G_table_hit _ | Ir.G_scan_match | Ir.G_count_exceeds | Ir.G_opaque -> false
+
+(* TCP only at one fixed payload: the analysis sizes every path prices
+   at are then each packet's own sizes. *)
+let tcp_profile =
+  W.Profile.make ~tcp_fraction:1.0 ~payload:(W.Dist.Fixed 300) ~packets:200 ~flow_count:50 ()
+
+let prop_packets_follow_paths =
+  QCheck.Test.make ~name:"predicted packets follow an enumerated path" ~count:200
+    (QCheck.make gen_program)
+    (fun src ->
+      match Clara.analyze_for_profile lnic ~source:src ~profile:tcp_profile with
+      | Error _ -> true
+      | Ok a ->
+          let cir = a.Clara.df.D.Graph.cir in
+          QCheck.assume
+            (Array.for_all
+               (fun (b : Ir.block) ->
+                 match b.Ir.term with
+                 | Ir.Cond { guard; _ } -> packet_stable guard
+                 | _ -> true)
+               cir.Ir.blocks);
+          let paths =
+            Clara_predict.Symexec.enumerate ~max_paths:4096 ~sizes:a.Clara.sizes lnic
+              a.Clara.df a.Clara.mapping
+          in
+          let lat = Clara_predict.Latency.create lnic a.Clara.df a.Clara.mapping in
+          Array.for_all
+            (fun pkt ->
+              let r = Clara_predict.Latency.packet_latency lat pkt in
+              List.exists
+                (fun (p : Clara_predict.Symexec.path) ->
+                  p.Clara_predict.Symexec.cost_cycles = r.Clara_predict.Latency.cycles
+                  && p.Clara_predict.Symexec.emits = r.Clara_predict.Latency.emitted)
+                paths)
+            (W.Trace.synthesize tcp_profile).W.Trace.packets)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_pipeline_never_crashes;
       prop_lowered_cfg_well_formed;
       prop_coarsened_dataflow_is_dag;
       prop_print_reparse_equivalent;
-      prop_symexec_paths_finite ]
+      prop_symexec_paths_finite;
+      prop_packets_follow_paths ]

@@ -226,11 +226,30 @@ let test_host_model_valid () =
 
 let test_corpus_resolves_paths () =
   let name arg = Option.map (fun (e : Clara_nfs.Corpus.entry) -> e.Clara_nfs.Corpus.name)
-      (Clara_nfs.Corpus.resolve arg) in
+      (Result.to_option (Clara_nfs.Corpus.resolve arg)) in
   Alcotest.(check (option string)) "source path" (Some "syn-proxy")
     (name "examples/nf_sources/syn_proxy.clara");
   Alcotest.(check (option string)) "corpus name" (Some "nat") (name "nat");
-  Alcotest.(check (option string)) "unknown" None (name "examples/nf_sources/nope.clara")
+  Alcotest.(check (option string)) "unknown" None (name "examples/nf_sources/nope.clara");
+  (* An existing file resolves only when it is the entry's NF: the same
+     CIR, whatever its comments say. *)
+  let dir = Filename.temp_dir "clara_resolve" "" in
+  let path = Filename.concat dir "nat.clara" in
+  let saved text =
+    let oc = open_out path in
+    output_string oc text;
+    close_out oc;
+    name path
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists path then Sys.remove path;
+      Sys.rmdir dir)
+    (fun () ->
+      Alcotest.(check (option string)) "corpus source with a comment" (Some "nat")
+        (saved ("// my copy\n" ^ Clara_nfs.Nat.source ()));
+      Alcotest.(check (option string)) "drop-all NF saved as nat.clara" None
+        (saved "nf nat {\n  handler process(pkt) {\n    drop(pkt);\n  }\n}\n"))
 
 let suite =
   [ Alcotest.test_case "all sources analyze (netronome)" `Quick test_all_sources_analyze;

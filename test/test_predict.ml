@@ -475,6 +475,41 @@ let test_throughput_wire_cost_convention () =
   check "free wire is never the bottleneck" true
     (t0.Tp.bottleneck.Tp.resource <> "wire-dma")
 
+(* A [return] inside a loop body ends the packet.  The walk used to
+   resume at the loop's exit after it, so TCP packets of this NF were
+   predicted at the full emit path (3762 cyc on netronome) while their
+   symbolic path said 1792 cyc, dropped. *)
+let early_exit_source =
+  {|nf early_exit {
+  state counter seen[1024] entry 8;
+  handler process(pkt) {
+    var hdr = parse_header(pkt);
+    for (i = 0; i < 8; i = i + 1) {
+      if (hdr.proto == 6) {
+        drop(pkt);
+        return;
+      }
+      hdr.ttl = hdr.ttl - 1;
+    }
+    var n = count(seen, hdr.src_ip);
+    checksum(pkt);
+    emit(pkt);
+  }
+}|}
+
+let test_return_in_loop_ends_packet () =
+  let prof = profile ~tcp:1.0 () in
+  let a = analyze early_exit_source prof in
+  let paths = Sym.enumerate ~sizes:a.Clara.sizes lnic a.Clara.df a.Clara.mapping in
+  let tcp = List.find (fun p -> p.Sym.description = "tcp") paths in
+  check "tcp path drops" false tcp.Sym.emits;
+  Alcotest.(check (float 0.)) "tcp path cost" 1792. tcp.Sym.cost_cycles;
+  let p = Clara.predict_profile a prof in
+  Alcotest.(check (float 0.)) "every packet is the tcp path" tcp.Sym.cost_cycles
+    p.Lat.p99_cycles;
+  Alcotest.(check (float 0.)) "tcp mean" tcp.Sym.cost_cycles p.Lat.tcp_mean;
+  Alcotest.(check (float 0.)) "no packet emitted" 0. p.Lat.emitted_fraction
+
 let suite =
   [ Alcotest.test_case "prediction positive & size-monotone" `Quick
       test_prediction_positive_and_monotone;
@@ -503,4 +538,6 @@ let suite =
     Alcotest.test_case "Fig 3a shape: linear in entries" `Quick
       test_accuracy_monotone_in_entries;
     Alcotest.test_case "throughput wire-cost convention" `Quick
-      test_throughput_wire_cost_convention ]
+      test_throughput_wire_cost_convention;
+    Alcotest.test_case "return inside a loop ends the packet" `Quick
+      test_return_in_loop_ends_packet ]

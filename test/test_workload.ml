@@ -394,6 +394,29 @@ let prop_pcap_roundtrip =
                  && a.W.Packet.proto = b.W.Packet.proto)
                tr.W.Trace.packets tr2.W.Trace.packets))
 
+(* A capture carries no generating profile: its analysis is solved at
+   the mix measured from its packets, so a 1400 B capture is not
+   analyzed at the 300 B default. *)
+let test_pcap_profile_is_capture_mix () =
+  let profile =
+    W.Profile.make ~payload:(W.Dist.Fixed 1400) ~flow_count:100 ~packets:500 ()
+  in
+  let tr = W.Trace.synthesize ~seed:9L profile in
+  check "synthetic: the generating profile" true (W.Trace.profile_of tr == profile);
+  let path = Filename.temp_file "clara_test" ".pcap" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      W.Pcap.write_file path tr;
+      let p = W.Trace.profile_of (read_pcap path) in
+      let s = W.Trace.stats tr in
+      check "valid" true (W.Profile.validate p = Ok ());
+      check "payload" true (W.Profile.mean_payload p = 1400.);
+      check "tcp fraction" true (p.W.Profile.tcp_fraction = s.W.Trace.tcp_fraction);
+      check_int "flows" s.W.Trace.distinct_flows p.W.Profile.flow_count;
+      check_int "packets" 500 p.W.Profile.packets;
+      check "syn on new flows" true p.W.Profile.new_flow_syn)
+
 let suite =
   [ Alcotest.test_case "prng determinism" `Quick test_prng_deterministic;
     Alcotest.test_case "prng copy" `Quick test_prng_copy;
@@ -413,3 +436,5 @@ let suite =
     Alcotest.test_case "pcap corrupt record length" `Quick test_pcap_corrupt_incl ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_trace_respects_profile; prop_pcap_roundtrip ]
+  @ [ Alcotest.test_case "pcap profile is the capture's mix" `Quick
+        test_pcap_profile_is_capture_mix ]
