@@ -81,50 +81,36 @@ let packet_types : (string * Paths.fact list) list =
 
 module Solver = Dfa.Make (I)
 
-(* Edges from inside a loop body back to its header. *)
-let back_edge_set (p : Ir.program) =
-  let set = Hashtbl.create 8 in
-  Array.iter
-    (fun (b : Ir.block) ->
-      match b.Ir.term with
-      | Ir.Loop { body; exit; trip = _ } ->
-          List.iter
-            (fun m -> Hashtbl.replace set (m, b.Ir.bid) ())
-            (Ir.loop_body p ~header:b.Ir.bid ~body ~exit)
-      | _ -> ())
-    p.Ir.blocks;
-  set
-
 (* Per-block execution-count intervals for packets satisfying [facts].
    Entry executes once; a Loop header's body edge multiplies by the
    trip range; branch arms the facts contradict become bottom, arms the
-   facts leave open keep their ceiling but may be skipped. *)
-let exec_counts (p : Ir.program) ~sizes ~facts =
-  let back = back_edge_set p in
+   facts leave open keep their ceiling but may be skipped.  The back
+   edges the walk's steps name are cut. *)
+let exec_counts (df : D.Graph.t) ~sizes ~facts =
   let edge ~(src : Ir.block) ~dst x =
     if I.is_bottom x then x
-    else if Hashtbl.mem back (src.Ir.bid, dst) then I.bottom
     else
-      match src.Ir.term with
-      | Ir.Cond { guard; then_; else_ } when then_ <> else_ ->
+      match (df.D.Graph.steps.(src.Ir.bid), src.Ir.term) with
+      | D.Graph.Back _, _ -> I.bottom
+      | _, Ir.Cond { guard; then_; else_ } when then_ <> else_ ->
           let pol = dst = then_ in
           if Paths.assuming facts guard pol = None then I.bottom
           else if Paths.assuming facts guard (not pol) = None then x
           else I.make 0. (I.hi x)
-      | Ir.Loop { body; exit = _; trip } when dst = body ->
+      | _, Ir.Loop { body; exit = _; trip } when dst = body ->
           I.mul x (Cr.trip sizes trip)
       | _ -> x
   in
   match
     Solver.solve ~edge ~widen:I.widen ~init:(I.const 1.)
       ~transfer:(fun _ x -> x)
-      p
+      df.D.Graph.cir
   with
   | Solver.Fixpoint r -> Ok r.Solver.input
   | Solver.Budget_exhausted _ ->
       (* Degrade to the conservative top count: bounds stay sound, just
          useless, and the caller reports the condition. *)
-      Error (Array.map (fun _ -> I.make 0. Float.infinity) p.Ir.blocks)
+      Error (Array.map (fun _ -> I.make 0. Float.infinity) df.D.Graph.steps)
 
 (* A loop header executes once more than its body iterates (the guard
    re-evaluation that exits), and the count analysis deliberately cuts
@@ -244,7 +230,7 @@ let analyze ?(payload_max = mtu_payload) ~(lnic : L.Graph.t) (p : Ir.program) =
             ~state_footprint:footprint sizes
         in
         let counts =
-          match exec_counts p ~sizes ~facts with
+          match exec_counts df ~sizes ~facts with
           | Ok c -> c
           | Error c ->
               exhausted := true;

@@ -1,4 +1,5 @@
 module D = Clara_dataflow
+module Ir = Clara_cir.Ir
 module W = Clara_workload
 
 (* Every phase runs inside an Obs span so `clara --stats` (and the bench
@@ -27,6 +28,7 @@ let sizes_of_profile (p : W.Profile.t) =
   }
 
 let prob_of_profile (p : W.Profile.t) =
+  let tcp = p.W.Profile.tcp_fraction in
   (* Table-hit fraction: each packet of a flow after the first hits, so
      hit ~= 1 - flows/packets. *)
   let hit =
@@ -39,8 +41,26 @@ let prob_of_profile (p : W.Profile.t) =
         (float_of_int p.W.Profile.flow_count /. float_of_int p.W.Profile.packets)
     else 0.
   in
-  D.Flow.guard_probability ~tcp_fraction:p.W.Profile.tcp_fraction ~syn_fraction:syn
-    ~hit_fraction:hit ~match_fraction:0.1 ~exceed_fraction:0.05
+  let rec prob (g : Ir.guard) =
+    let v =
+      match g with
+      | Ir.G_proto 6 -> tcp
+      | Ir.G_proto 17 -> Float.max 0. (1. -. tcp)
+      | Ir.G_proto _ -> Float.max 0. (1. -. tcp) *. 0.1
+      | Ir.G_flag 2 -> syn
+      | Ir.G_flag _ -> 0.5
+      | Ir.G_table_hit _ -> hit
+      | Ir.G_scan_match | Ir.G_count_exceeds | Ir.G_opaque ->
+          Clara_predict.Latency.guard_prior g
+      | Ir.G_not g' -> 1. -. prob g'
+      | Ir.G_or (a, b) ->
+          (* Guards in one disjunction are mutually exclusive in practice
+             (proto == 6 || proto == 17); cap at 1. *)
+          Float.min 1. (prob a +. prob b)
+    in
+    Float.max 0. (Float.min 1. v)
+  in
+  prob
 
 let analyze_for_profile ?(options = Clara_mapping.Mapping.default_options) lnic ~source
     ~profile =

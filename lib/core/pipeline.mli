@@ -42,8 +42,11 @@ val sizes_of_profile : Clara_workload.Profile.t -> Clara_dataflow.Cost.sizes
 
 val prob_of_profile :
   Clara_workload.Profile.t -> Clara_cir.Ir.guard -> float
-(** Guard probabilities implied by the profile: its TCP fraction, its
-    table-hit fraction (packets per flow) and its SYN share. *)
+(** Guard probabilities implied by the profile: its TCP fraction (UDP
+    is the rest; other protocol numbers get a tenth of the rest), its
+    table-hit fraction (packets per flow, at least 0.5) and its SYN
+    share; 0.5 for other TCP flags, and {!Clara_predict.Latency.guard_prior}
+    for the guards no packet field decides. *)
 
 val analyze_for_profile :
   ?options:Clara_mapping.Mapping.options ->

@@ -2,21 +2,31 @@ module Ir = Clara_cir.Ir
 
 let of_ir (p : Ir.program) : Graph.t =
   let nblocks = Array.length p.Ir.blocks in
-  (* Loop structure: trip count per block, and back edges to drop. *)
+  (* The walk's step out of each block, and each loop body's trip
+     count.  A [Jump] back to its loop's header ends the iteration. *)
   let block_trip = Array.make nblocks None in
-  let back_edges = ref [] in
+  let steps =
+    Array.map
+      (fun (b : Ir.block) ->
+        match b.Ir.term with
+        | Ir.Ret -> Graph.Stop
+        | Ir.Jump d -> Graph.Next d
+        | Ir.Loop { body; _ } -> Graph.Next body
+        | Ir.Cond { guard; then_; else_ } -> Graph.Branch { guard; then_; else_ })
+      p.Ir.blocks
+  in
   Array.iter
     (fun (b : Ir.block) ->
       match b.Ir.term with
       | Ir.Loop { body; exit; trip } ->
-          let members = Ir.loop_body p ~header:b.Ir.bid ~body ~exit in
+          let header = b.Ir.bid in
           List.iter
             (fun m ->
               block_trip.(m) <- Some trip;
               match (Ir.block p m).Ir.term with
-              | Ir.Jump d when d = b.Ir.bid -> back_edges := (m, b.Ir.bid) :: !back_edges
+              | Ir.Jump d when d = header -> steps.(m) <- Graph.Back { header; exit }
               | _ -> ())
-            members
+            (Ir.loop_body p ~header ~body ~exit)
       | _ -> ())
     p.Ir.blocks;
   (* Split blocks into segments; record each block's node ids. *)
@@ -67,7 +77,7 @@ let of_ir (p : Ir.program) : Graph.t =
   let block_nodes =
     Array.map (fun ids -> Array.of_list (List.map (Array.get nodes) ids)) block_ids
   in
-  (* Inter-block edges following terminators, minus back edges. *)
+  (* Inter-block edges following terminators, minus the back edges. *)
   let first bid = block_nodes.(bid).(0).Node.id in
   let last bid =
     let ns = block_nodes.(bid) in
@@ -76,11 +86,12 @@ let of_ir (p : Ir.program) : Graph.t =
   let inter_edges = ref [] in
   Array.iter
     (fun (b : Ir.block) ->
-      let add d =
-        if not (List.mem (b.Ir.bid, d) !back_edges) then
-          inter_edges := (last b.Ir.bid, first d) :: !inter_edges
-      in
-      List.iter add (Ir.successors b.Ir.term))
+      match steps.(b.Ir.bid) with
+      | Graph.Back _ -> ()
+      | _ ->
+          List.iter
+            (fun d -> inter_edges := (last b.Ir.bid, first d) :: !inter_edges)
+            (Ir.successors b.Ir.term))
     p.Ir.blocks;
   {
     Graph.nodes;
@@ -88,6 +99,7 @@ let of_ir (p : Ir.program) : Graph.t =
     entry = first p.Ir.entry;
     cir = p;
     block_nodes;
+    steps;
   }
 
 let of_source src =

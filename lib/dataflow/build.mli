@@ -2,7 +2,8 @@
 
     Each CIR block is split so every virtual call becomes its own node
     (the unit an accelerator can absorb); the surrounding straightline
-    instructions form compute nodes.  Loop back edges are dropped and the
+    instructions form compute nodes.  Each block's walk step is resolved
+    once ({!Graph.step}); the back edges it names are dropped and the
     loop trip count is recorded on each body node instead, keeping the
     graph a DAG for the mapping ILP. *)
 

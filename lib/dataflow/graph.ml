@@ -1,11 +1,18 @@
 module Ir = Clara_cir.Ir
 
+type step =
+  | Stop
+  | Next of int
+  | Back of { header : int; exit : int }
+  | Branch of { guard : Ir.guard; then_ : int; else_ : int }
+
 type t = {
   nodes : Node.t array;
   edges : (int * int) list;
   entry : int;
   cir : Ir.program;
   block_nodes : Node.t array array;
+  steps : step array;
 }
 
 let node t i =
@@ -40,24 +47,59 @@ let topo_order t =
 exception Walk_limit
 
 let walk t ~guard ~visit =
-  let steps = ref 0 in
-  (* [go] answers whether control continues after [bid]'s region: false
-     once a [Ret] ends the packet.  [stop] is the innermost enclosing
-     loop header (-1 at top level); jumping to it ends one iteration. *)
-  let rec go bid ~stop =
-    incr steps;
-    if !steps > 10_000 then raise Walk_limit;
+  let rec go bid steps =
+    if steps > 10_000 then raise Walk_limit;
     Array.iter visit t.block_nodes.(bid);
-    match (Ir.block t.cir bid).Ir.term with
-    | Ir.Ret -> false
-    | Ir.Jump d -> d = stop || go d ~stop
-    | Ir.Cond { guard = g; then_; else_ } -> go (if guard g then then_ else else_) ~stop
-    | Ir.Loop { body; exit; trip = _ } ->
-        (* Body nodes carry the trip multiplier: walk the body once for
-           guard resolution, then continue at the exit. *)
-        go body ~stop:bid && go exit ~stop
+    match t.steps.(bid) with
+    | Stop -> ()
+    | Next d | Back { exit = d; _ } -> go d (steps + 1)
+    | Branch { guard = g; then_; else_ } -> go (if guard g then then_ else else_) (steps + 1)
   in
-  ignore (go t.cir.Ir.entry ~stop:(-1))
+  go t.cir.Ir.entry 1
+
+let visits t ~prob =
+  let n = Array.length t.steps in
+  (* Reverse postorder of the blocks the entry reaches over the steps:
+     a topological order, or a cycle, which no walk could finish. *)
+  let mark = Array.make n `New and order = ref [] in
+  let rec dfs b =
+    match mark.(b) with
+    | `Open -> raise Walk_limit
+    | `Done -> ()
+    | `New ->
+        mark.(b) <- `Open;
+        (match t.steps.(b) with
+        | Stop -> ()
+        | Next d | Back { exit = d; _ } -> dfs d
+        | Branch { then_; else_; _ } -> dfs then_; dfs else_);
+        mark.(b) <- `Done;
+        order := b :: !order
+  in
+  dfs t.cir.Ir.entry;
+  let mass = Array.make n 0. in
+  mass.(t.cir.Ir.entry) <- 1.;
+  let give d m = mass.(d) <- mass.(d) +. m in
+  List.iter
+    (fun b ->
+      let m = mass.(b) in
+      match t.steps.(b) with
+      | Stop -> ()
+      | Next d | Back { exit = d; _ } -> give d m
+      | Branch { then_; else_; _ } when then_ = else_ -> give then_ m
+      | Branch { guard; then_; else_ } ->
+          let p = prob guard in
+          give then_ (p *. m);
+          give else_ ((1. -. p) *. m))
+    !order;
+  Array.map (fun (nd : Node.t) -> mass.(nd.Node.block)) t.nodes
+
+let emit_mass t visits =
+  Array.fold_left
+    (fun acc (nd : Node.t) ->
+      match nd.Node.kind with
+      | Node.N_vcall { Ir.vc = Clara_lnic.Params.V_emit; _ } -> acc +. visits.(nd.Node.id)
+      | _ -> acc)
+    0. t.nodes
 
 let vcall_nodes t = Array.to_list t.nodes |> List.filter Node.is_vcall
 

@@ -15,7 +15,7 @@ module L = Clara_lnic
 module W = Clara_workload
 module P = Clara_lnic.Params
 
-let version_salt = "clara-explore-v1"
+let version_salt = "clara-explore-v2"
 
 (* ---- canonical sub-strings ---------------------------------------- *)
 

@@ -94,7 +94,7 @@ let map_nf_exn ~(options : Mapping.options) ?dump_lp lnic (df : D.Graph.t) ~size
   let rep ci = classes.(ci).L.Graph.rep in
   let stage ci = (rep ci).L.Unit_.stage in
   let nodes = Array.map harden_node df.D.Graph.nodes in
-  let weights = D.Flow.node_weights df ~prob in
+  let weights = D.Graph.visits df ~prob in
   let states = D.Graph.states df in
   let footprint s =
     match List.find_opt (fun o -> o.Ir.st_name = s) states with

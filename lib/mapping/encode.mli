@@ -15,8 +15,8 @@
 
     Objective: minimize expected per-packet cycles — node costs priced by
     {!Clara_dataflow.Cost} and weighted by guard-derived execution
-    frequencies ({!Clara_dataflow.Flow}), emulating what a good hand port
-    would choose. *)
+    frequencies ({!Clara_dataflow.Graph.visits}), emulating what a good
+    hand port would choose. *)
 
 val packet_region_for :
   Clara_lnic.Graph.t -> Clara_lnic.Unit_.t -> packet_bytes:float -> int

@@ -65,7 +65,7 @@ let map_nf_exn ~(options : Mapping.options) lnic (df : D.Graph.t) ~sizes ~prob =
                | L.Unit_.Accelerator k -> not (List.mem k options.Mapping.disallowed_accels)
                | L.Unit_.General_core _ -> true)
       in
-      let weights = D.Flow.node_weights df ~prob in
+      let weights = D.Graph.visits df ~prob in
       let node_unit = Array.make (Array.length df.D.Graph.nodes) (-1) in
       let total = ref 0. in
       let min_stage = ref 0 in

@@ -40,7 +40,7 @@ let estimate ?powers ~sizes ~prob ~rate_pps lnic (df : D.Graph.t) (mapping : M.t
   let powers = match powers with Some p -> p | None -> default_powers lnic in
   let pricer = Pricer.create ~mapping lnic df in
   let sizes = Pricer.sizes pricer sizes in
-  let weights = D.Flow.node_weights df ~prob in
+  let weights = D.Graph.visits df ~prob in
   (* nJ on a unit = cycles × (power W / clock Hz) × 1e9. *)
   let nj_of unit_ cycles =
     let w =
@@ -62,9 +62,11 @@ let estimate ?powers ~sizes ~prob ~rate_pps lnic (df : D.Graph.t) (mapping : M.t
       | Some { D.Cost.total = c; _ } ->
           add unit_.L.Unit_.name (nj_of unit_ (weights.(n.D.Node.id) *. c)))
     df.D.Graph.nodes;
-  (* DMA energy for moving the packet in and out: W per Gbps is J per
-     Gbit, so nJ per packet = W/Gbps × bits moved. *)
-  let bits_moved = 2. *. 8. *. sizes.D.Cost.packet_bytes in
+  (* DMA energy for moving the packet in, and out if it leaves: W per
+     Gbps is J per Gbit, so nJ per packet = W/Gbps × bits moved. *)
+  let bits_moved =
+    (1. +. D.Graph.emit_mass df weights) *. 8. *. sizes.D.Cost.packet_bytes
+  in
   add "wire-dma" (powers.dma_w_per_gbps *. bits_moved);
   let dynamic_nj = Hashtbl.fold (fun _ v acc -> acc +. v) breakdown 0. in
   let watts_at_rate = powers.idle_w +. (dynamic_nj *. 1e-9 *. rate_pps) in

@@ -3,7 +3,9 @@
 
     A simple activity-based model: every compute unit has an active power
     draw; a packet's energy is Σ (cycles on unit / unit clock) × power,
-    plus the NIC's idle power amortized over the offered rate.  Per-unit
+    plus the NIC's idle power amortized over the offered rate.  Node
+    cycles are weighted by their expected visits; the wire DMA moves
+    every packet in and the emitted share out.  Per-unit
     powers default to representative values (NPU ≈ 0.35 W, ARM core
     ≈ 1.8 W, Xeon core ≈ 9 W, accelerators ≈ 0.2–0.5 W) and can be
     overridden. *)

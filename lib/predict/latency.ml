@@ -6,17 +6,19 @@ module W = Clara_workload
 module P = Clara_lnic.Params
 
 type config = {
-  scan_match_fraction : float;
-  exceed_fraction : float;
-  opaque_fraction : float;
-  seed : int64;
   include_wire : bool;
   flow_cache_hit_ratio : float option;
 }
 
-let default_config =
-  { scan_match_fraction = 0.1; exceed_fraction = 0.05; opaque_fraction = 0.5;
-    seed = 7L; include_wire = true; flow_cache_hit_ratio = None }
+let default_config = { include_wire = true; flow_cache_hit_ratio = None }
+
+let guard_prior = function
+  | Ir.G_scan_match -> 0.1
+  | Ir.G_count_exceeds -> 0.05
+  | _ -> 0.5
+
+(* Seeds the draws of the guards only [guard_prior] decides. *)
+let seed = 7L
 
 type t = {
   lnic : L.Graph.t;
@@ -58,12 +60,12 @@ let create ?(config = default_config) lnic df mapping =
   { lnic; df; pricer = Pricer.create ~mapping lnic df; config; flow_seen; provisioned;
     eswitch_cache;
     upcall_cycles = float_of_int (L.Graph.upcall_cycles lnic);
-    rng = W.Prng.create ~seed:config.seed }
+    rng = W.Prng.create ~seed }
 
 let reset_state t =
   Hashtbl.iter (fun _ l -> Lru.clear l) t.flow_seen;
   Option.iter Lru.clear t.eswitch_cache;
-  t.rng <- W.Prng.create ~seed:t.config.seed
+  t.rng <- W.Prng.create ~seed
 
 type per_packet = { cycles : float; emitted : bool }
 
@@ -131,9 +133,7 @@ let rec resolve_guard t (pkt : W.Packet.t) (g : Ir.guard) =
       || (match Hashtbl.find_opt t.flow_seen s with
          | None -> false
          | Some seen -> Lru.mem seen (W.Packet.flow_key pkt))
-  | Ir.G_scan_match -> W.Prng.bool t.rng t.config.scan_match_fraction
-  | Ir.G_count_exceeds -> W.Prng.bool t.rng t.config.exceed_fraction
-  | Ir.G_opaque -> W.Prng.bool t.rng t.config.opaque_fraction
+  | Ir.G_scan_match | Ir.G_count_exceeds | Ir.G_opaque -> W.Prng.bool t.rng (guard_prior g)
   | Ir.G_not g' -> not (resolve_guard t pkt g')
   | Ir.G_or (a, b) -> resolve_guard t pkt a || resolve_guard t pkt b
 

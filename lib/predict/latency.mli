@@ -14,10 +14,6 @@
     keep the total, the component split or one span per node. *)
 
 type config = {
-  scan_match_fraction : float;  (** DPI match probability. *)
-  exceed_fraction : float;      (** Counter-threshold crossing probability. *)
-  opaque_fraction : float;      (** Unrecognized guards. *)
-  seed : int64;                 (** For probabilistic guard resolution. *)
   include_wire : bool;
       (** Charge wire DMA + hub constants per packet (on by default);
           chains turn this off per stage and charge the wire once. *)
@@ -31,6 +27,13 @@ type config = {
 }
 
 val default_config : config
+
+val guard_prior : Clara_cir.Ir.guard -> float
+(** The odds of a guard that neither the packet nor tracked state
+    decides: a payload scan match 0.1, a counter crossing its threshold
+    0.05, any other (opaque) guard 0.5.  The walk draws such guards at
+    these odds from a fixed-seed RNG, and the analysis's guard
+    probabilities use the same values. *)
 
 type t
 

@@ -28,7 +28,7 @@ let enumerate_splits ~sizes ~prob lnic (df : D.Graph.t) (mapping : M.t) =
   let on_host = Pricer.create host df in
   let sizes = Pricer.sizes nic sizes in
   let host_core = List.hd (L.Graph.general_cores host) in
-  let weights = D.Flow.node_weights df ~prob in
+  let weights = D.Graph.visits df ~prob in
   let order = Array.of_list (D.Graph.topo_order df) in
   let n = Array.length order in
   (* Per-node expected ns on each side. *)
@@ -72,6 +72,8 @@ let enumerate_splits ~sizes ~prob lnic (df : D.Graph.t) (mapping : M.t) =
     L.Cost_fn.eval f bytes *. 1000. /. float_of_int (L.Graph.freq_mhz target)
   in
   let bytes = sizes.D.Cost.packet_bytes in
+  let emits = D.Graph.emit_mass df weights in
+  let egress target = emits *. wire_ns target bytes `Out in
   let splits = ref [] in
   for k = 0 to n do
     let nic_feasible = Array.for_all Fun.id (Array.init k (fun i -> feasible_nic.(i))) in
@@ -86,9 +88,10 @@ let enumerate_splits ~sizes ~prob lnic (df : D.Graph.t) (mapping : M.t) =
       let nic_compute = sum nic_cost 0 k in
       let host_compute = sum host_cost k n in
       (* Wire: the NIC always receives the packet; whoever runs the tail
-         transmits.  A non-trivial host part adds one PCIe round trip. *)
-      let nic_ns = wire_ns lnic bytes `In +. nic_compute +. (if k = n then wire_ns lnic bytes `Out else 0.) in
-      let host_ns = if k = n then 0. else host_compute +. wire_ns L.Host.default bytes `Out in
+         transmits the packets that leave.  A non-trivial host part adds
+         one PCIe round trip. *)
+      let nic_ns = wire_ns lnic bytes `In +. nic_compute +. (if k = n then egress lnic else 0.) in
+      let host_ns = if k = n then 0. else host_compute +. egress L.Host.default in
       let pcie_ns = if k = n then 0. else L.Host.pcie_roundtrip_ns in
       let assignment =
         Array.to_list (Array.mapi (fun pos nid -> (nid, if pos < k then On_nic else On_host)) order)

@@ -7,7 +7,8 @@
     (no cache coherence across PCIe, as §6 notes).  Each side is priced
     with its own target model — the NIC side by the existing mapping, the
     host side on {!Clara_lnic.Host} — plus the PCIe round-trip for any
-    packet that continues to the host. *)
+    packet that continues to the host.  Nodes are weighted by their
+    expected visits, and the egress leg by the emitted share. *)
 
 type side = On_nic | On_host
 

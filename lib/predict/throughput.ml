@@ -20,7 +20,7 @@ type t = {
 let estimate ~sizes ~prob lnic (df : D.Graph.t) (mapping : M.t) =
   let pricer = Pricer.create ~mapping lnic df in
   let sizes = Pricer.sizes pricer sizes in
-  let weights = D.Flow.node_weights df ~prob in
+  let weights = D.Graph.visits df ~prob in
   (* Expected demand per unit: weighted node costs, grouped by the class
      the node was mapped to.  Units of one placement class pool their
      threads. *)
@@ -57,11 +57,13 @@ let estimate ~sizes ~prob lnic (df : D.Graph.t) (mapping : M.t) =
     }
   in
   let wire_resource =
-    (* The DMA path handles every packet serially per direction. *)
+    (* The DMA path handles every packet serially per direction; only
+       the packets that leave pay the transmit leg. *)
     let params = lnic.L.Graph.params in
     let cycles =
       L.Cost_fn.eval params.P.wire_ingress sizes.D.Cost.packet_bytes
-      +. L.Cost_fn.eval params.P.wire_egress sizes.D.Cost.packet_bytes
+      +. D.Graph.emit_mass df weights
+         *. L.Cost_fn.eval params.P.wire_egress sizes.D.Cost.packet_bytes
     in
     let freq = float_of_int (L.Graph.freq_mhz lnic) *. 1e6 in
     (* Several DMA lanes in practice; model 8. *)

@@ -28,8 +28,10 @@ val estimate :
   Clara_dataflow.Graph.t ->
   Clara_mapping.Mapping.t ->
   t
-(** Demand is priced at [sizes] and weighted by [prob]: pass the
-    analysis's own, the values its mapping was solved at. *)
+(** Demand is priced at [sizes] and weighted by the expected visits
+    under [prob] ({!Clara_dataflow.Graph.visits}): pass the analysis's
+    own, the values its mapping was solved at.  The wire DMA carries
+    every packet in and, out, only the emitted share. *)
 
 val pp : Format.formatter -> t -> unit
 

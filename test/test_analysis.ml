@@ -480,7 +480,7 @@ let sizes =
     opaque_trip = 1.;
   }
 
-let prob = D.Flow.default_probability
+let prob = Fixtures.default_probability
 
 let test_unknown_state_mapping_error () =
   (* A dangling state must surface as a mapping Error, not an escaped

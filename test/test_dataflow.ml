@@ -94,7 +94,7 @@ let test_loops_are_removed () =
 
 let test_flow_weights_nat () =
   let df = D.Build.of_source nat_src in
-  let w = D.Flow.node_weights df ~prob:D.Flow.default_probability in
+  let w = D.Graph.visits df ~prob:Fixtures.default_probability in
   check "entry weight 1" true (w.(df.D.Graph.entry) = 1.);
   (* The emit node should carry ~the tcp+udp fraction (=1.0 here since
      both protocols proceed); the drop node the remainder (~0). *)
@@ -113,7 +113,7 @@ let test_flow_weights_nat () =
 
 let test_flow_weights_dpi () =
   let df = D.Build.of_source dpi_src in
-  let w = D.Flow.node_weights df ~prob:D.Flow.default_probability in
+  let w = D.Graph.visits df ~prob:Fixtures.default_probability in
   let weight_of vc =
     Array.to_list df.D.Graph.nodes
     |> List.filter_map (fun n ->
@@ -227,8 +227,34 @@ let prop_weights_bounded =
           (body depth)
       in
       let df = D.Build.of_source src in
-      let w = D.Flow.node_weights df ~prob:D.Flow.default_probability in
+      let w = D.Graph.visits df ~prob:Fixtures.default_probability in
       Array.for_all (fun x -> x >= -.1e-9 && x <= 1. +. 1e-9) w)
+
+(* A [return] inside a loop body ends the packet: the mass that takes
+   it never reaches the loop's exit, so the nodes after the loop weigh
+   only the packets that finish the loop. *)
+let test_return_in_loop_mass () =
+  let df =
+    D.Build.of_source
+      {|nf t { handler h(pkt) { var hdr = parse_header(pkt);
+          for (i = 0; i < 8; i = i + 1) { if (hdr.proto == 6) { drop(pkt); return; } }
+          emit(pkt); } }|}
+  in
+  let weight w vc =
+    Array.fold_left
+      (fun acc (n : D.Node.t) ->
+        match n.D.Node.kind with
+        | D.Node.N_vcall v when v.Ir.vc = vc -> acc +. w.(n.D.Node.id)
+        | _ -> acc)
+      0. df.D.Graph.nodes
+  in
+  let all_tcp = D.Graph.visits df ~prob:(function Ir.G_proto 6 -> 1. | _ -> 0.) in
+  Alcotest.(check (float 0.)) "all tcp: emit weighs 0" 0. (weight all_tcp P.V_emit);
+  Alcotest.(check (float 0.)) "all tcp: emit mass 0" 0. (D.Graph.emit_mass df all_tcp);
+  Alcotest.(check (float 0.)) "all tcp: drop weighs 1" 1. (weight all_tcp P.V_drop);
+  let w = D.Graph.visits df ~prob:Fixtures.default_probability in
+  Alcotest.(check (float 1e-9)) "80% tcp: emit weighs 0.2" 0.2 (weight w P.V_emit);
+  Alcotest.(check (float 1e-9)) "80% tcp: drop weighs 0.8" 0.8 (weight w P.V_drop)
 
 let suite =
   [ Alcotest.test_case "build splits vcalls" `Quick test_build_splits_vcalls;
@@ -239,5 +265,7 @@ let suite =
     Alcotest.test_case "cost: core vs accelerator" `Quick test_cost_core_vs_accel;
     Alcotest.test_case "cost: memory placement" `Quick test_cost_memory_placement_matters;
     Alcotest.test_case "cost: FPU emulation" `Quick test_cost_fpu_emulation;
-    Alcotest.test_case "size evaluation" `Quick test_eval_size ]
+    Alcotest.test_case "size evaluation" `Quick test_eval_size;
+    Alcotest.test_case "a return inside a loop carries no mass past it" `Quick
+      test_return_in_loop_mass ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_weights_bounded ]

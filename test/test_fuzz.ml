@@ -223,6 +223,27 @@ let prop_packets_follow_paths =
                 paths)
             (W.Trace.synthesize tcp_profile).W.Trace.packets)
 
+(* With every guard decided (each atom at 0 or 1, by [seed]), the
+   expected visits are the one walk's: 1 on each node it runs, 0 on the
+   rest, returns inside loop bodies included. *)
+let prop_decided_visits_are_walk =
+  QCheck.Test.make ~name:"decided guards: visits are the walk's visits" ~count:200
+    (QCheck.pair (QCheck.make gen_program) QCheck.small_nat)
+    (fun (src, seed) ->
+      let df = D.Build.of_source src in
+      let rec prob = function
+        | Ir.G_not g -> 1. -. prob g
+        | Ir.G_or (a, b) -> Float.max (prob a) (prob b)
+        | atom -> float_of_int (Hashtbl.hash (seed, atom) land 1)
+      in
+      let walked = Array.make (Array.length df.D.Graph.nodes) false in
+      D.Graph.walk df
+        ~guard:(fun g -> prob g = 1.)
+        ~visit:(fun n -> walked.(n.D.Node.id) <- true);
+      Array.for_all2
+        (fun w v -> v = if w then 1. else 0.)
+        walked (D.Graph.visits df ~prob))
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_pipeline_never_crashes;
@@ -230,4 +251,5 @@ let suite =
       prop_coarsened_dataflow_is_dag;
       prop_print_reparse_equivalent;
       prop_symexec_paths_finite;
-      prop_packets_follow_paths ]
+      prop_packets_follow_paths;
+      prop_decided_visits_are_walk ]

@@ -60,7 +60,7 @@ let sizes =
     opaque_trip = 1.;
   }
 
-let prob = D.Flow.default_probability
+let prob = Fixtures.default_probability
 
 let solve ?options src =
   let df = D.Build.of_source src in

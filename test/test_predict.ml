@@ -132,7 +132,7 @@ let test_symexec_flow_weight_consistency () =
   (* Two independent expectations of the same random walk must agree:
      (a) Symexec enumerates full paths; weight each by the product of its
          guard probabilities and average the costs;
-     (b) Flow.node_weights propagates the same probabilities through the
+     (b) Graph.visits propagates the same probabilities through the
          DAG; the expected cost is the weight-cost dot product plus wire.
      They coincide when each guard is independent and appears once per
      path — true for the firewall (flag + table-hit guards only). *)
@@ -160,7 +160,7 @@ let test_symexec_flow_weight_consistency () =
     List.fold_left (fun acc p -> acc +. (path_p p *. p.Sym.cost_cycles)) 0. paths
   in
   (* (b): weights × costs + expected wire. *)
-  let weights = D.Flow.node_weights a.Clara.df ~prob in
+  let weights = D.Graph.visits a.Clara.df ~prob in
   let states = D.Graph.states a.Clara.df in
   let sizes_resolved =
     { sizes with
@@ -510,6 +510,27 @@ let test_return_in_loop_ends_packet () =
   Alcotest.(check (float 0.)) "tcp mean" tcp.Sym.cost_cycles p.Lat.tcp_mean;
   Alcotest.(check (float 0.)) "no packet emitted" 0. p.Lat.emitted_fraction
 
+(* Every TCP packet of [early_exit_source] drops inside the loop, so at
+   TCP 1.0 no packet leaves: the DMA path carries the receive leg only,
+   in cycles and in energy. *)
+let test_dropped_pay_no_tx () =
+  let a = analyze early_exit_source (profile ~tcp:1.0 ()) in
+  let sizes = a.Clara.sizes and prob = a.Clara.prob in
+  let bytes = sizes.D.Cost.packet_bytes in
+  let tp = Tp.estimate ~sizes ~prob lnic a.Clara.df a.Clara.mapping in
+  let wire = List.find (fun (r : Tp.bottleneck) -> r.Tp.resource = "wire-dma") tp.Tp.resources in
+  Alcotest.(check (float 0.)) "wire-dma cycles are the rx leg"
+    (L.Cost_fn.eval lnic.L.Graph.params.L.Params.wire_ingress bytes)
+    wire.Tp.cycles_per_packet;
+  let e =
+    Clara_predict.Energy.estimate ~sizes ~prob ~rate_pps:60_000. lnic a.Clara.df
+      a.Clara.mapping
+  in
+  Alcotest.(check (float 0.)) "wire-dma energy moves the packet in only"
+    ((Clara_predict.Energy.default_powers lnic).Clara_predict.Energy.dma_w_per_gbps
+     *. 8. *. bytes)
+    (List.assoc "wire-dma" e.Clara_predict.Energy.breakdown)
+
 let suite =
   [ Alcotest.test_case "prediction positive & size-monotone" `Quick
       test_prediction_positive_and_monotone;
@@ -540,4 +561,5 @@ let suite =
     Alcotest.test_case "throughput wire-cost convention" `Quick
       test_throughput_wire_cost_convention;
     Alcotest.test_case "return inside a loop ends the packet" `Quick
-      test_return_in_loop_ends_packet ]
+      test_return_in_loop_ends_packet;
+    Alcotest.test_case "dropped packets pay no tx leg" `Quick test_dropped_pay_no_tx ]
