@@ -589,7 +589,7 @@ let bounds_cmd =
     let ir = fst (Clara_cir.Patterns.run (or_die (Clara_cir.Lower.of_source source))) in
     let module B = Clara_analysis.Bounds in
     let b = B.analyze ~lnic ir in
-    let diags = B.lint ~lnic ?slo_p99_us:slo ir in
+    let diags = B.lint ~lnic ?slo_p99_us:slo (Clara_dataflow.Build.of_ir ir) in
     if json then begin
       let module J = Clara_util.Json in
       let fields =
@@ -776,9 +776,9 @@ let sim_cmd =
      the NF's DSL source decides that, so 'auto' is trustworthy and
      'on' is the sharp knife. *)
   let stateless_verdict source =
-    match Clara_cir.Lower.lower_source source with
-    | exception _ -> false
-    | ir -> Clara_analysis.Sharing.stateless ir
+    match Clara_cir.Lower.of_source source with
+    | Error _ -> false
+    | Ok ir -> Clara_analysis.Sharing.stateless ir
   in
   let run nf nic fast warmup domains shards threads payload packets flows rate tcp pcap
       seed metrics metrics_cadence json stats stats_json =

@@ -3,15 +3,15 @@
 
    Two layers:
 
-   1. An execution-count analysis ({!Dfa} with interval widening): how
-      many times can each block execute for one packet of a given type?
-      Loop headers multiply their body's count by the loop-trip range
-      (inferred from guards and payload-length ranges); branch arms a
-      type's facts kill become unreached; undetermined arms keep their
-      upper count but drop to a zero lower.  Back edges are cut (the
-      multiplication already accounts for iteration), which makes the
-      fixpoint immediate on the reducible CFGs the lowerer emits; the
-      widening hook keeps the pass terminating on anything else.
+   1. An execution-count analysis, one fold over the blocks in the
+      dataflow graph's block order: how many times can each block
+      execute for one packet of a given type?  Loop headers multiply
+      their body's count by the loop-trip range (inferred from guards
+      and payload-length ranges); branch arms a type's facts kill stay
+      unreached; undetermined arms keep their upper count but drop to a
+      zero lower, and so does a loop's exit when its body can return.
+      Back edges are cut: the multiplication already accounts for
+      iteration.
 
    2. A cost composition: each block's count interval multiplies its
       nodes' {!Cost_range} envelopes (trip-free — the
@@ -79,38 +79,42 @@ let packet_types : (string * Paths.fact list) list =
 
 (* ---- execution-count analysis -------------------------------------- *)
 
-module Solver = Dfa.Make (I)
-
-(* Per-block execution-count intervals for packets satisfying [facts].
-   Entry executes once; a Loop header's body edge multiplies by the
-   trip range; branch arms the facts contradict become bottom, arms the
-   facts leave open keep their ceiling but may be skipped.  The back
-   edges the walk's steps name are cut. *)
+(* Per-block execution-count intervals for packets satisfying [facts],
+   one fold in the block order.  Entry executes once; a Loop header's
+   body edge multiplies by the trip range, and its exit edge may be
+   skipped when a body block returns; branch arms the facts contradict
+   stay bottom, arms the facts leave open keep their ceiling but may be
+   skipped.  The back edges the walk's steps name are cut. *)
 let exec_counts (df : D.Graph.t) ~sizes ~facts =
-  let edge ~(src : Ir.block) ~dst x =
-    if I.is_bottom x then x
-    else
-      match (df.D.Graph.steps.(src.Ir.bid), src.Ir.term) with
-      | D.Graph.Back _, _ -> I.bottom
-      | _, Ir.Cond { guard; then_; else_ } when then_ <> else_ ->
-          let pol = dst = then_ in
-          if Paths.assuming facts guard pol = None then I.bottom
-          else if Paths.assuming facts guard (not pol) = None then x
-          else I.make 0. (I.hi x)
-      | _, Ir.Loop { body; exit = _; trip } when dst = body ->
-          I.mul x (Cr.trip sizes trip)
-      | _ -> x
-  in
-  match
-    Solver.solve ~edge ~widen:I.widen ~init:(I.const 1.)
-      ~transfer:(fun _ x -> x)
-      df.D.Graph.cir
-  with
-  | Solver.Fixpoint r -> Ok r.Solver.input
-  | Solver.Budget_exhausted _ ->
-      (* Degrade to the conservative top count: bounds stay sound, just
-         useless, and the caller reports the condition. *)
-      Error (Array.map (fun _ -> I.make 0. Float.infinity) df.D.Graph.steps)
+  let p = df.D.Graph.cir in
+  let counts = Array.make (Array.length p.Ir.blocks) I.bottom in
+  counts.(p.Ir.entry) <- I.const 1.;
+  let give d x = counts.(d) <- I.join counts.(d) x in
+  let skippable x = I.make 0. (I.hi x) in
+  let returns m = match df.D.Graph.steps.(m) with D.Graph.Stop -> true | _ -> false in
+  Array.iter
+    (fun b ->
+      let x = counts.(b) in
+      if not (I.is_bottom x) then
+        match (df.D.Graph.steps.(b), (Ir.block p b).Ir.term) with
+        | D.Graph.Back _, _ -> ()
+        | _, Ir.Cond { guard; then_; else_ } when then_ <> else_ ->
+            let arm d pol =
+              if Paths.assuming facts guard pol = None then ()
+              else if Paths.assuming facts guard (not pol) = None then give d x
+              else give d (skippable x)
+            in
+            arm then_ true;
+            arm else_ false
+        | _, Ir.Loop { body; exit; trip } ->
+            give body (I.mul x (Cr.trip sizes trip));
+            give exit
+              (if List.exists returns (Ir.loop_body p ~header:b ~body ~exit) then
+                 skippable x
+               else x)
+        | _, term -> List.iter (fun d -> give d x) (Ir.successors term))
+    df.D.Graph.order;
+  counts
 
 (* A loop header executes once more than its body iterates (the guard
    re-evaluation that exits), and the count analysis deliberately cuts
@@ -144,40 +148,26 @@ type t = {
   bt_freq_mhz : int;
   bt_per_type : type_bounds list;
   bt_unbounded_loops : int list;  (* headers with no derivable trip bound *)
-  bt_exhausted : bool;            (* count analysis ran out of budget *)
 }
 
 let find t ptype =
   List.find_opt (fun b -> b.tb_type = ptype) t.bt_per_type
 
-let cfg_reachable (p : Ir.program) =
-  let n = Array.length p.Ir.blocks in
-  let seen = Array.make n false in
-  let rec go b =
-    if not seen.(b) then (
-      seen.(b) <- true;
-      List.iter go (Ir.successors p.Ir.blocks.(b).Ir.term))
-  in
-  go p.Ir.entry;
-  seen
-
-(* Reachable loop headers whose trip range has no finite ceiling. *)
-let unbounded_loops ?(payload_max = mtu_payload) (p : Ir.program) =
+(* Loop headers in the block order whose trip range has no finite
+   ceiling, in block id order. *)
+let unbounded_loops ?(payload_max = mtu_payload) (df : D.Graph.t) =
+  let p = df.D.Graph.cir in
   let sizes = sizes_for p ~ptype:"all" ~payload_max in
-  let reachable = cfg_reachable p in
-  Array.to_list p.Ir.blocks
-  |> List.filter_map (fun (b : Ir.block) ->
-         match b.Ir.term with
-         | Ir.Loop { trip; _ }
-           when reachable.(b.Ir.bid)
-                && not (Float.is_finite (I.hi (Cr.trip sizes trip))) ->
-             Some b.Ir.bid
-         | _ -> None)
+  List.sort compare (Array.to_list df.D.Graph.order)
+  |> List.filter (fun bid ->
+         match (Ir.block p bid).Ir.term with
+         | Ir.Loop { trip; _ } -> not (Float.is_finite (I.hi (Cr.trip sizes trip)))
+         | _ -> false)
 
 (* ---- the analysis -------------------------------------------------- *)
 
-let analyze ?(payload_max = mtu_payload) ~(lnic : L.Graph.t) (p : Ir.program) =
-  let df = D.Build.of_ir p in
+let analyze_graph ?(payload_max = mtu_payload) ~(lnic : L.Graph.t) (df : D.Graph.t) =
+  let p = df.D.Graph.cir in
   let footprint s =
     match List.find_opt (fun o -> o.Ir.st_name = s) p.Ir.states with
     | Some o -> Ir.state_bytes o
@@ -216,7 +206,6 @@ let analyze ?(payload_max = mtu_payload) ~(lnic : L.Graph.t) (p : Ir.program) =
       ~some:(fun (h : L.Hub.t) -> h.L.Hub.queue_capacity)
       (L.Graph.hub lnic `Ingress)
   in
-  let exhausted = ref false in
   let per_type =
     List.map
       (fun (ptype, facts) ->
@@ -229,13 +218,7 @@ let analyze ?(payload_max = mtu_payload) ~(lnic : L.Graph.t) (p : Ir.program) =
                else packet_regions)
             ~state_footprint:footprint sizes
         in
-        let counts =
-          match exec_counts df ~sizes ~facts with
-          | Ok c -> c
-          | Error c ->
-              exhausted := true;
-              c
-        in
+        let counts = exec_counts df ~sizes ~facts in
         (* Per-axis service sums: count x trip-free node envelope.  A
            node no unit can execute contributes the conservative
            [0, inf) — the mapping would have rejected the program, but
@@ -318,9 +301,10 @@ let analyze ?(payload_max = mtu_payload) ~(lnic : L.Graph.t) (p : Ir.program) =
     bt_target = lnic.L.Graph.name;
     bt_freq_mhz = L.Graph.freq_mhz lnic;
     bt_per_type = per_type;
-    bt_unbounded_loops = unbounded_loops ~payload_max p;
-    bt_exhausted = !exhausted;
+    bt_unbounded_loops = unbounded_loops ~payload_max df;
   }
+
+let analyze ?payload_max ~lnic p = analyze_graph ?payload_max ~lnic (D.Build.of_ir p)
 
 (* ---- SLO verdict --------------------------------------------------- *)
 
@@ -349,7 +333,7 @@ let verdict t ~slo_p99_us =
 
 let default_gap_ratio = 256.
 
-let lint ?lnic ?slo_p99_us ?(gap_ratio = default_gap_ratio) (p : Ir.program) =
+let lint ?lnic ?slo_p99_us ?(gap_ratio = default_gap_ratio) (df : D.Graph.t) =
   let diags = ref [] in
   let emit d = diags := d :: !diags in
   List.iter
@@ -362,16 +346,11 @@ let lint ?lnic ?slo_p99_us ?(gap_ratio = default_gap_ratio) (p : Ir.program) =
                worst-case latency is unbounded (use a for-loop over a \
                payload- or table-sized range)"
               bid)))
-    (unbounded_loops p);
+    (unbounded_loops df);
   (match lnic with
   | None -> ()
   | Some lnic -> (
-      let b = analyze ~lnic p in
-      if b.bt_exhausted then
-        emit
-          (Diag.make ~code:"CLARA204" ~severity:Diag.Warn ~pass:"bounds"
-             "execution-count analysis exhausted its iteration budget; \
-              bounds degraded to [0, inf)");
+      let b = analyze_graph ~lnic df in
       (match find b "all" with
       | Some row ->
           let s = row.tb_service in

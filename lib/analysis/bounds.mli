@@ -1,10 +1,12 @@
 (** Static per-packet-type latency bounds (pass 5, [clara bounds]).
 
     A forward abstract interpretation of the CIR CFG over the
-    {!Interval} domain computes, per traffic class, how many times each
-    block can execute for one packet (loop trips inferred from guards
-    and payload-length ranges; branch arms contradicted by the class's
-    guard facts killed), then multiplies the counts into
+    {!Interval} domain, one fold in {!Clara_dataflow.Graph.t.order},
+    computes per traffic class how many times each block can execute
+    for one packet (loop trips inferred from guards and payload-length
+    ranges; branch arms contradicted by the class's guard facts killed;
+    the code after a loop whose body can return may be skipped), then
+    multiplies the counts into
     {!Cost_range} node envelopes to yield sound
     per-axis cycle intervals on the [queue; compute; accel_wait; mem;
     wire] basis the calibration ledger uses.
@@ -45,8 +47,6 @@ type t = {
   bt_freq_mhz : int;            (** For cycles -> us conversion. *)
   bt_per_type : type_bounds list;
   bt_unbounded_loops : int list;
-  bt_exhausted : bool;  (** Count analysis hit its budget; bounds are
-                            degraded to [0, inf) but still sound. *)
 }
 
 val mtu_payload : float
@@ -55,7 +55,10 @@ val analyze :
   ?payload_max:float -> lnic:Clara_lnic.Graph.t -> Clara_cir.Ir.program -> t
 
 val find : t -> string -> type_bounds option
-val unbounded_loops : ?payload_max:float -> Clara_cir.Ir.program -> int list
+
+val unbounded_loops : ?payload_max:float -> Clara_dataflow.Graph.t -> int list
+(** Loop headers in the block order with no finite trip ceiling, in
+    block id order. *)
 
 type verdict = Provably_meets | Provably_violates | Unclear
 
@@ -72,7 +75,7 @@ val lint :
   ?lnic:Clara_lnic.Graph.t ->
   ?slo_p99_us:float ->
   ?gap_ratio:float ->
-  Clara_cir.Ir.program ->
+  Clara_dataflow.Graph.t ->
   Diag.t list
 (** CLARA401 needs no target; CLARA402/403 require [?lnic]. *)
 

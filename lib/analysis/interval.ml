@@ -33,12 +33,6 @@ let equal a b =
   | Iv a, Iv b -> a.lo = b.lo && a.hi = b.hi
   | _ -> false
 
-let leq a b =
-  match (a, b) with
-  | Bot, _ -> true
-  | _, Bot -> false
-  | Iv a, Iv b -> b.lo <= a.lo && a.hi <= b.hi
-
 let join a b =
   match (a, b) with
   | Bot, x | x, Bot -> x
@@ -48,30 +42,6 @@ let meet a b =
   match (a, b) with
   | Bot, _ | _, Bot -> Bot
   | Iv a, Iv b -> make (Float.max a.lo b.lo) (Float.min a.hi b.hi)
-
-(* Standard interval widening: an endpoint that moved jumps to its
-   infinity, so any ascending chain stabilizes in at most two steps per
-   side.  [a] is the accumulated value, [b] the new join. *)
-let widen a b =
-  match (a, b) with
-  | Bot, x | x, Bot -> x
-  | Iv a, Iv b ->
-      Iv
-        {
-          lo = (if b.lo < a.lo then Float.neg_infinity else a.lo);
-          hi = (if b.hi > a.hi then Float.infinity else a.hi);
-        }
-
-(* Standard narrowing: only refine the endpoints widening threw to
-   infinity, so a descending pass cannot oscillate. *)
-let narrow a b =
-  match (a, b) with
-  | Bot, _ -> Bot
-  | x, Bot -> x
-  | Iv a, Iv b ->
-      make
-        (if a.lo = Float.neg_infinity then b.lo else a.lo)
-        (if a.hi = Float.infinity then b.hi else a.hi)
 
 let add a b =
   match (a, b) with

@@ -3,10 +3,9 @@
 
     [Bot] is the empty interval ("unreached"); [make lo hi] normalizes
     an inverted range to [Bot] and NaN endpoints to the conservative
-    infinity.  The module satisfies {!Dfa.LATTICE} ([bottom] / [equal]
-    / [join]) and additionally provides [widen]/[narrow] — the lattice
-    has infinite ascending chains, so {!Dfa.Make}'s [?widen] hook is
-    required for termination on cyclic CFGs. *)
+    infinity.  [join] is the hull, with [Bot] its identity; the bounds'
+    execution counts join a block's in-edges with it in one pass over
+    the acyclic block order, so no widening is needed. *)
 
 type t = Bot | Iv of { lo : float; hi : float }
 
@@ -27,17 +26,8 @@ val hi : t -> float
 val is_finite : t -> bool
 val contains : t -> float -> bool
 val equal : t -> t -> bool
-val leq : t -> t -> bool
 val join : t -> t -> t
 val meet : t -> t -> t
-
-val widen : t -> t -> t
-(** [widen old joined]: endpoints that grew jump to infinity, so every
-    ascending chain stabilizes in at most two widening steps. *)
-
-val narrow : t -> t -> t
-(** [narrow widened refined]: only infinite endpoints are refined, so a
-    descending pass cannot oscillate. *)
 
 val add : t -> t -> t
 

@@ -1,4 +1,5 @@
 module Ir = Clara_cir.Ir
+module D = Clara_dataflow
 
 (* A fact is an atomic guard plus the polarity under which it is known
    to hold.  Only packet-stable atoms participate (see .mli). *)
@@ -7,29 +8,14 @@ type fact = Ir.guard * bool
 module L = struct
   type t = Unreached | Facts of fact list (* canonical: sorted, duplicate-free *)
 
-  let bottom = Unreached
-
-  (* Fact lists are sets; compare and intersect canonically so an
-     order- or duplicate-perturbed list still behaves as the same
-     element.  (The old structural [=] made [join]'s filter order-
-     dependent: intersecting two differently-ordered equal sets could
-     oscillate against [equal] and burn worklist iterations.) *)
-  let canon fs = List.sort_uniq compare fs
-
-  let equal a b =
-    match (a, b) with
-    | Unreached, Unreached -> true
-    | Facts x, Facts y -> canon x = canon y
-    | _ -> false
-
+  (* Fact lists are sets: intersect them canonically, so an order- or
+     duplicate-perturbed list still joins to the same set. *)
   let join a b =
     match (a, b) with
     | Unreached, x | x, Unreached -> x
     | Facts x, Facts y ->
-        Facts (canon (List.filter (fun f -> List.mem f y) x))
+        Facts (List.sort_uniq compare (List.filter (fun f -> List.mem f y) x))
 end
-
-module Solver = Dfa.Make (L)
 
 let trackable = function Ir.G_proto _ | Ir.G_flag _ -> true | _ -> false
 
@@ -62,84 +48,78 @@ let assuming fs g pol =
     (fun acc f -> match acc with None -> None | Some fs -> add_fact fs f)
     (Some fs) (facts_of_guard g pol)
 
-let edge ~(src : Ir.block) ~dst x =
-  match x with
-  | L.Unreached -> L.Unreached
-  | L.Facts fs -> (
-      match src.Ir.term with
-      | Ir.Cond { guard; then_; else_ } when then_ <> else_ -> (
-          match assuming fs guard (dst = then_) with
-          | None -> L.Unreached
-          | Some fs' -> L.Facts fs')
-      | _ -> x)
+(* The facts on every path into each block: one fold in the block
+   order.  A [Cond] edge adds its outcome or, when the outcome
+   contradicts the facts, carries nothing.  Back edges are left out: one
+   only intersects its header's facts with a superset of them. *)
+let facts (df : D.Graph.t) =
+  let p = df.D.Graph.cir in
+  let at = Array.make (Array.length p.Ir.blocks) L.Unreached in
+  at.(p.Ir.entry) <- L.Facts [];
+  Array.iter
+    (fun b ->
+      match (at.(b), df.D.Graph.steps.(b)) with
+      | L.Unreached, _ | _, D.Graph.Back _ -> ()
+      | L.Facts fs, _ ->
+          let term = (Ir.block p b).Ir.term in
+          List.iter
+            (fun dst ->
+              let out =
+                match term with
+                | Ir.Cond { guard; then_; else_ } when then_ <> else_ -> (
+                    match assuming fs guard (dst = then_) with
+                    | None -> L.Unreached
+                    | Some fs' -> L.Facts fs')
+                | _ -> L.Facts fs
+              in
+              at.(dst) <- L.join at.(dst) out)
+            (Ir.successors term))
+    df.D.Graph.order;
+  at
 
-let cfg_reachable (p : Ir.program) =
-  let n = Array.length p.Ir.blocks in
-  let seen = Array.make n false in
-  let rec go b =
-    if not seen.(b) then (
-      seen.(b) <- true;
-      List.iter go (Ir.successors p.Ir.blocks.(b).Ir.term))
-  in
-  go p.Ir.entry;
-  seen
-
-let analyze (p : Ir.program) =
-  match
-    Solver.solve ~edge ~init:(L.Facts []) ~transfer:(fun _ x -> x) p
-  with
-  | Solver.Budget_exhausted { budget; _ } ->
-      (* Degrade instead of crashing the lint run: the partial facts are
-         an under-approximation, so none of the CLARA201-203 claims
-         ("on every path") would be sound to emit from them. *)
-      [
-        Diag.make ~code:"CLARA204" ~severity:Diag.Warn ~pass:"paths"
-          (Printf.sprintf
-             "path analysis exhausted its %d-step iteration budget before \
-              reaching a fixed point; guard-fact diagnostics skipped"
-             budget);
-      ]
-  | Solver.Fixpoint r ->
-      let reachable = cfg_reachable p in
-      let diags = ref [] in
-      let emit d = diags := d :: !diags in
-      Array.iter
-        (fun (b : Ir.block) ->
-          let bid = b.Ir.bid in
-          match r.Solver.input.(bid) with
-          | L.Unreached ->
-              (* CFG-unreachable blocks are eliminate_dead_blocks' problem;
-                 only report blocks a CFG walk believes are live. *)
-              if reachable.(bid) then
+let analyze (df : D.Graph.t) =
+  let at = facts df in
+  let in_order = Array.make (Array.length at) false in
+  Array.iter (fun b -> in_order.(b) <- true) df.D.Graph.order;
+  let diags = ref [] in
+  let emit d = diags := d :: !diags in
+  Array.iter
+    (fun (b : Ir.block) ->
+      let bid = b.Ir.bid in
+      match at.(bid) with
+      | L.Unreached ->
+          (* CFG-unreachable blocks are eliminate_dead_blocks' problem;
+             only report blocks the block order holds. *)
+          if in_order.(bid) then
+            emit
+              (Diag.make ~block:bid ~code:"CLARA202" ~severity:Diag.Warn
+                 ~pass:"paths"
+                 (Printf.sprintf
+                    "block b%d is unreachable: every path to it carries \
+                     contradictory guard facts"
+                    bid))
+      | L.Facts fs -> (
+          match b.Ir.term with
+          | Ir.Cond { guard; then_; else_ } when then_ <> else_ ->
+              let dead pol = assuming fs guard pol = None in
+              let guard_str = Format.asprintf "%a" Ir.pp_guard guard in
+              if dead true then
                 emit
-                  (Diag.make ~block:bid ~code:"CLARA202" ~severity:Diag.Warn
+                  (Diag.make ~block:bid ~code:"CLARA201" ~severity:Diag.Warn
                      ~pass:"paths"
                      (Printf.sprintf
-                        "block b%d is unreachable: every path to it carries \
-                         contradictory guard facts"
-                        bid))
-          | L.Facts fs -> (
-              match b.Ir.term with
-              | Ir.Cond { guard; then_; else_ } when then_ <> else_ ->
-                  let dead pol = assuming fs guard pol = None in
-                  let guard_str = Format.asprintf "%a" Ir.pp_guard guard in
-                  if dead true then
-                    emit
-                      (Diag.make ~block:bid ~code:"CLARA201"
-                         ~severity:Diag.Warn ~pass:"paths"
-                         (Printf.sprintf
-                            "guard '%s' at b%d contradicts facts established \
-                             on every path here; its then-branch (b%d) never \
-                             executes"
-                            guard_str bid then_))
-                  else if dead false then
-                    emit
-                      (Diag.make ~block:bid ~code:"CLARA203"
-                         ~severity:Diag.Info ~pass:"paths"
-                         (Printf.sprintf
-                            "guard '%s' at b%d is implied by earlier guards; \
-                             its else-branch (b%d) is dead"
-                            guard_str bid else_))
-              | _ -> ()))
-        p.Ir.blocks;
-      List.rev !diags
+                        "guard '%s' at b%d contradicts facts established on \
+                         every path here; its then-branch (b%d) never \
+                         executes"
+                        guard_str bid then_))
+              else if dead false then
+                emit
+                  (Diag.make ~block:bid ~code:"CLARA203" ~severity:Diag.Info
+                     ~pass:"paths"
+                     (Printf.sprintf
+                        "guard '%s' at b%d is implied by earlier guards; its \
+                         else-branch (b%d) is dead"
+                        guard_str bid else_))
+          | _ -> ()))
+    df.D.Graph.cir.Ir.blocks;
+  List.rev !diags

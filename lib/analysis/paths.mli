@@ -1,27 +1,26 @@
-(** Guard/path analysis (pass 3), built on {!Dfa}.
+(** Guard/path analysis (pass 3).
 
-    A forward dataflow collects the guard facts that hold on {e every}
-    path into each block (join = set intersection), with a per-edge
-    transfer adding the branch condition (positive on the then edge,
-    negative on the else edge).  Only packet-stable atoms are tracked —
-    [G_proto] and [G_flag] — because table hits, scan matches and
-    counter thresholds can change value between two evaluations in the
-    same packet's execution (an update between two lookups, two scans
-    for different patterns), and a linter must not report false
-    contradictions.
+    The guard facts that hold on {e every} path into each block, as one
+    fold over the blocks in {!Clara_dataflow.Graph.t.order}: a block's
+    facts are the intersection of what its in-edges carry, and a [Cond]
+    edge adds its outcome (positive on the then edge, negative on the
+    else edge).  Back edges are left out: one only intersects its loop
+    header's facts with a superset of them.  Only packet-stable atoms
+    are tracked — [G_proto] and [G_flag] — because table hits, scan
+    matches and counter thresholds can change value between two
+    evaluations in the same packet's execution (an update between two
+    lookups, two scans for different patterns), and a linter must not
+    report false contradictions.
 
     Diagnostics:
     - CLARA201 (warn): a guard contradicts facts established on every
       path to it — its then-arm can never execute (e.g. a [G_proto 6]
       test nested under a [G_proto 17] branch).
-    - CLARA202 (warn): a block that is CFG-reachable — so
+    - CLARA202 (warn): a block in the block order — so
       [Patterns.eliminate_dead_blocks] keeps it — but every path to it
       carries contradictory guard facts.
     - CLARA203 (info): a guard implied by earlier guards; its else-arm
-      is dead.
-    - CLARA204 (warn): the dataflow solver exhausted its iteration
-      budget before a fixed point; the pass degrades to this single
-      diagnostic instead of crashing the lint run. *)
+      is dead. *)
 
 type fact = Clara_cir.Ir.guard * bool
 (** An atomic guard and the polarity under which it is known to hold. *)
@@ -29,12 +28,10 @@ type fact = Clara_cir.Ir.guard * bool
 module L : sig
   type t = Unreached | Facts of fact list
 
-  val bottom : t
-  val equal : t -> t -> bool
   val join : t -> t -> t
-  (** Set semantics: fact lists are compared and intersected
-      canonically (sorted, duplicate-free), so element order never
-      affects the fixpoint. *)
+  (** Set intersection, [Unreached] its identity.  The result is
+      canonical (sorted, duplicate-free) whatever the order of the
+      inputs. *)
 end
 
 val facts_of_guard : Clara_cir.Ir.guard -> bool -> fact list
@@ -50,4 +47,4 @@ val assuming : fact list -> Clara_cir.Ir.guard -> bool -> fact list option
 (** Extend a consistent fact set with a guard outcome; [None] when the
     outcome contradicts the set (that branch is infeasible). *)
 
-val analyze : Clara_cir.Ir.program -> Diag.t list
+val analyze : Clara_dataflow.Graph.t -> Diag.t list

@@ -24,10 +24,11 @@ let run ?lnic ?slo_p99_us ?bounds_gap_ratio (p : Ir.program) =
   let feas_diags =
     match lnic with None -> [] | Some g -> Feasibility.analyze ~lnic:g p
   in
-  let path_diags = Paths.analyze p in
+  let df = Clara_dataflow.Build.of_ir p in
+  let path_diags = Paths.analyze df in
   let cost_diags = Cost_sanity.analyze p in
   let bounds_diags =
-    Bounds.lint ?lnic ?slo_p99_us ?gap_ratio:bounds_gap_ratio p
+    Bounds.lint ?lnic ?slo_p99_us ?gap_ratio:bounds_gap_ratio df
   in
   Clara_obs.Metrics.add c_sharing (List.length sharing_diags);
   Clara_obs.Metrics.add c_feas (List.length feas_diags);

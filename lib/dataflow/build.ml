@@ -29,6 +29,23 @@ let of_ir (p : Ir.program) : Graph.t =
             (Ir.loop_body p ~header ~body ~exit)
       | _ -> ())
     p.Ir.blocks;
+  (* Reverse postorder of the blocks the entry reaches over the CIR
+     edges, a [Back] step's exit standing in for its jump to the header:
+     a topological order, or a cycle, which no walk could finish. *)
+  let mark = Array.make nblocks `New and order = ref [] in
+  let rec dfs b =
+    match mark.(b) with
+    | `Open -> raise Graph.Walk_limit
+    | `Done -> ()
+    | `New ->
+        mark.(b) <- `Open;
+        (match steps.(b) with
+        | Graph.Back { exit; _ } -> dfs exit
+        | _ -> List.iter dfs (Ir.successors (Ir.block p b).Ir.term));
+        mark.(b) <- `Done;
+        order := b :: !order
+  in
+  dfs p.Ir.entry;
   (* Split blocks into segments; record each block's node ids. *)
   let nodes = ref [] in
   let next_id = ref 0 in
@@ -100,6 +117,7 @@ let of_ir (p : Ir.program) : Graph.t =
     cir = p;
     block_nodes;
     steps;
+    order = Array.of_list !order;
   }
 
 let of_source src =

@@ -13,6 +13,7 @@ type t = {
   cir : Ir.program;
   block_nodes : Node.t array array;
   steps : step array;
+  order : int array;
 }
 
 let node t i =
@@ -59,27 +60,10 @@ let walk t ~guard ~visit =
 
 let visits t ~prob =
   let n = Array.length t.steps in
-  (* Reverse postorder of the blocks the entry reaches over the steps:
-     a topological order, or a cycle, which no walk could finish. *)
-  let mark = Array.make n `New and order = ref [] in
-  let rec dfs b =
-    match mark.(b) with
-    | `Open -> raise Walk_limit
-    | `Done -> ()
-    | `New ->
-        mark.(b) <- `Open;
-        (match t.steps.(b) with
-        | Stop -> ()
-        | Next d | Back { exit = d; _ } -> dfs d
-        | Branch { then_; else_; _ } -> dfs then_; dfs else_);
-        mark.(b) <- `Done;
-        order := b :: !order
-  in
-  dfs t.cir.Ir.entry;
   let mass = Array.make n 0. in
   mass.(t.cir.Ir.entry) <- 1.;
   let give d m = mass.(d) <- mass.(d) +. m in
-  List.iter
+  Array.iter
     (fun b ->
       let m = mass.(b) in
       match t.steps.(b) with
@@ -90,7 +74,7 @@ let visits t ~prob =
           let p = prob guard in
           give then_ (p *. m);
           give else_ ((1. -. p) *. m))
-    !order;
+    t.order;
   Array.map (fun (nd : Node.t) -> mass.(nd.Node.block)) t.nodes
 
 let emit_mass t visits =

@@ -6,8 +6,8 @@
     repetition is instead recorded on each node's [loop_trip]. *)
 
 (** Where one packet goes after a block: the walk's one decision about
-    the structured CFG.  {!walk}, {!visits}, the graph's edges and the
-    static bounds' loop cut all read it. *)
+    the structured CFG.  {!walk}, {!visits}, the graph's edges, {!order}
+    and the static bounds' loop cut all read it. *)
 type step =
   | Stop  (** [Ret]: the packet ends, inside a loop body too. *)
   | Next of int
@@ -28,6 +28,11 @@ type t = {
       (** Indexed by CIR block id: the block's nodes in id order.  Every
           block has at least one node. *)
   steps : step array;  (** Indexed by CIR block id. *)
+  order : int array;
+      (** The blocks the entry reaches, each after every block that
+          steps or jumps to it: a topological order of {!steps} and of
+          the CIR edges minus the [Back] ones.  Every forward analysis
+          of the CFG is one fold in this order. *)
 }
 
 val node : t -> int -> Node.t
@@ -38,9 +43,9 @@ val topo_order : t -> int list
     @raise Failure if the graph is not a DAG (a Build bug). *)
 
 exception Walk_limit
-(** A walk took more than 10 000 block steps, or {!visits} found a
-    cycle in the steps: the CFG cycles outside a structured loop, which
-    {!Clara_cir.Lower} never produces. *)
+(** A walk took more than 10 000 block steps, or {!Build} found a cycle
+    while ordering the blocks: the CFG cycles outside a structured loop,
+    which {!Clara_cir.Lower} never produces. *)
 
 val walk : t -> guard:(Clara_cir.Ir.guard -> bool) -> visit:(Node.t -> unit) -> unit
 (** The one traversal of the structured CFG for one packet: from the
@@ -52,13 +57,11 @@ val walk : t -> guard:(Clara_cir.Ir.guard -> bool) -> visit:(Node.t -> unit) -> 
 val visits : t -> prob:(Clara_cir.Ir.guard -> float) -> float array
 (** Expected executions per packet, indexed by node id (a loop body's
     nodes count once; they carry the trip count): probability mass from
-    the entry block over the same {!steps} as {!walk}, in block
-    topological order.  A [Branch] splits its mass by [prob guard], a
-    [Stop] absorbs it and every other step forwards it whole, so mass
-    that returns inside a loop never reaches the loop's exit.  With
-    every guard at 0 or 1 it is 1 on the nodes {!walk} visits and 0
-    elsewhere.
-    @raise Walk_limit if the steps cycle. *)
+    the entry block over the same {!steps} as {!walk}, in {!order}.  A
+    [Branch] splits its mass by [prob guard], a [Stop] absorbs it and
+    every other step forwards it whole, so mass that returns inside a
+    loop never reaches the loop's exit.  With every guard at 0 or 1 it
+    is 1 on the nodes {!walk} visits and 0 elsewhere. *)
 
 val emit_mass : t -> float array -> float
 (** The sum of the given {!visits} over the [emit] nodes: the expected

@@ -123,8 +123,7 @@ let evaluate (cell : Spec.cell) =
       | Ok a ->
           let trace = W.Trace.synthesize ~seed:(Int64.of_int cell.Spec.seed) profile in
           let p = Clara.predict a trace in
-          let sizes = Clara.sizes_of_profile profile in
-          let prob = Clara.prob_of_profile profile in
+          let sizes = a.Clara.sizes and prob = a.Clara.prob in
           let tp =
             Clara_predict.Throughput.estimate ~sizes ~prob lnic a.Clara.df
               a.Clara.mapping
@@ -170,9 +169,9 @@ let run ?(domains = 1) ?timeout_ms ?cache ?slo_p99_us (spec : Spec.t) =
                match L.Targets.of_name nic with
                | Error _ -> None
                | Ok lnic -> (
-                   match Clara_cir.Lower.lower_source source with
-                   | exception _ -> None
-                   | ir -> (
+                   match Clara_cir.Lower.of_source source with
+                   | Error _ -> None
+                   | Ok ir -> (
                        let ir = fst (Clara_cir.Patterns.run ir) in
                        let module B = Clara_analysis.Bounds in
                        let b = B.analyze ~lnic ir in

@@ -6,3 +6,23 @@ let default_probability =
   Clara.prob_of_profile
     (Clara_workload.Profile.make ~tcp_fraction:0.8 ~flow_count:100 ~packets:1000
        ~new_flow_syn:true ())
+
+(* An NF with a [return] inside a loop body: every TCP packet drops on
+   the loop's first iteration and never reaches the code after it. *)
+let early_exit_source =
+  {|nf early_exit {
+  state counter seen[1024] entry 8;
+  handler process(pkt) {
+    var hdr = parse_header(pkt);
+    for (i = 0; i < 8; i = i + 1) {
+      if (hdr.proto == 6) {
+        drop(pkt);
+        return;
+      }
+      hdr.ttl = hdr.ttl - 1;
+    }
+    var n = count(seen, hdr.src_ip);
+    checksum(pkt);
+    emit(pkt);
+  }
+}|}

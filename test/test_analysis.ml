@@ -1,5 +1,5 @@
-(* Tests for the static-analysis suite (lib/analysis): the dataflow
-   framework, the four lint passes, sharing-verdict consumption by the
+(* Tests for the static-analysis suite (lib/analysis): the block order
+   the forward passes fold in, the four lint passes, sharing-verdict consumption by the
    mapping encoder, and the Unknown_state regression. *)
 
 module Ir = Clara_cir.Ir
@@ -150,22 +150,7 @@ let mk_prog ?(states = []) blocks =
   { Ir.prog_name = "hand"; entry = 0; blocks = Array.of_list blocks; states }
 
 (* ------------------------------------------------------------------ *)
-(* Dfa framework                                                       *)
-
-module BoolL = struct
-  type t = bool
-
-  let bottom = false
-  let equal = Bool.equal
-  let join = ( || )
-end
-
-module BoolD = A.Dfa.Make (BoolL)
-
-(* A finite lattice with a monotone transfer must reach its fixpoint. *)
-let fixpoint = function
-  | BoolD.Fixpoint r -> r
-  | BoolD.Budget_exhausted _ -> Alcotest.fail "no fixpoint"
+(* Block order                                                         *)
 
 let diamond_with_orphan =
   mk_prog
@@ -177,89 +162,35 @@ let diamond_with_orphan =
       mk 4 [] Ir.Ret;
     ]
 
-let test_dfa_forward () =
-  let r =
-    fixpoint (BoolD.solve ~init:true ~transfer:(fun _ f -> f) diamond_with_orphan)
+let position o b =
+  let rec go i = if o.(i) = b then i else go (i + 1) in
+  go 0
+
+let test_block_order_reachability () =
+  let o = (D.Build.of_ir diamond_with_orphan).D.Graph.order in
+  check_int "the four reached blocks" 4 (Array.length o);
+  check "entry first" true (o.(0) = 0);
+  check "orphan left out" false (Array.mem 4 o);
+  check "join block after both arms" true
+    (position o 3 > position o 1 && position o 3 > position o 2);
+  (* A loop: the back edge is cut, so the exit comes after the body. *)
+  let looped =
+    mk_prog
+      [
+        mk 0 [] (Ir.Loop { body = 1; exit = 2; trip = Ir.S_const 4 });
+        mk 1 [] (Ir.Jump 0);
+        mk 2 [] Ir.Ret;
+      ]
   in
-  check "entry reached" true r.BoolD.input.(0);
-  check "join block reached" true r.BoolD.output.(3);
-  check "orphan stays bottom" false r.BoolD.output.(4);
-  check "did some work" true (r.BoolD.iterations >= 4)
+  check "loop order" true ((D.Build.of_ir looped).D.Graph.order = [| 0; 1; 2 |])
 
-let test_dfa_backward () =
-  let r =
-    fixpoint
-      (BoolD.solve ~direction:A.Dfa.Backward ~init:true
-         ~transfer:(fun _ f -> f)
-         diamond_with_orphan)
-  in
-  (* Facts flow from the Ret block back to the entry. *)
-  check "entry live" true r.BoolD.output.(0);
-  check "both arms live" true (r.BoolD.output.(1) && r.BoolD.output.(2))
-
-module IntL = struct
-  type t = int
-
-  let bottom = 0
-  let equal = Int.equal
-  let join = max
-end
-
-module IntD = A.Dfa.Make (IntL)
-
-let looped =
-  mk_prog
-    [
-      mk 0 [] (Ir.Loop { body = 1; exit = 2; trip = Ir.S_const 4 });
-      mk 1 [] (Ir.Jump 0);
-      mk 2 [] Ir.Ret;
-    ]
-
-let test_dfa_budget () =
-  (* A non-monotone transfer on a cyclic CFG must hit the iteration
-     budget and report it as a typed outcome rather than spin. *)
-  (match IntD.solve ~init:1 ~transfer:(fun _ x -> x + 1) looped with
-  | IntD.Fixpoint _ -> check "budget exhausted" true false
-  | IntD.Budget_exhausted { budget; prog; partial } ->
-      check "budget positive" true (budget > 0);
-      Alcotest.(check string) "prog name carried" "hand" prog;
-      check "partial facts usable" true (partial.IntD.input.(0) >= 1))
-
-module IvD = A.Dfa.Make (A.Interval)
-
-let test_dfa_widening () =
-  (* The same cyclic CFG with an incrementing interval transfer has an
-     infinite ascending chain; the widening hook must still converge to
-     a sound (infinite-ceiling) fixpoint within the budget. *)
-  let module I = A.Interval in
-  match
-    IvD.solve ~widen:I.widen ~init:(I.const 0.)
-      ~transfer:(fun _ x -> I.add x (I.const 1.))
-      looped
-  with
-  | IvD.Budget_exhausted _ -> check "widening converges" true false
-  | IvD.Fixpoint r ->
-      check "loop head widened to +inf" true
-        (I.hi r.IvD.input.(0) = Float.infinity);
-      check "lower bound stays finite" true
-        (I.lo r.IvD.input.(0) >= 0.)
-
-let test_dfa_edge () =
-  (* The edge transfer distinguishes the two arms of a Cond. *)
-  let r =
-    fixpoint
-      (BoolD.solve ~init:true
-         ~edge:(fun ~src ~dst f ->
-           match src.Ir.term with
-           | Ir.Cond { else_; _ } when dst = else_ -> false
-           | _ -> f)
-         ~transfer:(fun _ f -> f)
-         diamond_with_orphan)
-  in
-  check "then edge keeps fact" true r.BoolD.input.(1);
-  check "else edge kills fact" false r.BoolD.input.(2);
-  (* Join of true (via b1) and false (via b2) is true. *)
-  check "join block" true r.BoolD.input.(3)
+let test_block_order_rejects_cycle () =
+  (* A cycle outside a structured loop has no block order: building its
+     graph raises instead of looping. *)
+  let cyclic = mk_prog [ mk 0 [] (Ir.Jump 1); mk 1 [] (Ir.Jump 0) ] in
+  match D.Build.of_ir cyclic with
+  | _ -> Alcotest.fail "cyclic CFG ordered"
+  | exception D.Graph.Walk_limit -> ()
 
 (* ------------------------------------------------------------------ *)
 (* simplify_guard                                                      *)
@@ -392,7 +323,7 @@ let test_paths_unreachable_block () =
         mk 4 [] Ir.Ret;
       ]
   in
-  let ds = A.Paths.analyze p in
+  let ds = A.Paths.analyze (D.Build.of_ir p) in
   check "guard-unreachable block flagged" true
     (List.exists (fun d -> d.A.Diag.code = "CLARA202") ds)
 
@@ -403,7 +334,7 @@ let test_paths_implied_guard () =
 
 let test_paths_clean_diamond () =
   (* Plain branching must not produce path diagnostics. *)
-  let ds = A.Paths.analyze diamond_with_orphan in
+  let ds = A.Paths.analyze (D.Build.of_ir diamond_with_orphan) in
   let path_codes =
     List.filter
       (fun d -> d.A.Diag.code >= "CLARA201" && d.A.Diag.code <= "CLARA203")
@@ -572,29 +503,19 @@ let test_corpus_lints_clean () =
 let test_paths_lattice_canonical () =
   let f6 = (Ir.G_proto 6, true) and f17 = (Ir.G_proto 17, false) in
   let fl2 = (Ir.G_flag 2, true) in
-  (* Order and duplicates must not distinguish equal fact sets... *)
-  check "equal ignores order" true
-    (A.Paths.L.equal (A.Paths.L.Facts [ f6; f17 ]) (A.Paths.L.Facts [ f17; f6 ]));
-  check "equal ignores duplicates" true
-    (A.Paths.L.equal
-       (A.Paths.L.Facts [ f6; f17; f6 ])
-       (A.Paths.L.Facts [ f17; f6 ]));
-  check "different sets differ" false
-    (A.Paths.L.equal (A.Paths.L.Facts [ f6 ]) (A.Paths.L.Facts [ f17 ]));
-  (* ...and join must intersect as sets, canonically. *)
-  (match
-     A.Paths.L.join
-       (A.Paths.L.Facts [ fl2; f6; f17 ])
-       (A.Paths.L.Facts [ f17; f6 ])
-   with
-  | A.Paths.L.Facts fs ->
-      check "join intersects" true (List.sort compare fs = List.sort compare [ f6; f17 ])
-  | A.Paths.L.Unreached -> Alcotest.fail "join of reached states unreached");
-  (* Regression: differently-ordered equal inputs must join to something
-     [equal] to both, or the fixpoint oscillates and burns the budget. *)
-  let a = A.Paths.L.Facts [ f6; f17; fl2 ] and b = A.Paths.L.Facts [ fl2; f17; f6 ] in
-  check "join of reorderings is equal to both" true
-    (A.Paths.L.equal (A.Paths.L.join a b) a && A.Paths.L.equal (A.Paths.L.join a b) b)
+  let module P = A.Paths.L in
+  let canonical = List.sort_uniq compare in
+  (* Join intersects as sets and returns the canonical list, whatever
+     the order of its inputs or their duplicates. *)
+  check "join intersects" true
+    (P.join (P.Facts [ fl2; f6; f17 ]) (P.Facts [ f17; f6 ])
+    = P.Facts (canonical [ f6; f17 ]));
+  check "join of reorderings is the canonical set" true
+    (P.join (P.Facts [ f6; f17; fl2; f6 ]) (P.Facts [ fl2; f17; f6 ])
+    = P.Facts (canonical [ f6; f17; fl2 ]));
+  check "unreached is the identity" true
+    (P.join P.Unreached (P.Facts [ f17; f6 ]) = P.Facts [ f17; f6 ]
+    && P.join (P.Facts [ f6 ]) P.Unreached = P.Facts [ f6 ])
 
 let test_facts_de_morgan () =
   let g6 = Ir.G_proto 6 and g17 = Ir.G_proto 17 in
@@ -645,27 +566,41 @@ let test_interval_ops () =
   check "zero times top" true
     (I.equal (I.mul (I.const 0.) (I.make 1. Float.infinity)) (I.const 0.));
   check "mul ranges" true
-    (I.equal (I.mul (I.make 0. 2.) (I.make 3. 4.)) (I.make 0. 8.));
-  (* Widening jumps grown endpoints to infinity; narrowing refines only
-     infinite ones back. *)
-  let w = I.widen (I.make 0. 4.) (I.make 0. 5.) in
-  check "widen hi to inf" true (I.hi w = Float.infinity && I.lo w = 0.);
-  check "widen stable when contained" true
-    (I.equal (I.widen (I.make 0. 4.) (I.make 1. 4.)) (I.make 0. 4.));
-  check "narrow refines inf endpoint" true
-    (I.equal (I.narrow w (I.make 0. 7.)) (I.make 0. 7.));
-  check "narrow keeps finite endpoint" true
-    (I.equal (I.narrow (I.make 0. 7.) (I.make 2. 5.)) (I.make 0. 7.))
+    (I.equal (I.mul (I.make 0. 2.) (I.make 3. 4.)) (I.make 0. 8.))
 
 let nat_ir () =
   fst (Pat.run (Low.lower_source (Clara_nfs.Nat.source ())))
+
+(* A [return] inside a loop may skip the code after it: the TCP path of
+   [Fixtures.early_exit_source] drops on the loop's first iteration, so
+   its cost must lie inside the static TCP service bounds, whose lower
+   end once charged the post-loop count, checksum and emit. *)
+let test_bounds_contain_return_in_loop () =
+  let module B = A.Bounds in
+  let module Sym = Clara_predict.Symexec in
+  let lnic = L.Netronome.default in
+  let profile =
+    Clara_workload.Profile.make ~tcp_fraction:1.0 ~packets:200 ~flow_count:50 ()
+  in
+  match Clara.analyze_for_profile lnic ~source:Fixtures.early_exit_source ~profile with
+  | Error e -> Alcotest.fail e
+  | Ok a ->
+      let paths = Sym.enumerate ~sizes:a.Clara.sizes lnic a.Clara.df a.Clara.mapping in
+      let tcp = List.find (fun p -> p.Sym.description = "tcp") paths in
+      let b = B.analyze ~lnic a.Clara.df.D.Graph.cir in
+      let row = Option.get (B.find b "tcp") in
+      check "tcp path drops" false tcp.Sym.emits;
+      check
+        (Format.asprintf "tcp path %.1f cyc inside %a" tcp.Sym.cost_cycles A.Interval.pp
+           row.B.tb_service)
+        true
+        (A.Interval.contains row.B.tb_service tcp.Sym.cost_cycles)
 
 let test_bounds_finite_example () =
   let module B = A.Bounds in
   let module I = A.Interval in
   let b = B.analyze ~lnic:L.Netronome.default (nat_ir ()) in
   check "no unbounded loops" true (b.B.bt_unbounded_loops = []);
-  check "budget not exhausted" false b.B.bt_exhausted;
   check_int "five type rows" 5 (List.length b.B.bt_per_type);
   List.iter
     (fun (row : B.type_bounds) ->
@@ -685,14 +620,14 @@ let test_bounds_finite_example () =
   check "no CLARA401 on nat" true
     (List.for_all
        (fun d -> d.A.Diag.code <> "CLARA401")
-       (B.lint ~lnic:L.Netronome.default (nat_ir ())))
+       (B.lint ~lnic:L.Netronome.default (D.Build.of_ir (nat_ir ()))))
 
 let test_bounds_unbounded_loop () =
   let module B = A.Bounds in
   let module I = A.Interval in
   let ir = fst (Pat.run (Low.lower_source while_src)) in
-  check "loop reported" true (B.unbounded_loops ir <> []);
-  let diags = B.lint ~lnic:L.Netronome.default ir in
+  check "loop reported" true (B.unbounded_loops (D.Build.of_ir ir) <> []);
+  let diags = B.lint ~lnic:L.Netronome.default (D.Build.of_ir ir) in
   check "CLARA401 fires" true
     (List.exists
        (fun d -> d.A.Diag.code = "CLARA401" && d.A.Diag.severity = A.Diag.Error)
@@ -720,7 +655,7 @@ let test_bounds_verdict () =
   let has403 slo =
     List.exists
       (fun d -> d.A.Diag.code = "CLARA403")
-      (B.lint ~lnic:L.Netronome.default ~slo_p99_us:slo (nat_ir ()))
+      (B.lint ~lnic:L.Netronome.default ~slo_p99_us:slo (D.Build.of_ir (nat_ir ())))
   in
   check "CLARA403 on violation" true (has403 (lo_us /. 2.));
   check "no CLARA403 when unclear" false (has403 ((lo_us +. hi_us) /. 2.))
@@ -814,11 +749,10 @@ let test_report_json_shape () =
 
 let suite =
   [
-    Alcotest.test_case "dfa forward reachability" `Quick test_dfa_forward;
-    Alcotest.test_case "dfa backward" `Quick test_dfa_backward;
-    Alcotest.test_case "dfa iteration budget" `Quick test_dfa_budget;
-    Alcotest.test_case "dfa interval widening" `Quick test_dfa_widening;
-    Alcotest.test_case "dfa edge transfer" `Quick test_dfa_edge;
+    Alcotest.test_case "block order reachability" `Quick
+      test_block_order_reachability;
+    Alcotest.test_case "block order rejects a cycle" `Quick
+      test_block_order_rejects_cycle;
     Alcotest.test_case "simplify_guard" `Quick test_simplify_guard;
     Alcotest.test_case "sharing: racy RMW" `Quick test_sharing_racy;
     Alcotest.test_case "sharing: atomic fix" `Quick test_sharing_atomic;
@@ -868,4 +802,6 @@ let suite =
     Alcotest.test_case "cost: point price inside range price" `Quick
       test_point_price_inside_range;
     Alcotest.test_case "report json shape" `Quick test_report_json_shape;
+    Alcotest.test_case "bounds: a return inside a loop may skip its exit" `Quick
+      test_bounds_contain_return_in_loop;
   ]

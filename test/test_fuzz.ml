@@ -134,7 +134,31 @@ let prop_lowered_cfg_well_formed =
           ir.Ir.blocks
       in
       let entry_ok = ir.Ir.entry >= 0 && ir.Ir.entry < n in
-      ids_ok && entry_ok)
+      (* The block order, lowered and coarsened: entry first, each block
+         once and after every block that steps or jumps to it, back
+         edges aside. *)
+      let order_ok (p : Ir.program) =
+        let df = D.Build.of_ir p in
+        let order = df.D.Graph.order in
+        let pos = Array.make (Array.length p.Ir.blocks) (-1) in
+        Array.iteri (fun i b -> pos.(b) <- i) order;
+        let after b d = pos.(d) > pos.(b) in
+        order.(0) = p.Ir.entry
+        && List.length (List.sort_uniq compare (Array.to_list order)) = Array.length order
+        && Array.for_all
+             (fun b ->
+               let steps, jumps =
+                 match df.D.Graph.steps.(b) with
+                 | D.Graph.Stop -> ([], [])
+                 | D.Graph.Back { exit; _ } -> ([ exit ], [])
+                 | D.Graph.Next d -> ([ d ], Ir.successors (Ir.block p b).Ir.term)
+                 | D.Graph.Branch { then_; else_; _ } ->
+                     ([ then_; else_ ], Ir.successors (Ir.block p b).Ir.term)
+               in
+               List.for_all (after b) (steps @ jumps))
+             order
+      in
+      ids_ok && entry_ok && order_ok ir && order_ok (fst (Clara_cir.Patterns.run ir)))
 
 let prop_coarsened_dataflow_is_dag =
   QCheck.Test.make ~name:"dataflow graphs are DAGs with consistent nodes" ~count:120
@@ -244,6 +268,49 @@ let prop_decided_visits_are_walk =
         (fun w v -> v = if w then 1. else 0.)
         walked (D.Graph.visits df ~prob))
 
+(* Static bounds contain every execution, the walk's half: on each
+   offload target, every predicted packet of a random NF (payloads up to
+   1400 B) costs a cycle count inside the bounds' service interval for
+   its packet type and for "all", returns inside loop bodies included. *)
+let bounds_profile =
+  W.Profile.make ~tcp_fraction:0.5 ~payload:(W.Dist.Uniform (0, 1400)) ~packets:100
+    ~flow_count:20 ~new_flow_syn:true ()
+
+let prop_bounds_contain_predictions =
+  QCheck.Test.make ~name:"predicted packets lie inside the static bounds" ~count:100
+    (QCheck.make gen_program)
+    (fun src ->
+      List.for_all
+        (fun lnic ->
+          match Clara.analyze_for_profile lnic ~source:src ~profile:bounds_profile with
+          | Error _ -> true
+          | Ok a ->
+              let module B = Clara_analysis.Bounds in
+              let module I = Clara_analysis.Interval in
+              let b = B.analyze ~lnic a.Clara.df.D.Graph.cir in
+              let lat = Clara_predict.Latency.create lnic a.Clara.df a.Clara.mapping in
+              Array.for_all
+                (fun (pkt : W.Packet.t) ->
+                  let c = (Clara_predict.Latency.packet_latency lat pkt).Clara_predict.Latency.cycles in
+                  let types =
+                    match pkt.W.Packet.proto with
+                    | W.Packet.Tcp when W.Packet.is_syn pkt -> [ "all"; "tcp"; "tcp-syn" ]
+                    | W.Packet.Tcp -> [ "all"; "tcp" ]
+                    | W.Packet.Udp -> [ "all"; "udp" ]
+                    | W.Packet.Other _ -> [ "all"; "other" ]
+                  in
+                  List.for_all
+                    (fun ty ->
+                      let s = (Option.get (B.find b ty)).B.tb_service in
+                      (* Relative slack for summation order only. *)
+                      let eps = 1e-9 *. Float.abs c in
+                      I.lo s -. eps <= c && c <= I.hi s +. eps
+                      || QCheck.Test.fail_reportf "%s, %s row: packet at %.3f cyc outside %a"
+                           lnic.L.Graph.name ty c I.pp s)
+                    types)
+                (W.Trace.synthesize bounds_profile).W.Trace.packets)
+        [ L.Netronome.default; L.Soc_nic.default; L.Bluefield.default ])
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_pipeline_never_crashes;
@@ -252,4 +319,5 @@ let suite =
       prop_print_reparse_equivalent;
       prop_symexec_paths_finite;
       prop_packets_follow_paths;
-      prop_decided_visits_are_walk ]
+      prop_decided_visits_are_walk;
+      prop_bounds_contain_predictions ]

@@ -476,30 +476,13 @@ let test_throughput_wire_cost_convention () =
     (t0.Tp.bottleneck.Tp.resource <> "wire-dma")
 
 (* A [return] inside a loop body ends the packet.  The walk used to
-   resume at the loop's exit after it, so TCP packets of this NF were
-   predicted at the full emit path (3762 cyc on netronome) while their
-   symbolic path said 1792 cyc, dropped. *)
-let early_exit_source =
-  {|nf early_exit {
-  state counter seen[1024] entry 8;
-  handler process(pkt) {
-    var hdr = parse_header(pkt);
-    for (i = 0; i < 8; i = i + 1) {
-      if (hdr.proto == 6) {
-        drop(pkt);
-        return;
-      }
-      hdr.ttl = hdr.ttl - 1;
-    }
-    var n = count(seen, hdr.src_ip);
-    checksum(pkt);
-    emit(pkt);
-  }
-}|}
-
+   resume at the loop's exit after it, so TCP packets of
+   [Fixtures.early_exit_source] were predicted at the full emit path
+   (3762 cyc on netronome) while their symbolic path said 1792 cyc,
+   dropped. *)
 let test_return_in_loop_ends_packet () =
   let prof = profile ~tcp:1.0 () in
-  let a = analyze early_exit_source prof in
+  let a = analyze Fixtures.early_exit_source prof in
   let paths = Sym.enumerate ~sizes:a.Clara.sizes lnic a.Clara.df a.Clara.mapping in
   let tcp = List.find (fun p -> p.Sym.description = "tcp") paths in
   check "tcp path drops" false tcp.Sym.emits;
@@ -510,11 +493,11 @@ let test_return_in_loop_ends_packet () =
   Alcotest.(check (float 0.)) "tcp mean" tcp.Sym.cost_cycles p.Lat.tcp_mean;
   Alcotest.(check (float 0.)) "no packet emitted" 0. p.Lat.emitted_fraction
 
-(* Every TCP packet of [early_exit_source] drops inside the loop, so at
-   TCP 1.0 no packet leaves: the DMA path carries the receive leg only,
-   in cycles and in energy. *)
+(* Every TCP packet of [Fixtures.early_exit_source] drops inside the
+   loop, so at TCP 1.0 no packet leaves: the DMA path carries the
+   receive leg only, in cycles and in energy. *)
 let test_dropped_pay_no_tx () =
-  let a = analyze early_exit_source (profile ~tcp:1.0 ()) in
+  let a = analyze Fixtures.early_exit_source (profile ~tcp:1.0 ()) in
   let sizes = a.Clara.sizes and prob = a.Clara.prob in
   let bytes = sizes.D.Cost.packet_bytes in
   let tp = Tp.estimate ~sizes ~prob lnic a.Clara.df a.Clara.mapping in
