@@ -9,7 +9,8 @@
       their body's count by the loop-trip range (inferred from guards
       and payload-length ranges); branch arms a type's facts kill stay
       unreached; undetermined arms keep their upper count but drop to a
-      zero lower, and so does a loop's exit when its body can return.
+      zero lower, and so does a loop's exit when the type's facts let
+      its body return.
       Back edges are cut: the multiplication already accounts for
       iteration.
 
@@ -79,19 +80,41 @@ let packet_types : (string * Paths.fact list) list =
 
 (* ---- execution-count analysis -------------------------------------- *)
 
+(* Whether a packet satisfying [facts] can return inside the loop at
+   [header]: some [Stop] step is reachable from [body] along the steps,
+   without leaving the body, through the branch arms the facts leave
+   open.  A back step continues at its loop's exit, which ends the
+   search for the loop's own. *)
+let body_can_return (df : D.Graph.t) ~facts ~header ~body ~exit =
+  let seen = Array.make (Array.length df.D.Graph.steps) false in
+  seen.(header) <- true;
+  seen.(exit) <- true;
+  let rec go b =
+    (not seen.(b))
+    && begin
+         seen.(b) <- true;
+         match df.D.Graph.steps.(b) with
+         | D.Graph.Stop -> true
+         | D.Graph.Next d | D.Graph.Back { exit = d; _ } -> go d
+         | D.Graph.Branch { guard; then_; else_ } ->
+             let open_arm d pol = Paths.assuming facts guard pol <> None && go d in
+             open_arm then_ true || open_arm else_ false
+       end
+  in
+  go body
+
 (* Per-block execution-count intervals for packets satisfying [facts],
    one fold in the block order.  Entry executes once; a Loop header's
    body edge multiplies by the trip range, and its exit edge may be
-   skipped when a body block returns; branch arms the facts contradict
-   stay bottom, arms the facts leave open keep their ceiling but may be
-   skipped.  The back edges the walk's steps name are cut. *)
+   skipped when the facts let the body return; branch arms the facts
+   contradict stay bottom, arms the facts leave open keep their ceiling
+   but may be skipped.  The back edges the walk's steps name are cut. *)
 let exec_counts (df : D.Graph.t) ~sizes ~facts =
   let p = df.D.Graph.cir in
   let counts = Array.make (Array.length p.Ir.blocks) I.bottom in
   counts.(p.Ir.entry) <- I.const 1.;
   let give d x = counts.(d) <- I.join counts.(d) x in
   let skippable x = I.make 0. (I.hi x) in
-  let returns m = match df.D.Graph.steps.(m) with D.Graph.Stop -> true | _ -> false in
   Array.iter
     (fun b ->
       let x = counts.(b) in
@@ -109,9 +132,7 @@ let exec_counts (df : D.Graph.t) ~sizes ~facts =
         | _, Ir.Loop { body; exit; trip } ->
             give body (I.mul x (Cr.trip sizes trip));
             give exit
-              (if List.exists returns (Ir.loop_body p ~header:b ~body ~exit) then
-                 skippable x
-               else x)
+              (if body_can_return df ~facts ~header:b ~body ~exit then skippable x else x)
         | _, term -> List.iter (fun d -> give d x) (Ir.successors term))
     df.D.Graph.order;
   counts

@@ -5,7 +5,8 @@
     computes per traffic class how many times each block can execute
     for one packet (loop trips inferred from guards and payload-length
     ranges; branch arms contradicted by the class's guard facts killed;
-    the code after a loop whose body can return may be skipped), then
+    the code after a loop may be skipped when the class's facts let its
+    body return), then
     multiplies the counts into
     {!Cost_range} node envelopes to yield sound
     per-axis cycle intervals on the [queue; compute; accel_wait; mem;

@@ -1,8 +1,17 @@
 (** Bounded LRU set over integer keys.
 
-    Backs the simulator's EMEM cache (keys = 64-byte line addresses) and
-    the flow-cache SRAM (keys = flow hashes).  O(1) hit/insert/evict via
-    a hash table + doubly-linked recency list. *)
+    Backs the simulator's EMEM cache (keys = 64-byte line addresses),
+    its flow-cache SRAM and table contents (keys = flow hashes), and the
+    predictor's seen-flow and eSwitch caches.
+
+    Representation: the recency list is a doubly-linked list of slot
+    numbers held in [int] arrays ([prev]/[next]/[keys]), and an
+    open-addressing index (linear probing, backward-shift deletion, an
+    inlined integer hash) maps each key to its slot.  The arrays start
+    at 64 slots and double up to [capacity], so a large, sparsely used
+    set costs little until it fills.  A hit, a miss and an eviction at
+    full size store only immediate ints: they allocate nothing and take
+    no write barrier.  Only a growth step allocates. *)
 
 type t
 
@@ -18,4 +27,6 @@ val touch : t -> int -> bool
 
 val size : t -> int
 val capacity : t -> int
+
 val clear : t -> unit
+(** Empties the set; keeps the arrays at their grown length. *)

@@ -596,6 +596,37 @@ let test_bounds_contain_return_in_loop () =
         true
         (A.Interval.contains row.B.tb_service tcp.Sym.cost_cycles)
 
+(* Only TCP packets can take the return inside [Fixtures.early_exit_source]'s
+   loop, so for UDP and other packets the loop's exit, and the count,
+   checksum and emit after it, keep their lower count: those rows start
+   above TCP's, yet no higher than the UDP path's own cost. *)
+let test_bounds_exit_kept_without_return () =
+  let module B = A.Bounds in
+  let module Sym = Clara_predict.Symexec in
+  let lnic = L.Netronome.default in
+  let profile =
+    Clara_workload.Profile.make ~tcp_fraction:0.0 ~packets:200 ~flow_count:50 ()
+  in
+  match Clara.analyze_for_profile lnic ~source:Fixtures.early_exit_source ~profile with
+  | Error e -> Alcotest.fail e
+  | Ok a ->
+      let paths = Sym.enumerate ~sizes:a.Clara.sizes lnic a.Clara.df a.Clara.mapping in
+      let udp = List.find (fun p -> p.Sym.description = "not(tcp)") paths in
+      let b = B.analyze ~lnic a.Clara.df.D.Graph.cir in
+      let lo ptype = A.Interval.lo (Option.get (B.find b ptype)).B.tb_service in
+      check "udp path emits" true udp.Sym.emits;
+      List.iter
+        (fun ptype ->
+          check
+            (Printf.sprintf "%s lower %.1f above tcp lower %.1f" ptype (lo ptype) (lo "tcp"))
+            true
+            (lo ptype > lo "tcp"))
+        [ "udp"; "other" ];
+      check
+        (Printf.sprintf "udp lower %.1f at most udp path %.1f" (lo "udp") udp.Sym.cost_cycles)
+        true
+        (lo "udp" <= udp.Sym.cost_cycles)
+
 let test_bounds_finite_example () =
   let module B = A.Bounds in
   let module I = A.Interval in
@@ -804,4 +835,6 @@ let suite =
     Alcotest.test_case "report json shape" `Quick test_report_json_shape;
     Alcotest.test_case "bounds: a return inside a loop may skip its exit" `Quick
       test_bounds_contain_return_in_loop;
+    Alcotest.test_case "bounds: a loop exit stays when the type cannot return" `Quick
+      test_bounds_exit_kept_without_return;
   ]

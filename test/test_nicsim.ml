@@ -48,6 +48,74 @@ let prop_lru_capacity =
       List.iter (fun k -> ignore (Lru.touch l k)) keys;
       Lru.size l <= cap)
 
+(* Model-based property: random operations on an [Lru] must answer as
+   a reference LRU kept as a list of keys, most recent first. *)
+type lru_op = Touch of int | Mem of int | Size | Clear
+
+let lru_op_print = function
+  | Touch k -> Printf.sprintf "touch %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Size -> "size"
+  | Clear -> "clear"
+
+let lru_ops_gen =
+  let open QCheck.Gen in
+  int_range 1 300 >>= fun cap ->
+  (* Keys spread over twice the capacity (negative ones too) so runs
+     cross each growth step and reach eviction at capacity. *)
+  let key = map (fun k -> k * 0x10001) (int_range (-cap) (2 * cap)) in
+  let op =
+    frequency
+      [ (20, map (fun k -> Touch k) key); (5, map (fun k -> Mem k) key);
+        (1, return Size); (1, return Clear) ]
+  in
+  pair (return cap) (list_size (int_range 0 1500) op)
+
+let prop_lru_matches_model =
+  QCheck.Test.make ~name:"lru matches a list model" ~count:200
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "cap %d: %s" cap (String.concat "; " (List.map lru_op_print ops)))
+       lru_ops_gen)
+    (fun (cap, ops) ->
+      let l = Lru.create ~capacity:cap in
+      let model = ref [] in
+      List.for_all
+        (fun op ->
+          match op with
+          | Touch k ->
+              let hit = List.mem k !model in
+              let rest = List.filter (( <> ) k) !model in
+              model :=
+                k :: (if List.length rest >= cap then List.filteri (fun i _ -> i < cap - 1) rest
+                      else rest);
+              Lru.touch l k = hit
+          | Mem k -> Lru.mem l k = List.mem k !model
+          | Size -> Lru.size l = List.length !model
+          | Clear ->
+              model := [];
+              Lru.clear l;
+              Lru.size l = 0)
+        ops
+      && Lru.size l = List.length !model
+      && List.for_all (Lru.mem l) !model)
+
+(* A hit stores only immediate ints, so a warm set's hits allocate
+   nothing: only the two [Gc.minor_words] floats show up. *)
+let test_lru_hit_allocates_nothing () =
+  let l = Lru.create ~capacity:1024 in
+  for k = 0 to 511 do
+    ignore (Lru.touch l (k * 64))
+  done;
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    if Lru.touch l ((i land 511) * 64) then incr hits
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "every touch hits" 10_000 !hits;
+  check (Printf.sprintf "10k hits allocate < 100 minor words (%.0f)" words) true (words < 100.)
+
 (* ------------------------------------------------------------------ *)
 (* Min-heap                                                            *)
 
@@ -916,5 +984,7 @@ let suite =
     Alcotest.test_case "run_sharded domain determinism" `Quick
       test_run_sharded_domain_determinism;
     Alcotest.test_case "heavy-hitter counts per sim" `Quick test_heavy_hitter_counts_per_sim;
-    Alcotest.test_case "stats merge" `Quick test_stats_merge ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_lru_capacity; prop_heap_drains_sorted ]
+    Alcotest.test_case "stats merge" `Quick test_stats_merge;
+    Alcotest.test_case "lru hit allocates nothing" `Quick test_lru_hit_allocates_nothing ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_lru_capacity; prop_heap_drains_sorted; prop_lru_matches_model ]
