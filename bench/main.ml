@@ -1,12 +1,13 @@
 (* Benchmark harness: regenerates every table and figure in the paper's
-   evaluation, plus the ablations DESIGN.md calls out, plus bechamel
-   microbenchmarks of the tool itself.
+   evaluation, plus the ablations DESIGN.md calls out.  The tool's own
+   stage costs are timed by perfbench's traced layers
+   ([python3 perfbench/run.py --trace 1]).
 
    Usage:  dune exec bench/main.exe [-- section ...]
    Sections: figure1 figure3a figure3b figure3c microbench mapping
              ablations ilp interference nics throughput chains energy
              partial zoo sweep trace nicsim offpath tenants lint bounds
-             bechamel (default: all) *)
+             (default: all) *)
 
 module W = Clara_workload
 module L = Clara_lnic
@@ -792,54 +793,6 @@ let zoo () =
       (List.fold_left ( +. ) 0. !errs /. float_of_int n)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel: cost of the tooling itself                                *)
-
-let bechamel () =
-  header "Bechamel: tool microbenchmarks";
-  let open Bechamel in
-  let prof = profile ~packets:500 ~flows:200 () in
-  let nat_src = Clara_nfs.Nat.source () in
-  let analysis = analyze_exn nat_src prof in
-  let trace = W.Trace.synthesize ~seed:3L prof in
-  let tests =
-    [ Test.make ~name:"lower+coarsen nat" (Staged.stage (fun () ->
-          ignore (Clara_dataflow.Build.of_source nat_src)));
-      Test.make ~name:"ilp map nat" (Staged.stage (fun () ->
-          ignore
-            (Clara_mapping.Encode.map_nf lnic
-               (Clara_dataflow.Build.of_source nat_src)
-               ~sizes:(Clara.sizes_of_profile prof)
-               ~prob:(Clara.prob_of_profile prof))));
-      Test.make ~name:"predict 500 pkts" (Staged.stage (fun () ->
-          ignore (Clara.predict analysis trace)));
-      Test.make ~name:"simulate 500 pkts" (Staged.stage (fun () ->
-          ignore (Eng.run lnic (Clara_nfs.Nat.ported ~checksum_engine:true ()) trace)));
-      Test.make ~name:"synthesize 500-pkt trace" (Staged.stage (fun () ->
-          ignore (W.Trace.synthesize ~seed:9L prof))) ]
-  in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-    let raw = Benchmark.all cfg instances test in
-    let analyzed = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-    Analyze.merge ols instances [ analyzed ]
-  in
-  List.iter
-    (fun test ->
-      let results = benchmark (Test.make_grouped ~name:"clara" [ test ]) in
-      Hashtbl.iter
-        (fun _ tbl ->
-          Hashtbl.iter
-            (fun name ols ->
-              match Analyze.OLS.estimates ols with
-              | Some [ est ] -> Printf.printf "%-28s %12.0f ns/run\n" name est
-              | _ -> Printf.printf "%-28s (no estimate)\n" name)
-            tbl)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* Sweep: parallel design-space exploration with the result cache      *)
 
 let sweep_bench () =
@@ -1192,9 +1145,11 @@ let nicsim_bench () =
      of re-executing the handler.  This section enforces byte-identity with\n\
      the event path on stateless NFs, full fallback on a stateful NF, and\n\
      1-domain == N-domain determinism for sharded runs, then snapshots\n\
-     packets/sec.  CLARA_BENCH_ENFORCE=1 additionally fails the bench when\n\
-     the op-dense NF's speedup drops below 10x or packets/sec regresses\n\
-     more than 20%% against the committed BENCH_nicsim.json.\n\n";
+     packets/sec.  The fast path's speedup over the event path is a figure,\n\
+     not a gate: it moves whenever the event path gets faster.\n\
+     CLARA_BENCH_ENFORCE=1 additionally fails the bench when fast-path\n\
+     packets/sec regresses more than 20%% against the committed\n\
+     BENCH_nicsim.json.\n\n";
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -1242,11 +1197,6 @@ let nicsim_bench () =
         (name, ev_pps, fa_pps, replayed))
       [ ("wordscan", wordscan); ("dpi", Clara_nfs.Dpi.ported ()) ]
   in
-  (let _, ev_pps, fa_pps, _ = List.hd rows in
-   let speedup = fa_pps /. ev_pps in
-   if speedup < 10. then
-     soft_fail
-       (Printf.sprintf "wordscan fast-path speedup %.2fx below the 10x floor" speedup));
   (* Stateful NF: Auto must detect the state and change nothing. *)
   (let prog = Clara_nfs.Firewall.ported ~entries:8192 ~placement:Dev.P_emem () in
    let trace = W.Trace.synthesize ~seed:31L prof in
@@ -1552,8 +1502,7 @@ let sections =
     ("offpath", offpath_bench);
     ("tenants", tenants_bench);
     ("lint", lint_bench);
-    ("bounds", bounds_bench);
-    ("bechamel", bechamel) ]
+    ("bounds", bounds_bench) ]
 
 let () =
   let requested =

@@ -11,7 +11,7 @@ type t = {
   prediction : Clara_predict.Latency.prediction option;
   throughput : Clara_predict.Throughput.t;
   energy : Clara_predict.Energy.t option;
-  best_split : Clara_predict.Partial.split option;
+  splits : (Clara_predict.Partial.split * string) list;
 }
 
 let node_label (n : D.Node.t) =
@@ -19,6 +19,9 @@ let node_label (n : D.Node.t) =
   | D.Node.N_vcall v ->
       Printf.sprintf "n%d %s" n.D.Node.id (Clara_lnic.Params.vcall_name v.Ir.vc)
   | D.Node.N_compute is -> Printf.sprintf "n%d compute[%d]" n.D.Node.id (List.length is)
+
+(* The partial-offloading section ranks this many cuts. *)
+let max_splits = 8
 
 let build ?trace ?rate_pps (a : Pipeline.analysis) =
   let lnic = a.Pipeline.lnic and df = a.Pipeline.df and mapping = a.Pipeline.mapping in
@@ -46,10 +49,13 @@ let build ?trace ?rate_pps (a : Pipeline.analysis) =
       (fun rate -> Clara_predict.Energy.estimate ~sizes ~prob ~rate_pps:rate lnic df mapping)
       rate_pps
   in
-  let best_split =
+  let splits =
     (* Meaningless when analyzing the host itself. *)
-    if lnic.L.Graph.name = "x86-host" then None
-    else Some (Clara_predict.Partial.best_split ~sizes ~prob lnic df mapping)
+    if lnic.L.Graph.name = "x86-host" then []
+    else
+      Clara_predict.Partial.enumerate_splits ~sizes ~prob lnic df mapping
+      |> List.filteri (fun i _ -> i < max_splits)
+      |> List.map (fun s -> (s, Clara_predict.Partial.describe df s))
   in
   {
     nf_name = df.D.Graph.cir.Ir.prog_name;
@@ -59,7 +65,7 @@ let build ?trace ?rate_pps (a : Pipeline.analysis) =
     prediction;
     throughput;
     energy;
-    best_split;
+    splits;
   }
 
 let render fmt t =
@@ -82,11 +88,19 @@ let render fmt t =
   (match t.energy with
   | None -> ()
   | Some e ->
-      Format.fprintf fmt "@.-- energy --@.  %a@." Clara_predict.Energy.pp e);
-  match t.best_split with
-  | None -> ()
-  | Some s ->
-      Format.fprintf fmt "@.-- partial offloading --@.  %a@." Clara_predict.Partial.pp s
+      Format.fprintf fmt "@.-- energy --@.  %a@." Clara_predict.Energy.pp e;
+      List.iter
+        (fun (unit_, nj) -> Format.fprintf fmt "    %-20s %10.1f nJ/pkt@." unit_ nj)
+        e.Clara_predict.Energy.breakdown);
+  if t.splits <> [] then begin
+    Format.fprintf fmt "@.-- partial offloading --@.";
+    List.iteri
+      (fun i (s, description) ->
+        Format.fprintf fmt "  %s%a  %s@."
+          (if i = 0 then "-> " else "   ")
+          Clara_predict.Partial.pp s description)
+      t.splits
+  end
 
 let to_string t = Format.asprintf "%a" render t
 
@@ -101,6 +115,15 @@ let to_json t =
         ("udp_mean", Float p.Clara_predict.Latency.udp_mean);
         ("syn_mean", Float p.Clara_predict.Latency.syn_mean);
         ("emitted_fraction", Float p.Clara_predict.Latency.emitted_fraction) ]
+  in
+  let split_json ((s : Clara_predict.Partial.split), description) =
+    Obj
+      [ ("cut", Int s.Clara_predict.Partial.cut);
+        ("total_ns", Float s.Clara_predict.Partial.total_ns);
+        ("pcie_ns", Float s.Clara_predict.Partial.pcie_ns);
+        ("nic_ns", Float s.Clara_predict.Partial.nic_ns);
+        ("host_ns", Float s.Clara_predict.Partial.host_ns);
+        ("description", String description) ]
   in
   Obj
     [ ("nf", String t.nf_name);
@@ -135,12 +158,10 @@ let to_json t =
         | Some e ->
             Obj
               [ ("nj_per_packet", Float e.Clara_predict.Energy.nj_per_packet);
-                ("watts_at_rate", Float e.Clara_predict.Energy.watts_at_rate) ] );
-      ( "partial_offload",
-        match t.best_split with
-        | None -> Null
-        | Some s ->
-            Obj
-              [ ("cut", Int s.Clara_predict.Partial.cut);
-                ("total_ns", Float s.Clara_predict.Partial.total_ns);
-                ("pcie_ns", Float s.Clara_predict.Partial.pcie_ns) ] ) ]
+                ("watts_at_rate", Float e.Clara_predict.Energy.watts_at_rate);
+                ( "breakdown",
+                  Obj
+                    (List.map (fun (u, nj) -> (u, Float nj))
+                       e.Clara_predict.Energy.breakdown) ) ] );
+      ("partial_offload", match t.splits with [] -> Null | best :: _ -> split_json best);
+      ("splits", List (List.map split_json t.splits)) ]

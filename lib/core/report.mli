@@ -14,8 +14,9 @@ type t = {
   throughput : Clara_predict.Throughput.t;
   energy : Clara_predict.Energy.t option;
       (** Populated when a rate was supplied. *)
-  best_split : Clara_predict.Partial.split option;
-      (** Best partial-offloading cut ([None] on the host target). *)
+  splits : (Clara_predict.Partial.split * string) list;
+      (** Partial-offloading cuts, cheapest first, at most 8, each with
+          its {!Clara_predict.Partial.describe} ([[]] on the host target). *)
 }
 
 val build :

@@ -51,10 +51,7 @@ let store t ~key payload =
   if not (valid_key key) then invalid_arg "Cache.store: malformed key";
   mkdir_p t.dir;
   let doc =
-    J.Obj
-      [ ("key", J.String key);
-        ("version", J.String Key.version_salt);
-        ("payload", payload) ]
+    J.Obj [ ("key", J.String key); ("payload", payload) ]
   in
   let tmp =
     Filename.concat t.dir

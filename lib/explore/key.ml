@@ -1,21 +1,27 @@
 (* Content-addressed cache keys.  A cell's key is the MD5 of a
    canonical preimage covering everything the predicted numbers depend
-   on: the NF source *text* (not its name), a fingerprint of the LNIC
-   model, the mapping options, the workload profile plus PRNG seed, and
-   a code-version salt.  Editing one NF source invalidates exactly that
-   NF's cells; renaming an NF or reordering spec axes invalidates
-   nothing.
+   on: the running executable, the NF source *text* (not its name), the
+   target's name, the mapping options, and the workload profile plus
+   PRNG seed.  Editing one NF source invalidates exactly that NF's
+   cells; renaming an NF or reordering spec axes invalidates nothing.
 
-   [version_salt] must be bumped whenever the cost model, the mapping
-   encoder, or the predictor changes meaning — it is the only guard
-   against stale results across code changes that the LNIC fingerprint
-   cannot see. *)
+   The targets, their cost functions and every model are compiled in,
+   so the executable's digest covers each of them: a rebuild with any
+   change misses every entry, and no hand-kept version or model
+   fingerprint can go stale. *)
 
 module L = Clara_lnic
 module W = Clara_workload
-module P = Clara_lnic.Params
 
-let version_salt = "clara-explore-v2"
+(* Hashed once per process, on first use.  [None] when the executable
+   cannot be read: a sweep then runs without the cache. *)
+let build_digest =
+  lazy
+    (match Digest.file Sys.executable_name with
+    | d -> Some (Digest.to_hex d)
+    | exception Sys_error _ -> None)
+
+let build () = Lazy.force build_digest
 
 (* ---- canonical sub-strings ---------------------------------------- *)
 
@@ -50,65 +56,17 @@ let options_repr (o : Clara_mapping.Mapping.options) =
   Printf.sprintf "accels=[%s];pins=[%s];node_limit=%d;sharing=[%s]" accels pins
     o.Clara_mapping.Mapping.node_limit sharing
 
-let op_name = function
-  | P.Alu -> "alu"
-  | P.Mul -> "mul"
-  | P.Div -> "div"
-  | P.Fp -> "fp"
-  | P.Move -> "move"
-  | P.Branch -> "branch"
-  | P.Hash -> "hash"
-  | P.Load -> "load"
-  | P.Store -> "store"
-  | P.Atomic -> "atomic"
-  | P.Call -> "call"
-
-(* Structural fingerprint of the LNIC model: units, memories, link
-   count and the scalar parameter-table entries.  Cost functions are
-   closures and cannot be serialized — drift inside them is what
-   [version_salt] is for. *)
-let fingerprint_lnic (g : L.Graph.t) =
-  let b = Buffer.create 512 in
-  Buffer.add_string b g.L.Graph.name;
-  Array.iter
-    (fun u -> Buffer.add_string b (Format.asprintf "|%a" L.Unit_.pp u))
-    g.L.Graph.units;
-  Array.iter
-    (fun m -> Buffer.add_string b (Format.asprintf "|%a" L.Memory.pp m))
-    g.L.Graph.memories;
-  Buffer.add_string b (Printf.sprintf "|hubs=%d|links=%d" (Array.length g.L.Graph.hubs)
-       (List.length g.L.Graph.links));
-  let p = g.L.Graph.params in
-  Buffer.add_string b ("|params=" ^ p.P.pname);
-  List.iter
-    (fun (op, c) -> Buffer.add_string b (Printf.sprintf ";%s=%g" (op_name op) c))
-    p.P.core_op_cycles;
-  Buffer.add_string b
-    (Printf.sprintf ";fpu=%g;ctm_thresh=%d" p.P.fpu_emulation_factor
-       p.P.packet_ctm_threshold);
-  List.iter
-    (fun (k, bytes) ->
-      Buffer.add_string b
-        (Printf.sprintf ";sram.%s=%d" (L.Unit_.accel_name k) bytes))
-    p.P.accel_sram_bytes;
-  Buffer.contents b
-
 (* ---- the key ------------------------------------------------------- *)
 
-let canonical ~salt (cell : Spec.cell) =
-  let nic_fp =
-    match L.Targets.find cell.Spec.nic_name with
-    | Some g -> fingerprint_lnic g
-    | None -> "unknown:" ^ cell.Spec.nic_name
-  in
+let canonical ~build ~salt (cell : Spec.cell) =
   String.concat "\n"
     [ "clara-sweep-key";
-      "version=" ^ version_salt;
+      "build=" ^ build;
       "salt=" ^ salt;
       "source-md5=" ^ Digest.to_hex (Digest.string cell.Spec.nf_source);
-      "nic=" ^ nic_fp;
+      "nic=" ^ cell.Spec.nic_name;
       "options=" ^ options_repr cell.Spec.options;
       "profile=" ^ profile_repr cell.Spec.profile;
       "seed=" ^ string_of_int cell.Spec.seed ]
 
-let of_cell ~salt cell = Digest.to_hex (Digest.string (canonical ~salt cell))
+let of_cell ~build ~salt cell = Digest.to_hex (Digest.string (canonical ~build ~salt cell))

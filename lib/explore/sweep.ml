@@ -194,31 +194,31 @@ let run ?(domains = 1) ?timeout_ms ?cache ?slo_p99_us (spec : Spec.t) =
   let prune_of (c : Spec.cell) =
     List.assoc_opt (c.Spec.nf_name, c.Spec.nic_name) prune_table
   in
+  (* The key digests the executable: hash it here, once, before the
+     worker domains start.  An unreadable executable disables the cache. *)
+  let cache =
+    Option.bind cache (fun c -> Option.map (fun build -> (c, build)) (Key.build ()))
+  in
   (* Only successful results are cached: a Failed cell (parse error,
      infeasible mapping, timeout) is recomputed on the next run so a
      transient failure cannot poison the cache. *)
   let job i =
     let cell = cells.(i) in
-    let key = Key.of_cell ~salt:spec.Spec.salt cell in
-    let compute () =
+    let compute store =
       match evaluate cell with
       | Ok m ->
-          Option.iter (fun c -> Cache.store c ~key (metrics_to_json m)) cache;
+          Option.iter (fun (c, key) -> Cache.store c ~key (metrics_to_json m)) store;
           (Computed m, false)
       | Error e -> (Failed e, false)
     in
-    match prune_of cell with
-    | Some reason -> (Pruned reason, false)
-    | None -> (
-    match cache with
-    | None -> compute ()
-    | Some c -> (
-        match Cache.lookup c ~key with
-        | Some payload -> (
-            match metrics_of_json payload with
-            | Some m -> (Computed m, true)
-            | None -> compute () (* well-formed JSON, wrong shape: miss *))
-        | None -> compute ()))
+    match (prune_of cell, cache) with
+    | Some reason, _ -> (Pruned reason, false)
+    | None, None -> compute None
+    | None, Some (c, build) -> (
+        let key = Key.of_cell ~build ~salt:spec.Spec.salt cell in
+        match Option.bind (Cache.lookup c ~key) metrics_of_json with
+        | Some m -> (Computed m, true)
+        | None -> compute (Some (c, key)) (* absent, or well-formed JSON of the wrong shape *))
   in
   let results, xstats = Pool.map ~domains ?timeout_ms job n in
   let outcomes =

@@ -20,7 +20,9 @@ let node_ns pricer unit_ ~sizes (n : D.Node.t) =
     (fun p -> p.D.Cost.total *. 1000. /. float_of_int unit_.L.Unit_.freq_mhz)
     (Pricer.price_on pricer unit_ sizes n)
 
-let enumerate_splits ~sizes ~prob lnic (df : D.Graph.t) (mapping : M.t) =
+(* The all-host split and every feasible cut with a NIC part, largest
+   NIC part first. *)
+let cuts ~sizes ~prob lnic (df : D.Graph.t) (mapping : M.t) =
   let host = L.Host.default in
   let nic = Pricer.create ~mapping lnic df in
   (* No mapping on the host: its state always lives in host DRAM
@@ -74,44 +76,45 @@ let enumerate_splits ~sizes ~prob lnic (df : D.Graph.t) (mapping : M.t) =
   let bytes = sizes.D.Cost.packet_bytes in
   let emits = D.Graph.emit_mass df weights in
   let egress target = emits *. wire_ns target bytes `Out in
-  let splits = ref [] in
-  for k = 0 to n do
-    let nic_feasible = Array.for_all Fun.id (Array.init k (fun i -> feasible_nic.(i))) in
-    if nic_feasible && state_sides k then begin
-      let sum arr lo hi =
-        let acc = ref 0. in
-        for i = lo to hi - 1 do
-          acc := !acc +. arr.(i)
-        done;
-        !acc
-      in
-      let nic_compute = sum nic_cost 0 k in
-      let host_compute = sum host_cost k n in
-      (* Wire: the NIC always receives the packet; whoever runs the tail
-         transmits the packets that leave.  A non-trivial host part adds
-         one PCIe round trip. *)
-      let nic_ns = wire_ns lnic bytes `In +. nic_compute +. (if k = n then egress lnic else 0.) in
-      let host_ns = if k = n then 0. else host_compute +. egress L.Host.default in
-      let pcie_ns = if k = n then 0. else L.Host.pcie_roundtrip_ns in
-      let assignment =
-        Array.to_list (Array.mapi (fun pos nid -> (nid, if pos < k then On_nic else On_host)) order)
-      in
-      splits :=
-        { cut = k;
-          assignment;
-          nic_ns;
-          host_ns;
-          pcie_ns;
-          total_ns = nic_ns +. host_ns +. pcie_ns }
-        :: !splits
-    end
-  done;
-  List.sort (fun a b -> compare a.total_ns b.total_ns) !splits
+  let sum arr lo hi =
+    let acc = ref 0. in
+    for i = lo to hi - 1 do
+      acc := !acc +. arr.(i)
+    done;
+    !acc
+  in
+  let split k =
+    (* Wire: the NIC always receives the packet; whoever runs the tail
+       transmits the packets that leave.  A non-trivial host part adds
+       one PCIe round trip. *)
+    let nic_ns =
+      wire_ns lnic bytes `In +. sum nic_cost 0 k +. if k = n then egress lnic else 0.
+    in
+    let host_ns = if k = n then 0. else sum host_cost k n +. egress L.Host.default in
+    let pcie_ns = if k = n then 0. else L.Host.pcie_roundtrip_ns in
+    let assignment =
+      Array.to_list (Array.mapi (fun pos nid -> (nid, if pos < k then On_nic else On_host)) order)
+    in
+    { cut = k; assignment; nic_ns; host_ns; pcie_ns; total_ns = nic_ns +. host_ns +. pcie_ns }
+  in
+  let feasible k = Array.for_all Fun.id (Array.sub feasible_nic 0 k) && state_sides k in
+  (* Cut 0 puts nothing on the NIC, so no node is infeasible there and
+     no state is on both sides: the all-host split always exists. *)
+  (split 0, List.init n (fun i -> n - i) |> List.filter feasible |> List.map split)
 
+let by_total a b = compare a.total_ns b.total_ns
+
+(* Cheapest first; among equal totals the larger NIC part comes first
+   and the all-host split last. *)
+let enumerate_splits ~sizes ~prob lnic df mapping =
+  let all_host, nic_cuts = cuts ~sizes ~prob lnic df mapping in
+  List.stable_sort by_total (nic_cuts @ [ all_host ])
+
+(* The head of [enumerate_splits], seeded with the split that always
+   exists. *)
 let best_split ~sizes ~prob lnic df mapping =
-  match enumerate_splits ~sizes ~prob lnic df mapping with
-  | best :: _ -> best
-  | [] -> failwith "Partial.best_split: no feasible split (not even all-host?)"
+  let all_host, nic_cuts = cuts ~sizes ~prob lnic df mapping in
+  List.fold_right (fun s best -> if by_total s best <= 0 then s else best) nic_cuts all_host
 
 let describe (df : D.Graph.t) s =
   let n = List.length s.assignment in

@@ -29,7 +29,8 @@ val enumerate_splits :
   Clara_mapping.Mapping.t ->
   split list
 (** All feasible splits including all-NIC (cut = #nodes) and all-host
-    (cut = 0), cheapest total first. *)
+    (cut = 0), cheapest total first.  The all-host split is always
+    feasible, so the list is never empty. *)
 
 val best_split :
   sizes:Clara_dataflow.Cost.sizes ->
@@ -38,6 +39,7 @@ val best_split :
   Clara_dataflow.Graph.t ->
   Clara_mapping.Mapping.t ->
   split
+(** The head of {!enumerate_splits}; never raises. *)
 
 val describe : Clara_dataflow.Graph.t -> split -> string
 val pp : Format.formatter -> split -> unit

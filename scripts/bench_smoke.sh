@@ -21,11 +21,12 @@
 #     upcall cost, predict-vs-sim p50 agreement is within bound, and
 #     the netronome/bluefield verdicts diverge (lpm vs dpi).
 #
-# The throughput gates — the 10x fast-path floor on the op-dense NF and
-# the >20% packets/sec regression check against the committed
-# BENCH_nicsim.json — print warnings by default and only fail when
-# CLARA_BENCH_ENFORCE=1, because shared CI runners are too noisy for
-# hard wall-clock gates.
+# The throughput gate — the >20% fast-path packets/sec regression check
+# against the committed BENCH_nicsim.json — prints a warning by default
+# and only fails when CLARA_BENCH_ENFORCE=1, because shared CI runners
+# are too noisy for hard wall-clock gates.  The fast path's speedup over
+# the event path is printed as a figure, not gated: it depends on how
+# fast the event path is as much as on the fast path.
 #
 # The fresh snapshot is written to CLARA_BENCH_JSON (default: a temp
 # file, so a smoke run never dirties the committed baseline).  The
@@ -39,7 +40,7 @@ export CLARA_BENCH_JSON
 dune exec bench/main.exe -- nicsim offpath tenants bounds
 
 # The snapshot must be valid JSON with a schema the readers accept.
-dune exec bin/clara_cli.exe -- json-check "$CLARA_BENCH_JSON"
+python3 -m json.tool "$CLARA_BENCH_JSON" > /dev/null
 schema=$(sed -n 's/.*"schema":[[:space:]]*\([0-9]*\).*/\1/p' "$CLARA_BENCH_JSON" | head -1)
 case "$schema" in
   1|2) echo "snapshot schema v$schema OK" ;;

@@ -72,7 +72,7 @@ let test_report_follows_payload () =
     (Option.get r.Clara.Report.energy).Clara_predict.Energy.nj_per_packet
   in
   let split_ns (r : Clara.Report.t) =
-    (Option.get r.Clara.Report.best_split).Clara_predict.Partial.total_ns
+    (fst (List.hd r.Clara.Report.splits)).Clara_predict.Partial.total_ns
   in
   check "throughput max_pps follows payload" true (max_pps small <> max_pps large);
   check "energy nJ/pkt follows payload" true (nj small <> nj large);

@@ -179,17 +179,18 @@ let mk_cell ?(id = 0) ?(nf_name = "nat") ?(source = "nf x {}")
     opt_name = "default"; options; wl_label = "wl";
     profile = W.Profile.make ~packets:500 ~flow_count:200 (); seed }
 
+let key ?(build = "build-a") ?(salt = "") c = E.Key.of_cell ~build ~salt c
+
 let test_key_stability () =
   let c = mk_cell () in
-  let k = E.Key.of_cell ~salt:"" c in
-  check_str "same cell, same key" k (E.Key.of_cell ~salt:"" c);
+  let k = key c in
+  check_str "same cell, same key" k (key c);
   check_int "hex md5" 32 (String.length k);
   (* The key is content-addressed: renaming the NF or moving the cell
      to another spec position must not invalidate it... *)
-  check_str "rename keeps key" k
-    (E.Key.of_cell ~salt:"" (mk_cell ~id:9 ~nf_name:"other" ()));
+  check_str "rename keeps key" k (key (mk_cell ~id:9 ~nf_name:"other" ()));
   (* ...but anything the numbers depend on must. *)
-  let differs label c' = check label true (E.Key.of_cell ~salt:"" c' <> k) in
+  let differs label c' = check label true (key c' <> k) in
   differs "source edit changes key" (mk_cell ~source:"nf x {} " ());
   differs "nic changes key" (mk_cell ~nic:"soc" ());
   differs "seed changes key" (mk_cell ~seed:43 ());
@@ -199,14 +200,18 @@ let test_key_stability () =
          { M.default_options with
            M.disallowed_accels = [ L.Unit_.Lookup ] }
        ());
-  check "salt changes key" true (E.Key.of_cell ~salt:"v2" c <> k)
+  check "salt changes key" true (key ~salt:"v2" c <> k);
+  (* A rebuilt executable (any code or target-model change) misses
+     every entry of the old one. *)
+  check "build changes key" true (key ~build:"build-b" c <> k);
+  check "this executable has a digest" true (E.Key.build () <> None)
 
 (* ---- Cache ---------------------------------------------------------- *)
 
 let test_cache_roundtrip () =
   with_dir "cache" @@ fun dir ->
   let c = E.Cache.create ~dir in
-  let key = E.Key.of_cell ~salt:"" (mk_cell ()) in
+  let key = key (mk_cell ()) in
   check "empty cache misses" true (E.Cache.lookup c ~key = None);
   let payload = J.Obj [ ("mean_us", J.Float 1.25) ] in
   E.Cache.store c ~key payload;
@@ -219,7 +224,7 @@ let test_cache_roundtrip () =
 let test_cache_corruption () =
   with_dir "corrupt" @@ fun dir ->
   let c = E.Cache.create ~dir in
-  let key = E.Key.of_cell ~salt:"" (mk_cell ()) in
+  let key = key (mk_cell ()) in
   E.Cache.store c ~key (J.Int 1);
   let path = Filename.concat dir (key ^ ".json") in
   (* Truncated file: parse error must degrade to a miss, not raise. *)

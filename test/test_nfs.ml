@@ -175,6 +175,33 @@ let test_partial_split_invariants () =
             (List.for_all (fun st -> not (List.mem st host_states)) nic_states))
         splits
 
+(* Cut 0 puts nothing on the NIC, so every NF has the all-host split on
+   every target: the ranked list is never empty and the best split is
+   its head. *)
+let test_partial_all_host_split () =
+  List.iter
+    (fun nic ->
+      let target = Result.get_ok (L.Targets.of_name nic) in
+      List.iter
+        (fun (name, src, _) ->
+          match Clara.analyze_for_profile target ~source:src ~profile with
+          | Error e -> Alcotest.fail (name ^ " on " ^ nic ^ ": " ^ e)
+          | Ok a ->
+              let module P = Clara_predict.Partial in
+              let splits =
+                P.enumerate_splits ~sizes:a.Clara.sizes ~prob:a.Clara.prob target a.Clara.df
+                  a.Clara.mapping
+              in
+              let label = name ^ " on " ^ nic in
+              check (label ^ ": cut 0 listed") true
+                (List.exists (fun s -> s.P.cut = 0) splits);
+              check (label ^ ": best split is the head") true
+                (P.best_split ~sizes:a.Clara.sizes ~prob:a.Clara.prob target a.Clara.df
+                   a.Clara.mapping
+                = List.hd splits))
+        corpus)
+    [ "netronome"; "soc"; "bluefield" ]
+
 let test_energy_estimates () =
   let energy target src =
     match Clara.analyze_for_profile target ~source:src ~profile with
@@ -263,6 +290,8 @@ let suite =
       test_syn_proxy_syn_path_cheaper_than_miss;
     Alcotest.test_case "partial offload decisions" `Quick test_partial_offload_decisions;
     Alcotest.test_case "partial split invariants" `Quick test_partial_split_invariants;
+    Alcotest.test_case "partial all-host split always listed" `Quick
+      test_partial_all_host_split;
     Alcotest.test_case "energy estimates" `Quick test_energy_estimates;
     Alcotest.test_case "corpus registry" `Quick test_corpus_registry;
     Alcotest.test_case "corpus resolves source paths" `Quick test_corpus_resolves_paths;
