@@ -439,19 +439,19 @@ let packet_island ctx =
 (* EMEM cache outcomes feed the per-program hit-rate accounting, and any
    cached access taints the recorder: the LRU line cache is mutable
    shared state, so a packet that touched it cannot be replayed. *)
+let[@inline] note_cached ctx ~hits ~misses =
+  let s = ctx.sim in
+  if ctx.prog_id >= 0 && ctx.prog_id < Array.length s.emem_hits_by then begin
+    s.emem_hits_by.(ctx.prog_id) <- s.emem_hits_by.(ctx.prog_id) + hits;
+    s.emem_misses_by.(ctx.prog_id) <- s.emem_misses_by.(ctx.prog_id) + misses
+  end;
+  taint ctx
+
 let[@inline] note_mem_outcome ctx =
   match Mem_model.last_outcome ctx.sim.memm with
   | Mem_model.Uncached -> ()
-  | Mem_model.Hit ->
-      let s = ctx.sim in
-      if ctx.prog_id >= 0 && ctx.prog_id < Array.length s.emem_hits_by then
-        s.emem_hits_by.(ctx.prog_id) <- s.emem_hits_by.(ctx.prog_id) + 1;
-      taint ctx
-  | Mem_model.Miss ->
-      let s = ctx.sim in
-      if ctx.prog_id >= 0 && ctx.prog_id < Array.length s.emem_misses_by then
-        s.emem_misses_by.(ctx.prog_id) <- s.emem_misses_by.(ctx.prog_id) + 1;
-      taint ctx
+  | Mem_model.Hit -> note_cached ctx ~hits:1 ~misses:0
+  | Mem_model.Miss -> note_cached ctx ~hits:0 ~misses:1
 
 let[@inline] slot_of (ts : table_state) key = (key land max_int) mod ts.decl.t_entries
 
@@ -576,11 +576,27 @@ let lpm_walk ctx (ts : table_state) region =
   spend ctx (core_vcall_cost ctx P.V_lpm_lookup ts.decl.t_entries);
   emit_compute ctx ~label:"lpm-walk" ~t0 ~arg:ts.decl.t_entries;
   let bursts = max 1 (ts.decl.t_entries / 8) in
-  for i = 0 to bursts - 1 do
-    let t0 = ctx.clock in
-    mem_access ctx region ~mode:`Read ~addr:(ts.base_addr + (i * 8 * ts.decl.t_entry_bytes));
-    emit_mem ctx ~region ~outcome:(Mem_model.last_outcome ctx.sim.memm) ~t0
-  done
+  let stride = 8 * ts.decl.t_entry_bytes in
+  match ctx.trace with
+  | Some _ ->
+      (* One span per burst. *)
+      for i = 0 to bursts - 1 do
+        let t0 = ctx.clock in
+        mem_access ctx region ~mode:`Read ~addr:(ts.base_addr + (i * stride));
+        emit_mem ctx ~region ~outcome:(Mem_model.last_outcome ctx.sim.memm) ~t0
+      done
+  | None ->
+      (* One charge for the whole walk: a walk repeated over an
+         unchanged EMEM cache does not touch the cache at all. *)
+      let m = ctx.sim.memm in
+      let hits = Mem_model.emem_hits m and misses = Mem_model.emem_misses m in
+      spend ctx
+        (Mem_model.access_run m region ~mode:`Read ~base:ts.base_addr ~stride ~count:bursts);
+      match Mem_model.last_outcome m with
+      | Mem_model.Uncached -> ()
+      | Mem_model.Hit | Mem_model.Miss ->
+          note_cached ctx ~hits:(Mem_model.emem_hits m - hits)
+            ~misses:(Mem_model.emem_misses m - misses)
 
 let[@inline] bump arr i =
   if i >= 0 && i < Array.length arr then arr.(i) <- arr.(i) + 1

@@ -451,15 +451,20 @@ let run_sharded ?(domains = 1) ?shards ?threads ?queue_capacity ?metrics
   if total_capacity >= shards then
     assert (Array.fold_left ( + ) 0 per_capacity = total_capacity);
   (* Partition by flow so no flow spans two slices; arrival order is
-     preserved within each shard. *)
-  let parts = Array.make shards [] in
+     preserved within each shard.  Each shard's array is sized by a
+     first counting pass and filled in the second. *)
   let packets = trace.W.Trace.packets in
-  for i = Array.length packets - 1 downto 0 do
-    let p = packets.(i) in
-    let s = W.Packet.flow_key p mod shards in
-    parts.(s) <- p :: parts.(s)
-  done;
-  let sub = Array.map (fun l -> W.Trace.of_packets (Array.of_list l)) parts in
+  let shard_of = Array.map (fun p -> W.Packet.flow_key p mod shards) packets in
+  let counts = Array.make shards 0 in
+  Array.iter (fun s -> counts.(s) <- counts.(s) + 1) shard_of;
+  let parts = Array.map (fun c -> if c = 0 then [||] else Array.make c packets.(0)) counts in
+  let filled = Array.make shards 0 in
+  Array.iteri
+    (fun i s ->
+      parts.(s).(filled.(s)) <- packets.(i);
+      filled.(s) <- filled.(s) + 1)
+    shard_of;
+  let sub = Array.map W.Trace.of_packets parts in
   let outcomes, _pool_stats =
     Pool.map ~domains
       (fun i ->

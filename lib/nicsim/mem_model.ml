@@ -17,6 +17,12 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable last : outcome;
+  (* The last strided EMEM run [access_run] applied line by line, and
+     the cache's version right after it; [run_version] is -1 when none. *)
+  mutable run_base : int;
+  mutable run_stride : int;
+  mutable run_count : int;
+  mutable run_version : int;
 }
 
 let line_bytes = 64
@@ -62,6 +68,10 @@ let create (g : L.Graph.t) =
     hits = 0;
     misses = 0;
     last = Uncached;
+    run_base = 0;
+    run_stride = 0;
+    run_count = 0;
+    run_version = -1;
   }
 
 let flat lat mode =
@@ -72,6 +82,9 @@ let region_name = function
   | Ctm -> "ctm"
   | Imem -> "imem"
   | Emem -> "emem"
+
+let hit_cycles t mode =
+  match mode with `Read | `Write -> t.emem_hit_cycles | `Atomic -> flat t.emem mode
 
 (* The outcome goes to [t.last] rather than into a returned tuple, so an
    access allocates nothing. *)
@@ -96,15 +109,42 @@ let access t region ~mode ~addr =
           if Lru.touch cache line then begin
             t.hits <- t.hits + 1;
             t.last <- Hit;
-            match mode with
-            | `Read | `Write -> t.emem_hit_cycles
-            | `Atomic -> flat t.emem mode
+            hit_cycles t mode
           end
           else begin
             t.misses <- t.misses + 1;
             t.last <- Miss;
             flat t.emem mode
           end)
+
+(* Applying a run of at most [capacity] accesses leaves every line it
+   touched in the cache, the most recent ones in the run's order.  So if
+   the cache has not changed since, applying the same run again hits
+   every access and ends in the same recency order: only the hit count
+   moves. *)
+let access_run t region ~mode ~base ~stride ~count =
+  match (region, t.emem_cache) with
+  | Emem, Some cache
+    when count > 0 && t.run_version = Lru.version cache && t.run_base = base
+         && t.run_stride = stride && t.run_count = count ->
+      t.hits <- t.hits + count;
+      t.last <- Hit;
+      count * hit_cycles t mode
+  | _ ->
+      let total = ref 0 in
+      for i = 0 to count - 1 do
+        total := !total + access t region ~mode ~addr:(base + (i * stride))
+      done;
+      (match (region, t.emem_cache) with
+      | Emem, Some cache when count <= Lru.capacity cache ->
+          t.run_base <- base;
+          t.run_stride <- stride;
+          t.run_count <- count;
+          t.run_version <- Lru.version cache
+      | _ -> ());
+      !total
+
+let clear t = Option.iter Lru.clear t.emem_cache
 
 let last_outcome t = t.last
 

@@ -24,6 +24,20 @@ val access :
     accesses; other regions are flat-latency.  Allocates nothing; the
     cache outcome is left for {!last_outcome}. *)
 
+val access_run :
+  t -> region -> mode:[ `Read | `Write | `Atomic ] -> base:int -> stride:int -> count:int -> int
+(** [access_run t region ~mode ~base ~stride ~count]: total cycles for
+    the [count] accesses at [base + i * stride], [i < count], in order,
+    with the same hit and miss counts, {!last_outcome} and cache state
+    as that many {!access} calls.  When the EMEM cache has not changed
+    since the same run (same base, stride and count, with [count] at
+    most the cache's capacity) was last applied, every access hits and
+    the recency order stays as it is, so the run is charged
+    [count] hits without touching the cache. *)
+
+val clear : t -> unit
+(** Empties the EMEM cache (a cold cache); the hit and miss counts stay. *)
+
 val last_outcome : t -> outcome
 (** Outcome of the most recent {!access} ([Uncached] before any) — the
     simulator's hit-rate accounting and the trace layer read it right

@@ -99,7 +99,10 @@ let span t name f =
       let dt = Span.now_ns () - t0 in
       locked t (fun () ->
           Span.record st dt;
+          (* A domain whose stack empties leaves the table, so domains
+             that come and go leave no entries behind. *)
           match Hashtbl.find_opt t.stacks did with
+          | Some [ _ ] -> Hashtbl.remove t.stacks did
           | Some (_ :: rest) -> Hashtbl.replace t.stacks did rest
           | Some [] | None -> ()))
     f

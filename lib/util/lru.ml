@@ -5,7 +5,8 @@
    table (linear probing, load at most 1/2) from a key's hash to its
    slot, -1 where empty.  Every store is an immediate int, so a touch
    neither allocates nor pays a write barrier.  The arrays start small
-   and double up to [capacity]. *)
+   and double up to [capacity].  [version] moves on every change to
+   the set or its order, so equal versions mean an unchanged cache. *)
 
 type t = {
   capacity : int;
@@ -16,6 +17,7 @@ type t = {
   mutable index : int array;  (* length a power of two *)
   mutable head : int;
   mutable tail : int;
+  mutable version : int;
 }
 
 let initial_slots = 64
@@ -40,10 +42,11 @@ let create ~capacity =
     prev = Array.make slots (-1);
     next = Array.make slots (-1);
     index = empty_index slots;
-    head = -1; tail = -1 }
+    head = -1; tail = -1; version = 0 }
 
 let size t = t.size
 let capacity t = t.capacity
+let version t = t.version
 
 (* The index position holding [k]'s slot, or the empty position where
    the probe for [k] stops. *)
@@ -114,7 +117,8 @@ let touch t k =
   if s >= 0 then begin
     if s <> t.head then begin
       unlink t s;
-      push_front t s
+      push_front t s;
+      t.version <- t.version + 1
     end;
     true
   end
@@ -136,6 +140,7 @@ let touch t k =
     Array.unsafe_set t.keys s k;
     insert_key t k s;
     push_front t s;
+    t.version <- t.version + 1;
     false
   end
 
@@ -143,4 +148,5 @@ let clear t =
   Array.fill t.index 0 (Array.length t.index) (-1);
   t.size <- 0;
   t.head <- -1;
-  t.tail <- -1
+  t.tail <- -1;
+  t.version <- t.version + 1

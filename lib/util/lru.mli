@@ -28,5 +28,11 @@ val touch : t -> int -> bool
 val size : t -> int
 val capacity : t -> int
 
+val version : t -> int
+(** A change counter: it moves on every insert (eviction included),
+    every reorder and every {!clear}, and on nothing else — a touch of
+    the most-recent key leaves it as it was.  Equal versions mean the
+    same set in the same recency order. *)
+
 val clear : t -> unit
 (** Empties the set; keeps the arrays at their grown length. *)

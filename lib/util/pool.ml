@@ -10,13 +10,20 @@
    output ordering is the input ordering no matter how the scheduler
    interleaved the work.
 
+   The worker domains are long-lived.  A [map] hands one worker loop to
+   each of the domains it asks for; a domain is spawned only when no
+   parked one is left, and between calls the domains park on condition
+   variables.  A [map] called from inside a job therefore never waits
+   for a domain its caller holds: it spawns one more.  Parked domains
+   do not keep the process from exiting.
+
    Timeouts are cooperative: domains cannot be killed, so a monitor in
    the coordinating domain marks an over-budget slot [Failed] (first
-   writer wins — the worker's eventual result is dropped) and the pool
-   still joins every worker before returning.  That bounds *reporting*
-   latency of a pathological cell, not its CPU time; a genuinely
-   non-terminating job would still hang the join, which no job in this
-   codebase is. *)
+   writer wins — the worker's eventual result is dropped) and [map]
+   still waits for every worker loop before returning.  That bounds
+   *reporting* latency of a pathological cell, not its CPU time; a
+   genuinely non-terminating job would still hang the call, which no
+   job in this codebase is. *)
 
 type 'a outcome =
   | Done of 'a
@@ -30,6 +37,72 @@ type stats = {
 }
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+
+(* ---- Long-lived workers -------------------------------------------- *)
+
+(* Counts down as a call's worker loops finish; [map] waits for zero. *)
+type latch = { l_mu : Mutex.t; l_zero : Condition.t; mutable left : int }
+
+type task = { run : unit -> unit; latch : latch }
+
+(* A worker domain parks on its own [wake] until [submit] hands it a
+   task in [next].  [idle] is a stack, most recently parked first, so
+   back-to-back calls reuse the same domains.  Both are guarded by
+   [mu]. *)
+type worker = { wake : Condition.t; mutable next : task option }
+
+let mu = Mutex.create ()
+let idle : worker list ref = ref []
+
+let count_down l =
+  Mutex.lock l.l_mu;
+  l.left <- l.left - 1;
+  if l.left = 0 then Condition.broadcast l.l_zero;
+  Mutex.unlock l.l_mu
+
+(* A worker domain's life, entered and re-entered with [mu] held.  It
+   parks again before it releases the task's latch, so the call that
+   follows finds it instead of spawning another domain. *)
+let rec serve w =
+  while Option.is_none w.next do
+    Condition.wait w.wake mu
+  done;
+  let t = Option.get w.next in
+  w.next <- None;
+  Mutex.unlock mu;
+  (try t.run () with _ -> ());
+  Mutex.lock mu;
+  idle := w :: !idle;
+  count_down t.latch;
+  serve w
+
+(* Hands [k] copies of [run] to parked domains, spawning the ones that
+   are missing first, so a failed spawn raises with nothing handed out. *)
+let submit k run latch =
+  Mutex.lock mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock mu) @@ fun () ->
+  for _ = List.length !idle + 1 to k do
+    let w = { wake = Condition.create (); next = None } in
+    ignore (Domain.spawn (fun () -> Mutex.lock mu; serve w));
+    idle := w :: !idle
+  done;
+  for _ = 1 to k do
+    match !idle with
+    | w :: rest ->
+        idle := rest;
+        w.next <- Some { run; latch };
+        Condition.signal w.wake
+    | [] -> assert false
+  done
+
+let await l =
+  Mutex.lock l.l_mu;
+  while l.left > 0 do
+    Condition.wait l.l_zero l.l_mu
+  done;
+  Mutex.unlock l.l_mu
+
+(* ---- map ------------------------------------------------------------ *)
 
 (* The shared job deque: plain FIFO under a mutex.  Workers pop from
    the front; [n] jobs and <= 16 workers make contention irrelevant. *)
@@ -86,7 +159,8 @@ let map ?(domains = 1) ?timeout_ms f n =
     in
     loop ()
   in
-  let workers = List.init domains (fun _ -> Domain.spawn worker) in
+  let latch = { l_mu = Mutex.create (); l_zero = Condition.create (); left = domains } in
+  submit domains worker latch;
   (match timeout_ms with
   | None -> ()
   | Some budget_ms ->
@@ -109,7 +183,7 @@ let map ?(domains = 1) ?timeout_ms f n =
               (Failed (Printf.sprintf "timeout: exceeded %d ms budget" budget_ms))
         done
       done);
-  List.iter Domain.join workers;
+  await latch;
   let wall_ns = now_ns () - t_start in
   let results =
     Array.map

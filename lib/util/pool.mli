@@ -5,14 +5,23 @@
     This is the single pool implementation shared by [lib/explore]
     (sweep cells) and [lib/nicsim] (domain-parallel simulation shards).
     Results are delivered in job-index order regardless of scheduling,
-    so output is reproducible across domain counts. *)
+    so output is reproducible across domain counts.
+
+    The worker domains outlive a call: they are spawned the first time
+    a call needs them and park between calls, so repeated calls reuse
+    the same domains.  A call made from inside a job gets domains of
+    its own (spawning more if none is parked) and so never deadlocks.
+    Parked domains do not keep the process from exiting. *)
 
 type 'a outcome =
   | Done of 'a
   | Failed of string  (** the job raised; message from the exception *)
 
 type stats = {
-  domains : int;  (** workers actually spawned (clamped to [1..n]) *)
+  domains : int;
+      (** worker loops this call ran, each on its own domain (clamped to
+          [1..n]).  The domains are the pool's long-lived ones, so this
+          is the call's parallelism, not a count of domains spawned. *)
   jobs : int;
   busy_ns : int;  (** summed over workers: wall time inside jobs *)
   wall_ns : int;

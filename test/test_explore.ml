@@ -287,6 +287,54 @@ let test_executor_timeout () =
   | Pool.Done 1 -> ()
   | _ -> Alcotest.fail "fast job affected by sibling timeout")
 
+(* The worker domains outlive a call: back-to-back calls run their jobs
+   on the same parked domains instead of spawning fresh ones. *)
+let test_pool_reuses_domains () =
+  let seen = Hashtbl.create 8 and seen_mu = Mutex.create () in
+  for _ = 1 to 200 do
+    let results, _ =
+      Pool.map ~domains:2
+        (fun _ ->
+          Mutex.lock seen_mu;
+          Hashtbl.replace seen (Domain.self () :> int) ();
+          Mutex.unlock seen_mu)
+        4
+    in
+    Array.iter (function Pool.Done () -> () | Pool.Failed e -> Alcotest.fail e) results
+  done;
+  check (Printf.sprintf "at most 2 worker domains (%d)" (Hashtbl.length seen)) true
+    (Hashtbl.length seen <= 2)
+
+let test_pool_worker_survives_failure () =
+  let results, _ = Pool.map ~domains:2 (fun _ -> failwith "boom") 2 in
+  Array.iter
+    (function Pool.Failed e -> check_str "failure message" "boom" e | Pool.Done () -> Alcotest.fail "exception swallowed")
+    results;
+  let results, _ = Pool.map ~domains:2 (fun i -> i + 1) 6 in
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Pool.Done v -> check_int "next call served" (i + 1) v
+      | Pool.Failed e -> Alcotest.fail e)
+    results
+
+let test_pool_nested_map () =
+  let results, _ =
+    Pool.map ~domains:2
+      (fun i ->
+        let inner, _ = Pool.map ~domains:2 (fun j -> (10 * i) + j) 3 in
+        Array.fold_left
+          (fun acc -> function Pool.Done v -> acc + v | Pool.Failed e -> failwith e)
+          0 inner)
+      2
+  in
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Pool.Done v -> check_int "inner sums" ((30 * i) + 3) v
+      | Pool.Failed e -> Alcotest.fail e)
+    results
+
 (* ---- Frontier ------------------------------------------------------- *)
 
 let pt p99 pps nj = { E.Frontier.p99_us = p99; max_pps = pps; nj_per_packet = nj }
@@ -438,6 +486,10 @@ let suite =
     Alcotest.test_case "executor result ordering" `Quick test_executor_ordering;
     Alcotest.test_case "executor failure isolation" `Quick test_executor_isolation;
     Alcotest.test_case "executor cooperative timeout" `Quick test_executor_timeout;
+    Alcotest.test_case "pool reuses its worker domains" `Quick test_pool_reuses_domains;
+    Alcotest.test_case "pool worker survives a failed job" `Quick
+      test_pool_worker_survives_failure;
+    Alcotest.test_case "pool map nested in a job" `Quick test_pool_nested_map;
     Alcotest.test_case "pareto frontier" `Quick test_frontier;
     Alcotest.test_case "sweep domain-count determinism" `Quick test_sweep_determinism;
     Alcotest.test_case "sweep cache cold/warm/salt" `Quick test_sweep_cache_cycle;

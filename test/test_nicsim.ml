@@ -80,22 +80,31 @@ let prop_lru_matches_model =
     (fun (cap, ops) ->
       let l = Lru.create ~capacity:cap in
       let model = ref [] in
+      (* The change counter moves exactly when the set or its order does
+         (and on every clear); a touch of the head leaves it. *)
+      let moved_iff changed f =
+        let v = Lru.version l in
+        let ok = f () in
+        ok && (Lru.version l <> v) = changed
+      in
       List.for_all
         (fun op ->
           match op with
           | Touch k ->
               let hit = List.mem k !model in
+              let at_head = match !model with h :: _ -> h = k | [] -> false in
               let rest = List.filter (( <> ) k) !model in
               model :=
                 k :: (if List.length rest >= cap then List.filteri (fun i _ -> i < cap - 1) rest
                       else rest);
-              Lru.touch l k = hit
-          | Mem k -> Lru.mem l k = List.mem k !model
-          | Size -> Lru.size l = List.length !model
+              moved_iff (not at_head) (fun () -> Lru.touch l k = hit)
+          | Mem k -> moved_iff false (fun () -> Lru.mem l k = List.mem k !model)
+          | Size -> moved_iff false (fun () -> Lru.size l = List.length !model)
           | Clear ->
               model := [];
-              Lru.clear l;
-              Lru.size l = 0)
+              moved_iff true (fun () ->
+                  Lru.clear l;
+                  Lru.size l = 0))
         ops
       && Lru.size l = List.length !model
       && List.for_all (Lru.mem l) !model)
@@ -171,6 +180,97 @@ let test_mem_cache_eviction () =
     ignore (Mem.access m Mem.Emem ~mode:`Read ~addr:(i * 64))
   done;
   check_int "first line evicted" 500 (Mem.access m Mem.Emem ~mode:`Read ~addr:0)
+
+(* A strided run must charge as the same accesses made one by one:
+   [access_run] on one model against single [access] calls on a second,
+   under random interleavings of single accesses, runs (repeats too) and
+   clears on a cache of a few lines. *)
+type mem_op =
+  | Access of [ `Read | `Write | `Atomic ] * int
+  | Run of [ `Read | `Write | `Atomic ] * int * int * int  (* mode, base, stride, count *)
+  | Again  (* the last run once more *)
+  | Flush
+
+let mode_name = function `Read -> "read" | `Write -> "write" | `Atomic -> "atomic"
+
+let mem_op_print = function
+  | Access (m, a) -> Printf.sprintf "%s %d" (mode_name m) a
+  | Run (m, b, s, c) -> Printf.sprintf "run %s base %d stride %d count %d" (mode_name m) b s c
+  | Again -> "again"
+  | Flush -> "clear"
+
+let small_cache_lnic lines =
+  let memories =
+    Array.map
+      (fun (m : L.Memory.t) ->
+        if m.L.Memory.level = L.Memory.External then
+          { m with
+            L.Memory.cache = Some { L.Memory.cache_bytes = lines * 64; hit_cycles = 150 } }
+        else m)
+      lnic.L.Graph.memories
+  in
+  L.Graph.update lnic ~memories
+
+let mem_ops_gen =
+  let open QCheck.Gen in
+  int_range 1 12 >>= fun lines ->
+  let mode = oneofl [ `Read; `Read; `Write; `Atomic ] in
+  let addr = int_range 0 (4 * lines * 64) in
+  let run =
+    map
+      (fun (m, b, s, c) -> Run (m, b, s, c))
+      (quad mode (oneofl [ 0; 64; 100; 64 * lines ]) (oneofl [ 0; 8; 32; 64; 96; 128 ])
+         (int_range 1 (2 * lines)))
+  in
+  let op =
+    frequency
+      [ (6, map2 (fun m a -> Access (m, a)) mode addr); (4, run); (6, return Again);
+        (1, return Flush) ]
+  in
+  pair (return lines) (list_size (int_range 0 200) op)
+
+let prop_access_run_matches_singles =
+  QCheck.Test.make ~name:"access_run matches single accesses" ~count:300
+    (QCheck.make
+       ~print:(fun (lines, ops) ->
+         Printf.sprintf "%d lines: %s" lines (String.concat "; " (List.map mem_op_print ops)))
+       mem_ops_gen)
+    (fun (lines, ops) ->
+      let g = small_cache_lnic lines in
+      let a = Mem.create g and b = Mem.create g in
+      let last = ref None in
+      let same ca cb =
+        ca = cb
+        && Mem.last_outcome a = Mem.last_outcome b
+        && Mem.emem_hits a = Mem.emem_hits b
+        && Mem.emem_misses a = Mem.emem_misses b
+      in
+      let run (mode, base, stride, count) =
+        last := Some (mode, base, stride, count);
+        let cb = ref 0 in
+        for i = 0 to count - 1 do
+          cb := !cb + Mem.access b Mem.Emem ~mode ~addr:(base + (i * stride))
+        done;
+        same (Mem.access_run a Mem.Emem ~mode ~base ~stride ~count) !cb
+      in
+      List.for_all
+        (function
+          | Access (mode, addr) ->
+              same (Mem.access a Mem.Emem ~mode ~addr) (Mem.access b Mem.Emem ~mode ~addr)
+          | Run (m, base, stride, count) -> run (m, base, stride, count)
+          | Again -> ( match !last with Some r -> run r | None -> true)
+          | Flush ->
+              Mem.clear a;
+              Mem.clear b;
+              true)
+        ops
+      (* Every line must answer alike afterwards. *)
+      && List.for_all
+           (fun line ->
+             same
+               (Mem.access a Mem.Emem ~mode:`Read ~addr:(line * 64))
+               (Mem.access b Mem.Emem ~mode:`Read ~addr:(line * 64)))
+           (List.init (5 * lines) Fun.id))
 
 (* ------------------------------------------------------------------ *)
 (* Device                                                              *)
@@ -987,4 +1087,5 @@ let suite =
     Alcotest.test_case "stats merge" `Quick test_stats_merge;
     Alcotest.test_case "lru hit allocates nothing" `Quick test_lru_hit_allocates_nothing ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_lru_capacity; prop_heap_drains_sorted; prop_lru_matches_model ]
+      [ prop_lru_capacity; prop_heap_drains_sorted; prop_lru_matches_model;
+        prop_access_run_matches_singles ]
