@@ -4,13 +4,26 @@ let const base = { base; per_unit = 0.; log2_coeff = 0. }
 let linear ~base ~per_unit = { base; per_unit; log2_coeff = 0. }
 let logarithmic ~base ~log2_coeff = { base; per_unit = 0.; log2_coeff }
 
-let eval f n =
+let[@inline] eval f n =
   let n = if n < 0. then 0. else n in
   f.base +. (f.per_unit *. n) +. (f.log2_coeff *. (Float.log2 (1. +. n)))
 
+(* The simulator evaluates a cost per packet leg, so the linear case
+   skips both C calls.  With [log2_coeff = 0.] the log term is a zero,
+   which moves no sum whose sign decides anything here; and for
+   [0 < v < 2^52] the fraction [v - trunc v] is exact, so comparing it
+   with one half rounds half away from zero exactly as [Float.round]. *)
 let eval_int f n =
-  let v = eval f (float_of_int n) in
-  if v <= 0. then 0 else int_of_float (Float.round v)
+  if f.log2_coeff = 0. then begin
+    let v = f.base +. (f.per_unit *. float_of_int (Int.max 0 n)) in
+    if v <= 0. then 0
+    else
+      let r = int_of_float v in
+      if v -. float_of_int r >= 0.5 then r + 1 else r
+  end
+  else
+    let v = eval f (float_of_int n) in
+    if v <= 0. then 0 else int_of_float (Float.round v)
 
 let add a b =
   { base = a.base +. b.base;

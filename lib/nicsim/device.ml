@@ -18,6 +18,12 @@ type table_state = {
   decl : table_decl;
   contents : Lru.t;  (* inserted keys, capacity-bounded *)
   base_addr : int;
+  (* What each operation on this table costs, resolved once in
+     [create_sim_shared] at the table's entry count: per [vcall_index]
+     on the cores, and the flow-cache engine's LPM lookup; -1 where the
+     unit cannot run it. *)
+  core_cycles : int array;
+  fc_lpm_cycles : int;
   (* Per-slot counters behind [count]; allocated on the table's first
      [count], so only counter tables pay for them. *)
   mutable counts : int array;
@@ -51,7 +57,7 @@ type sim = {
      to be upcalled to software on an off-path target (0 on-path). *)
   fc_kind : L.Unit_.accel_kind;
   upcall_cycles : int;
-  tables : (string, table_state) Hashtbl.t;
+  tables : table_state array;  (* in declaration order *)
   (* Everything below down to [egress_cycles] is fixed for a given
      (LNIC, program set) and resolved once in [create_sim_shared], so
      the per-packet path indexes arrays instead of walking the
@@ -60,6 +66,10 @@ type sim = {
      [core_vc] per [vcall_index]; [accel_vc] per
      [accel_index * n_vcalls + vcall_index]. *)
   op_cycles : float array;
+  (* [op_cycles] rounded at n = 1 (what the ports mostly ask for), and
+     [core_vc] at n = 1; -1 where the exact path must decide. *)
+  op_unit : int array;
+  core_unit : int array;
   core_vc : L.Cost_fn.t option array;
   accel_vc : L.Cost_fn.t option array;
   (* Accelerator occupancy per [accel_index]; [has_accel] marks the
@@ -176,7 +186,7 @@ let replay_dma lanes clock cycles =
   for i = 1 to Array.length lanes - 1 do
     if lanes.(i) < lanes.(!li) then li := i
   done;
-  let start = max clock lanes.(!li) in
+  let start = Int.max clock lanes.(!li) in
   let done_ = start + cycles in
   lanes.(!li) <- done_;
   done_
@@ -191,7 +201,7 @@ let replay sim ~start (p : profile) =
           let ki = accel_index kind in
           if not sim.has_accel.(ki) then clock := !clock + c
           else begin
-            let s = max !clock sim.accel_free.(ki) in
+            let s = Int.max !clock sim.accel_free.(ki) in
             let done_ = s + c in
             sim.accel_free.(ki) <- done_;
             sim.accel_busy <- sim.accel_busy + c;
@@ -212,37 +222,57 @@ let region_of_placement = function
   | P_emem -> Mem_model.Emem
   | P_flow_cache -> invalid_arg "Device: flow-cache tables have no memory region"
 
-let create_sim_shared lnic progs =
-  let params = lnic.L.Graph.params in
-  (* The eSwitch wins when both are present: it is the wire-fronting
-     match-action engine, the lookup unit a core-driven sidekick. *)
-  let fc_accel =
-    match L.Graph.find_accelerator lnic L.Unit_.Eswitch with
-    | Some _ -> Some L.Unit_.Eswitch
-    | None -> (
-        match L.Graph.find_accelerator lnic L.Unit_.Lookup with
-        | Some _ -> Some L.Unit_.Lookup
-        | None -> None)
+(* The eSwitch wins when both are present: it is the wire-fronting
+   match-action engine, the lookup unit a core-driven sidekick. *)
+let flow_cache_accel lnic =
+  match L.Graph.find_accelerator lnic L.Unit_.Eswitch with
+  | Some _ -> Some L.Unit_.Eswitch
+  | None -> (
+      match L.Graph.find_accelerator lnic L.Unit_.Lookup with
+      | Some _ -> Some L.Unit_.Lookup
+      | None -> None)
+
+let check lnic progs =
+  let has_fc = flow_cache_accel lnic <> None in
+  let rec go seen = function
+    | [] -> Ok ()
+    | d :: rest ->
+        if List.mem d.t_name seen then
+          Error (Printf.sprintf "duplicate table '%s'" d.t_name)
+        else if d.t_placement = P_flow_cache && not has_fc then
+          Error (Printf.sprintf "table '%s' wants a flow cache this NIC lacks" d.t_name)
+        else go (d.t_name :: seen) rest
   in
-  let tables = Hashtbl.create 8 in
-  let next_base = ref 0x1000_0000 in
-  List.iter
-    (fun decl ->
-      if Hashtbl.mem tables decl.t_name then
-        invalid_arg (Printf.sprintf "Device: duplicate table '%s'" decl.t_name);
-      if decl.t_placement = P_flow_cache && fc_accel = None then
-        invalid_arg
-          (Printf.sprintf "Device: table '%s' wants a flow cache this NIC lacks"
-             decl.t_name);
-      Hashtbl.add tables decl.t_name
-        { decl;
-          contents = Lru.create ~capacity:(max 1 decl.t_entries);
-          base_addr = !next_base;
-          counts = [||] };
-      (* Slide bases apart so tables never share cache lines. *)
-      next_base := !next_base + (decl.t_entries * decl.t_entry_bytes) + 0x10_0000)
-    (List.concat_map (fun p -> p.tables) progs);
+  go [] (List.concat_map (fun p -> p.tables) progs)
+
+let create_sim_shared lnic progs =
+  (match check lnic progs with Ok () -> () | Error m -> invalid_arg ("Device: " ^ m));
+  let params = lnic.L.Graph.params in
+  let fc_accel = flow_cache_accel lnic in
   let fc_kind = Option.value ~default:L.Unit_.Lookup fc_accel in
+  let at f n = match f with Some f -> L.Cost_fn.eval_int f n | None -> -1 in
+  let core_vc_list = List.map (fun vc -> P.core_vcall_cost params vc) P.all_vcalls in
+  let next_base = ref 0x1000_0000 in
+  let tables =
+    List.fold_left
+      (fun acc decl ->
+        let ts =
+          { decl;
+            contents = Lru.create ~capacity:(max 1 decl.t_entries);
+            base_addr = !next_base;
+            core_cycles =
+              Array.of_list (List.map (fun f -> at f decl.t_entries) core_vc_list);
+            fc_lpm_cycles =
+              at (P.accel_vcall_cost params fc_kind P.V_lpm_lookup) decl.t_entries;
+            counts = [||] }
+        in
+        (* Slide bases apart so tables never share cache lines. *)
+        next_base := !next_base + (decl.t_entries * decl.t_entry_bytes) + 0x10_0000;
+        ts :: acc)
+      []
+      (List.concat_map (fun p -> p.tables) progs)
+    |> List.rev |> Array.of_list
+  in
   let flow_cache =
     match fc_accel with
     | None -> None
@@ -270,8 +300,18 @@ let create_sim_shared lnic progs =
       | c -> op_cycles.(op_index op) <- c
       | exception Not_found -> ())
     P.all_op_classes;
+  let op_unit =
+    Array.map
+      (fun c ->
+        if Float.is_nan c then -1
+        else
+          let u = int_of_float (Float.round c) in
+          if u >= 0 then u else -1)
+      op_cycles
+  in
   let core_vc = Array.make n_vcalls None in
   List.iter (fun vc -> core_vc.(vcall_index vc) <- P.core_vcall_cost params vc) P.all_vcalls;
+  let core_unit = Array.map (fun f -> at f 1) core_vc in
   let accel_vc = Array.make (List.length all_accel_kinds * n_vcalls) None in
   List.iter
     (fun kind ->
@@ -310,6 +350,8 @@ let create_sim_shared lnic progs =
     upcall_cycles = L.Graph.upcall_cycles lnic;
     tables;
     op_cycles;
+    op_unit;
+    core_unit;
     core_vc;
     accel_vc;
     has_accel;
@@ -336,7 +378,9 @@ let create_sim_shared lnic progs =
 
 let create_sim lnic prog = create_sim_shared lnic [ prog ]
 
-let make_ctx ?(seq = -1) ?(prog = 0) ?(thread = -1) ?trace ?recorder sim ~now pkt =
+(* Labelled rather than optional, so the engine's per-packet call boxes
+   nothing. *)
+let ctx_of sim ~seq ~prog ~thread ~trace ~recorder ~now pkt =
   (* Rearm a (possibly reused) recorder for this packet. *)
   (match recorder with
   | None -> ()
@@ -346,9 +390,12 @@ let make_ctx ?(seq = -1) ?(prog = 0) ?(thread = -1) ?trace ?recorder sim ~now pk
       r.tainted <- false);
   { sim; clock = now; pkt; fkey = -1; seq; prog_id = prog; thread; trace; recorder }
 
+let make_ctx ?(seq = -1) ?(prog = 0) ?(thread = -1) ?trace ?recorder sim ~now pkt =
+  ctx_of sim ~seq ~prog ~thread ~trace ~recorder ~now pkt
+
 let now ctx = ctx.clock
 
-let spend ctx cycles = ctx.clock <- ctx.clock + max 0 cycles
+let spend ctx cycles = ctx.clock <- ctx.clock + Int.max 0 cycles
 
 (* Trace emission.  Every helper is a plain [match] on the optional sink:
    with tracing off the hot loop does no allocation and no extra stores
@@ -380,11 +427,18 @@ let[@inline] emit_mem ctx ~region ~outcome ~t0 =
         ~label:(Mem_model.region_name region)
         ~t0 ~t1:ctx.clock ~arg
 
-let op_cost ctx cls n =
-  let c = ctx.sim.op_cycles.(op_index cls) in
-  (* A class missing from the parameters fails as [Params.op_cost] does. *)
-  if Float.is_nan c then raise Not_found;
-  spend ctx (int_of_float (Float.round (float_of_int n *. c)))
+let op_cycles sim cls n =
+  let i = op_index cls in
+  let u = sim.op_unit.(i) in
+  if n = 1 && u >= 0 then u
+  else begin
+    let c = sim.op_cycles.(i) in
+    (* A class missing from the parameters fails as [Params.op_cost] does. *)
+    if Float.is_nan c then raise Not_found;
+    int_of_float (Float.round (float_of_int n *. c))
+  end
+
+let op_cost ctx cls n = spend ctx (op_cycles ctx.sim cls n)
 
 (* Serialize on an accelerator: wait for it, occupy it for [cycles]. *)
 let use_accel ctx kind cycles =
@@ -393,7 +447,7 @@ let use_accel ctx kind cycles =
   if not sim.has_accel.(ki) then
     invalid_arg "Device.use_accel: no such accelerator on this NIC";
   let req = ctx.clock in
-  let start = max req sim.accel_free.(ki) in
+  let start = Int.max req sim.accel_free.(ki) in
   let done_ = start + cycles in
   sim.accel_free.(ki) <- done_;
   sim.accel_busy <- sim.accel_busy + cycles;
@@ -421,10 +475,26 @@ let accel_vcall_cost ctx kind vc n =
   | Some f -> L.Cost_fn.eval_int f n
   | None -> invalid_arg "Device: accelerator cannot run this operation"
 
-let table ctx name =
-  match Hashtbl.find ctx.sim.tables name with
-  | t -> t
-  | exception Not_found -> invalid_arg (Printf.sprintf "Device: unknown table '%s'" name)
+(* A port names its table with the string it declared it with, so the
+   physical test usually settles it; [String.equal] covers the rest. *)
+let find_table (sim : sim) name =
+  let ts = sim.tables in
+  let i = ref 0 in
+  while
+    !i < Array.length ts
+    && not (ts.(!i).decl.t_name == name || String.equal ts.(!i).decl.t_name name)
+  do
+    incr i
+  done;
+  if !i = Array.length ts then invalid_arg (Printf.sprintf "Device: unknown table '%s'" name);
+  ts.(!i)
+
+let table ctx name = find_table ctx.sim name
+
+let[@inline] core_resolved c =
+  if c < 0 then invalid_arg "Device: core cannot run this operation" else c
+
+let table_cycles (sim : sim) name vc = (find_table sim name).core_cycles.(vcall_index vc)
 
 let flow_key ctx =
   if ctx.fkey < 0 then ctx.fkey <- W.Packet.flow_key ctx.pkt;
@@ -552,7 +622,7 @@ let table_lookup ctx name ~key =
   taint ctx;
   let ts = table ctx name in
   let t0 = ctx.clock in
-  spend ctx (core_vcall_cost ctx P.V_table_lookup ts.decl.t_entries);
+  spend ctx (core_resolved ts.core_cycles.(vcall_index P.V_table_lookup));
   emit_compute ctx ~label:"table-lookup" ~t0 ~arg:ts.decl.t_entries;
   (* Two probe reads: bucket head + entry. *)
   table_access ctx ts ~mode:`Read ~key;
@@ -563,7 +633,7 @@ let table_insert ctx name ~key =
   taint ctx;
   let ts = table ctx name in
   let t0 = ctx.clock in
-  spend ctx (core_vcall_cost ctx P.V_table_update ts.decl.t_entries);
+  spend ctx (core_resolved ts.core_cycles.(vcall_index P.V_table_update));
   emit_compute ctx ~label:"table-update" ~t0 ~arg:ts.decl.t_entries;
   table_access ctx ts ~mode:`Read ~key;
   table_access ctx ts ~mode:`Write ~key;
@@ -573,7 +643,7 @@ let table_insert ctx name ~key =
    per 8 entries (entries are small relative to a 64B line/burst). *)
 let lpm_walk ctx (ts : table_state) region =
   let t0 = ctx.clock in
-  spend ctx (core_vcall_cost ctx P.V_lpm_lookup ts.decl.t_entries);
+  spend ctx (core_resolved ts.core_cycles.(vcall_index P.V_lpm_lookup));
   emit_compute ctx ~label:"lpm-walk" ~t0 ~arg:ts.decl.t_entries;
   let bursts = max 1 (ts.decl.t_entries / 8) in
   let stride = 8 * ts.decl.t_entry_bytes in
@@ -610,7 +680,8 @@ let lpm_lookup ctx name ~key =
       | None -> invalid_arg "Device.lpm_lookup: no flow cache"
       | Some fc ->
           let kind = ctx.sim.fc_kind in
-          let cost = accel_vcall_cost ctx kind P.V_lpm_lookup ts.decl.t_entries in
+          let cost = ts.fc_lpm_cycles in
+          if cost < 0 then invalid_arg "Device: accelerator cannot run this operation";
           if Lru.touch fc key then begin
             ctx.sim.fc_hits <- ctx.sim.fc_hits + 1;
             bump ctx.sim.fc_hits_by ctx.prog_id;
@@ -667,14 +738,14 @@ let scan_payload ctx ~bytes =
 
 let meter ctx =
   let t0 = ctx.clock in
-  spend ctx (core_vcall_cost ctx P.V_meter 1);
+  spend ctx (core_resolved ctx.sim.core_unit.(vcall_index P.V_meter));
   emit_compute ctx ~label:"meter" ~t0 ~arg:1
 
 let count ctx name ~key =
   taint ctx;
   let ts = table ctx name in
   let t0 = ctx.clock in
-  spend ctx (core_vcall_cost ctx P.V_flow_stats 1);
+  spend ctx (core_resolved ctx.sim.core_unit.(vcall_index P.V_flow_stats));
   emit_compute ctx ~label:"flow-stats" ~t0 ~arg:1;
   table_access ctx ts ~mode:`Atomic ~key;
   if Array.length ts.counts = 0 then ts.counts <- Array.make ts.decl.t_entries 0;
@@ -683,20 +754,16 @@ let count ctx name ~key =
   ts.counts.(slot) <- c;
   c
 
-(* Occupy the earliest-free DMA lane for [cycles]; the packet waits when
-   all lanes are busy (rate-dependent queueing). *)
-let use_dma ctx dir cycles =
-  let lanes, label =
-    match dir with
-    | `Rx -> (ctx.sim.dma_rx_free, "rx")
-    | `Tx -> (ctx.sim.dma_tx_free, "tx")
-  in
+(* Occupy the earliest-free DMA lane of [lanes] (the [dir] leg's) for
+   [cycles]; the packet waits when all lanes are busy (rate-dependent
+   queueing). *)
+let use_dma ctx lanes dir cycles =
   let li = ref 0 in
   for i = 1 to Array.length lanes - 1 do
     if lanes.(i) < lanes.(!li) then li := i
   done;
   let req = ctx.clock in
-  let start = max req lanes.(!li) in
+  let start = Int.max req lanes.(!li) in
   let done_ = start + cycles in
   lanes.(!li) <- done_;
   ctx.sim.dma_busy <- ctx.sim.dma_busy + cycles;
@@ -710,6 +777,7 @@ let use_dma ctx dir cycles =
   match ctx.trace with
   | None -> ()
   | Some s ->
+      let label = match dir with `Rx -> "rx" | `Tx -> "tx" in
       if start > req then
         Trace.record s ~seq:ctx.seq ~prog:ctx.prog_id ~thread:ctx.thread
           ~kind:Trace.Dma_wait ~label ~t0:req ~t1:start ~arg:!li;
@@ -718,7 +786,7 @@ let use_dma ctx dir cycles =
 
 let wire_rx ctx =
   let bytes = W.Packet.total_bytes ctx.pkt in
-  use_dma ctx `Rx (L.Cost_fn.eval_int ctx.sim.params.P.wire_ingress bytes);
+  use_dma ctx ctx.sim.dma_rx_free `Rx (L.Cost_fn.eval_int ctx.sim.params.P.wire_ingress bytes);
   match ctx.sim.ingress_cycles with
   | Some c ->
       let t0 = ctx.clock in
@@ -728,13 +796,19 @@ let wire_rx ctx =
 
 let wire_tx ctx =
   let bytes = W.Packet.total_bytes ctx.pkt in
-  use_dma ctx `Tx (L.Cost_fn.eval_int ctx.sim.params.P.wire_egress bytes);
+  use_dma ctx ctx.sim.dma_tx_free `Tx (L.Cost_fn.eval_int ctx.sim.params.P.wire_egress bytes);
   match ctx.sim.egress_cycles with
   | Some c ->
       let t0 = ctx.clock in
       spend ctx c;
       emit ctx ~kind:Trace.Hub ~label:"egress" ~t0 ~arg:0
   | None -> ()
+
+let execute sim ~seq ~prog ~thread ~trace ~recorder ~now (p : prog) pkt =
+  let ctx = ctx_of sim ~seq ~prog ~thread ~trace ~recorder ~now pkt in
+  wire_rx ctx;
+  (match p.handler ctx pkt with Emit -> wire_tx ctx | Drop -> ());
+  ctx
 
 let flow_cache_hits sim = sim.fc_hits
 let flow_cache_misses sim = sim.fc_misses

@@ -29,6 +29,12 @@ type handler = t -> Clara_workload.Packet.t -> verdict
 
 type prog = { name : string; tables : table_decl list; handler : handler }
 
+val check : Clara_lnic.Graph.t -> prog list -> (unit, string) result
+(** Whether {!create_sim_shared} accepts these programs on this NIC:
+    table names must be distinct, and a [P_flow_cache] table needs a NIC
+    with an eSwitch or a lookup accelerator.  The error names the
+    offending table. *)
+
 val create_sim : Clara_lnic.Graph.t -> prog -> sim
 (** @raise Invalid_argument on duplicate table names or a [P_flow_cache]
     table on a NIC with neither an eSwitch nor a lookup accelerator.
@@ -41,6 +47,23 @@ val create_sim_shared : Clara_lnic.Graph.t -> prog list -> sim
     cache, accelerators and DMA lanes are shared (that is the point —
     §3.5 interference).  Table names must be globally distinct.
     @raise Invalid_argument on clashes. *)
+
+(** {2 Resolved costs}
+
+    A sim resolves its per-op and per-table costs once, at creation; the
+    operations below charge exactly these. *)
+
+val op_cycles : sim -> Clara_lnic.Params.op_class -> int -> int
+(** What [n] ops of a class cost on this NIC's cores: the rounded
+    [n * Params.op_cost], read from a table made at creation when
+    [n = 1].
+    @raise Not_found when the parameters lack the class. *)
+
+val table_cycles : sim -> string -> Clara_lnic.Params.vcall -> int
+(** The cores' cost of a virtual call evaluated at table [name]'s entry
+    count, as table lookups, updates and LPM walks charge it; -1 when
+    the cores cannot run it.
+    @raise Invalid_argument on an unknown table. *)
 
 (** {2 Steady-state fast path support}
 
@@ -85,6 +108,22 @@ val make_ctx :
     [-1]/[0]/[-1]); when [trace] is absent, operations record nothing and
     allocate nothing beyond the untraced baseline.  [recorder] arms
     fast-path profile capture for this packet ({!recorded}). *)
+
+val execute :
+  sim ->
+  seq:int ->
+  prog:int ->
+  thread:int ->
+  trace:Trace.t option ->
+  recorder:recorder option ->
+  now:int ->
+  prog ->
+  Clara_workload.Packet.t ->
+  t
+(** One packet's service from [now]: the wire's RX leg, the program's
+    handler, and the TX leg when it emits.  The labels are those of
+    {!make_ctx}, none optional, so the engine's per-packet call boxes
+    nothing.  Returns the context, whose {!now} is the completion cycle. *)
 
 val now : t -> int
 

@@ -39,48 +39,42 @@ let[@inline] ev sink ~seq ~prog ~thread ~kind ~label ~t0 ~t1 ~arg =
   | None -> ()
   | Some s -> Trace.record s ~seq ~prog ~thread ~kind ~label ~t0 ~t1 ~arg
 
+(* Per-packet helpers live at top level: a local closure in [dispatch]
+   would be allocated for every packet. *)
+let[@inline] tel_fast tel ~arrival replayed =
+  match tel with
+  | None -> ()
+  | Some t -> Telemetry.on_fast t ~now:arrival ~replayed
+
 let default_queue_capacity lnic =
   match L.Graph.hub lnic `Ingress with Some h -> h.L.Hub.queue_capacity | None -> 512
 
-(* Earliest-free thread selection.  A lexicographic (free_cycle, index)
-   binary heap picks exactly the thread the naive scan would — earliest
-   free, lowest index on ties — in O(log n) instead of O(n).  Dispatch
-   always takes the root and re-inserts it with a later free time, so
-   the heap never changes size: update the root in place and sift down.
-   With the fast path replaying a packet in well under a microsecond, a
-   480-thread NIC's linear scan would otherwise dominate the cost. *)
+(* Earliest-free thread selection: the thread the naive scan would pick
+   (earliest free, lowest index on ties) is the root of a binary min-heap
+   of (free cycle, index) pairs, each packed into one int as
+   [free lsl bits lor index] so the lexicographic order is plain int
+   order.  Dispatch always takes the root and gives it a later free time,
+   so the heap never changes size: one [Heap.replace_min] per packet.
+   Under light load every other thread is already free, the re-keyed
+   root sinks to a leaf, and the sift's depth, log2 of the thread count,
+   is what a 480-thread NIC pays per packet over a 16-thread one. *)
 module Tpool = struct
-  type t = { free : int array; idx : int array; n : int }
+  type t = { heap : Heap.t; bits : int; n : int }
 
-  (* free = 0, idx ascending satisfies the heap invariant. *)
-  let create n = { free = Array.make n 0; idx = Array.init n (fun i -> i); n }
+  let create n =
+    let bits = ref 1 in
+    while 1 lsl !bits < n do incr bits done;
+    (* Ascending keys with free = 0 already satisfy the heap invariant. *)
+    let heap = Heap.create ~capacity:n () in
+    for i = 0 to n - 1 do Heap.push heap i done;
+    { heap; bits = !bits; n }
 
-  let[@inline] less t a b =
-    t.free.(a) < t.free.(b) || (t.free.(a) = t.free.(b) && t.idx.(a) < t.idx.(b))
-
-  let[@inline] min_index t = t.idx.(0)
-  let[@inline] min_free t = t.free.(0)
+  let[@inline] min_index t = Heap.min_elt t.heap land ((1 lsl t.bits) - 1)
+  let[@inline] min_free t = Heap.min_elt t.heap lsr t.bits
 
   let set_min_free t f =
-    t.free.(0) <- f;
-    let i = ref 0 in
-    let stop = ref false in
-    while not !stop do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let s = ref !i in
-      if l < t.n && less t l !s then s := l;
-      if r < t.n && less t r !s then s := r;
-      if !s = !i then stop := true
-      else begin
-        let tf = t.free.(!i) in
-        t.free.(!i) <- t.free.(!s);
-        t.free.(!s) <- tf;
-        let ti = t.idx.(!i) in
-        t.idx.(!i) <- t.idx.(!s);
-        t.idx.(!s) <- ti;
-        i := !s
-      end
-    done
+    if f lsr (62 - t.bits) <> 0 then invalid_arg "Engine: simulated time overflows the thread pool";
+    Heap.replace_min t.heap ((f lsl t.bits) lor min_index t)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -98,7 +92,7 @@ type side = {
   inflight : Heap.t;
   capacity : int;
   fp : Fastpath.t option;
-  recorder : Device.recorder;  (* reused across packets; make_ctx rearms *)
+  recorder : Device.recorder option;  (* reused across packets; rearmed per packet *)
 }
 
 let make_side ~pid ~nthreads ~capacity ~fp prog =
@@ -110,8 +104,12 @@ let make_side ~pid ~nthreads ~capacity ~fp prog =
     inflight = Heap.create ();
     capacity;
     fp;
-    recorder = Device.fresh_recorder ();
+    recorder = Some (Device.fresh_recorder ());
   }
+
+let execute ~sim ~sink side ~seq ~ti ~start recorder pkt =
+  Device.execute sim ~seq ~prog:side.pid ~thread:ti ~trace:sink ~recorder ~now:start
+    side.prog pkt
 
 (* [obs_on] gates the process-global metrics: sharded workers run on
    other domains, where the registry's plain mutable cells must not be
@@ -146,49 +144,33 @@ let dispatch ~sim ~sink ~obs_on ~tel ~cycles_of_ns side ~seq (pkt : W.Packet.t) 
   else begin
     (* Earliest-free thread (lowest index on ties). *)
     let ti = Tpool.min_index side.threads in
-    let start = max arrival (Tpool.min_free side.threads) in
+    let start = Int.max arrival (Tpool.min_free side.threads) in
     if start > arrival then
       ev sink ~seq ~prog:side.pid ~thread:ti ~kind:Trace.Queue_wait ~label:"" ~t0:arrival
         ~t1:start ~arg:depth;
     ev sink ~seq ~prog:side.pid ~thread:ti ~kind:Trace.Thread_bind ~label:"" ~t0:start
       ~t1:start ~arg:ti;
-    let execute ?recorder () =
-      let ctx =
-        Device.make_ctx ~seq ~prog:side.pid ~thread:ti ?trace:sink ?recorder sim
-          ~now:start pkt
-      in
-      Device.wire_rx ctx;
-      (match side.prog.Device.handler ctx pkt with
-      | Device.Emit -> Device.wire_tx ctx
-      | Device.Drop -> ());
-      ctx
-    in
-    let[@inline] tel_fast replayed =
-      match tel with
-      | None -> ()
-      | Some t -> Telemetry.on_fast t ~now:arrival ~replayed
-    in
     let done_ =
       match side.fp with
       | None ->
-          tel_fast false;
-          Device.now (execute ())
+          tel_fast tel ~arrival false;
+          Device.now (execute ~sim ~sink side ~seq ~ti ~start None pkt)
       | Some fp -> (
           match Fastpath.decide fp ~seq pkt with
           | Fastpath.Replay p ->
               Fastpath.count_replay fp;
-              tel_fast true;
+              tel_fast tel ~arrival true;
               Device.replay sim ~start p
           | Fastpath.Record ->
               Fastpath.count_execute fp;
-              tel_fast false;
-              let ctx = execute ~recorder:side.recorder () in
+              tel_fast tel ~arrival false;
+              let ctx = execute ~sim ~sink side ~seq ~ti ~start side.recorder pkt in
               Fastpath.note fp pkt (Device.recorded ctx);
               Device.now ctx
           | Fastpath.Plain ->
               Fastpath.count_execute fp;
-              tel_fast false;
-              Device.now (execute ()))
+              tel_fast tel ~arrival false;
+              Device.now (execute ~sim ~sink side ~seq ~ti ~start None pkt))
     in
     Tpool.set_min_free side.threads done_;
     Heap.push inflight done_;
@@ -198,8 +180,11 @@ let dispatch ~sim ~sink ~obs_on ~tel ~cycles_of_ns side ~seq (pkt : W.Packet.t) 
     | Some t ->
         Telemetry.on_retire t ~sim ~tenant:side.pid ~now:arrival
           ~latency:(done_ - arrival) ~service:(done_ - start));
-    ev sink ~seq ~prog:side.pid ~thread:ti ~kind:Trace.Retire ~label:"" ~t0:done_
-      ~t1:done_ ~arg:(retire_arg pkt);
+    (match sink with
+    | None -> ()
+    | Some s ->
+        Trace.record s ~seq ~prog:side.pid ~thread:ti ~kind:Trace.Retire ~label:""
+          ~t0:done_ ~t1:done_ ~arg:(retire_arg pkt));
     Stats.record side.stats ~proto:pkt.W.Packet.proto ~syn:(W.Packet.is_syn pkt)
       ~latency_cycles:(done_ - arrival)
   end

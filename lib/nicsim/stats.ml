@@ -1,20 +1,24 @@
 module W = Clara_workload
+module Order_stat = Clara_util.Order_stat
 
 type t = {
   mutable lat : int array;
   mutable n : int;
   mutable drops : int;
-  mutable tcp_sum : float;
+  (* Per-class latency sums as ints: a float field of this mixed
+     record would box on every store.  Int partial sums stay far below
+     2^53, so each converts to exactly the float a float fold gives. *)
+  mutable tcp_sum : int;
   mutable tcp_n : int;
-  mutable udp_sum : float;
+  mutable udp_sum : int;
   mutable udp_n : int;
-  mutable syn_sum : float;
+  mutable syn_sum : int;
   mutable syn_n : int;
 }
 
 let create () =
-  { lat = Array.make 1024 0; n = 0; drops = 0; tcp_sum = 0.; tcp_n = 0;
-    udp_sum = 0.; udp_n = 0; syn_sum = 0.; syn_n = 0 }
+  { lat = Array.make 1024 0; n = 0; drops = 0; tcp_sum = 0; tcp_n = 0;
+    udp_sum = 0; udp_n = 0; syn_sum = 0; syn_n = 0 }
 
 let record t ~proto ~syn ~latency_cycles =
   if t.n = Array.length t.lat then begin
@@ -24,17 +28,17 @@ let record t ~proto ~syn ~latency_cycles =
   end;
   t.lat.(t.n) <- latency_cycles;
   t.n <- t.n + 1;
-  let c = float_of_int latency_cycles in
+  let c = latency_cycles in
   (match proto with
   | W.Packet.Tcp ->
-      t.tcp_sum <- t.tcp_sum +. c;
+      t.tcp_sum <- t.tcp_sum + c;
       t.tcp_n <- t.tcp_n + 1
   | W.Packet.Udp ->
-      t.udp_sum <- t.udp_sum +. c;
+      t.udp_sum <- t.udp_sum + c;
       t.udp_n <- t.udp_n + 1
   | W.Packet.Other _ -> ());
   if syn then begin
-    t.syn_sum <- t.syn_sum +. c;
+    t.syn_sum <- t.syn_sum + c;
     t.syn_n <- t.syn_n + 1
   end
 
@@ -52,17 +56,16 @@ let merge ts =
       Array.blit t.lat 0 lat !off t.n;
       off := !off + t.n)
     ts;
-  let sum f = List.fold_left (fun a t -> a +. f t) 0. ts in
   let sumi f = List.fold_left (fun a t -> a + f t) 0 ts in
   {
     lat;
     n;
     drops = sumi (fun t -> t.drops);
-    tcp_sum = sum (fun t -> t.tcp_sum);
+    tcp_sum = sumi (fun t -> t.tcp_sum);
     tcp_n = sumi (fun t -> t.tcp_n);
-    udp_sum = sum (fun t -> t.udp_sum);
+    udp_sum = sumi (fun t -> t.udp_sum);
     udp_n = sumi (fun t -> t.udp_n);
-    syn_sum = sum (fun t -> t.syn_sum);
+    syn_sum = sumi (fun t -> t.syn_sum);
     syn_n = sumi (fun t -> t.syn_n);
   }
 
@@ -83,19 +86,20 @@ let summarize t =
     { packets = 0; drops = t.drops; mean_cycles = 0.; p50_cycles = 0; p99_cycles = 0;
       max_cycles = 0; tcp_mean = Float.nan; udp_mean = Float.nan; syn_mean = Float.nan }
   else begin
-    let sorted = Array.sub t.lat 0 t.n in
-    Array.sort compare sorted;
-    (* Nearest-rank percentile: the ceil(p*n)-th smallest value,
-       0-indexed — so p50 of [1;2;3;4] is 2, not 3. *)
-    let pct p =
-      sorted.(max 0 (min (t.n - 1) (int_of_float (Float.ceil (float_of_int t.n *. p)) - 1)))
-    in
-    let total = Array.fold_left (fun a c -> a +. float_of_int c) 0. sorted in
-    let div_or_nan s n = if n = 0 then Float.nan else s /. float_of_int n in
+    (* Sorting the raw samples in place is unobservable: a summary and
+       a merge depend on the multiset only. *)
+    let sorted = t.lat in
+    Order_stat.sort_ints sorted t.n;
+    let pct p = sorted.(Order_stat.rank_index ~n:t.n p) in
+    let total = ref 0 in
+    for i = 0 to t.n - 1 do
+      total := !total + sorted.(i)
+    done;
+    let div_or_nan s n = if n = 0 then Float.nan else float_of_int s /. float_of_int n in
     {
       packets = t.n;
       drops = t.drops;
-      mean_cycles = total /. float_of_int t.n;
+      mean_cycles = float_of_int !total /. float_of_int t.n;
       p50_cycles = pct 0.5;
       p99_cycles = pct 0.99;
       max_cycles = sorted.(t.n - 1);

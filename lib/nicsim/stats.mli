@@ -27,6 +27,8 @@ type summary = {
 }
 
 val summarize : t -> summary
+(** Nearest-rank p50/p99 and the exact mean.  Sorts the raw samples in
+    place, which no later [record], [merge] or [summarize] can observe. *)
 
 val mean_ns : summary -> freq_mhz:int -> float
 (** Mean latency converted to nanoseconds at a core clock. *)

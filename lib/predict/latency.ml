@@ -1,4 +1,5 @@
 module Lru = Clara_util.Lru
+module Order_stat = Clara_util.Order_stat
 module L = Clara_lnic
 module D = Clara_dataflow
 module Ir = Clara_cir.Ir
@@ -211,15 +212,13 @@ let summarize (trace : W.Trace.t) latency =
           incr syn_n
         end)
       trace.W.Trace.packets;
-    let sorted = Array.copy lats in
-    Array.sort compare sorted;
-    (* Nearest-rank percentile: the ceil(p*n)-th smallest, 0-indexed. *)
-    let pct p =
-      sorted.(max 0 (min (n - 1) (int_of_float (Float.ceil (float_of_int n *. p)) - 1)))
-    in
+    (* The mean sums in trace order, before the samples sort in place. *)
+    let mean_cycles = Array.fold_left ( +. ) 0. lats /. float_of_int n in
+    Order_stat.sort_floats lats n;
+    let pct p = lats.(Order_stat.rank_index ~n p) in
     let div_or_nan s k = if k = 0 then Float.nan else s /. float_of_int k in
     {
-      mean_cycles = Array.fold_left ( +. ) 0. lats /. float_of_int n;
+      mean_cycles;
       p50_cycles = pct 0.5;
       p99_cycles = pct 0.99;
       tcp_mean = div_or_nan !tcp !tcp_n;

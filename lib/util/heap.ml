@@ -23,15 +23,24 @@ let rec sift_up h i =
     end
   end
 
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.size && h.data.(l) < h.data.(!smallest) then smallest := l;
-  if r < h.size && h.data.(r) < h.data.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap h i !smallest;
-    sift_down h !smallest
-  end
+(* Sift [x] down from slot [i]: children move up into the hole until
+   [x] fits, so each level costs one store rather than a swap. *)
+let sift_down h i x =
+  let d = h.data and n = h.size in
+  let i = ref i and stop = ref false in
+  while not !stop do
+    let l = (2 * !i) + 1 in
+    if l >= n then stop := true
+    else begin
+      let c = if l + 1 < n && d.(l + 1) < d.(l) then l + 1 else l in
+      if d.(c) < x then begin
+        d.(!i) <- d.(c);
+        i := c
+      end
+      else stop := true
+    end
+  done;
+  d.(!i) <- x
 
 let push h x =
   if h.size = Array.length h.data then begin
@@ -51,10 +60,11 @@ let pop h =
   if h.size = 0 then invalid_arg "Heap.pop: empty";
   let top = h.data.(0) in
   h.size <- h.size - 1;
-  if h.size > 0 then begin
-    h.data.(0) <- h.data.(h.size);
-    sift_down h 0
-  end;
+  if h.size > 0 then sift_down h 0 h.data.(h.size);
   top
+
+let replace_min h x =
+  if h.size = 0 then invalid_arg "Heap.replace_min: empty";
+  sift_down h 0 x
 
 let clear h = h.size <- 0

@@ -21,4 +21,8 @@ val pop : t -> int
 (** Removes and returns the minimum.
     @raise Invalid_argument when empty. *)
 
+val replace_min : t -> int -> unit
+(** [replace_min h x] is [ignore (pop h); push h x] in one sift.
+    @raise Invalid_argument when empty. *)
+
 val clear : t -> unit
