@@ -1232,24 +1232,39 @@ let nicsim_bench () =
   in
   (* --metrics guard: a telemetry collector on the event path must not
      perturb results (byte-identical result JSON) and must stay cheap
-     (>2% throughput overhead warns; fails under enforce). *)
+     (>2% throughput overhead warns; fails under enforce).  One timed
+     pair of ~50 ms runs swings by tens of percent on a shared host, so
+     the budget applies to the median overhead of alternated off/on
+     pairs. *)
   (let prog = Clara_nfs.Nat.ported ~checksum_engine:true () in
    let trace = W.Trace.synthesize ~seed:31L prof in
    ignore (Eng.run lnic prog trace);
    (* warm-up *)
-   let r_off, t_off = time (fun () -> Eng.run lnic prog trace) in
-   let tel = Clara_nicsim.Telemetry.create () in
-   let r_on, t_on = time (fun () -> Eng.run lnic prog ~metrics:tel trace) in
-   let j_off = Clara_util.Json.to_string (Eng.result_to_json r_off) in
-   let j_on = Clara_util.Json.to_string (Eng.result_to_json r_on) in
-   if not (String.equal j_off j_on) then
-     failwith "metrics: results differ with telemetry enabled";
-   if Clara_nicsim.Telemetry.series tel = [] then
-     failwith "metrics: collector recorded no series";
-   let overhead = 100. *. (t_on -. t_off) /. t_off in
+   let pairs = 7 in
+   let median xs =
+     let a = Array.of_list xs in
+     Array.sort compare a;
+     a.(Array.length a / 2)
+   in
+   let timings =
+     List.init pairs (fun _ ->
+         let r_off, t_off = time (fun () -> Eng.run lnic prog trace) in
+         let tel = Clara_nicsim.Telemetry.create () in
+         let r_on, t_on = time (fun () -> Eng.run lnic prog ~metrics:tel trace) in
+         let j_off = Clara_util.Json.to_string (Eng.result_to_json r_off) in
+         let j_on = Clara_util.Json.to_string (Eng.result_to_json r_on) in
+         if not (String.equal j_off j_on) then
+           failwith "metrics: results differ with telemetry enabled";
+         if Clara_nicsim.Telemetry.series tel = [] then
+           failwith "metrics: collector recorded no series";
+         (t_off, t_on))
+   in
+   let t_off = median (List.map fst timings) and t_on = median (List.map snd timings) in
+   let overhead = median (List.map (fun (off, on) -> 100. *. (on -. off) /. off) timings) in
    Printf.printf
-     "%-10s telemetry: identical results; off %6.1f ms   on %6.1f ms   overhead %+5.1f%%\n"
-     "nat" (1e3 *. t_off) (1e3 *. t_on) overhead;
+     "%-10s telemetry: identical results; off %6.1f ms   on %6.1f ms   overhead %+5.1f%% \
+      (medians of %d alternated pairs)\n"
+     "nat" (1e3 *. t_off) (1e3 *. t_on) overhead pairs;
    if overhead > 2. then
      soft_fail (Printf.sprintf "telemetry overhead %.1f%% exceeds the 2%% budget" overhead));
   (* Snapshot + regression gate.  The committed BENCH_nicsim.json is the

@@ -190,6 +190,13 @@ let metrics_t =
 
 let corpus_entry name = or_die (Clara_nfs.Corpus.resolve name)
 
+(* A port the target cannot host (say, an LPM flow-cache table on a NIC
+   without a flow cache) is a [clara:] error before any run starts. *)
+let check_hostable nic lnic progs =
+  match Nsim.Device.check lnic progs with
+  | Ok () -> ()
+  | Error m -> or_die (Error (Printf.sprintf "cannot simulate on %s: %s" nic m))
+
 (* A source argument is a file path if one exists, else a corpus name. *)
 let resolve_nf arg =
   if Sys.file_exists arg then (Filename.basename arg, read_file arg)
@@ -571,6 +578,7 @@ let trace_cmd =
      let freq_mhz =
        match nf_b with
        | None ->
+           check_hostable nic lnic [ ea.Clara_nfs.Corpus.ported ];
            let r =
              Nsim.Engine.run ?threads ~sink ?metrics:tel lnic ea.Clara_nfs.Corpus.ported
                (trace_of w)
@@ -579,6 +587,7 @@ let trace_cmd =
            r.Nsim.Engine.freq_mhz
        | Some nfb ->
            let eb = corpus_entry nfb in
+           check_hostable nic lnic [ ea.Clara_nfs.Corpus.ported; eb.Clara_nfs.Corpus.ported ];
            let ta = trace_of w in
            let ra, rb =
              match
@@ -668,6 +677,7 @@ let sim_cmd =
      and+ nic, lnic = target_t ()
      and+ tel, write_metrics = metrics_t in
      let entry = corpus_entry nf in
+     check_hostable nic lnic [ entry.Clara_nfs.Corpus.ported ];
      let wtrace = trace_of w in
      let fast_mode, why =
        match fast with

@@ -47,21 +47,24 @@ let global_metrics =
    touch only these (a few adds and one division each); the series get
    one [observe_agg] per window advance, in [flush].  Window sums are
    identical to per-event observes — every pending event shares the
-   window of [acc_now], the timestamp the flush is attributed to. *)
+   window of [acc_now], the timestamp the flush is attributed to.  The
+   sums are ints: a float field of this mixed record would box, and pay
+   a write barrier, on every packet, and int sums below 2^53 convert to
+   the float a float fold gives. *)
 type tacc = {
-  mutable q_sum : float;
+  mutable q_sum : int;
   mutable q_n : int;
   mutable good : int;
   mutable drop : int;
-  mutable lat_sum : float;
-  mutable busy_sum : float;
-  mutable def_sum : float;
+  mutable lat_sum : int;
+  mutable busy_sum : int;
+  mutable def_sum : int;
   mutable def_n : int;
 }
 
 let fresh_tacc () =
-  { q_sum = 0.; q_n = 0; good = 0; drop = 0; lat_sum = 0.; busy_sum = 0.;
-    def_sum = 0.; def_n = 0 }
+  { q_sum = 0; q_n = 0; good = 0; drop = 0; lat_sum = 0; busy_sum = 0;
+    def_sum = 0; def_n = 0 }
 
 type t = {
   cad : int;
@@ -87,6 +90,10 @@ type t = {
      (-1 when nothing is pending). *)
   mutable win_cadence : int;
   mutable cur_win : int;
+  (* [cur_win]'s span in cycles, [win_lo, win_hi), empty when it is -1:
+     a hook whose timestamp falls inside needs no division. *)
+  mutable win_lo : int;
+  mutable win_hi : int;
   mutable acc_now : int;
 }
 
@@ -121,6 +128,8 @@ let reset_shape t names =
   t.simh <- None;
   t.win_cadence <- t.cad;
   t.cur_win <- -1;
+  t.win_lo <- 0;
+  t.win_hi <- 0;
   t.acc_now <- -1
 
 let create ?(max_windows = 256) ?(cadence = 8192) () =
@@ -145,6 +154,8 @@ let create ?(max_windows = 256) ?(cadence = 8192) () =
       simh = None;
       win_cadence = cadence;
       cur_win = -1;
+      win_lo = 0;
+      win_hi = 0;
       acc_now = -1;
     }
   in
@@ -171,14 +182,14 @@ let flush t =
     Array.iteri
       (fun i a ->
         let row = t.tenants.(i) in
-        Ts.observe_agg row.(t_queue) ~now ~sum:a.q_sum ~count:a.q_n;
+        Ts.observe_agg row.(t_queue) ~now ~sum:(float_of_int a.q_sum) ~count:a.q_n;
         Ts.observe_agg row.(t_goodput) ~now ~sum:(float_of_int a.good) ~count:a.good;
         Ts.observe_agg row.(t_drops) ~now ~sum:(float_of_int a.drop) ~count:a.drop;
-        Ts.observe_agg row.(t_latency) ~now ~sum:a.lat_sum ~count:a.good;
-        Ts.observe_agg row.(t_busy) ~now ~sum:a.busy_sum ~count:a.good;
-        Ts.observe_agg row.(t_deficit) ~now ~sum:a.def_sum ~count:a.def_n;
-        a.q_sum <- 0.; a.q_n <- 0; a.good <- 0; a.drop <- 0;
-        a.lat_sum <- 0.; a.busy_sum <- 0.; a.def_sum <- 0.; a.def_n <- 0)
+        Ts.observe_agg row.(t_latency) ~now ~sum:(float_of_int a.lat_sum) ~count:a.good;
+        Ts.observe_agg row.(t_busy) ~now ~sum:(float_of_int a.busy_sum) ~count:a.good;
+        Ts.observe_agg row.(t_deficit) ~now ~sum:(float_of_int a.def_sum) ~count:a.def_n;
+        a.q_sum <- 0; a.q_n <- 0; a.good <- 0; a.drop <- 0;
+        a.lat_sum <- 0; a.busy_sum <- 0; a.def_sum <- 0; a.def_n <- 0)
       t.accs;
     Ts.observe_agg t.globals.(g_fast_replay) ~now
       ~sum:(float_of_int t.g_replay) ~count:t.g_replay;
@@ -217,8 +228,7 @@ let flush t =
    window.  [win_cadence] follows the same doubling schedule as the
    series themselves (same max-window budget), so flushes happen once
    per *current* window width, not once per base window. *)
-let[@inline] tick t now =
-  let now = if now < 0 then 0 else now in
+let advance t now =
   while now / t.win_cadence >= t.max_w do
     t.win_cadence <- t.win_cadence * 2;
     t.cur_win <- -1
@@ -228,12 +238,18 @@ let[@inline] tick t now =
     flush t;
     t.cur_win <- w
   end;
+  t.win_lo <- w * t.win_cadence;
+  t.win_hi <- t.win_lo + t.win_cadence
+
+let[@inline] tick t now =
+  let now = if now < 0 then 0 else now in
+  if now < t.win_lo || now >= t.win_hi then advance t now;
   t.acc_now <- now
 
 let on_arrival t ~tenant ~now ~depth =
   tick t now;
   let a = t.accs.(tenant) in
-  a.q_sum <- a.q_sum +. float_of_int depth;
+  a.q_sum <- a.q_sum + depth;
   a.q_n <- a.q_n + 1
 
 let on_drop t ~tenant ~now =
@@ -249,7 +265,7 @@ let on_fast t ~now ~replayed =
 let on_deficit t ~tenant ~now ~credit =
   tick t now;
   let a = t.accs.(tenant) in
-  a.def_sum <- a.def_sum +. float_of_int credit;
+  a.def_sum <- a.def_sum + credit;
   a.def_n <- a.def_n + 1
 
 let on_retire t ~sim ~tenant ~now ~latency ~service =
@@ -257,8 +273,8 @@ let on_retire t ~sim ~tenant ~now ~latency ~service =
   (match t.simh with None -> t.simh <- Some sim | Some _ -> ());
   let a = t.accs.(tenant) in
   a.good <- a.good + 1;
-  a.lat_sum <- a.lat_sum +. float_of_int latency;
-  a.busy_sum <- a.busy_sum +. float_of_int service
+  a.lat_sum <- a.lat_sum + latency;
+  a.busy_sum <- a.busy_sum + service
 
 let absorb t srcs =
   flush t;

@@ -347,6 +347,30 @@ let prop_slice_monotonic =
       && n <= List.length (G.general_cores g)
       && Clara_lnic.Validate.is_valid s)
 
+(* [eval_int]'s linear shortcut against the float definition, on
+   coefficients that land on exact halves, zeros of either sign and
+   negative sums, and on log terms that take the full path. *)
+let prop_eval_int_matches_eval =
+  let coeff =
+    QCheck.Gen.(
+      oneof
+        [ map (fun k -> float_of_int k /. 2.) (int_range (-4000) 4000);
+          map (fun k -> float_of_int k /. 8.) (int_range (-64) 64);
+          float_range (-50.) 3000.;
+          oneofl [ 0.; -0.; 0.5; 1e-9 ] ])
+  in
+  QCheck.Test.make ~name:"eval_int equals rounded eval" ~count:2000
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (triple coeff coeff (oneof [ return 0.; return (-0.); coeff ]))
+           (int_range (-10) 100_000)))
+    (fun ((base, per_unit, log2_coeff), n) ->
+      let f = { Cf.base; per_unit; log2_coeff } in
+      let v = Cf.eval f (float_of_int n) in
+      let want = if v <= 0. then 0 else int_of_float (Float.round v) in
+      Cf.eval_int f n = want)
+
 let suite =
   [ Alcotest.test_case "cost functions" `Quick test_cost_fn;
     Alcotest.test_case "netronome shape & paper parameters" `Quick test_netronome_shape;
@@ -361,5 +385,5 @@ let suite =
     Alcotest.test_case "bluefield off-path shape" `Quick test_bluefield_shape;
     Alcotest.test_case "validate off-path shapes" `Quick test_validate_offpath_shapes;
     Alcotest.test_case "validate warnings" `Quick test_warnings ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_slice_monotonic ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_slice_monotonic; prop_eval_int_matches_eval ]
   @ [ Alcotest.test_case "access index agrees with a link scan" `Quick test_access_index ]

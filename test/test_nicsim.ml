@@ -156,6 +156,98 @@ let prop_heap_drains_sorted =
       let out = List.init (List.length xs) (fun _ -> Heap.pop h) in
       Heap.is_empty h && out = List.sort compare xs)
 
+let prop_heap_replace_min =
+  QCheck.Test.make ~name:"heap replace_min is pop then push" ~count:200
+    (QCheck.pair (QCheck.int_range (-1000) 1000)
+       (QCheck.list_of_size (QCheck.Gen.int_range 1 40) (QCheck.int_range (-1000) 1000)))
+    (fun (x, xs) ->
+      let h = Heap.create ~capacity:1 () in
+      List.iter (Heap.push h) xs;
+      Heap.replace_min h x;
+      let out = List.init (List.length xs) (fun _ -> Heap.pop h) in
+      let rest = List.tl (List.sort compare xs) in
+      Heap.is_empty h && out = List.sort compare (x :: rest))
+
+(* ------------------------------------------------------------------ *)
+(* Order statistics                                                    *)
+
+module Order_stat = Clara_util.Order_stat
+
+(* The shapes a quicksort gets wrong first (runs of duplicates, sorted
+   and reversed input) at the lengths around its insertion-sort cutoff
+   of 16, plus a thousand, the simulator's run length. *)
+let order_stat_case =
+  let open QCheck.Gen in
+  let lengths = [ 0; 1; 2; 15; 16; 17; 1000 ] in
+  let shapes = [ `Dups; `Sorted; `Reversed; `Random ] in
+  map3
+    (fun n shape seed -> (n, shape, seed))
+    (oneofl lengths) (oneofl shapes) (int_bound 1_000_000)
+
+let shaped n shape seed =
+  let rng = Random.State.make [| seed |] in
+  let a =
+    Array.init n (fun _ ->
+        match shape with
+        | `Dups -> Random.State.int rng 4
+        | _ -> Random.State.int rng 100_000 - 50_000)
+  in
+  (match shape with
+  | `Sorted -> Array.sort compare a
+  | `Reversed -> Array.sort (fun x y -> compare y x) a
+  | `Dups | `Random -> ());
+  a
+
+let print_case (n, shape, seed) =
+  Printf.sprintf "n=%d shape=%s seed=%d" n
+    (match shape with
+    | `Dups -> "dups" | `Sorted -> "sorted" | `Reversed -> "reversed" | `Random -> "random")
+    seed
+
+let prop_order_stat_ints =
+  QCheck.Test.make ~name:"order_stat ints equal Array.sort compare" ~count:300
+    (QCheck.make ~print:print_case order_stat_case)
+    (fun (n, shape, seed) ->
+      let a = shaped n shape seed in
+      (* A sentinel tail shows that only the prefix moves. *)
+      let buf = Array.append a [| max_int; min_int |] in
+      Order_stat.sort_ints buf n;
+      let want = Array.copy a in
+      Array.sort compare want;
+      Array.sub buf 0 n = want && buf.(n) = max_int && buf.(n + 1) = min_int)
+
+let prop_order_stat_floats =
+  QCheck.Test.make ~name:"order_stat floats equal Array.sort compare" ~count:300
+    (QCheck.make ~print:print_case order_stat_case)
+    (fun (n, shape, seed) ->
+      let ints = shaped n shape seed in
+      (* Quarter steps give exact ties; seeded NaNs and signed zeros
+         check [compare]'s order on them. *)
+      let a =
+        Array.mapi
+          (fun i x ->
+            if shape = `Random && i mod 97 = 5 then Float.nan
+            else if shape = `Dups && x = 0 then (if i land 1 = 0 then -0. else 0.)
+            else float_of_int x /. 4.)
+          ints
+      in
+      let got = Array.copy a in
+      Order_stat.sort_floats got n;
+      let want = Array.copy a in
+      Array.sort compare want;
+      compare got want = 0)
+
+let test_order_stat_rank_index () =
+  check_int "p50 of 4 is the 2nd smallest" 1 (Order_stat.rank_index ~n:4 0.5);
+  check_int "p99 of 1000" 989 (Order_stat.rank_index ~n:1000 0.99);
+  check_int "p100 clamps to the last" 999 (Order_stat.rank_index ~n:1000 1.0);
+  check_int "p0 clamps to the first" 0 (Order_stat.rank_index ~n:1000 0.);
+  check "a length beyond the array is rejected" true
+    (try
+       Order_stat.sort_ints [| 1 |] 2;
+       false
+     with Invalid_argument _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Memory model                                                        *)
 
@@ -379,6 +471,95 @@ let test_device_errors () =
 (* The simulator resolves its op and vcall costs into per-sim tables;
    every op must still cost exactly what the [Params] lookups say, on
    every target (netronome's cores emulate floating point in software). *)
+(* A sim resolves each op class's cost at n = 1 and each table's costs
+   at its entry count once; every resolved number must equal the float
+   path it replaces, [round (n * op_cost)] and [Cost_fn.eval] rounded. *)
+let test_device_resolved_costs () =
+  let module P = L.Params in
+  let reference f n =
+    let v = L.Cost_fn.eval f (float_of_int n) in
+    if v <= 0. then 0 else int_of_float (Float.round v)
+  in
+  let sizes = List.init 65 Fun.id in
+  List.iter
+    (fun (name, (g : L.Graph.t)) ->
+      let params = g.L.Graph.params in
+      let has_fpu =
+        match L.Graph.general_cores g with
+        | { L.Unit_.kind = L.Unit_.General_core { has_fpu; _ }; _ } :: _ -> has_fpu
+        | _ -> false
+      in
+      let fc =
+        if L.Graph.find_accelerator g L.Unit_.Eswitch <> None then Some L.Unit_.Eswitch
+        else if L.Graph.find_accelerator g L.Unit_.Lookup <> None then Some L.Unit_.Lookup
+        else None
+      in
+      let placement = if fc = None then Dev.P_emem else Dev.P_flow_cache in
+      let tables =
+        List.map
+          (fun n ->
+            { Dev.t_name = Printf.sprintf "t%d" n; t_entries = n; t_entry_bytes = 16;
+              t_placement = placement })
+          sizes
+      in
+      let prog = { Dev.name = "costs"; tables; handler = (fun _ _ -> Dev.Drop) } in
+      let sim = Dev.create_sim g prog in
+      List.iter
+        (fun cls ->
+          List.iter
+            (fun n ->
+              let label = Printf.sprintf "%s op %d x%d" name (Hashtbl.hash cls) n in
+              match P.op_cost params cls ~has_fpu with
+              | c ->
+                  check_int label
+                    (int_of_float (Float.round (float_of_int n *. c)))
+                    (Dev.op_cycles sim cls n)
+              | exception Not_found ->
+                  check label true
+                    (try
+                       ignore (Dev.op_cycles sim cls n);
+                       false
+                     with Not_found -> true))
+            sizes)
+        P.all_op_classes;
+      List.iter
+        (fun n ->
+          let t = Printf.sprintf "t%d" n in
+          List.iter
+            (fun vc ->
+              check_int
+                (Printf.sprintf "%s %s vcall %d" name t (Hashtbl.hash vc))
+                (match P.core_vcall_cost params vc with
+                | Some f -> reference f n
+                | None -> -1)
+                (Dev.table_cycles sim t vc))
+            P.all_vcalls;
+          (* The flow-cache engine's LPM charge, seen as the accelerator
+             time one lookup on a fresh sim books. *)
+          Option.iter
+            (fun kind ->
+              let sim = Dev.create_sim g prog in
+              let ctx = Dev.make_ctx sim ~now:0 (pkt ()) in
+              ignore (Dev.lpm_lookup ctx t ~key:7);
+              check_int (Printf.sprintf "%s %s flow-cache lpm" name t)
+                (reference (Option.get (P.accel_vcall_cost params kind P.V_lpm_lookup)) n)
+                (Dev.accel_busy_cycles sim))
+            fc)
+        sizes)
+    L.Targets.all
+
+let test_device_check () =
+  let lpm = Clara_nfs.Lpm.ported ~entries:64 ~use_flow_cache:true () in
+  let find t = Option.get (L.Targets.find t) in
+  (match Dev.check (find "soc") [ lpm ] with
+  | Ok () -> Alcotest.fail "lpm's flow-cache table accepted on soc"
+  | Error m ->
+      check "the error names the table" true
+        (String.length m > 0 && Option.is_some (String.index_opt m '\'')));
+  check "lpm is hostable on bluefield" true (Dev.check (find "bluefield") [ lpm ] = Ok ());
+  check "a duplicate table name is refused" true
+    (Result.is_error (Dev.check (find "bluefield") [ lpm; lpm ]))
+
 let test_device_cost_tables () =
   let module P = L.Params in
   List.iter
@@ -989,6 +1170,57 @@ let test_run_sharded_odd_shards () =
   check_int "odd shards: all packets accounted" 2100
     (r1.Eng.summary.Stats.packets + r1.Eng.summary.Stats.drops)
 
+(* The summary against a reference built the way it used to be: a
+   sorted copy and float folds in record order. *)
+let prop_stats_summarize_reference =
+  let sample =
+    QCheck.Gen.(
+      list_size (int_range 0 300)
+        (triple (int_range 0 200_000) (oneofl W.Packet.[ Tcp; Udp; Other 1 ]) bool))
+  in
+  QCheck.Test.make ~name:"stats summarize equals an Array.sort reference" ~count:200
+    (QCheck.make QCheck.Gen.(pair sample (int_range 1 4)))
+    (fun (xs, parts) ->
+      let shards = Array.init parts (fun _ -> Stats.create ()) in
+      List.iteri
+        (fun i (c, proto, syn) ->
+          Stats.record shards.(i mod parts) ~proto ~syn ~latency_cycles:c)
+        xs;
+      (* Drawn in shard order, as [merge] concatenates. *)
+      let ordered =
+        List.concat
+          (List.init parts (fun k -> List.filteri (fun i _ -> i mod parts = k) xs))
+      in
+      let got =
+        if parts = 1 then Stats.summarize shards.(0)
+        else Stats.summarize (Stats.merge (Array.to_list shards))
+      in
+      let n = List.length ordered in
+      let sorted = Array.of_list (List.map (fun (c, _, _) -> c) ordered) in
+      Array.sort compare sorted;
+      let pct p =
+        if n = 0 then 0
+        else sorted.(max 0 (min (n - 1) (int_of_float (Float.ceil (float_of_int n *. p)) - 1)))
+      in
+      let mean keep =
+        let s, k =
+          List.fold_left
+            (fun (s, k) (c, proto, syn) ->
+              if keep proto syn then (s +. float_of_int c, k + 1) else (s, k))
+            (0., 0) ordered
+        in
+        if k = 0 then Float.nan else s /. float_of_int k
+      in
+      let same a b = compare a b = 0 in
+      got.Stats.packets = n
+      && got.Stats.p50_cycles = pct 0.5
+      && got.Stats.p99_cycles = pct 0.99
+      && got.Stats.max_cycles = (if n = 0 then 0 else sorted.(n - 1))
+      && same got.Stats.mean_cycles (if n = 0 then 0. else mean (fun _ _ -> true))
+      && same got.Stats.tcp_mean (mean (fun p _ -> p = W.Packet.Tcp))
+      && same got.Stats.udp_mean (mean (fun p _ -> p = W.Packet.Udp))
+      && same got.Stats.syn_mean (mean (fun _ syn -> syn)))
+
 let test_stats_merge () =
   let mk latencies =
     let s = Stats.create () in
@@ -1045,6 +1277,10 @@ let suite =
     Alcotest.test_case "accelerator serialization" `Quick test_device_accel_serialization;
     Alcotest.test_case "device errors" `Quick test_device_errors;
     Alcotest.test_case "device cost tables match params" `Quick test_device_cost_tables;
+    Alcotest.test_case "device resolved costs equal the float path" `Quick
+      test_device_resolved_costs;
+    Alcotest.test_case "device check refuses unhostable ports" `Quick test_device_check;
+    Alcotest.test_case "order_stat rank index" `Quick test_order_stat_rank_index;
     Alcotest.test_case "engine accounting" `Quick test_engine_accounting;
     Alcotest.test_case "engine latency composition" `Quick test_engine_latency_composition;
     Alcotest.test_case "engine saturation" `Quick test_engine_saturation;
@@ -1088,4 +1324,5 @@ let suite =
     Alcotest.test_case "lru hit allocates nothing" `Quick test_lru_hit_allocates_nothing ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_lru_capacity; prop_heap_drains_sorted; prop_lru_matches_model;
-        prop_access_run_matches_singles ]
+        prop_access_run_matches_singles; prop_heap_replace_min; prop_order_stat_ints;
+        prop_order_stat_floats; prop_stats_summarize_reference ]
