@@ -24,9 +24,11 @@ type table_state = {
      unit cannot run it. *)
   core_cycles : int array;
   fc_lpm_cycles : int;
-  (* Per-slot counters behind [count]; allocated on the table's first
-     [count], so only counter tables pay for them. *)
-  mutable counts : int array;
+  (* Per-slot counters behind [count], in pages of [count_page] slots:
+     the page table is allocated on the table's first [count] and each
+     page on its first touch, so only counter tables pay for them, and a
+     page is small enough for the minor heap to take. *)
+  mutable counts : int array array;
 }
 
 (* Dense indices for the cost tables resolved in [create_sim_shared]. *)
@@ -741,6 +743,9 @@ let meter ctx =
   spend ctx (core_resolved ctx.sim.core_unit.(vcall_index P.V_meter));
   emit_compute ctx ~label:"meter" ~t0 ~arg:1
 
+(* The largest array the minor heap allocates (Max_young_wosize). *)
+let count_page = 256
+
 let count ctx name ~key =
   taint ctx;
   let ts = table ctx name in
@@ -748,10 +753,14 @@ let count ctx name ~key =
   spend ctx (core_resolved ctx.sim.core_unit.(vcall_index P.V_flow_stats));
   emit_compute ctx ~label:"flow-stats" ~t0 ~arg:1;
   table_access ctx ts ~mode:`Atomic ~key;
-  if Array.length ts.counts = 0 then ts.counts <- Array.make ts.decl.t_entries 0;
+  if Array.length ts.counts = 0 then
+    ts.counts <- Array.make ((ts.decl.t_entries + count_page - 1) / count_page) [||];
   let slot = slot_of ts key in
-  let c = ts.counts.(slot) + 1 in
-  ts.counts.(slot) <- c;
+  let pi = slot / count_page in
+  if Array.length ts.counts.(pi) = 0 then ts.counts.(pi) <- Array.make count_page 0;
+  let page = ts.counts.(pi) in
+  let c = page.(slot mod count_page) + 1 in
+  page.(slot mod count_page) <- c;
   c
 
 (* Occupy the earliest-free DMA lane of [lanes] (the [dir] leg's) for

@@ -1,8 +1,17 @@
 module W = Clara_workload
 module Order_stat = Clara_util.Order_stat
 
+(* Raw samples live in segments of [seg_words] ints, newest first; only
+   the head segment is ever written.  A block of that size still goes to
+   the minor heap, so a run's samples usually die young there: a single
+   array for a run's thousand samples would be a major-heap block per
+   run, and perfbench's peak heap counts those. *)
+let seg_words = 256
+
+type seg = { a : int array; mutable len : int }
+
 type t = {
-  mutable lat : int array;
+  mutable segs : seg list;
   mutable n : int;
   mutable drops : int;
   (* Per-class latency sums as ints: a float field of this mixed
@@ -17,16 +26,20 @@ type t = {
 }
 
 let create () =
-  { lat = Array.make 1024 0; n = 0; drops = 0; tcp_sum = 0; tcp_n = 0;
-    udp_sum = 0; udp_n = 0; syn_sum = 0; syn_n = 0 }
+  { segs = []; n = 0; drops = 0; tcp_sum = 0; tcp_n = 0; udp_sum = 0; udp_n = 0;
+    syn_sum = 0; syn_n = 0 }
 
 let record t ~proto ~syn ~latency_cycles =
-  if t.n = Array.length t.lat then begin
-    let bigger = Array.make (2 * t.n) 0 in
-    Array.blit t.lat 0 bigger 0 t.n;
-    t.lat <- bigger
-  end;
-  t.lat.(t.n) <- latency_cycles;
+  let s =
+    match t.segs with
+    | s :: _ when s.len < seg_words -> s
+    | segs ->
+        let s = { a = Array.make seg_words 0; len = 0 } in
+        t.segs <- s :: segs;
+        s
+  in
+  s.a.(s.len) <- latency_cycles;
+  s.len <- s.len + 1;
   t.n <- t.n + 1;
   let c = latency_cycles in
   (match proto with
@@ -44,22 +57,24 @@ let record t ~proto ~syn ~latency_cycles =
 
 let record_drop t = t.drops <- t.drops + 1
 
-(* Concatenate raw samples (in list order, so merged results are
-   deterministic) and sum the per-class accumulators; used to combine
-   per-shard stats from a domain-parallel run before summarizing. *)
+(* Gather the raw samples and sum the per-class accumulators; used to
+   combine per-shard stats from a domain-parallel run before
+   summarizing.  A full segment is never written again, so it is shared;
+   a partial one is copied, so recording into either side later leaves
+   the other as it was. *)
 let merge ts =
-  let n = List.fold_left (fun a t -> a + t.n) 0 ts in
-  let lat = Array.make (max 1 n) 0 in
-  let off = ref 0 in
-  List.iter
-    (fun t ->
-      Array.blit t.lat 0 lat !off t.n;
-      off := !off + t.n)
-    ts;
+  let segs =
+    List.concat_map
+      (fun t ->
+        List.map
+          (fun s -> if s.len = seg_words then s else { a = Array.copy s.a; len = s.len })
+          t.segs)
+      ts
+  in
   let sumi f = List.fold_left (fun a t -> a + f t) 0 ts in
   {
-    lat;
-    n;
+    segs;
+    n = sumi (fun t -> t.n);
     drops = sumi (fun t -> t.drops);
     tcp_sum = sumi (fun t -> t.tcp_sum);
     tcp_n = sumi (fun t -> t.tcp_n);
@@ -81,20 +96,46 @@ type summary = {
   syn_mean : float;
 }
 
+(* How many samples of a sorted segment are [<= v]. *)
+let count_le s v =
+  let lo = ref 0 and hi = ref s.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if s.a.(mid) <= v then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* The [r]-th smallest (0-indexed) of sorted segments holding [lo] to
+   [hi]: the least value [v] with more than [r] samples [<= v]. *)
+let rank_value segs ~lo ~hi r =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = !lo + ((!hi - !lo) / 2) in
+    if List.fold_left (fun c s -> c + count_le s mid) 0 segs > r then hi := mid
+    else lo := mid + 1
+  done;
+  !lo
+
 let summarize t =
   if t.n = 0 then
     { packets = 0; drops = t.drops; mean_cycles = 0.; p50_cycles = 0; p99_cycles = 0;
       max_cycles = 0; tcp_mean = Float.nan; udp_mean = Float.nan; syn_mean = Float.nan }
   else begin
-    (* Sorting the raw samples in place is unobservable: a summary and
-       a merge depend on the multiset only. *)
-    let sorted = t.lat in
-    Order_stat.sort_ints sorted t.n;
-    let pct p = sorted.(Order_stat.rank_index ~n:t.n p) in
-    let total = ref 0 in
-    for i = 0 to t.n - 1 do
-      total := !total + sorted.(i)
-    done;
+    (* Each segment sorts in place, which nothing can observe: a summary
+       and a merge depend on the multiset only.  Ranks then come from a
+       search over values, so no array of all samples is built. *)
+    let segs = List.filter (fun s -> s.len > 0) t.segs in
+    let total = ref 0 and lo = ref max_int and hi = ref min_int in
+    List.iter
+      (fun s ->
+        Order_stat.sort_ints s.a s.len;
+        for i = 0 to s.len - 1 do
+          total := !total + s.a.(i)
+        done;
+        lo := Int.min !lo s.a.(0);
+        hi := Int.max !hi s.a.(s.len - 1))
+      segs;
+    let pct p = rank_value segs ~lo:!lo ~hi:!hi (Order_stat.rank_index ~n:t.n p) in
     let div_or_nan s n = if n = 0 then Float.nan else float_of_int s /. float_of_int n in
     {
       packets = t.n;
@@ -102,7 +143,7 @@ let summarize t =
       mean_cycles = float_of_int !total /. float_of_int t.n;
       p50_cycles = pct 0.5;
       p99_cycles = pct 0.99;
-      max_cycles = sorted.(t.n - 1);
+      max_cycles = !hi;
       tcp_mean = div_or_nan t.tcp_sum t.tcp_n;
       udp_mean = div_or_nan t.udp_sum t.udp_n;
       syn_mean = div_or_nan t.syn_sum t.syn_n;

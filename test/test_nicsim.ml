@@ -1175,7 +1175,7 @@ let test_run_sharded_odd_shards () =
 let prop_stats_summarize_reference =
   let sample =
     QCheck.Gen.(
-      list_size (int_range 0 300)
+      list_size (int_range 0 800)
         (triple (int_range 0 200_000) (oneofl W.Packet.[ Tcp; Udp; Other 1 ]) bool))
   in
   QCheck.Test.make ~name:"stats summarize equals an Array.sort reference" ~count:200
@@ -1236,7 +1236,14 @@ let test_stats_merge () =
   check_int "merged drops" 1 m.Stats.drops;
   check_int "merged p50" 20 m.Stats.p50_cycles;
   check_int "merged max" 40 m.Stats.max_cycles;
-  check "merged mean" true (abs_float (m.Stats.mean_cycles -. 25.) < 1e-9)
+  check "merged mean" true (abs_float (m.Stats.mean_cycles -. 25.) < 1e-9);
+  (* The merge owns its samples: recording into a shard afterwards does
+     not move the merged summary. *)
+  let merged = Stats.merge [ a; b ] in
+  let before = Stats.summarize merged in
+  Stats.record a ~proto:W.Packet.Udp ~syn:false ~latency_cycles:1;
+  ignore (Stats.summarize a);
+  check "merged summary unmoved" true (compare before (Stats.summarize merged) = 0)
 
 let test_stats_nearest_rank_percentile () =
   (* Regression: [Stats.summarize] used to index round(p*n), reporting
