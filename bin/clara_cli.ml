@@ -587,7 +587,8 @@ let trace_cmd =
            r.Nsim.Engine.freq_mhz
        | Some nfb ->
            let eb = corpus_entry nfb in
-           check_hostable nic lnic [ ea.Clara_nfs.Corpus.ported; eb.Clara_nfs.Corpus.ported ];
+           check_hostable nic lnic
+             [ ea.Clara_nfs.Corpus.ported; eb.Clara_nfs.Corpus.ported ];
            let ta = trace_of w in
            let ra, rb =
              match

@@ -488,7 +488,8 @@ let find_table (sim : sim) name =
   do
     incr i
   done;
-  if !i = Array.length ts then invalid_arg (Printf.sprintf "Device: unknown table '%s'" name);
+  if !i = Array.length ts then
+    invalid_arg (Printf.sprintf "Device: unknown table '%s'" name);
   ts.(!i)
 
 let table ctx name = find_table ctx.sim name

@@ -39,8 +39,7 @@ let[@inline] ev sink ~seq ~prog ~thread ~kind ~label ~t0 ~t1 ~arg =
   | None -> ()
   | Some s -> Trace.record s ~seq ~prog ~thread ~kind ~label ~t0 ~t1 ~arg
 
-(* Per-packet helpers live at top level: a local closure in [dispatch]
-   would be allocated for every packet. *)
+(* At top level for the same reason as [execute] below. *)
 let[@inline] tel_fast tel ~arrival replayed =
   match tel with
   | None -> ()
@@ -73,7 +72,8 @@ module Tpool = struct
   let[@inline] min_free t = Heap.min_elt t.heap lsr t.bits
 
   let set_min_free t f =
-    if f lsr (62 - t.bits) <> 0 then invalid_arg "Engine: simulated time overflows the thread pool";
+    if f lsr (62 - t.bits) <> 0 then
+      invalid_arg "Engine: simulated time overflows the thread pool";
     Heap.replace_min t.heap ((f lsl t.bits) lor min_index t)
 end
 
@@ -107,6 +107,9 @@ let make_side ~pid ~nthreads ~capacity ~fp prog =
     recorder = Some (Device.fresh_recorder ());
   }
 
+(* One packet's service on thread [ti] from [start].  It is a top-level
+   function, not a closure inside [dispatch], which would be allocated
+   for every packet. *)
 let execute ~sim ~sink side ~seq ~ti ~start recorder pkt =
   Device.execute sim ~seq ~prog:side.pid ~thread:ti ~trace:sink ~recorder ~now:start
     side.prog pkt

@@ -61,7 +61,7 @@ let downsample t =
 
 let observe_agg t ~now ~sum ~count =
   if count > 0 then begin
-    let now = max 0 now in
+    let now = Int.max 0 now in
     while now / t.cadence >= t.max_windows do
       downsample t
     done;

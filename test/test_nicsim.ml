@@ -548,6 +548,26 @@ let test_device_resolved_costs () =
         sizes)
     L.Targets.all
 
+(* The untraced event path allocates one context record per packet and
+   little else: no closures, option boxes or boxed floats per packet. *)
+let test_event_path_allocation () =
+  let null = { Dev.name = "null"; tables = []; handler = (fun _ _ -> Dev.Emit) } in
+  let packets = 2000 in
+  let trace =
+    W.Trace.synthesize ~seed:5L (W.Profile.make ~packets ~rate_pps:1e6 ~flow_count:500 ())
+  in
+  List.iter
+    (fun t ->
+      let g = Option.get (L.Targets.find t) in
+      ignore (Eng.run g null trace);
+      let before = Gc.minor_words () in
+      ignore (Eng.run g null trace);
+      let per_packet = (Gc.minor_words () -. before) /. float_of_int packets in
+      check
+        (Printf.sprintf "%s: %.1f minor words per packet, at most 16" t per_packet)
+        true (per_packet <= 16.))
+    [ "netronome"; "soc"; "bluefield" ]
+
 let test_device_check () =
   let lpm = Clara_nfs.Lpm.ported ~entries:64 ~use_flow_cache:true () in
   let find t = Option.get (L.Targets.find t) in
@@ -1287,6 +1307,8 @@ let suite =
     Alcotest.test_case "device resolved costs equal the float path" `Quick
       test_device_resolved_costs;
     Alcotest.test_case "device check refuses unhostable ports" `Quick test_device_check;
+    Alcotest.test_case "event path allocates little per packet" `Quick
+      test_event_path_allocation;
     Alcotest.test_case "order_stat rank index" `Quick test_order_stat_rank_index;
     Alcotest.test_case "engine accounting" `Quick test_engine_accounting;
     Alcotest.test_case "engine latency composition" `Quick test_engine_latency_composition;
