@@ -4,7 +4,7 @@ let const base = { base; per_unit = 0.; log2_coeff = 0. }
 let linear ~base ~per_unit = { base; per_unit; log2_coeff = 0. }
 let logarithmic ~base ~log2_coeff = { base; per_unit = 0.; log2_coeff }
 
-let[@inline] eval f n =
+let eval f n =
   let n = if n < 0. then 0. else n in
   f.base +. (f.per_unit *. n) +. (f.log2_coeff *. (Float.log2 (1. +. n)))
 

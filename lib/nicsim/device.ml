@@ -253,27 +253,24 @@ let create_sim_shared lnic progs =
   let fc_accel = flow_cache_accel lnic in
   let fc_kind = Option.value ~default:L.Unit_.Lookup fc_accel in
   let at f n = match f with Some f -> L.Cost_fn.eval_int f n | None -> -1 in
-  let core_vc_list = List.map (fun vc -> P.core_vcall_cost params vc) P.all_vcalls in
+  let core_vc = Array.make n_vcalls None in
+  List.iter (fun vc -> core_vc.(vcall_index vc) <- P.core_vcall_cost params vc) P.all_vcalls;
   let next_base = ref 0x1000_0000 in
   let tables =
-    List.fold_left
-      (fun acc decl ->
-        let ts =
-          { decl;
-            contents = Lru.create ~capacity:(max 1 decl.t_entries);
-            base_addr = !next_base;
-            core_cycles =
-              Array.of_list (List.map (fun f -> at f decl.t_entries) core_vc_list);
-            fc_lpm_cycles =
-              at (P.accel_vcall_cost params fc_kind P.V_lpm_lookup) decl.t_entries;
-            counts = [||] }
-        in
-        (* Slide bases apart so tables never share cache lines. *)
-        next_base := !next_base + (decl.t_entries * decl.t_entry_bytes) + 0x10_0000;
-        ts :: acc)
-      []
-      (List.concat_map (fun p -> p.tables) progs)
-    |> List.rev |> Array.of_list
+    Array.of_list (List.concat_map (fun p -> p.tables) progs)
+    |> Array.map (fun decl ->
+           let ts =
+             { decl;
+               contents = Lru.create ~capacity:(max 1 decl.t_entries);
+               base_addr = !next_base;
+               core_cycles = Array.map (fun f -> at f decl.t_entries) core_vc;
+               fc_lpm_cycles =
+                 at (P.accel_vcall_cost params fc_kind P.V_lpm_lookup) decl.t_entries;
+               counts = [||] }
+           in
+           (* Slide bases apart so tables never share cache lines. *)
+           next_base := !next_base + (decl.t_entries * decl.t_entry_bytes) + 0x10_0000;
+           ts)
   in
   let flow_cache =
     match fc_accel with
@@ -311,8 +308,6 @@ let create_sim_shared lnic progs =
           if u >= 0 then u else -1)
       op_cycles
   in
-  let core_vc = Array.make n_vcalls None in
-  List.iter (fun vc -> core_vc.(vcall_index vc) <- P.core_vcall_cost params vc) P.all_vcalls;
   let core_unit = Array.map (fun f -> at f 1) core_vc in
   let accel_vc = Array.make (List.length all_accel_kinds * n_vcalls) None in
   List.iter
@@ -796,7 +791,8 @@ let use_dma ctx lanes dir cycles =
 
 let wire_rx ctx =
   let bytes = W.Packet.total_bytes ctx.pkt in
-  use_dma ctx ctx.sim.dma_rx_free `Rx (L.Cost_fn.eval_int ctx.sim.params.P.wire_ingress bytes);
+  let cycles = L.Cost_fn.eval_int ctx.sim.params.P.wire_ingress bytes in
+  use_dma ctx ctx.sim.dma_rx_free `Rx cycles;
   match ctx.sim.ingress_cycles with
   | Some c ->
       let t0 = ctx.clock in
@@ -806,7 +802,8 @@ let wire_rx ctx =
 
 let wire_tx ctx =
   let bytes = W.Packet.total_bytes ctx.pkt in
-  use_dma ctx ctx.sim.dma_tx_free `Tx (L.Cost_fn.eval_int ctx.sim.params.P.wire_egress bytes);
+  let cycles = L.Cost_fn.eval_int ctx.sim.params.P.wire_egress bytes in
+  use_dma ctx ctx.sim.dma_tx_free `Tx cycles;
   match ctx.sim.egress_cycles with
   | Some c ->
       let t0 = ctx.clock in
