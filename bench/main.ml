@@ -78,10 +78,9 @@ let csv_out name columns rows =
 (* BENCH_nicsim.json snapshot plumbing.  Sections merge their own keys
    into the snapshot (CLARA_BENCH_JSON, default the committed baseline)
    so `bench nicsim` and `bench offpath` can each run alone without
-   clobbering the other's entry.  Schema history: v1 carried only the
-   nicsim numbers; v2 adds a provenance object (git commit, OCaml
-   version, host, UTC timestamp) and the offpath entry.  Readers accept
-   both. *)
+   clobbering the other's entry.  Schema v2 carries a provenance object
+   (git commit, OCaml version, host, UTC timestamp) beside the nicsim
+   and offpath entries; it is the only schema written or read. *)
 
 let bench_baseline_path = "BENCH_nicsim.json"
 
@@ -111,9 +110,9 @@ let load_baseline () =
       match
         Option.bind (Clara_util.Json.member "schema" j) Clara_util.Json.to_int_opt
       with
-      | Some (1 | 2) -> Some j
+      | Some 2 -> Some j
       | Some v ->
-          Printf.printf "[warn] %s: unsupported schema %d (expected 1 or 2)\n"
+          Printf.printf "[warn] %s: unsupported schema %d (expected 2)\n"
             bench_baseline_path v;
           None
       | None ->
@@ -1112,114 +1111,51 @@ let bounds_bench () =
     failwith "bounds: SLO pruning closed every cell (predicate too eager)"
 
 (* ------------------------------------------------------------------ *)
-(* nicsim: steady-state fast path vs event path, sharded throughput    *)
-
-(* Op-dense stateless NF: a payload scanner that walks the packet a
-   4-byte word at a time, the granularity of a string-matching automaton.
-   Hundreds of device calls per packet and no mutable state — the regime
-   the fast path is built for, where replay collapses the whole walk into
-   a handful of memoized segments. *)
-let wordscan =
-  { Dev.name = "wordscan";
-    tables = [];
-    handler =
-      (fun ctx pkt ->
-        Dev.parse_header ctx ~engine:true;
-        let words = (pkt.W.Packet.payload_bytes + 3) / 4 in
-        for _ = 1 to words do
-          Dev.local_read ctx 1;
-          Dev.hash_op ctx;
-          Dev.alu ctx 4;
-          Dev.branch ctx
-        done;
-        if Dev.scan_payload ctx ~bytes:pkt.W.Packet.payload_bytes then
-          Dev.alu ctx 30;
-        Dev.checksum ctx ~engine:true ~bytes:(W.Packet.total_bytes pkt);
-        Dev.Emit) }
+(* nicsim: event-path and sharded throughput, telemetry guard          *)
 
 let nicsim_bench () =
-  header "nicsim: steady-state fast path + domain-parallel throughput";
+  header "nicsim: event-path + domain-parallel throughput";
   Printf.printf
-    "The fast path's contract is \"same numbers, less work\": under Auto a\n\
-     confirmed steady-state packet replays its memoized cost profile instead\n\
-     of re-executing the handler.  This section enforces byte-identity with\n\
-     the event path on stateless NFs, full fallback on a stateful NF, and\n\
-     1-domain == N-domain determinism for sharded runs, then snapshots\n\
-     packets/sec.  The fast path's speedup over the event path is a figure,\n\
-     not a gate: it moves whenever the event path gets faster.\n\
-     CLARA_BENCH_ENFORCE=1 additionally fails the bench when fast-path\n\
-     packets/sec regresses more than 20%% against the committed\n\
-     BENCH_nicsim.json.\n\n";
+    "Every run executes each packet's handler on the event path.  This\n\
+     section enforces 1-domain == N-domain determinism for sharded runs and\n\
+     byte-identical results with a telemetry collector installed, then\n\
+     snapshots packets/sec: dpi and nat on one domain, dpi on 4 shards.\n\
+     CLARA_BENCH_ENFORCE=1 additionally fails the bench when any of them\n\
+     regresses more than 20%% against the committed BENCH_nicsim.json, or\n\
+     when the collector costs more than 2%%.\n\n";
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  let same name what a b =
-    if compare a b <> 0 then
-      failwith (name ^ ": " ^ what ^ " differs between event and fast path")
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    a.(Array.length a / 2)
   in
-  (* [compare] (not [=]) so NaN hit rates compare equal, as in the trace
-     guard.  The [fast] counters are excluded: they are the one field
-     that legitimately differs between the two paths. *)
-  let identical name (a : Eng.result) (b : Eng.result) =
-    same name "latency summary" a.Eng.summary b.Eng.summary;
-    same name "emem hit rate" a.Eng.emem_hit_rate b.Eng.emem_hit_rate;
-    same name "flow cache hit rate" a.Eng.flow_cache_hit_rate b.Eng.flow_cache_hit_rate;
-    same name "frequency" a.Eng.freq_mhz b.Eng.freq_mhz
-  in
-  (* Few flows + many packets: the per-key confirmation cost (two full
-     executions per flow key) amortizes quickly, as it would in a real
-     steady-state run. *)
   let packets = 60_000 in
   let prof = profile ~packets ~flows:500 () in
-  let warmup = 1_000 in
-  (* Stateless NFs: byte-identity plus a measured speedup. *)
+  let trace = W.Trace.synthesize ~seed:31L prof in
+  (* One warm-up run pays the one-time costs; the row is the median of
+     three timed runs. *)
   let rows =
     List.map
       (fun (name, prog) ->
-        let trace = W.Trace.synthesize ~seed:31L prof in
         ignore (Eng.run lnic prog trace);
-        (* warm-up: one-time costs *)
-        let r_ev, t_ev = time (fun () -> Eng.run lnic prog trace) in
-        let r_fa, t_fa =
-          time (fun () -> Eng.run lnic prog ~fast:(Eng.Auto { warmup }) trace)
-        in
-        identical name r_ev r_fa;
-        let replayed = r_fa.Eng.fast.Clara_nicsim.Fastpath.replayed in
-        if replayed = 0 then
-          failwith (name ^ ": fast path never replayed a packet");
-        let ev_pps = float_of_int packets /. t_ev in
-        let fa_pps = float_of_int packets /. t_fa in
-        Printf.printf
-          "%-10s identical results; %6d/%d replayed   event %9.0f pps   fast %9.0f pps   %5.2fx\n"
-          name replayed packets ev_pps fa_pps (fa_pps /. ev_pps);
-        (name, ev_pps, fa_pps, replayed))
-      [ ("wordscan", wordscan); ("dpi", Clara_nfs.Dpi.ported ()) ]
+        let run_pps () = float_of_int packets /. snd (time (fun () -> Eng.run lnic prog trace)) in
+        let pps = median (List.init 3 (fun _ -> run_pps ())) in
+        Printf.printf "%-10s event path %9.0f pps\n" name pps;
+        (name, pps))
+      [ ("dpi", Clara_nfs.Dpi.ported ()); ("nat", Clara_nfs.Nat.ported ~checksum_engine:true ()) ]
   in
-  (* Stateful NF: Auto must detect the state and change nothing. *)
-  (let prog = Clara_nfs.Firewall.ported ~entries:8192 ~placement:Dev.P_emem () in
-   let trace = W.Trace.synthesize ~seed:31L prof in
-   let r_ev = Eng.run lnic prog trace in
-   let r_fa = Eng.run lnic prog ~fast:(Eng.Auto { warmup }) trace in
-   identical "firewall" r_ev r_fa;
-   if r_fa.Eng.fast.Clara_nicsim.Fastpath.replayed <> 0 then
-     failwith "firewall: fast path replayed packets of a stateful NF";
-   Printf.printf
-     "%-10s stateful fallback: 0 replayed, results identical to event path\n"
-     "firewall");
   (* Sharded runs: for a fixed shard count, results must be
-     byte-identical across domain counts, and stay identical under the
-     fast path. *)
+     byte-identical across domain counts. *)
   let cores = Domain.recommended_domain_count () in
   let par = if cores >= 2 then min 4 cores else 4 in
   let shard_pps =
-    let trace = W.Trace.synthesize ~seed:31L prof in
-    let fast = Eng.Auto { warmup } in
-    let r1 = Eng.run_sharded ~domains:1 ~shards:4 ~fast lnic wordscan trace in
-    let rn, t_n =
-      time (fun () -> Eng.run_sharded ~domains:par ~shards:4 ~fast lnic wordscan trace)
-    in
+    let prog = Clara_nfs.Dpi.ported () in
+    let r1 = Eng.run_sharded ~domains:1 ~shards:4 lnic prog trace in
+    let rn, t_n = time (fun () -> Eng.run_sharded ~domains:par ~shards:4 lnic prog trace) in
     let j1 = Clara_util.Json.to_string (Eng.result_to_json r1) in
     let jn = Clara_util.Json.to_string (Eng.result_to_json rn) in
     if not (String.equal j1 jn) then
@@ -1227,7 +1163,7 @@ let nicsim_bench () =
     let pps = float_of_int packets /. t_n in
     Printf.printf
       "%-10s sharded determinism: 1-dom == %d-dom (shards 4); %9.0f pps on %d domains\n"
-      "wordscan" par pps par;
+      "dpi" par pps par;
     pps
   in
   (* --metrics guard: a telemetry collector on the event path must not
@@ -1237,15 +1173,9 @@ let nicsim_bench () =
      the budget applies to the median overhead of off/on pairs taken in
      alternating order. *)
   (let prog = Clara_nfs.Nat.ported ~checksum_engine:true () in
-   let trace = W.Trace.synthesize ~seed:31L prof in
    ignore (Eng.run lnic prog trace);
    (* warm-up *)
    let pairs = 7 in
-   let median xs =
-     let a = Array.of_list xs in
-     Array.sort compare a;
-     a.(Array.length a / 2)
-   in
    let timings =
      List.init pairs (fun i ->
          (* Odd pairs run the collector first, so neither side always
@@ -1280,57 +1210,52 @@ let nicsim_bench () =
   (* Snapshot + regression gate.  The committed BENCH_nicsim.json is the
      baseline; CLARA_BENCH_JSON redirects the new snapshot (CI does this
      to keep the tree clean). *)
+  let gate what ~now ~old =
+    match old with
+    | Some old when now < 0.8 *. old ->
+        soft_fail
+          (Printf.sprintf "%s throughput regressed: %.0f pps vs baseline %.0f pps (>20%%)"
+             what now old)
+    | _ -> ()
+  in
+  let num j key = Option.bind (Clara_util.Json.member key j) Clara_util.Json.to_float_opt in
   (match load_baseline () with
   | None -> ()
   | Some j ->
-      let old_pps name =
-        match Clara_util.Json.member "nfs" j with
-        | Some (Clara_util.Json.List nfs) ->
-            List.find_map
-              (fun nf ->
-                match Clara_util.Json.member "name" nf with
-                | Some (Clara_util.Json.String n) when String.equal n name ->
-                    Option.bind
-                      (Clara_util.Json.member "fast_pps" nf)
-                      Clara_util.Json.to_float_opt
-                | _ -> None)
-              nfs
-        | _ -> None
+      let old_nfs =
+        match Clara_util.Json.member "nfs" j with Some (Clara_util.Json.List l) -> l | _ -> []
       in
       List.iter
-        (fun (name, _, fa_pps, _) ->
-          match old_pps name with
-          | None -> ()
-          | Some old_ when fa_pps < 0.8 *. old_ ->
-              soft_fail
-                (Printf.sprintf
-                   "%s fast-path throughput regressed: %.0f pps vs baseline %.0f pps (>20%%)"
-                   name fa_pps old_)
-          | Some _ -> ())
-        rows);
+        (fun (name, pps) ->
+          let named nf = Clara_util.Json.member "name" nf = Some (Clara_util.Json.String name) in
+          gate (name ^ " event-path") ~now:pps
+            ~old:(Option.bind (List.find_opt named old_nfs) (fun nf -> num nf "event_pps")))
+        rows;
+      (* A sharded figure compares only at the same domain count. *)
+      (match Clara_util.Json.member "sharded" j with
+      | Some sh
+        when Clara_util.Json.member "nf" sh = Some (Clara_util.Json.String "dpi")
+             && Clara_util.Json.member "domains" sh = Some (Clara_util.Json.Int par) ->
+          gate "dpi sharded" ~now:shard_pps ~old:(num sh "pps")
+      | _ -> ()));
   update_snapshot
     [ ("packets", Clara_util.Json.Int packets);
-      ("warmup", Clara_util.Json.Int warmup);
       ( "nfs",
         Clara_util.Json.List
           (List.map
-             (fun (name, ev_pps, fa_pps, replayed) ->
+             (fun (name, pps) ->
                Clara_util.Json.Obj
                  [ ("name", Clara_util.Json.String name);
-                   ("event_pps", Clara_util.Json.Float ev_pps);
-                   ("fast_pps", Clara_util.Json.Float fa_pps);
-                   ("speedup", Clara_util.Json.Float (fa_pps /. ev_pps));
-                   ("replayed", Clara_util.Json.Int replayed) ])
+                   ("event_pps", Clara_util.Json.Float pps) ])
              rows) );
       ( "sharded",
         Clara_util.Json.Obj
-          [ ("nf", Clara_util.Json.String "wordscan");
+          [ ("nf", Clara_util.Json.String "dpi");
             ("shards", Clara_util.Json.Int 4);
             ("domains", Clara_util.Json.Int par);
             ("pps", Clara_util.Json.Float shard_pps) ] ) ];
-  csv_out "nicsim"
-    [ "event_pps"; "fast_pps"; "sharded_pps" ]
-    (List.map (fun (_, ev, fa, _) -> [ ev; fa; shard_pps ]) rows)
+  csv_out "nicsim" [ "event_pps"; "sharded_pps" ]
+    (List.map (fun (_, pps) -> [ pps; shard_pps ]) rows)
 
 (* ------------------------------------------------------------------ *)
 (* Off-path DPU: the two-regime bluefield model                        *)

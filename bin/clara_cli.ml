@@ -13,7 +13,7 @@
      sweep       parallel design-space exploration from a spec file
      tenants     N NFs co-resident under weighted-round-robin scheduling
      trace       simulate a ported NF with per-packet event tracing
-     sim         simulate a ported NF fast: steady-state replay + domain sharding
+     sim         simulate a ported NF and report simulator throughput (optionally sharded)
      lint        static analysis: races, feasibility, dead paths, cost hazards
      bounds      static per-packet-type latency bounds and SLO verdicts
      calibrate   predicted-vs-simulated records appended to a ledger
@@ -166,7 +166,7 @@ let metrics_t =
     let doc =
       "Write sim-time telemetry series (per-tenant queue depth, goodput, drops, \
        latency, WRR deficit, cache hits/misses; sim-wide accel/DMA occupancy, \
-       upcalls, fast-path outcomes) to $(docv).  A '.csv' extension selects CSV, \
+       upcalls) to $(docv).  A '.csv' extension selects CSV, \
        anything else JSON.  Off by default, with zero simulation cost when off."
     in
     Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
@@ -627,18 +627,6 @@ let trace_cmd =
 (* ---- sim ------------------------------------------------------------ *)
 
 let sim_cmd =
-  let fast_arg =
-    let doc =
-      "Steady-state fast path: 'auto' (default; enabled only when the NF's \
-       static sharing analysis proves it stateless), 'on' (force-enable), or \
-       'off' (full event simulation)."
-    in
-    Arg.(value & opt string "auto" & info [ "fast" ] ~docv:"MODE" ~doc)
-  in
-  let warmup_arg =
-    let doc = "Packets simulated on the event path before replay may begin." in
-    Arg.(value & opt int 1000 & info [ "warmup" ] ~docv:"N" ~doc)
-  in
   let domains_arg =
     let doc = "Simulate flow shards in parallel on $(docv) OCaml domains." in
     Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
@@ -650,25 +638,13 @@ let sim_cmd =
     in
     Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N" ~doc)
   in
-  (* The fast path is provably safe only for NFs whose per-packet cost
-     depends on nothing but the packet; the static sharing verdict on
-     the NF's DSL source decides that, so 'auto' is trustworthy and
-     'on' is the sharp knife. *)
-  let stateless_verdict source =
-    match Clara_cir.Lower.of_source source with
-    | Error _ -> false
-    | Ok ir -> Clara_analysis.Sharing.stateless ir
-  in
   let doc =
-    "Simulate a ported corpus NF at full speed: steady-state fast path \
-     (memoized per-packet-type cost replay, gated on the static sharing \
-     verdict) plus optional domain-parallel flow sharding.  Reports simulator \
-     throughput in packets/sec."
+    "Simulate a ported corpus NF on the event path, optionally sharding its \
+     flows across OCaml domains.  Reports simulator throughput in \
+     packets/sec."
   in
   Cmd.v (Cmd.info "sim" ~doc)
   @@ let+ nf = nf_arg "Corpus NF to simulate (see 'clara corpus')."
-     and+ fast = fast_arg
-     and+ warmup = warmup_arg
      and+ domains = domains_arg
      and+ shards = shards_arg
      and+ threads = threads_arg ()
@@ -680,24 +656,12 @@ let sim_cmd =
      let entry = corpus_entry nf in
      check_hostable nic lnic [ entry.Clara_nfs.Corpus.ported ];
      let wtrace = trace_of w in
-     let fast_mode, why =
-       match fast with
-       | "off" -> (Nsim.Engine.Event_only, "forced off")
-       | "on" -> (Nsim.Engine.Auto { warmup }, "forced on")
-       | "auto" ->
-           if stateless_verdict entry.Clara_nfs.Corpus.source then
-             (Nsim.Engine.Auto { warmup }, "sharing verdict: stateless")
-           else (Nsim.Engine.Event_only, "sharing verdict: stateful")
-       | other -> or_die (Error ("unknown --fast mode '" ^ other ^ "' (auto|on|off)"))
-     in
      let t0 = Unix.gettimeofday () in
      let r =
        if domains > 1 || shards <> None then
-         Nsim.Engine.run_sharded ~domains ?shards ?threads ?metrics:tel ~fast:fast_mode
-           lnic entry.Clara_nfs.Corpus.ported wtrace
-       else
-         Nsim.Engine.run ?threads ?metrics:tel ~fast:fast_mode lnic
+         Nsim.Engine.run_sharded ~domains ?shards ?threads ?metrics:tel lnic
            entry.Clara_nfs.Corpus.ported wtrace
+       else Nsim.Engine.run ?threads ?metrics:tel lnic entry.Clara_nfs.Corpus.ported wtrace
      in
      let wall_s = Unix.gettimeofday () -. t0 in
      let s = r.Nsim.Engine.summary in
@@ -709,13 +673,11 @@ let sim_cmd =
             (J.Obj
                [ ("nf", J.String nf);
                  ("nic", J.String nic);
-                 ("fast", J.String why);
                  ("result", Nsim.Engine.result_to_json r);
                  ("wall_seconds", J.Float wall_s);
                  ("packets_per_second", J.Float pps) ]))
      else begin
        Format.printf "%s on %s: %a@." nf nic Nsim.Engine.pp_result r;
-       Format.printf "fast path: %s@." why;
        Format.printf "simulated %d packets in %.3fs — %.0f packets/sec@." total wall_s pps
      end;
      write_metrics ();

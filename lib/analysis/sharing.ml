@@ -57,7 +57,8 @@ let classify a =
 
 (* A program is stateless for simulation purposes when no state object
    is ever written: every packet's cost then depends only on the packet
-   itself, which is what licenses the engine's steady-state fast path. *)
+   itself, which is what licenses the engine's retired steady-state fast
+   path. *)
 let stateless (p : Ir.program) =
   let access = collect p in
   List.for_all

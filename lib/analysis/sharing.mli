@@ -36,4 +36,6 @@ val analyze :
 val stateless : Clara_cir.Ir.program -> bool
 (** True when every state object is [Read_only] (or there is none):
     per-packet cost depends only on the packet, so the simulator's
-    steady-state fast path ([Engine.Auto]) is safe to enable. *)
+    retired steady-state fast path ([Engine.Auto]) is safe to enable.
+    Its one remaining caller is the benchmark's [Auto] cell
+    ([perfbench/]), which replays only the cells this accepts. *)

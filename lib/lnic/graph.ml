@@ -150,6 +150,8 @@ let placement_classes t =
 let total_threads t =
   List.fold_left (fun acc u -> acc + Unit_.threads u) 0 (general_cores t)
 
+let dma_lanes = 4
+
 let slice t ~keep_num ~keep_den =
   if keep_num <= 0 || keep_den <= 0 || keep_num > keep_den then
     invalid_arg "Lnic.Graph.slice: fraction must be in (0, 1]";

@@ -120,6 +120,12 @@ val placement_classes : t -> placement_class list
 val total_threads : t -> int
 (** Sum of general-core hardware threads: the NIC's packet parallelism. *)
 
+val dma_lanes : int
+(** Store-and-forward DMA lanes per direction (receive, transmit)
+    between the wire and packet memory, the same on every target: the
+    simulator serializes each wire leg on them, and the throughput model
+    counts both directions' lanes as the wire's parallelism. *)
+
 val slice : t -> keep_num:int -> keep_den:int -> t
 (** [slice g ~keep_num ~keep_den] models a fraction of the NIC for
     co-resident NF reasoning (§3.5): keeps ⌈num/den⌉ of the general cores

@@ -356,8 +356,8 @@ let create_sim_shared lnic progs =
     parse_engine;
     ingress_cycles = hub_cycles `Ingress;
     egress_cycles = hub_cycles `Egress;
-    dma_rx_free = Array.make 4 0;
-    dma_tx_free = Array.make 4 0;
+    dma_rx_free = Array.make L.Graph.dma_lanes 0;
+    dma_tx_free = Array.make L.Graph.dma_lanes 0;
     islands;
     (* Remote-island CTM penalty, read off an actual cross-island bus when
        the topology has one. *)

@@ -67,7 +67,8 @@ val table_cycles : sim -> string -> Clara_lnic.Params.vcall -> int
 
 (** {2 Steady-state fast path support}
 
-    The engine can memoize a packet's resolved cost profile and later
+    Used only by [Engine.run ~fast:(Auto _)], the benchmark's fast-path
+    cell; every other run executes each packet.  The engine can memoize a packet's resolved cost profile and later
     replay it without re-executing the handler.  A profile is a sequence
     of segments: thread-local ("pure") cycle spans interleaved with
     shared-resource occupations (accelerator, RX/TX DMA).  Replay

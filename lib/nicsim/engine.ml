@@ -39,14 +39,24 @@ let[@inline] ev sink ~seq ~prog ~thread ~kind ~label ~t0 ~t1 ~arg =
   | None -> ()
   | Some s -> Trace.record s ~seq ~prog ~thread ~kind ~label ~t0 ~t1 ~arg
 
-(* At top level for the same reason as [execute] below. *)
-let[@inline] tel_fast tel ~arrival replayed =
-  match tel with
-  | None -> ()
-  | Some t -> Telemetry.on_fast t ~now:arrival ~replayed
-
-let default_queue_capacity lnic =
-  match L.Graph.hub lnic `Ingress with Some h -> h.L.Hub.queue_capacity | None -> 512
+(* The threads and ingress-queue slots of [weights] sides of one NIC:
+   the totals default to the NIC's own, so solo, tenant and sharded runs
+   are comparable at a pinned capacity, and divide by {!Scheduler.split}
+   (a solo run is a one-weight split), which conserves both pools
+   whenever they cover every side. *)
+let slices ?threads ?queue_capacity lnic ~weights =
+  let total_threads =
+    match threads with Some t -> max 1 t | None -> max 1 (L.Graph.total_threads lnic)
+  in
+  let total_capacity =
+    match queue_capacity with
+    | Some c -> max 1 c
+    | None -> (
+        match L.Graph.hub lnic `Ingress with
+        | Some h -> h.L.Hub.queue_capacity
+        | None -> 512)
+  in
+  (Scheduler.split ~total:total_threads ~weights, Scheduler.split ~total:total_capacity ~weights)
 
 (* Earliest-free thread selection: the thread the naive scan would pick
    (earliest free, lowest index on ties) is the root of a binary min-heap
@@ -81,8 +91,8 @@ end
 (* The one dispatch core.  [run], [run_tenants] and [run_sharded] all feed
    packets through here: a side is one program's slice of the NIC (its
    threads, its share of the ingress queue, its stats/in-flight window,
-   and optionally its fast-path memo table).  The fast path and every
-   trace event therefore exist exactly once. *)
+   and, in [run ~fast] only, its fast-path memo table).  Every trace and
+   telemetry event therefore exists exactly once. *)
 
 type side = {
   prog : Device.prog;
@@ -155,24 +165,19 @@ let dispatch ~sim ~sink ~obs_on ~tel ~cycles_of_ns side ~seq (pkt : W.Packet.t) 
       ~t1:start ~arg:ti;
     let done_ =
       match side.fp with
-      | None ->
-          tel_fast tel ~arrival false;
-          Device.now (execute ~sim ~sink side ~seq ~ti ~start None pkt)
+      | None -> Device.now (execute ~sim ~sink side ~seq ~ti ~start None pkt)
       | Some fp -> (
           match Fastpath.decide fp ~seq pkt with
           | Fastpath.Replay p ->
               Fastpath.count_replay fp;
-              tel_fast tel ~arrival true;
               Device.replay sim ~start p
           | Fastpath.Record ->
               Fastpath.count_execute fp;
-              tel_fast tel ~arrival false;
               let ctx = execute ~sim ~sink side ~seq ~ti ~start side.recorder pkt in
               Fastpath.note fp pkt (Device.recorded ctx);
               Device.now ctx
           | Fastpath.Plain ->
               Fastpath.count_execute fp;
-              tel_fast tel ~arrival false;
               Device.now (execute ~sim ~sink side ~seq ~ti ~start None pkt))
     in
     Tpool.set_min_free side.threads done_;
@@ -219,20 +224,12 @@ let finish sim ~freq_mhz side =
 (* Single-program run against one sim; shared by [run] (full NIC,
    metrics on) and [run_sharded]'s workers (a 1/shards slice, metrics
    off).  Returns the side so sharding can merge raw stats. *)
-let run_core ?threads ?queue_capacity ?sink ?tel ~fast ~obs_on lnic (prog : Device.prog)
+let run_core ?sink ?tel ~nthreads ~capacity ~fp ~obs_on lnic (prog : Device.prog)
     (trace : W.Trace.t) =
   let sim = Device.create_sim lnic prog in
   let freq_mhz = L.Graph.freq_mhz lnic in
-  let nthreads =
-    match threads with Some n -> max 1 n | None -> max 1 (L.Graph.total_threads lnic)
-  in
-  let capacity =
-    match queue_capacity with Some c -> max 1 c | None -> default_queue_capacity lnic
-  in
   (match sink with None -> () | Some s -> Trace.set_progs s [| prog.Device.name |]);
-  let side =
-    make_side ~pid:0 ~nthreads ~capacity ~fp:(fastpath_of fast sink) prog
-  in
+  let side = make_side ~pid:0 ~nthreads ~capacity ~fp prog in
   let cycles_of_ns = cycles_of_ns_at freq_mhz in
   let seq = ref (-1) in
   W.Trace.iter
@@ -248,9 +245,10 @@ let run ?threads ?queue_capacity ?sink ?metrics ?(fast = Event_only) lnic prog t
   (match metrics with
   | None -> ()
   | Some t -> Telemetry.set_tenants t [| prog.Device.name |]);
+  let nthreads, caps = slices ?threads ?queue_capacity lnic ~weights:[| 1 |] in
   let side, sim, freq_mhz =
-    run_core ?threads ?queue_capacity ?sink ?tel:metrics ~fast ~obs_on:true lnic prog
-      trace
+    run_core ?sink ?tel:metrics ~nthreads:nthreads.(0) ~capacity:caps.(0)
+      ~fp:(fastpath_of fast sink) ~obs_on:true lnic prog trace
   in
   finish sim ~freq_mhz side
 
@@ -298,8 +296,8 @@ let result_to_json r =
    the two-stage WRR of {!Scheduler}, so a heavy tenant cannot starve a
    light one of dispatch slots. *)
 
-let run_tenants ?threads ?queue_capacity ?weights ?sink ?metrics ?(fast = Event_only)
-    lnic (progs : Device.prog array) (traces : W.Trace.t array) =
+let run_tenants ?threads ?queue_capacity ?weights ?sink ?metrics lnic
+    (progs : Device.prog array) (traces : W.Trace.t array) =
   let n = Array.length progs in
   if n = 0 then invalid_arg "Engine.run_tenants: no tenants";
   if Array.length traces <> n then
@@ -319,21 +317,7 @@ let run_tenants ?threads ?queue_capacity ?weights ?sink ?metrics ?(fast = Event_
   Clara_obs.Metrics.incr c_runs;
   let sim = Device.create_sim_shared lnic (Array.to_list progs) in
   let freq_mhz = L.Graph.freq_mhz lnic in
-  let total_threads =
-    match threads with Some n -> max 1 n | None -> max 1 (L.Graph.total_threads lnic)
-  in
-  let total_capacity =
-    match queue_capacity with Some c -> max 1 c | None -> default_queue_capacity lnic
-  in
-  (* Weight-proportional division; the split distributes remainder units
-     to low indices, so (unlike the old floor division) the thread and
-     queue pools are conserved whenever they are large enough to cover
-     every tenant. *)
-  let nthreads = Scheduler.split ~total:total_threads ~weights in
-  let caps = Scheduler.split ~total:total_capacity ~weights in
-  if total_threads >= n then
-    assert (Array.fold_left ( + ) 0 nthreads = total_threads);
-  if total_capacity >= n then assert (Array.fold_left ( + ) 0 caps = total_capacity);
+  let nthreads, caps = slices ?threads ?queue_capacity lnic ~weights in
   (match sink with
   | None -> ()
   | Some s -> Trace.set_progs s (Array.map (fun p -> p.Device.name) progs));
@@ -342,8 +326,7 @@ let run_tenants ?threads ?queue_capacity ?weights ?sink ?metrics ?(fast = Event_
   | Some t -> Telemetry.set_tenants t (Array.map (fun p -> p.Device.name) progs));
   let sides =
     Array.init n (fun i ->
-        make_side ~pid:i ~nthreads:nthreads.(i) ~capacity:caps.(i)
-          ~fp:(fastpath_of fast sink) progs.(i))
+        make_side ~pid:i ~nthreads:nthreads.(i) ~capacity:caps.(i) ~fp:None progs.(i))
   in
   (* Merge all arrival streams under a total order — ties broken on
      (arrival, tenant, source index) so the merge is deterministic even
@@ -399,22 +382,13 @@ let run_tenants ?threads ?queue_capacity ?weights ?sink ?metrics ?(fast = Event_
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel simulation: flows are sharded onto independent NIC
-   slices (1/shards of the threads and ingress queue each, like
-   [run_tenants]' equal-weight split), the slices simulate concurrently
+   slices (an equal-weight {!slices} split of the threads and ingress
+   queue), the slices simulate concurrently
    on the shared worker pool, and raw stats merge in shard order — so the merged
    result depends on the shard count, never on the domain count. *)
 
-let add_fast (a : Fastpath.stats) (b : Fastpath.stats) =
-  {
-    Fastpath.replayed = a.Fastpath.replayed + b.Fastpath.replayed;
-    executed = a.Fastpath.executed + b.Fastpath.executed;
-    confirmed = a.Fastpath.confirmed + b.Fastpath.confirmed;
-    poisoned = a.Fastpath.poisoned + b.Fastpath.poisoned;
-    enabled = a.Fastpath.enabled || b.Fastpath.enabled;
-  }
-
-let run_sharded ?(domains = 1) ?shards ?threads ?queue_capacity ?metrics
-    ?(fast = Event_only) lnic (prog : Device.prog) (trace : W.Trace.t) =
+let run_sharded ?(domains = 1) ?shards ?threads ?queue_capacity ?metrics lnic
+    (prog : Device.prog) (trace : W.Trace.t) =
   Clara_obs.Registry.span obs "nicsim-sharded" @@ fun () ->
   Clara_obs.Metrics.incr c_runs;
   let shards = match shards with Some s -> max 1 s | None -> max 1 domains in
@@ -422,22 +396,9 @@ let run_sharded ?(domains = 1) ?shards ?threads ?queue_capacity ?metrics
   | None -> ()
   | Some t -> Telemetry.set_tenants t [| prog.Device.name |]);
   let freq_mhz = L.Graph.freq_mhz lnic in
-  let total_threads =
-    match threads with Some n -> max 1 n | None -> max 1 (L.Graph.total_threads lnic)
+  let per_threads, per_capacity =
+    slices ?threads ?queue_capacity lnic ~weights:(Array.make shards 1)
   in
-  let total_capacity =
-    match queue_capacity with Some c -> max 1 c | None -> default_queue_capacity lnic
-  in
-  (* Equal-weight split with deterministic remainder distribution —
-     480 threads / 7 shards used to silently drop 4 threads on the
-     floor (and likewise queue slots). *)
-  let unit_weights = Array.make shards 1 in
-  let per_threads = Scheduler.split ~total:total_threads ~weights:unit_weights in
-  let per_capacity = Scheduler.split ~total:total_capacity ~weights:unit_weights in
-  if total_threads >= shards then
-    assert (Array.fold_left ( + ) 0 per_threads = total_threads);
-  if total_capacity >= shards then
-    assert (Array.fold_left ( + ) 0 per_capacity = total_capacity);
   (* Partition by flow so no flow spans two slices; arrival order is
      preserved within each shard.  Each shard's array is sized by a
      first counting pass and filled in the second. *)
@@ -462,7 +423,7 @@ let run_sharded ?(domains = 1) ?shards ?threads ?queue_capacity ?metrics
            like the merged stats — depends on the shard count only. *)
         let tel = Option.map Telemetry.fresh_like metrics in
         let side, sim, freq =
-          run_core ~threads:per_threads.(i) ~queue_capacity:per_capacity.(i) ?tel ~fast
+          run_core ?tel ~nthreads:per_threads.(i) ~capacity:per_capacity.(i) ~fp:None
             ~obs_on:false lnic prog sub.(i)
         in
         (side, sim, freq, tel))
@@ -494,9 +455,5 @@ let run_sharded ?(domains = 1) ?shards ?threads ?queue_capacity ?metrics
     flow_cache_hit_rate =
       ratio (sum Device.flow_cache_hits_of) (sum Device.flow_cache_misses_of);
     freq_mhz;
-    fast =
-      Array.fold_left
-        (fun acc (side, _, _, _) ->
-          match side.fp with Some fp -> add_fast acc (Fastpath.stats fp) | None -> acc)
-        no_fast done_;
+    fast = no_fast;
   }

@@ -7,27 +7,22 @@
     load and accelerator contention show up in the numbers, just as they
     would on hardware.
 
-    Two performance levers sit on top of the event loop, both off by
-    default and both result-preserving:
+    Every run executes each packet's handler on this event path.
+    {!run_sharded} is the one performance lever on top: flows shard onto
+    independent NIC slices simulated concurrently on the shared
+    {!Clara_util.Pool}; merged results depend on the shard count, never
+    the domain count.
 
-    - {b Steady-state fast path} ([fast = Auto _]): after a warm-up
-      window, packets whose cost profile has been memoized and confirmed
-      replay analytically — thread/queue/accelerator/DMA occupancy is
-      advanced arithmetically instead of re-executing the handler.
-      Packets that touch mutable simulator state are detected and
-      permanently excluded, so stateful NFs automatically fall back to
-      full event simulation and replay is byte-identical to the event
-      path.  Handler-side OCaml state (a closure over a ref) is caught
-      heuristically — a key must produce identical profiles twice before
-      it may replay, and any divergence poisons it — but a closure that
-      is consistent twice and diverges later evades this; callers should
-      enable [Auto] only for programs the static sharing analysis calls
-      stateless ([Clara_analysis.Sharing.stateless]), which is what the
-      CLI does.  Tracing always forces the event path.
-    - {b Domain-parallel simulation} ({!run_sharded}): flows shard onto
-      independent NIC slices simulated concurrently on the shared
-      {!Clara_util.Pool}; merged results depend on the shard count,
-      never the domain count. *)
+    [run ~fast:(Auto _)] keeps the retired steady-state fast path for one
+    caller, the benchmark's fast-path cell ([perfbench/]): after a
+    warm-up window, packets whose cost profile has been memoized and
+    confirmed replay analytically instead of re-executing the handler.
+    Packets that touch mutable simulator state are permanently excluded,
+    so replay is byte-identical to the event path; handler-side OCaml
+    state (a closure over a ref) is caught only heuristically, so [Auto]
+    is safe only for programs {!Clara_analysis.Sharing.stateless} accepts.
+    On the corpus it is no faster than the event path, and nothing else
+    uses it. *)
 
 type fast_mode =
   | Event_only          (** always execute the handler (the default) *)
@@ -41,7 +36,7 @@ type result = {
   flow_cache_hit_rate : float; (** NaN when the program never used it. *)
   freq_mhz : int;
   fast : Fastpath.stats;
-      (** All zeros / [enabled = false] under [Event_only]. *)
+      (** All zeros / [enabled = false] except under [run ~fast:(Auto _)]. *)
 }
 
 val run :
@@ -63,7 +58,8 @@ val run :
     telemetry collector ({!Telemetry}) under the same discipline:
     without it no telemetry work happens and results are byte-identical
     to an instrumented run's.  [fast] defaults to {!Event_only}; [Auto]
-    is ignored when [sink] is set. *)
+    is ignored when [sink] is set.  Threads and queue slots resolve
+    exactly as one tenant's of {!run_tenants} with a single weight. *)
 
 val run_sharded :
   ?domains:int ->
@@ -71,7 +67,6 @@ val run_sharded :
   ?threads:int ->
   ?queue_capacity:int ->
   ?metrics:Telemetry.t ->
-  ?fast:fast_mode ->
   Clara_lnic.Graph.t ->
   Device.prog ->
   Clara_workload.Trace.t ->
@@ -103,7 +98,6 @@ val run_tenants :
   ?weights:int array ->
   ?sink:Trace.t ->
   ?metrics:Telemetry.t ->
-  ?fast:fast_mode ->
   Clara_lnic.Graph.t ->
   Device.prog array ->
   Clara_workload.Trace.t array ->

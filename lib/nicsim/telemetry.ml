@@ -31,16 +31,12 @@ let tenant_metrics =
 let g_accel_busy = 0
 let g_dma_busy = 1
 let g_upcalls = 2
-let g_fast_replay = 3
-let g_fast_execute = 4
 
 let global_metrics =
   [|
     ("accel_busy", Ts.Rate);
     ("dma_busy", Ts.Rate);
     ("upcalls", Ts.Rate);
-    ("fast_replay", Ts.Rate);
-    ("fast_execute", Ts.Rate);
   |]
 
 (* Scalar accumulators for the window in flight.  The per-packet hooks
@@ -73,8 +69,6 @@ type t = {
   mutable tenants : Ts.t array array; (* indexed [tenant][t_ constant] *)
   mutable globals : Ts.t array;       (* indexed [g_ constant] *)
   mutable accs : tacc array;
-  mutable g_replay : int;
-  mutable g_execute : int;
   (* Delta cursors for the sim's cumulative counters, sampled at flush. *)
   mutable cur_fc_h : int array;
   mutable cur_fc_m : int array;
@@ -116,8 +110,6 @@ let reset_shape t names =
   t.tenants <- Array.init n (fun i -> mk_tenant ~max_w:t.max_w ~cad:t.cad i);
   t.globals <- mk_globals ~max_w:t.max_w ~cad:t.cad;
   t.accs <- Array.init n (fun _ -> fresh_tacc ());
-  t.g_replay <- 0;
-  t.g_execute <- 0;
   t.cur_fc_h <- Array.make n 0;
   t.cur_fc_m <- Array.make n 0;
   t.cur_em_h <- Array.make n 0;
@@ -142,8 +134,6 @@ let create ?(max_windows = 256) ?(cadence = 8192) () =
       tenants = [||];
       globals = [||];
       accs = [||];
-      g_replay = 0;
-      g_execute = 0;
       cur_fc_h = [||];
       cur_fc_m = [||];
       cur_em_h = [||];
@@ -191,12 +181,6 @@ let flush t =
         a.q_sum <- 0; a.q_n <- 0; a.good <- 0; a.drop <- 0;
         a.lat_sum <- 0; a.busy_sum <- 0; a.def_sum <- 0; a.def_n <- 0)
       t.accs;
-    Ts.observe_agg t.globals.(g_fast_replay) ~now
-      ~sum:(float_of_int t.g_replay) ~count:t.g_replay;
-    Ts.observe_agg t.globals.(g_fast_execute) ~now
-      ~sum:(float_of_int t.g_execute) ~count:t.g_execute;
-    t.g_replay <- 0;
-    t.g_execute <- 0;
     (match t.simh with
     | None -> ()
     | Some sim ->
@@ -256,11 +240,6 @@ let on_drop t ~tenant ~now =
   tick t now;
   let a = t.accs.(tenant) in
   a.drop <- a.drop + 1
-
-let on_fast t ~now ~replayed =
-  tick t now;
-  if replayed then t.g_replay <- t.g_replay + 1
-  else t.g_execute <- t.g_execute + 1
 
 let on_deficit t ~tenant ~now ~credit =
   tick t now;

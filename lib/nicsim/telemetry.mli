@@ -17,8 +17,10 @@
       per-program cache outcomes, sampled by delta at each retirement.
 
     Sim-wide: [accel_busy] / [dma_busy] (rate, occupancy cycles),
-    [upcalls] (rate, off-path fabric crossings), [fast_replay] /
-    [fast_execute] (rate, fast-path outcome per packet).
+    [upcalls] (rate, off-path fabric crossings).
+
+    A tenant's series are named [tenantI.METRIC] ([tenant0.queue_depth]
+    and so on), the sim-wide ones by their bare metric name.
 
     Same zero-cost-off discipline as tracing: the engine takes a
     [Telemetry.t option] and every hook is one [match] on it.  A
@@ -52,7 +54,6 @@ val fresh_like : t -> t
 
 val on_arrival : t -> tenant:int -> now:int -> depth:int -> unit
 val on_drop : t -> tenant:int -> now:int -> unit
-val on_fast : t -> now:int -> replayed:bool -> unit
 val on_deficit : t -> tenant:int -> now:int -> credit:int -> unit
 
 val on_retire :

@@ -66,9 +66,10 @@ let estimate ~sizes ~prob lnic (df : D.Graph.t) (mapping : M.t) =
          *. L.Cost_fn.eval params.P.wire_egress sizes.D.Cost.packet_bytes
     in
     let freq = float_of_int (L.Graph.freq_mhz lnic) *. 1e6 in
-    (* Several DMA lanes in practice; model 8. *)
-    { resource = "wire-dma"; cycles_per_packet = cycles; parallelism = 8;
-      max_pps = pps_of ~hz:freq ~parallelism:8 cycles }
+    (* The receive and transmit lanes together. *)
+    let parallelism = 2 * L.Graph.dma_lanes in
+    { resource = "wire-dma"; cycles_per_packet = cycles; parallelism;
+      max_pps = pps_of ~hz:freq ~parallelism cycles }
   in
   let resources =
     wire_resource

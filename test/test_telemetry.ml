@@ -206,6 +206,29 @@ let test_telemetry_csv_shape () =
       check "json has series" true (List.mem_assoc "series" kvs)
   | _ -> Alcotest.fail "metrics json is not an object"
 
+let test_telemetry_series_names () =
+  (* Exactly the series telemetry.mli documents, in its order: ten per
+     tenant, then the three sim-wide ones — for a fresh collector, after
+     [set_tenants], and after a run. *)
+  let per_tenant =
+    [ "queue_depth"; "goodput"; "drops"; "latency"; "busy_cycles"; "wrr_deficit";
+      "fc_hits"; "fc_misses"; "emem_hits"; "emem_misses" ]
+  in
+  let expected ntenants =
+    List.concat
+      (List.init ntenants (fun i -> List.map (Printf.sprintf "tenant%d.%s" i) per_tenant))
+    @ [ "accel_busy"; "dma_busy"; "upcalls" ]
+  in
+  let names tel = List.map Ts.name (Tel.series tel) in
+  let names_check = Alcotest.(check (list string)) in
+  let tel = Tel.create () in
+  names_check "fresh collector" (expected 1) (names tel);
+  Tel.set_tenants tel [| "a"; "b"; "c" |];
+  names_check "three tenants" (expected 3) (names tel);
+  let trace = W.Trace.synthesize ~seed:31L (profile ~packets:400 ()) in
+  ignore (Eng.run lnic (Clara_nfs.Nat.ported ~checksum_engine:true ()) ~metrics:tel trace);
+  names_check "after a run" (expected 1) (names tel)
+
 let suite =
   [ Alcotest.test_case "timeseries windowing" `Quick test_ts_windowing;
     Alcotest.test_case "timeseries downsample exactness" `Quick
@@ -225,4 +248,5 @@ let suite =
       test_sharded_metrics_domain_determinism;
     Alcotest.test_case "sharded metrics shard-count totals" `Quick
       test_sharded_metrics_shard_count_totals;
-    Alcotest.test_case "telemetry csv + json shape" `Quick test_telemetry_csv_shape ]
+    Alcotest.test_case "telemetry csv + json shape" `Quick test_telemetry_csv_shape;
+    Alcotest.test_case "telemetry series names" `Quick test_telemetry_series_names ]
