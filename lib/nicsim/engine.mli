@@ -58,8 +58,8 @@ val run :
     telemetry collector ({!Telemetry}) under the same discipline:
     without it no telemetry work happens and results are byte-identical
     to an instrumented run's.  [fast] defaults to {!Event_only}; [Auto]
-    is ignored when [sink] is set.  Threads and queue slots resolve
-    exactly as one tenant's of {!run_tenants} with a single weight. *)
+    is ignored when [sink] is set.  Threads and queue slots resolve as
+    in {!run_tenants} with a single tenant. *)
 
 val run_sharded :
   ?domains:int ->
