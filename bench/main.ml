@@ -1039,7 +1039,10 @@ let bounds_bench () =
           match Eng.run ~sink nic entry.Clara_nfs.Corpus.ported trace with
           (* A ported device can require hardware a target lacks (e.g.
              lpm's flow cache on the soc): nothing to gate against. *)
-          | exception Invalid_argument reason ->
+          | exception ((Invalid_argument _ | Dev.Unrunnable _) as e) ->
+              let reason =
+                match e with Invalid_argument m -> m | e -> Printexc.to_string e
+              in
               Printf.printf
                 "%-10s %-10s %4.1f ms  sim n/a (%s)  all: [%.0f, %.0f] cycles\n"
                 nf nic_name ms reason

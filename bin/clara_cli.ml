@@ -191,11 +191,19 @@ let metrics_t =
 let corpus_entry name = or_die (Clara_nfs.Corpus.resolve name)
 
 (* A port the target cannot host (say, an LPM flow-cache table on a NIC
-   without a flow cache) is a [clara:] error before any run starts. *)
-let check_hostable nic lnic progs =
-  match Nsim.Device.check lnic progs with
-  | Ok () -> ()
-  | Error m -> or_die (Error (Printf.sprintf "cannot simulate on %s: %s" nic m))
+   without a flow cache) is a [clara:] error before any run starts, and
+   one asking for an operation the target cannot run is one when the
+   run reaches it, sharded or not. *)
+let cannot_simulate ~what nic m =
+  or_die (Error (Printf.sprintf "cannot simulate %s on %s: %s" what nic m))
+
+let check_hostable ~what nic lnic progs =
+  match Nsim.Device.check lnic progs with Ok () -> () | Error m -> cannot_simulate ~what nic m
+
+let simulate ~what nic run =
+  try run () with
+  | Nsim.Device.Unrunnable { unit_; op } ->
+      cannot_simulate ~what nic (Printf.sprintf "the %s cannot run %s" unit_ op)
 
 (* A source argument is a file path if one exists, else a corpus name. *)
 let resolve_nf arg =
@@ -578,23 +586,26 @@ let trace_cmd =
      let freq_mhz =
        match nf_b with
        | None ->
-           check_hostable nic lnic [ ea.Clara_nfs.Corpus.ported ];
+           check_hostable ~what:nf nic lnic [ ea.Clara_nfs.Corpus.ported ];
            let r =
-             Nsim.Engine.run ?threads ~sink ?metrics:tel lnic ea.Clara_nfs.Corpus.ported
-               (trace_of w)
+             simulate ~what:nf nic (fun () ->
+                 Nsim.Engine.run ?threads ~sink ?metrics:tel lnic ea.Clara_nfs.Corpus.ported
+                   (trace_of w))
            in
            Format.printf "%s on %s: %a@." nf nic Nsim.Engine.pp_result r;
            r.Nsim.Engine.freq_mhz
        | Some nfb ->
            let eb = corpus_entry nfb in
-           check_hostable nic lnic
+           let what = nf ^ " and " ^ nfb in
+           check_hostable ~what nic lnic
              [ ea.Clara_nfs.Corpus.ported; eb.Clara_nfs.Corpus.ported ];
            let ta = trace_of w in
            let ra, rb =
              match
-               Nsim.Engine.run_tenants ?threads ~sink ?metrics:tel lnic
-                 [| ea.Clara_nfs.Corpus.ported; eb.Clara_nfs.Corpus.ported |]
-                 [| ta; synthesize ~i:1 w |]
+               simulate ~what nic (fun () ->
+                   Nsim.Engine.run_tenants ?threads ~sink ?metrics:tel lnic
+                     [| ea.Clara_nfs.Corpus.ported; eb.Clara_nfs.Corpus.ported |]
+                     [| ta; synthesize ~i:1 w |])
              with
              | [| a; b |] -> (a, b)
              | _ -> assert false
@@ -654,14 +665,15 @@ let sim_cmd =
      and+ nic, lnic = target_t ()
      and+ tel, write_metrics = metrics_t in
      let entry = corpus_entry nf in
-     check_hostable nic lnic [ entry.Clara_nfs.Corpus.ported ];
+     check_hostable ~what:nf nic lnic [ entry.Clara_nfs.Corpus.ported ];
      let wtrace = trace_of w in
      let t0 = Unix.gettimeofday () in
      let r =
-       if domains > 1 || shards <> None then
-         Nsim.Engine.run_sharded ~domains ?shards ?threads ?metrics:tel lnic
-           entry.Clara_nfs.Corpus.ported wtrace
-       else Nsim.Engine.run ?threads ?metrics:tel lnic entry.Clara_nfs.Corpus.ported wtrace
+       simulate ~what:nf nic (fun () ->
+           if domains > 1 || shards <> None then
+             Nsim.Engine.run_sharded ~domains ?shards ?threads ?metrics:tel lnic
+               entry.Clara_nfs.Corpus.ported wtrace
+           else Nsim.Engine.run ?threads ?metrics:tel lnic entry.Clara_nfs.Corpus.ported wtrace)
      in
      let wall_s = Unix.gettimeofday () -. t0 in
      let s = r.Nsim.Engine.summary in
@@ -888,6 +900,8 @@ let tenants_cmd =
          match Nsim.Engine.run_tenants ?threads ~weights ?metrics:tel lnic progs traces with
          | rs -> Ok rs
          | exception Invalid_argument m -> Error ("simulation skipped: " ^ m)
+         | exception (Nsim.Device.Unrunnable _ as e) ->
+             Error ("simulation skipped: " ^ Printexc.to_string e)
        end
        else Error "simulation skipped: not every NF is a corpus NF (see 'clara corpus')"
      in

@@ -331,9 +331,10 @@ let run_case c =
   match Clara_nfs.Corpus.resolve c.case_nf with
   | Error _ as e -> e
   | Ok entry -> (
+      let skipped e = Error (Printf.sprintf "%s on %s: %s" entry.Clara_nfs.Corpus.name c.case_nic e) in
       try run_entry c entry with
-      | Invalid_argument e | Failure e ->
-          Error (Printf.sprintf "%s on %s: %s" entry.Clara_nfs.Corpus.name c.case_nic e))
+      | Invalid_argument e | Failure e -> skipped e
+      | Nsim.Device.Unrunnable _ as e -> skipped (Printexc.to_string e))
 
 (* --- the ledger ------------------------------------------------------ *)
 

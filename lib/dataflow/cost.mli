@@ -29,9 +29,18 @@ type mode = [ `Read | `Write | `Atomic ]
     hardware), and so are the executability checks in [Feasibility] and
     [Encode], which test support rather than price anything.
 
-    Two evaluators fold terms: {!node_price} (a point, with the locality
-    blend) and [Clara_analysis.Cost_range] (a range over every admissible
-    execution). *)
+    Two evaluators fold terms: the point evaluator (the locality blend
+    at one set of sizes) and [Clara_analysis.Cost_range] (a range over
+    every admissible execution).  The point evaluator runs in two steps.
+    {!resolve} does everything that does not depend on the packet, once
+    per (node, unit, placement): op cycles, the Γ-placed state and local
+    accesses, the packet region on each side of the CTM threshold, and
+    state-entry sizes; a vcall whose sizes need nothing from the packet
+    is charged in full there.  It reads {!cache_locality} then, so a
+    change to the discount takes effect at the next resolve.
+    {!evaluate} finishes the packet-size terms (the cache fit of packet
+    accesses, the remaining vcall cost functions, the loop trip) into a
+    caller-owned {!price}.  {!node_price} is the two in a row. *)
 type term =
   | T_op of float  (** Op-class cycles, FPU emulation applied. *)
   | T_access of { op : float; mode : mode; loc : Clara_cir.Ir.loc }
@@ -48,9 +57,6 @@ val term : Clara_lnic.Params.t -> Clara_lnic.Unit_.t -> Clara_cir.Ir.instr -> te
 val instrs : Node.t -> Clara_cir.Ir.instr list
 (** The node's instructions; a vcall node is its one [Vcall]. *)
 
-val node_terms : Clara_lnic.Params.t -> Clara_lnic.Unit_.t -> Node.t -> term list option
-(** {!term} of every instruction; [None] if any is [None]. *)
-
 val wire : Clara_lnic.Graph.t -> [ `Rx | `Tx ] -> Clara_lnic.Cost_fn.t * float
 (** One wire leg: the DMA cost function of packet bytes and the
     ingress/egress hub's per-packet constant (0 without a hub). *)
@@ -58,7 +64,30 @@ val wire : Clara_lnic.Graph.t -> [ `Rx | `Tx ] -> Clara_lnic.Cost_fn.t * float
 val cache_locality : float ref
 (** The model's one free parameter: the locality discount applied to
     cache hit ratios (default 0.85, calibrated so Figure 3a's error
-    matches the paper's ~12%).  The [ablations] bench sweeps it. *)
+    matches the paper's ~12%).  The [ablations] bench sweeps it.  Read
+    by {!resolve}: a {!resolved} node keeps the value it was resolved
+    with, so set it before building the analysis or predictor. *)
+
+(** Packet data is held in cluster memory (the CTM) while the packet
+    fits the threshold, and in external memory once it spills (§3.2):
+    the one rule that picks a packet's region, kept once. *)
+type 'r packet_regions = {
+  fits : 'r;  (** Region for packets of at most [ctm_threshold] bytes. *)
+  spills : 'r;  (** Region for larger packets. *)
+  ctm_threshold : int;
+}
+
+val packet_region : 'r packet_regions -> packet_bytes:float -> 'r
+
+(** What {!resolve} needs: everything a price depends on but the packet. *)
+type site = {
+  lnic : Clara_lnic.Graph.t;
+  exec_unit : Clara_lnic.Unit_.t;
+  state_region : string -> int;     (** Γ: state object → memory id. *)
+  state_footprint : string -> int;  (** Bytes, for cache-fit decisions. *)
+  entries : string -> float;  (** Declared entries, for [S_state_entries]. *)
+  packet_regions : int packet_regions;  (** Memory ids. *)
+}
 
 type ctx = {
   lnic : Clara_lnic.Graph.t;
@@ -70,25 +99,39 @@ type ctx = {
 }
 
 (** One pricing pass over a node: the total together with its memory and
-    accelerator parts. *)
+    accelerator parts.  {!evaluate} overwrites one in place, so a caller
+    that prices many nodes reuses a single record. *)
 type price = {
-  total : float;  (** What {!node_cycles} returns. *)
-  mem : float;    (** Memory-region access charges. *)
-  accel : float;  (** Accelerator service time. *)
+  mutable total : float;  (** What {!node_cycles} returns. *)
+  mutable mem : float;    (** Memory-region access charges. *)
+  mutable accel : float;  (** Accelerator service time. *)
 }
 
-val node_price : ctx -> Node.t -> price option
-(** The point evaluator: the node's {!term}s on [ctx.exec_unit], summed
-    and multiplied by its loop trip (at least one).  An access costs the
-    region's locality-blended cache latency plus the bus weight.  [None]
-    when some term is [None] or touches a region the unit cannot reach.
-    Core op and vcall base cost is the residual [total - mem - accel]:
-    consumers that need an exact decomposition take compute that way. *)
+type resolved
+(** A node's charges on one site, all but the packet-size terms done. *)
 
-val price_terms : ctx -> Node.t -> term list -> price option
-(** {!node_price} from the node's already resolved terms on
-    [ctx.exec_unit]: callers that price the same node many times resolve
-    its terms once. *)
+val resolve : site -> Node.t -> resolved option
+(** The node's {!term}s on [site.exec_unit], resolved.  An access costs
+    the region's locality-blended cache latency plus the bus weight.
+    [None] when some term is [None] or touches a region the unit cannot
+    reach (for a packet access: either packet region). *)
+
+val evaluate : resolved -> sizes -> price -> unit
+(** Overwrites the price with the node's charges at these sizes, summed
+    and multiplied by its loop trip (at least one).  [sizes.state_entries]
+    is read only by a size that mixes state entries with packet terms;
+    pass the site's [entries].  Allocates no
+    major-heap block. *)
+
+val price : resolved -> sizes -> price
+(** {!evaluate} into a fresh record. *)
+
+val node_price : ctx -> Node.t -> price option
+(** The point evaluator: {!resolve} on the context's unit, placement and
+    state entries, with [ctx.packet_region] on both sides of the
+    threshold, then {!evaluate} at [ctx.sizes].  Core op and vcall base
+    cost is the residual [total - mem - accel]: consumers that need an
+    exact decomposition take compute that way. *)
 
 val node_cycles : ctx -> Node.t -> float option
 (** [total] of {!node_price}. *)

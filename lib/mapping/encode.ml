@@ -14,32 +14,32 @@ let c_racy_states = Clara_obs.Registry.counter obs "mapping.sharing.racy_states"
 let c_hardened =
   Clara_obs.Registry.counter obs "mapping.sharing.hardened_instrs"
 
-(* Packet data region as seen from a unit: cluster memory while the packet
-   fits the CTM threshold, external memory otherwise (§3.2). *)
-let packet_region_for lnic (u : L.Unit_.t) ~packet_bytes =
+(* Packet data regions as seen from a unit: cluster memory while the
+   packet fits the CTM threshold, external memory otherwise (§3.2). *)
+let packet_regions lnic (u : L.Unit_.t) =
   let reach = L.Graph.reachable_memories lnic ~unit_id:u.L.Unit_.id in
-  let threshold = lnic.L.Graph.params.L.Params.packet_ctm_threshold in
-  let pick level =
-    List.find_opt (fun (m, _) -> m.L.Memory.level = level) reach
+  let pick first second =
+    let at level = List.find_opt (fun (m, _) -> m.L.Memory.level = level) reach in
+    match ((match at first with None -> at second | s -> s), reach) with
+    | Some (m, _), _ -> m.L.Memory.id
+    | None, (m, _) :: _ -> m.L.Memory.id
+    | None, [] -> invalid_arg "Encode: unit reaches no memory"
   in
-  let choice =
-    if int_of_float packet_bytes <= threshold then
-      (match pick L.Memory.Cluster with None -> pick L.Memory.External | s -> s)
-    else
-      match pick L.Memory.External with None -> pick L.Memory.Cluster | s -> s
-  in
-  match (choice, reach) with
-  | Some (m, _), _ -> m.L.Memory.id
-  | None, (m, _) :: _ -> m.L.Memory.id
-  | None, [] -> invalid_arg "Encode: unit reaches no memory"
+  { D.Cost.fits = pick L.Memory.Cluster L.Memory.External;
+    spills = pick L.Memory.External L.Memory.Cluster;
+    ctm_threshold = lnic.L.Graph.params.L.Params.packet_ctm_threshold }
 
-let cost_ctx lnic (u : L.Unit_.t) ~sizes ~state_region ~state_footprint =
+let packet_region_for lnic u ~packet_bytes =
+  D.Cost.packet_region (packet_regions lnic u) ~packet_bytes
+
+let cost_ctx lnic (u : L.Unit_.t) ~(sizes : D.Cost.sizes) ~state_region ~state_footprint :
+    D.Cost.ctx =
   {
-    D.Cost.lnic;
+    lnic;
     exec_unit = u;
     state_region;
     state_footprint;
-    packet_region = packet_region_for lnic u ~packet_bytes:sizes.D.Cost.packet_bytes;
+    packet_region = packet_region_for lnic u ~packet_bytes:sizes.packet_bytes;
     sizes;
   }
 

@@ -18,11 +18,17 @@
     frequencies ({!Clara_dataflow.Graph.visits}), emulating what a good
     hand port would choose. *)
 
+val packet_regions :
+  Clara_lnic.Graph.t -> Clara_lnic.Unit_.t -> int Clara_dataflow.Cost.packet_regions
+(** The regions holding packet data as seen from a unit: cluster memory
+    while the packet fits the CTM threshold, external memory once it
+    spills (§3.2); either falls back to the other, then to the first
+    reachable region.
+    @raise Invalid_argument when the unit reaches no memory. *)
+
 val packet_region_for :
   Clara_lnic.Graph.t -> Clara_lnic.Unit_.t -> packet_bytes:float -> int
-(** Memory region holding packet data as seen from a unit: cluster memory
-    while the packet fits the CTM threshold, external memory once it
-    spills (§3.2). *)
+(** The one of {!packet_regions} a packet of [packet_bytes] uses. *)
 
 val cost_ctx :
   Clara_lnic.Graph.t ->

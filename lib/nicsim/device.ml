@@ -14,6 +14,13 @@ type table_decl = {
 
 type verdict = Emit | Drop
 
+exception Unrunnable of { unit_ : string; op : string }
+
+let () =
+  Printexc.register_printer (function
+    | Unrunnable { unit_; op } -> Some (Printf.sprintf "Device: the %s cannot run %s" unit_ op)
+    | _ -> None)
+
 type table_state = {
   decl : table_decl;
   contents : Lru.t;  (* inserted keys, capacity-bounded *)
@@ -462,15 +469,21 @@ let use_accel ctx kind cycles =
       Trace.record s ~seq:ctx.seq ~prog:ctx.prog_id ~thread:ctx.thread
         ~kind:Trace.Accel_use ~label ~t0:start ~t1:done_ ~arg:cycles
 
+let[@inline never] cores_cannot_run vc = raise (Unrunnable { unit_ = "cores"; op = P.vcall_name vc })
+
+let[@inline never] accel_cannot_run kind vc =
+  raise (Unrunnable { unit_ = L.Unit_.accel_name kind ^ " accelerator"; op = P.vcall_name vc })
+
 let core_vcall_cost ctx vc n =
   match ctx.sim.core_vc.(vcall_index vc) with
   | Some f -> L.Cost_fn.eval_int f n
-  | None -> invalid_arg "Device: core cannot run this operation"
+  | None -> cores_cannot_run vc
 
+(* A NIC without the accelerator cannot run the call on it either. *)
 let accel_vcall_cost ctx kind vc n =
   match ctx.sim.accel_vc.((accel_index kind * n_vcalls) + vcall_index vc) with
-  | Some f -> L.Cost_fn.eval_int f n
-  | None -> invalid_arg "Device: accelerator cannot run this operation"
+  | Some f when ctx.sim.has_accel.(accel_index kind) -> L.Cost_fn.eval_int f n
+  | _ -> accel_cannot_run kind vc
 
 (* A port names its table with the string it declared it with, so the
    physical test usually settles it; [String.equal] covers the rest. *)
@@ -489,8 +502,7 @@ let find_table (sim : sim) name =
 
 let table ctx name = find_table ctx.sim name
 
-let[@inline] core_resolved c =
-  if c < 0 then invalid_arg "Device: core cannot run this operation" else c
+let[@inline] core_resolved vc c = if c < 0 then cores_cannot_run vc else c
 
 let table_cycles (sim : sim) name vc = (find_table sim name).core_cycles.(vcall_index vc)
 
@@ -620,7 +632,7 @@ let table_lookup ctx name ~key =
   taint ctx;
   let ts = table ctx name in
   let t0 = ctx.clock in
-  spend ctx (core_resolved ts.core_cycles.(vcall_index P.V_table_lookup));
+  spend ctx (core_resolved P.V_table_lookup ts.core_cycles.(vcall_index P.V_table_lookup));
   emit_compute ctx ~label:"table-lookup" ~t0 ~arg:ts.decl.t_entries;
   (* Two probe reads: bucket head + entry. *)
   table_access ctx ts ~mode:`Read ~key;
@@ -631,7 +643,7 @@ let table_insert ctx name ~key =
   taint ctx;
   let ts = table ctx name in
   let t0 = ctx.clock in
-  spend ctx (core_resolved ts.core_cycles.(vcall_index P.V_table_update));
+  spend ctx (core_resolved P.V_table_update ts.core_cycles.(vcall_index P.V_table_update));
   emit_compute ctx ~label:"table-update" ~t0 ~arg:ts.decl.t_entries;
   table_access ctx ts ~mode:`Read ~key;
   table_access ctx ts ~mode:`Write ~key;
@@ -641,7 +653,7 @@ let table_insert ctx name ~key =
    per 8 entries (entries are small relative to a 64B line/burst). *)
 let lpm_walk ctx (ts : table_state) region =
   let t0 = ctx.clock in
-  spend ctx (core_resolved ts.core_cycles.(vcall_index P.V_lpm_lookup));
+  spend ctx (core_resolved P.V_lpm_lookup ts.core_cycles.(vcall_index P.V_lpm_lookup));
   emit_compute ctx ~label:"lpm-walk" ~t0 ~arg:ts.decl.t_entries;
   let bursts = max 1 (ts.decl.t_entries / 8) in
   let stride = 8 * ts.decl.t_entry_bytes in
@@ -679,7 +691,7 @@ let lpm_lookup ctx name ~key =
       | Some fc ->
           let kind = ctx.sim.fc_kind in
           let cost = ts.fc_lpm_cycles in
-          if cost < 0 then invalid_arg "Device: accelerator cannot run this operation";
+          if cost < 0 then accel_cannot_run kind P.V_lpm_lookup;
           if Lru.touch fc key then begin
             ctx.sim.fc_hits <- ctx.sim.fc_hits + 1;
             bump ctx.sim.fc_hits_by ctx.prog_id;
@@ -736,7 +748,7 @@ let scan_payload ctx ~bytes =
 
 let meter ctx =
   let t0 = ctx.clock in
-  spend ctx (core_resolved ctx.sim.core_unit.(vcall_index P.V_meter));
+  spend ctx (core_resolved P.V_meter ctx.sim.core_unit.(vcall_index P.V_meter));
   emit_compute ctx ~label:"meter" ~t0 ~arg:1
 
 (* The largest array the minor heap allocates (Max_young_wosize). *)
@@ -746,7 +758,7 @@ let count ctx name ~key =
   taint ctx;
   let ts = table ctx name in
   let t0 = ctx.clock in
-  spend ctx (core_resolved ctx.sim.core_unit.(vcall_index P.V_flow_stats));
+  spend ctx (core_resolved P.V_flow_stats ctx.sim.core_unit.(vcall_index P.V_flow_stats));
   emit_compute ctx ~label:"flow-stats" ~t0 ~arg:1;
   table_access ctx ts ~mode:`Atomic ~key;
   if Array.length ts.counts = 0 then

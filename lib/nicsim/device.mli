@@ -19,6 +19,14 @@ type table_decl = {
 
 type verdict = Emit | Drop
 
+exception Unrunnable of { unit_ : string; op : string }
+(** A handler asked for an operation this target cannot run: [unit_]
+    names where it would run (["cores"], or say ["checksum
+    accelerator"], which the NIC may lack) and [op] the virtual call
+    ({!Clara_lnic.Params.vcall_name}).  Raised mid-run, by the
+    operation; [Printexc.to_string] gives
+    ["Device: the <unit> cannot run <op>"]. *)
+
 (** Shared simulator state (one per run). *)
 type sim
 

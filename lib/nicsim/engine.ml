@@ -422,17 +422,21 @@ let run_sharded ?(domains = 1) ?shards ?threads ?queue_capacity ?metrics lnic
            series merge below in shard order, so the merged telemetry —
            like the merged stats — depends on the shard count only. *)
         let tel = Option.map Telemetry.fresh_like metrics in
-        let side, sim, freq =
+        match
           run_core ?tel ~nthreads:per_threads.(i) ~capacity:per_capacity.(i) ~fp:None
             ~obs_on:false lnic prog sub.(i)
-        in
-        (side, sim, freq, tel))
+        with
+        | side, sim, freq -> Ok (side, sim, freq, tel)
+        | exception (Device.Unrunnable _ as e) -> Error e)
       shards
   in
+  (* A port the target cannot run fails as it does unsharded: the
+     lowest shard's [Device.Unrunnable] is raised again here. *)
   let done_ =
     Array.map
       (function
-        | Pool.Done r -> r
+        | Pool.Done (Ok r) -> r
+        | Pool.Done (Error e) -> raise e
         | Pool.Failed m -> failwith ("Engine.run_sharded: shard failed: " ^ m))
       outcomes
   in

@@ -59,7 +59,9 @@ val run :
     without it no telemetry work happens and results are byte-identical
     to an instrumented run's.  [fast] defaults to {!Event_only}; [Auto]
     is ignored when [sink] is set.  Threads and queue slots resolve as
-    in {!run_tenants} with a single tenant. *)
+    in {!run_tenants} with a single tenant.
+    @raise Device.Unrunnable when the port asks for an operation the
+    target cannot run. *)
 
 val run_sharded :
   ?domains:int ->
@@ -84,7 +86,9 @@ val run_sharded :
     accelerators and EMEM is confined to each slice.  Tracing is
     unsupported here (use {!run}).  [metrics] gives each shard worker a
     fresh collector and merges them in shard order, so the telemetry —
-    like the stats — is deterministic in the shard count. *)
+    like the stats — is deterministic in the shard count.
+    @raise Device.Unrunnable as {!run} does, from the lowest shard that
+    raised it. *)
 
 val pp_result : Format.formatter -> result -> unit
 (** Hit rates that are NaN (feature never exercised) print as "n/a". *)

@@ -21,6 +21,14 @@ let guard_prior = function
 (* Seeds the draws of the guards only [guard_prior] decides. *)
 let seed = 7L
 
+(* What a flow-cache miss adds to a node, beyond its mapped price. *)
+type miss_regime =
+  | No_upcall
+  | Upcall of D.Cost.resolved option
+      (* An eSwitch-mapped stateful vcall on an off-path target: a miss
+         pays the upcall plus this software price on the first general
+         core (none: no core, or it cannot run the node; charged 0). *)
+
 type t = {
   lnic : L.Graph.t;
   df : D.Graph.t;
@@ -36,6 +44,11 @@ type t = {
      upcall plus the software cost of the same node (two-regime). *)
   eswitch_cache : Lru.t option;
   upcall_cycles : float;
+  miss_regime : miss_regime array;  (* by node id *)
+  (* The walk's scratch prices: the mapped one a sink reads, and the
+     software replay of a miss. *)
+  price : D.Cost.price;
+  miss_price : D.Cost.price;
   mutable rng : W.Prng.t;
 }
 
@@ -58,9 +71,29 @@ let create ?(config = default_config) lnic df mapping =
       if sram > 0 then Some (Lru.create ~capacity:(max 1 (sram / 32))) else None
     else None
   in
-  { lnic; df; pricer = Pricer.create ~mapping lnic df; config; flow_seen; provisioned;
-    eswitch_cache;
-    upcall_cycles = float_of_int (L.Graph.upcall_cycles lnic);
+  let pricer = Pricer.create ~mapping lnic df in
+  let upcall_cycles = float_of_int (L.Graph.upcall_cycles lnic) in
+  (* The miss regime's software price is resolved here, on the first
+     general core, for exactly the nodes that can miss: zero upcall
+     cost (every on-path target) means no node does, and only stateful
+     vcalls blend — the flow cache caches flows, so stateless eSwitch
+     work (parsing, header rewrites) is hit-priced pipeline hardware. *)
+  let miss_regime =
+    Array.map
+      (fun (n : D.Node.t) ->
+        match ((Pricer.mapped_unit pricer n).L.Unit_.kind, n.D.Node.kind) with
+        | L.Unit_.Accelerator L.Unit_.Eswitch, D.Node.N_vcall v
+          when upcall_cycles <> 0. && v.Ir.state <> None ->
+            Upcall
+              (match L.Graph.general_cores lnic with
+              | [] -> None
+              | core :: _ -> Pricer.resolve_on pricer core n)
+        | _ -> No_upcall)
+      df.D.Graph.nodes
+  in
+  let scratch () = { D.Cost.total = 0.; mem = 0.; accel = 0. } in
+  { lnic; df; pricer; config; flow_seen; provisioned; eswitch_cache; upcall_cycles;
+    miss_regime; price = scratch (); miss_price = scratch ();
     rng = W.Prng.create ~seed }
 
 let reset_state t =
@@ -70,55 +103,49 @@ let reset_state t =
 
 type per_packet = { cycles : float; emitted : bool }
 
+(* Prices [n] on its mapped unit into [t.price]. *)
 let node_price t sizes (n : D.Node.t) =
-  match Pricer.price t.pricer sizes n with
-  | Some p -> p
+  match Pricer.resolved t.pricer n with
+  | Some r -> D.Cost.evaluate r sizes t.price
   | None ->
       (* The mapping guaranteed executability; a None here is a bug. *)
       failwith
         (Printf.sprintf "Latency: node n%d unexecutable on its mapped unit" n.D.Node.id)
 
-(* What [n] would cost run in software on a general core — the price a
-   flow-cache miss pays after the upcall, regardless of where the mapping
-   placed the node.  Accel-hosted state is charged at external memory
-   here (the pricer's Γ fallback): the slow path walks the full table in
-   DRAM, not the cached entries. *)
-let software_node_cost t sizes (n : D.Node.t) =
-  match L.Graph.general_cores t.lnic with
-  | [] -> 0.
-  | core :: _ -> (
-      match Pricer.price_on t.pricer core sizes n with
-      | Some p -> p.D.Cost.total
-      | None -> 0.)
-
 (* The two-regime off-path charge.  [node_price] prices an
    eSwitch-mapped vcall at its fast-path hit cost; this adds what the
    miss regime costs on top: the upcall over the fabric plus the
-   software replay of the node on the Arm cores.  The hit/miss decision
-   tracks a per-flow LRU sized by the eSwitch SRAM, or blends
-   analytically when [flow_cache_hit_ratio] pins the ratio.  Zero on
-   every on-path target ([Graph.upcall_cycles] is 0 there), and only
-   stateful vcalls blend — the flow cache caches flows, so stateless
-   eSwitch work (parsing, header rewrites) is hit-priced pipeline
-   hardware.  Touches the LRU, so [walk] calls it exactly once per
-   executed node. *)
+   software replay of the node on the Arm cores — the price a miss pays
+   regardless of where the mapping placed the node.  Accel-hosted
+   state is charged at external memory there (the pricer's Γ
+   fallback): the slow path walks the full table in DRAM, not the
+   cached entries.  The hit/miss decision tracks a per-flow LRU sized
+   by the eSwitch SRAM, or blends analytically when
+   [flow_cache_hit_ratio] pins the ratio.  Zero on every node
+   [miss_regime] leaves out.  Touches the LRU, so [walk] calls it
+   exactly once per executed node. *)
 let eswitch_node_extra t (pkt : W.Packet.t) sizes (n : D.Node.t) =
-  if t.upcall_cycles = 0. then 0.
-  else
-    match ((Pricer.mapped_unit t.pricer n).L.Unit_.kind, n.D.Node.kind) with
-    | L.Unit_.Accelerator L.Unit_.Eswitch, D.Node.N_vcall v
-      when v.Ir.state <> None ->
-        let miss =
-          match t.config.flow_cache_hit_ratio with
-          | Some h -> 1. -. Float.max 0. (Float.min 1. h)
-          | None -> (
-              match t.eswitch_cache with
-              | Some c -> if Lru.touch c (W.Packet.flow_key pkt) then 0. else 1.
-              | None -> 0.)
+  match t.miss_regime.(n.D.Node.id) with
+  | No_upcall -> 0.
+  | Upcall software ->
+      let miss =
+        match t.config.flow_cache_hit_ratio with
+        | Some h -> 1. -. Float.max 0. (Float.min 1. h)
+        | None -> (
+            match t.eswitch_cache with
+            | Some c -> if Lru.touch c (W.Packet.flow_key pkt) then 0. else 1.
+            | None -> 0.)
+      in
+      if miss = 0. then 0.
+      else
+        let software =
+          match software with
+          | Some r ->
+              D.Cost.evaluate r sizes t.miss_price;
+              t.miss_price.D.Cost.total
+          | None -> 0.
         in
-        if miss = 0. then 0.
-        else miss *. (t.upcall_cycles +. software_node_cost t sizes n)
-    | _ -> 0.
+        miss *. (t.upcall_cycles +. software)
 
 (* Resolve a guard against the packet and tracked state.  Table-hit
    guards are pure queries; state only becomes "seen" when the walk
@@ -146,18 +173,20 @@ let wire_costs t pkt ~emitted =
 
 (* The predictor's walk of [pkt] through {!D.Graph.walk}.  Guards
    resolve against the packet and tracked state; every executed node is
-   priced on its mapped unit and handed to [charge] with its off-path
-   miss extra.  Per node: the price, then the eSwitch LRU touch, then
-   [charge], then the emit/insertion bookkeeping.  The sinks below
-   ([packet_latency], [packet_components], [perfetto_timeline]) differ
-   only in what [charge] keeps.  Returns whether the packet is emitted. *)
+   evaluated from its charges resolved in [create] and handed to
+   [charge] with its off-path miss extra.  Per node: the price, then the
+   eSwitch LRU touch, then [charge], then the emit/insertion
+   bookkeeping.  [charge] gets the predictor's scratch price, which the
+   next node overwrites.  The sinks below ([packet_latency],
+   [packet_components], [perfetto_timeline]) differ only in what
+   [charge] keeps.  Returns whether the packet is emitted. *)
 let walk t (pkt : W.Packet.t) ~charge =
   let sizes = Pricer.packet_sizes t.pricer pkt in
   let emitted = ref false in
   D.Graph.walk t.df ~guard:(resolve_guard t pkt) ~visit:(fun (n : D.Node.t) ->
-      let price = node_price t sizes n in
+      node_price t sizes n;
       let extra = eswitch_node_extra t pkt sizes n in
-      charge n price extra;
+      charge n t.price extra;
       match n.D.Node.kind with
       | D.Node.N_vcall v when v.Ir.vc = P.V_emit -> emitted := true
       | D.Node.N_vcall { Ir.vc = P.V_table_update; state = Some s; _ } -> (
@@ -183,42 +212,101 @@ type prediction = {
   emitted_fraction : float;
 }
 
+(* [compare]'s float order as a signed int64 order: NaN lowest, then
+   negatives with their magnitude bits flipped, then positives; adding
+   0. folds -0. into 0., which [compare] holds equal. *)
+let key x =
+  if Float.is_nan x then Int64.min_int
+  else
+    let b = Int64.bits_of_float (x +. 0.) in
+    if Int64.compare b 0L >= 0 then b else Int64.logxor b Int64.max_int
+
+let of_key k =
+  if Int64.equal k Int64.min_int then Float.nan
+  else Int64.float_of_bits (if Int64.compare k 0L >= 0 then k else Int64.logxor k Int64.max_int)
+
+(* How many samples of sorted [a] have a key [<= k]. *)
+let count_le (a : float array) k =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Int64.compare (key a.(mid)) k <= 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* The [r]-th smallest (0-indexed) sample of non-empty segments, each
+   sorted by [Order_stat.sort_floats]: the least key with more than [r]
+   samples at or below it, found by a search over keys (as [Stats] does
+   over ints), so no array of all samples is built.  A zero comes back
+   as [0.] and a NaN as [Float.nan]. *)
+let rank_value segs r =
+  let lo = ref Int64.max_int and hi = ref Int64.min_int in
+  List.iter
+    (fun a ->
+      let first = key a.(0) and last = key a.(Array.length a - 1) in
+      if Int64.compare first !lo < 0 then lo := first;
+      if Int64.compare last !hi > 0 then hi := last)
+    segs;
+  while Int64.compare !lo !hi < 0 do
+    (* The floor of the midpoint, without overflow. *)
+    let mid =
+      Int64.add
+        (Int64.add (Int64.shift_right !lo 1) (Int64.shift_right !hi 1))
+        (Int64.logand (Int64.logand !lo !hi) 1L)
+    in
+    if List.fold_left (fun c a -> c + count_le a mid) 0 segs > r then hi := mid
+    else lo := Int64.succ mid
+  done;
+  of_key !lo
+
+(* Samples are kept in segments of at most [seg_len] floats: a block
+   that size still goes to the minor heap, so a prediction's samples
+   usually die young there, where one array for a trace's thousand
+   samples would be a major-heap block per prediction. *)
+let seg_len = 256
+
 let summarize (trace : W.Trace.t) latency =
-  let n = Array.length trace.W.Trace.packets in
+  let pkts = trace.W.Trace.packets in
+  let n = Array.length pkts in
   if n = 0 then
     { mean_cycles = 0.; p50_cycles = 0.; p99_cycles = 0.; tcp_mean = Float.nan;
       udp_mean = Float.nan; syn_mean = Float.nan; emitted_fraction = 0. }
   else begin
-    let lats = Array.make n 0. in
+    let segs = ref [] and seg = ref [||] in
+    let sum = ref 0. in
     let tcp = ref 0. and tcp_n = ref 0 in
     let udp = ref 0. and udp_n = ref 0 in
     let syn = ref 0. and syn_n = ref 0 in
     let emits = ref 0 in
-    Array.iteri
-      (fun i pkt ->
-        let r = latency pkt in
-        lats.(i) <- r.cycles;
-        if r.emitted then incr emits;
-        (match pkt.W.Packet.proto with
-        | W.Packet.Tcp ->
-            tcp := !tcp +. r.cycles;
-            incr tcp_n
-        | W.Packet.Udp ->
-            udp := !udp +. r.cycles;
-            incr udp_n
-        | W.Packet.Other _ -> ());
-        if W.Packet.is_syn pkt then begin
-          syn := !syn +. r.cycles;
-          incr syn_n
-        end)
-      trace.W.Trace.packets;
-    (* The mean sums in trace order, before the samples sort in place. *)
-    let mean_cycles = Array.fold_left ( +. ) 0. lats /. float_of_int n in
-    Order_stat.sort_floats lats n;
-    let pct p = lats.(Order_stat.rank_index ~n p) in
+    for i = 0 to n - 1 do
+      let pkt = pkts.(i) in
+      let r = latency pkt in
+      if i mod seg_len = 0 then begin
+        seg := Array.create_float (Int.min seg_len (n - i));
+        segs := !seg :: !segs
+      end;
+      !seg.(i mod seg_len) <- r.cycles;
+      (* The mean sums in trace order. *)
+      sum := !sum +. r.cycles;
+      if r.emitted then incr emits;
+      (match pkt.W.Packet.proto with
+      | W.Packet.Tcp ->
+          tcp := !tcp +. r.cycles;
+          incr tcp_n
+      | W.Packet.Udp ->
+          udp := !udp +. r.cycles;
+          incr udp_n
+      | W.Packet.Other _ -> ());
+      if W.Packet.is_syn pkt then begin
+        syn := !syn +. r.cycles;
+        incr syn_n
+      end
+    done;
+    List.iter (fun a -> Order_stat.sort_floats a (Array.length a)) !segs;
+    let pct p = rank_value !segs (Order_stat.rank_index ~n p) in
     let div_or_nan s k = if k = 0 then Float.nan else s /. float_of_int k in
     {
-      mean_cycles;
+      mean_cycles = !sum /. float_of_int n;
       p50_cycles = pct 0.5;
       p99_cycles = pct 0.99;
       tcp_mean = div_or_nan !tcp !tcp_n;
@@ -301,7 +389,7 @@ let attribute_trace t (trace : W.Trace.t) =
   let n = Array.length trace.W.Trace.packets in
   if n = 0 then { att_rows = []; att_mean = 0. }
   else begin
-    let lats = Array.make n 0. in
+    let total = ref 0. in
     let sums : (string, int ref * float ref * float ref * float ref * float ref) Hashtbl.t =
       Hashtbl.create 8
     in
@@ -320,10 +408,11 @@ let attribute_trace t (trace : W.Trace.t) =
       ac := !ac +. c.pc_accel;
       wi := !wi +. c.pc_wire
     in
-    Array.iteri
-      (fun i pkt ->
+    Array.iter
+      (fun pkt ->
         let c = packet_components t pkt in
-        lats.(i) <- c.pc_total;
+        (* The mean sums in trace order, as [summarize]'s does. *)
+        total := !total +. c.pc_total;
         add (type_label pkt) c;
         add "all" c)
       trace.W.Trace.packets;
@@ -358,7 +447,7 @@ let attribute_trace t (trace : W.Trace.t) =
              | false, true -> -1
              | _ -> compare a.at_type b.at_type)
     in
-    { att_rows = rows; att_mean = Array.fold_left ( +. ) 0. lats /. float_of_int n }
+    { att_rows = rows; att_mean = !total /. float_of_int n }
   end
 
 let pp_attribution fmt a =

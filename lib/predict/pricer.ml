@@ -10,10 +10,18 @@ type t = {
   state_entries : string -> float;
   state_footprint : string -> int;
   state_region : string -> int;
-  mapped : D.Cost.term list option array;
-      (* Node id -> its terms on its mapped unit, resolved once so the
-         per-packet walk never re-dispatches on [Params]. *)
+  mapped : D.Cost.resolved option array;
+      (* Node id -> its charges on its mapped unit, resolved once so the
+         per-packet walk only evaluates the packet-size terms. *)
 }
+
+let site lnic ~state_entries ~state_footprint ~state_region unit_ =
+  { D.Cost.lnic;
+    exec_unit = unit_;
+    state_region;
+    state_footprint;
+    entries = state_entries;
+    packet_regions = Clara_mapping.Encode.packet_regions lnic unit_ }
 
 let create ?mapping lnic (df : D.Graph.t) =
   let entries = Hashtbl.create 8 and footprints = Hashtbl.create 8 in
@@ -35,11 +43,13 @@ let create ?mapping lnic (df : D.Graph.t) =
     | Some (M.In_memory m) -> m
     | Some (M.In_accel _) | None -> external_mem
   in
+  let state_entries s = Option.value ~default:0. (Hashtbl.find_opt entries s) in
+  let state_footprint s = Option.value ~default:0 (Hashtbl.find_opt footprints s) in
   {
     lnic;
     mapping;
-    state_entries = (fun s -> Option.value ~default:0. (Hashtbl.find_opt entries s));
-    state_footprint = (fun s -> Option.value ~default:0 (Hashtbl.find_opt footprints s));
+    state_entries;
+    state_footprint;
     state_region;
     mapped =
       (match mapping with
@@ -47,8 +57,9 @@ let create ?mapping lnic (df : D.Graph.t) =
       | Some m ->
           Array.map
             (fun (n : D.Node.t) ->
-              D.Cost.node_terms lnic.L.Graph.params
-                (L.Graph.unit_ lnic m.M.node_unit.(n.D.Node.id))
+              D.Cost.resolve
+                (site lnic ~state_entries ~state_footprint ~state_region
+                   (L.Graph.unit_ lnic m.M.node_unit.(n.D.Node.id)))
                 n)
             df.D.Graph.nodes);
   }
@@ -73,11 +84,20 @@ let cost_ctx t unit_ sizes =
   Clara_mapping.Encode.cost_ctx t.lnic unit_ ~sizes ~state_region:t.state_region
     ~state_footprint:t.state_footprint
 
-let price_on t unit_ sizes n = D.Cost.node_price (cost_ctx t unit_ sizes) n
+let resolve_on t unit_ n =
+  D.Cost.resolve
+    (site t.lnic ~state_entries:t.state_entries ~state_footprint:t.state_footprint
+       ~state_region:t.state_region unit_)
+    n
 
-let price t sizes (n : D.Node.t) =
-  let unit_ = mapped_unit t n in
-  Option.bind t.mapped.(n.D.Node.id) (D.Cost.price_terms (cost_ctx t unit_ sizes) n)
+let price_on t unit_ sizes n = Option.map (fun r -> D.Cost.price r sizes) (resolve_on t unit_ n)
+
+let resolved t (n : D.Node.t) =
+  match t.mapping with
+  | Some _ -> t.mapped.(n.D.Node.id)
+  | None -> invalid_arg "Pricer.resolved: no mapping"
+
+let price t sizes n = Option.map (fun r -> D.Cost.price r sizes) (resolved t n)
 
 let wire_legs lnic ~bytes =
   let leg dir =

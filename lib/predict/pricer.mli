@@ -31,19 +31,29 @@ val cost_ctx : t -> Clara_lnic.Unit_.t -> Clara_dataflow.Cost.sizes -> Clara_dat
     external memory (a stray instruction touching it, or a software
     replay of an accelerator node, walks the full table in DRAM). *)
 
+val resolve_on : t -> Clara_lnic.Unit_.t -> Clara_dataflow.Node.t -> Clara_dataflow.Cost.resolved option
+(** {!Clara_dataflow.Cost.resolve} of the node run on the given unit,
+    under the placement of {!cost_ctx} and with the packet regions on
+    both sides of the CTM threshold, so one resolution serves every
+    packet size. *)
+
 val price_on :
   t ->
   Clara_lnic.Unit_.t ->
   Clara_dataflow.Cost.sizes ->
   Clara_dataflow.Node.t ->
   Clara_dataflow.Cost.price option
-(** {!Clara_dataflow.Cost.node_price} of the node run on the given unit,
-    in its {!cost_ctx}. *)
+(** {!resolve_on} evaluated at [sizes]: equal to
+    {!Clara_dataflow.Cost.node_price} in {!cost_ctx}. *)
+
+val resolved : t -> Clara_dataflow.Node.t -> Clara_dataflow.Cost.resolved option
+(** The node resolved on its mapped unit, which {!create} does once for
+    every node.
+    @raise Invalid_argument when created without a mapping. *)
 
 val price :
   t -> Clara_dataflow.Cost.sizes -> Clara_dataflow.Node.t -> Clara_dataflow.Cost.price option
-(** {!price_on} the node's mapped unit, from the node's terms there,
-    which {!create} resolves once. *)
+(** {!price_on} the node's mapped unit, from {!resolved}. *)
 
 val wire_legs : Clara_lnic.Graph.t -> bytes:float -> float * float
 (** Receive and transmit cost of a packet of [bytes]: the wire DMA cost

@@ -11,7 +11,16 @@
     at 64 slots and double up to [capacity], so a large, sparsely used
     set costs little until it fills.  A hit, a miss and an eviction at
     full size store only immediate ints: they allocate nothing and take
-    no write barrier.  Only a growth step allocates. *)
+    no write barrier.  Only a growth step allocates.
+
+    Each of the four arrays is paged: a spine of pages of at most 256
+    ints, one short page while it holds fewer, and full pages beyond.
+    A page fits the minor heap, so growth past 256 slots keeps the full
+    pages it has, appends new ones and rebuilds the index in fresh
+    pages, and allocates no major-heap block until a spine itself
+    outgrows 256 pages (an index past 65,536 entries).  A set that a
+    run fills and drops therefore leaves its pages to die young.  An
+    access pays one more load (the page) than a flat array. *)
 
 type t
 

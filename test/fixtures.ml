@@ -26,3 +26,16 @@ let early_exit_source =
     emit(pkt);
   }
 }|}
+
+(* Major-heap words an action allocates itself, not by promotion: the
+   major words it adds less the words minor collections promote, with a
+   minor collection on either side so every promotion is counted.
+   [Gc.counters] is read, not [Gc.quick_stat]: the latter's major words
+   move only at a major slice. *)
+let direct_major_words f =
+  Gc.minor ();
+  let _, promoted0, major0 = Gc.counters () in
+  f ();
+  Gc.minor ();
+  let _, promoted1, major1 = Gc.counters () in
+  major1 -. major0 -. (promoted1 -. promoted0)

@@ -125,6 +125,20 @@ let test_lru_hit_allocates_nothing () =
   check_int "every touch hits" 10_000 !hits;
   check (Printf.sprintf "10k hits allocate < 100 minor words (%.0f)" words) true (words < 100.)
 
+(* Growth appends pages the minor heap takes: filling a set to 4,096
+   slots allocates no major-heap block. *)
+let test_lru_growth_minor_only () =
+  let l = Lru.create ~capacity:4096 in
+  let w =
+    Fixtures.direct_major_words (fun () ->
+        for k = 0 to 4095 do
+          ignore (Lru.touch l (k * 64))
+        done)
+  in
+  check_int "grown to capacity" 4096 (Lru.size l);
+  check "every key present" true (List.for_all (fun k -> Lru.mem l (k * 64)) (List.init 4096 Fun.id));
+  check (Printf.sprintf "growth to 4096 slots: %.0f direct major words" w) true (w = 0.)
+
 (* ------------------------------------------------------------------ *)
 (* Min-heap                                                            *)
 
@@ -567,6 +581,50 @@ let test_event_path_allocation () =
         (Printf.sprintf "%s: %.1f minor words per packet, at most 16" t per_packet)
         true (per_packet <= 16.))
     [ "netronome"; "soc"; "bluefield" ]
+
+(* The device's tables grow their LRUs in minor-heap pages: a nat run
+   on netronome allocates no more major-heap words than a table-less
+   program's run on the same trace (the engine's own per-run blocks). *)
+let test_table_growth_minor_only () =
+  let g = L.Netronome.default in
+  let packets = 1000 in
+  let trace =
+    W.Trace.synthesize ~seed:1L
+      (W.Profile.make ~tcp_fraction:0.8 ~flow_count:(4 * packets)
+         ~payload:(W.Dist.Bimodal (64, 1200, 0.6))
+         ~rate_pps:1e6 ~packets ~new_flow_syn:true ())
+  in
+  let null = { Dev.name = "null"; tables = []; handler = (fun _ _ -> Dev.Emit) } in
+  let run prog = Fixtures.direct_major_words (fun () -> ignore (Eng.run g prog trace)) in
+  ignore (run null);
+  let base = run null in
+  let nat = run (Clara_nfs.Nat.ported ~checksum_engine:true ()) in
+  check (Printf.sprintf "nat %.0f direct major words, table-less %.0f" nat base) true (nat = base)
+
+(* An operation the target cannot run raises the typed error, naming
+   the unit and the op, from a plain run and from a sharded one. *)
+let test_device_unrunnable () =
+  let trace = W.Trace.synthesize ~seed:3L (W.Profile.make ~packets:50 ~flow_count:20 ()) in
+  let find t = Option.get (L.Targets.find t) in
+  List.iter
+    (fun (nf, target, unit_, op) ->
+      let what = Printf.sprintf "%s on %s" nf target in
+      let prog = (Result.get_ok (Clara_nfs.Corpus.resolve nf)).Clara_nfs.Corpus.ported in
+      List.iter
+        (fun (mode, run) ->
+          match run () with
+          | _ -> Alcotest.failf "%s (%s) ran" what mode
+          | exception Dev.Unrunnable u ->
+              Alcotest.(check (pair string string))
+                (Printf.sprintf "%s (%s): unit and op" what mode) (unit_, op) (u.unit_, u.op))
+        [ ("run", fun () -> Eng.run (find target) prog trace);
+          ("sharded", fun () -> Eng.run_sharded ~domains:2 ~shards:2 (find target) prog trace) ])
+    [ ("dpi", "asic", "cores", "payload_scan");
+      ("nat", "asic", "checksum accelerator", "checksum");
+      ("nat", "host", "checksum accelerator", "checksum") ];
+  check "the message names both" true
+    (Printexc.to_string (Dev.Unrunnable { unit_ = "cores"; op = "meter" })
+    = "Device: the cores cannot run meter")
 
 let test_device_check () =
   let lpm = Clara_nfs.Lpm.ported ~entries:64 ~use_flow_cache:true () in
@@ -1304,6 +1362,8 @@ let suite =
     Alcotest.test_case "device resolved costs equal the float path" `Quick
       test_device_resolved_costs;
     Alcotest.test_case "device check refuses unhostable ports" `Quick test_device_check;
+    Alcotest.test_case "unrunnable operations raise a typed error" `Quick
+      test_device_unrunnable;
     Alcotest.test_case "event path allocates little per packet" `Quick
       test_event_path_allocation;
     Alcotest.test_case "order_stat rank index" `Quick test_order_stat_rank_index;
@@ -1347,7 +1407,10 @@ let suite =
       test_run_sharded_domain_determinism;
     Alcotest.test_case "heavy-hitter counts per sim" `Quick test_heavy_hitter_counts_per_sim;
     Alcotest.test_case "stats merge" `Quick test_stats_merge;
-    Alcotest.test_case "lru hit allocates nothing" `Quick test_lru_hit_allocates_nothing ]
+    Alcotest.test_case "lru hit allocates nothing" `Quick test_lru_hit_allocates_nothing;
+    Alcotest.test_case "lru growth allocates no major block" `Quick test_lru_growth_minor_only;
+    Alcotest.test_case "table growth allocates no major block" `Quick
+      test_table_growth_minor_only ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_lru_capacity; prop_heap_drains_sorted; prop_lru_matches_model;
         prop_access_run_matches_singles; prop_heap_replace_min; prop_order_stat_ints;

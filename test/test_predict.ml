@@ -12,6 +12,8 @@ module Inter = Clara.Interference
 module Eng = Clara_nicsim.Engine
 module SStats = Clara_nicsim.Stats
 module Dev = Clara_nicsim.Device
+module C = Clara_dataflow.Cost
+module Pr = Clara_predict.Pricer
 
 let check = Alcotest.(check bool)
 let lnic = L.Netronome.default
@@ -300,6 +302,171 @@ let test_interference_solo_is_pipeline () =
         Clara_nfs.Corpus.all)
     [ "netronome"; "soc"; "bluefield" ]
 
+(* A prediction leaves no major-heap block behind: on every corpus cell
+   of the benchmarked targets, over a 1,000-packet trace of the
+   benchmark's shape (bimodal payloads, Zipf flows over 4,000 flows, SYN
+   on each flow's first packet), [Clara.predict], [Latency.create] and
+   [attribute_trace] allocate only minor-heap blocks. *)
+let test_prediction_major_heap () =
+  let packets = 1000 in
+  let prof =
+    W.Profile.make ~tcp_fraction:0.8 ~flow_count:(4 * packets)
+      ~payload:(W.Dist.Bimodal (64, 1200, 0.6))
+      ~rate_pps:1e6 ~packets ~new_flow_syn:true ()
+  in
+  let trace = W.Trace.synthesize ~seed:1L prof in
+  List.iter
+    (fun target ->
+      let nic = List.assoc target L.Targets.all in
+      List.iter
+        (fun (e : Clara_nfs.Corpus.entry) ->
+          let what = e.Clara_nfs.Corpus.name ^ "@" ^ target in
+          match Clara.analyze_for_profile nic ~source:e.Clara_nfs.Corpus.source ~profile:prof with
+          | Error err -> Alcotest.failf "%s: %s" what err
+          | Ok a ->
+              let p = ref None in
+              List.iter
+                (fun (step, f) ->
+                  let w = Fixtures.direct_major_words f in
+                  if w <> 0. then Alcotest.failf "%s: %s allocates %.0f major words" what step w)
+                [ ("Clara.predict", fun () -> ignore (Clara.predict a trace));
+                  ("Latency.create",
+                   fun () -> p := Some (Lat.create a.Clara.lnic a.Clara.df a.Clara.mapping));
+                  ("attribute_trace", fun () -> ignore (Lat.attribute_trace (Option.get !p) trace)) ])
+        Clara_nfs.Corpus.all)
+    [ "netronome"; "soc"; "bluefield" ]
+
+(* [summarize] over segmented samples reads what a full sort reads:
+   the trace-order mean and nearest-rank p50/p99, across segment
+   boundaries, duplicates and ties. *)
+let prop_summarize_equals_full_sort =
+  let trace_of n = W.Trace.synthesize ~seed:9L (W.Profile.make ~packets:n ~flow_count:50 ()) in
+  let traces = Hashtbl.create 8 in
+  QCheck.Test.make ~name:"summarize equals a full sort" ~count:100
+    QCheck.(
+      make
+        ~print:Print.(list float)
+        Gen.(
+          int_range 1 1100 >>= fun n ->
+          list_repeat n (oneof [ map float_of_int (int_range 0 40); float_range 0. 5000. ])))
+    (fun samples ->
+      let a = Array.of_list samples in
+      let n = Array.length a in
+      let trace =
+        match Hashtbl.find_opt traces n with
+        | Some t -> t
+        | None ->
+            let t = trace_of n in
+            Hashtbl.add traces n t;
+            t
+      in
+      let i = ref 0 in
+      let p =
+        Lat.summarize trace (fun _ ->
+            let c = a.(!i) in
+            incr i;
+            { Lat.cycles = c; emitted = true })
+      in
+      let sorted = Array.copy a in
+      Array.sort compare sorted;
+      let rank q = sorted.(Clara_util.Order_stat.rank_index ~n q) in
+      let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+      same p.Lat.p50_cycles (rank 0.5)
+      && same p.Lat.p99_cycles (rank 0.99)
+      && same p.Lat.mean_cycles (Array.fold_left ( +. ) 0. a /. float_of_int n))
+
+(* No corpus node loads packet bytes itself (they reach the packet
+   through vcalls), so this NF adds the packet-region terms. *)
+let packet_load_source =
+  {|nf packet_load {
+  state counter seen[1024] entry 8;
+  handler process(pkt) {
+    var hdr = parse_header(pkt);
+    var b = payload_byte(pkt, 0) + payload_byte(pkt, 1);
+    var n = count(seen, b);
+    emit(pkt);
+  }
+}|}
+
+(* Resolving once never captures a packet size.  Every corpus node is
+   resolved once, on its mapped unit and on the first general core of
+   each target, and so is every node of [packet_load_source].  At random
+   sizes (payloads of 0 to 1,500 B, packets at the payload plus a header
+   or at the target's CTM threshold and one byte either side),
+   evaluating that resolution into one reused price equals
+   [Cost.node_price] in a context built at those sizes. *)
+let resolved_corpus =
+  lazy
+    (let prof = profile ~packets:200 () in
+     let resolutions what nic pricer (df : D.Graph.t) units =
+       List.concat_map
+         (fun (n : D.Node.t) ->
+           List.map
+             (fun (u : L.Unit_.t) ->
+               ( Printf.sprintf "%s n%d on %s" what n.D.Node.id u.L.Unit_.name,
+                 nic, pricer, u, n, Pr.resolve_on pricer u n ))
+             (units n))
+         (Array.to_list df.D.Graph.nodes)
+     in
+     List.concat_map
+       (fun (target, nic) ->
+         let cores = List.filteri (fun i _ -> i = 0) (L.Graph.general_cores nic) in
+         List.concat_map
+           (fun (name, source) ->
+             let what = name ^ "@" ^ target in
+             match Clara.analyze_for_profile nic ~source ~profile:prof with
+             | Error _ -> []
+             | Ok a ->
+                 let pricer = Pr.create ~mapping:a.Clara.mapping nic a.Clara.df in
+                 resolutions what nic pricer a.Clara.df (fun n -> Pr.mapped_unit pricer n :: cores))
+           (("packet-load", packet_load_source)
+           :: List.map
+                (fun (e : Clara_nfs.Corpus.entry) -> (e.Clara_nfs.Corpus.name, e.Clara_nfs.Corpus.source))
+                Clara_nfs.Corpus.all))
+       L.Targets.all)
+
+let prop_resolve_once_never_captures_sizes =
+  let gen =
+    QCheck.Gen.(
+      quad (int_range 0 1500) (oneofl [ 42; 54; 66 ]) (oneofl [ None; Some (-1); Some 0; Some 1 ])
+        (int_range 1 16))
+  in
+  let print (payload, header, ctm, trip) =
+    Printf.sprintf "payload %d header %d packet %s opaque trip %d" payload header
+      (match ctm with None -> "payload+header" | Some d -> Printf.sprintf "ctm%+d" d)
+      trip
+  in
+  QCheck.Test.make ~name:"resolve once = node_price at every size" ~count:60
+    (QCheck.make ~print gen) (fun (payload, header, ctm, trip) ->
+      let scratch = { C.total = 0.; mem = 0.; accel = 0. } in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      List.for_all
+        (fun (what, (nic : L.Graph.t), pricer, u, n, resolved) ->
+          let packet =
+            match ctm with
+            | None -> payload + header
+            | Some d -> nic.L.Graph.params.L.Params.packet_ctm_threshold + d
+          in
+          let sizes =
+            Pr.sizes pricer
+              { C.payload_bytes = float_of_int payload;
+                packet_bytes = float_of_int packet;
+                header_bytes = float_of_int header;
+                state_entries = (fun _ -> 0.);
+                opaque_trip = float_of_int trip }
+          in
+          match (resolved, C.node_price (Pr.cost_ctx pricer u sizes) n) with
+          | None, None -> true
+          | Some r, Some p ->
+              C.evaluate r sizes scratch;
+              (same scratch.C.total p.C.total && same scratch.C.mem p.C.mem
+               && same scratch.C.accel p.C.accel)
+              || QCheck.Test.fail_reportf "%s: resolved %h/%h/%h, node_price %h/%h/%h" what
+                   scratch.C.total scratch.C.mem scratch.C.accel p.C.total p.C.mem p.C.accel
+          | Some _, None -> QCheck.Test.fail_reportf "%s: resolved but no node_price" what
+          | None, Some _ -> QCheck.Test.fail_reportf "%s: node_price but no resolution" what)
+        (Lazy.force resolved_corpus))
+
 let test_interference_saturation_flag () =
   (* Regression: aggregate utilization >= 1 was silently capped at 0.9;
      it must now surface as [saturated] while the prediction stays
@@ -530,6 +697,8 @@ let suite =
     Alcotest.test_case "interference slowdown" `Quick test_interference_slowdown;
     Alcotest.test_case "interference slice utilization" `Quick
       test_interference_slice_utilization;
+    Alcotest.test_case "prediction leaves no major-heap block" `Quick
+      test_prediction_major_heap;
     Alcotest.test_case "interference saturation flag" `Quick
       test_interference_saturation_flag;
     Alcotest.test_case "interference solo is the one pipeline" `Quick
@@ -546,3 +715,5 @@ let suite =
     Alcotest.test_case "return inside a loop ends the packet" `Quick
       test_return_in_loop_ends_packet;
     Alcotest.test_case "dropped packets pay no tx leg" `Quick test_dropped_pay_no_tx ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_resolve_once_never_captures_sizes; prop_summarize_equals_full_sort ]
