@@ -2,7 +2,10 @@
 
     All randomness in Clara's workload generation flows through explicit
     generator values seeded by the caller, so every trace, figure and
-    benchmark is reproducible bit-for-bit.  No global state. *)
+    benchmark is reproducible bit-for-bit.  No global state.
+
+    The state is four unboxed words, so {!int} and {!bool} draws
+    allocate nothing. *)
 
 type t
 
