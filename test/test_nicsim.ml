@@ -170,6 +170,21 @@ let prop_heap_drains_sorted =
       let out = List.init (List.length xs) (fun _ -> Heap.pop h) in
       Heap.is_empty h && out = List.sort compare xs)
 
+(* A heap that outgrows its first 256 slots spills into pages: it
+   still drains sorted, [replace_min] still works there, and growing to
+   3,000 slots allocates no major-heap block. *)
+let test_heap_spills_to_pages () =
+  let n = 3000 in
+  let xs = List.init n (fun i -> (i * 7919) mod 1009 - 500) in
+  let h = Heap.create () in
+  let w = Fixtures.direct_major_words (fun () -> List.iter (Heap.push h) xs) in
+  check (Printf.sprintf "growth to %d slots: %.0f direct major words" n w) true (w = 0.);
+  check_int "size" n (Heap.length h);
+  Heap.replace_min h 10_000;
+  let out = List.init n (fun _ -> Heap.pop h) in
+  let expected = List.sort compare (10_000 :: List.tl (List.sort compare xs)) in
+  check "drains sorted after a replace_min" true (out = expected && Heap.is_empty h)
+
 let prop_heap_replace_min =
   QCheck.Test.make ~name:"heap replace_min is pop then push" ~count:200
     (QCheck.pair (QCheck.int_range (-1000) 1000)
@@ -600,6 +615,37 @@ let test_table_growth_minor_only () =
   let base = run null in
   let nat = run (Clara_nfs.Nat.ported ~checksum_engine:true ()) in
   check (Printf.sprintf "nat %.0f direct major words, table-less %.0f" nat base) true (nat = base)
+
+(* A saturated ingress queue keeps more than 256 packets in flight: the
+   in-flight heap spills into minor-heap pages, so dpi and vnf-chain on
+   every benchmarked target, and lpm on netronome, allocate no more
+   major-heap words than a table-less program's run on the same target
+   and trace. *)
+let test_inflight_growth_minor_only () =
+  let packets = 1000 in
+  let trace =
+    W.Trace.synthesize ~seed:1L
+      (W.Profile.make ~tcp_fraction:0.8 ~flow_count:(4 * packets)
+         ~payload:(W.Dist.Bimodal (64, 1200, 0.6))
+         ~rate_pps:1e6 ~packets ~new_flow_syn:true ())
+  in
+  let null = { Dev.name = "null"; tables = []; handler = (fun _ _ -> Dev.Emit) } in
+  List.iter
+    (fun (target, nfs) ->
+      let g = Option.get (L.Targets.find target) in
+      let run prog = Fixtures.direct_major_words (fun () -> ignore (Eng.run g prog trace)) in
+      ignore (run null);
+      let base = run null in
+      List.iter
+        (fun nf ->
+          let w = run (Option.get (Clara_nfs.Corpus.find nf)).Clara_nfs.Corpus.ported in
+          check
+            (Printf.sprintf "%s on %s: %.0f direct major words, table-less %.0f" nf target w base)
+            true (w = base))
+        nfs)
+    [ ("netronome", [ "dpi"; "vnf-chain"; "lpm" ]);
+      ("soc", [ "dpi"; "vnf-chain" ]);
+      ("bluefield", [ "dpi"; "vnf-chain" ]) ]
 
 (* An operation the target cannot run raises the typed error, naming
    the unit and the op, from a plain run and from a sharded one. *)
@@ -1349,6 +1395,7 @@ let suite =
   [ Alcotest.test_case "lru basics" `Quick test_lru_basics;
     Alcotest.test_case "lru recency" `Quick test_lru_recency;
     Alcotest.test_case "heap basics" `Quick test_heap_basics;
+    Alcotest.test_case "heap spills into pages" `Quick test_heap_spills_to_pages;
     Alcotest.test_case "memory latencies (§3.2 numbers)" `Quick test_mem_latencies;
     Alcotest.test_case "emem cache eviction" `Quick test_mem_cache_eviction;
     Alcotest.test_case "device parse costs" `Quick test_device_parse_costs;
@@ -1410,7 +1457,9 @@ let suite =
     Alcotest.test_case "lru hit allocates nothing" `Quick test_lru_hit_allocates_nothing;
     Alcotest.test_case "lru growth allocates no major block" `Quick test_lru_growth_minor_only;
     Alcotest.test_case "table growth allocates no major block" `Quick
-      test_table_growth_minor_only ]
+      test_table_growth_minor_only;
+    Alcotest.test_case "in-flight growth allocates no major block" `Quick
+      test_inflight_growth_minor_only ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_lru_capacity; prop_heap_drains_sorted; prop_lru_matches_model;
         prop_access_run_matches_singles; prop_heap_replace_min; prop_order_stat_ints;
