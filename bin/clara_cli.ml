@@ -205,6 +205,12 @@ let simulate ~what nic run =
   | Nsim.Device.Unrunnable { unit_; op } ->
       cannot_simulate ~what nic (Printf.sprintf "the %s cannot run %s" unit_ op)
 
+(* A mapping that puts a node on a unit that cannot run it is found when
+   the predictor is created: a [clara:] error and exit 1, like every
+   other input the model cannot price. *)
+let predicting f =
+  try f () with Clara_predict.Latency.Unpriceable _ as e -> or_die (Error (Printexc.to_string e))
+
 (* A source argument is a file path if one exists, else a corpus name. *)
 let resolve_nf arg =
   if Sys.file_exists arg then (Filename.basename arg, read_file arg)
@@ -263,6 +269,7 @@ let predict_cmd =
      and+ trace_out = trace_out_arg
      and+ emit_stats = stats_t
      and+ { analysis = a; trace; rate } = analyzed_t in
+     predicting @@ fun () ->
      let lnic = a.Clara.lnic in
      let config =
        { Clara_predict.Latency.default_config with
@@ -312,6 +319,7 @@ let nics_cmd =
   let doc = "Compare SmartNIC targets for one NF and workload." in
   Cmd.v (Cmd.info "nics" ~doc)
   @@ let+ profile = profile_t () and+ src = source_arg in
+     predicting @@ fun () ->
      let source = read_file src in
      List.iter
        (fun (name, lnic) ->
@@ -359,6 +367,7 @@ let chain_cmd =
      and+ w = workload_t ~capture:false ()
      and+ emit_stats = stats_t
      and+ _, lnic = target_t () in
+     predicting @@ fun () ->
      let sources = List.map read_file srcs in
      let chain = or_die (Clara.Chain.analyze lnic ~sources ~profile:w.profile) in
      let p = Clara.Chain.predict chain (synthesize w) in
@@ -736,6 +745,7 @@ let calibrate_cmd =
          ~flows:(2000, "Concurrent flows per case.") ()
      and+ json = json_arg
      and+ emit_stats = stats_t in
+     predicting @@ fun () ->
      let nfs = if nfs = [] then Clara_nfs.Corpus.names else nfs in
      let nics =
        String.split_on_char ',' nics |> List.map String.trim
@@ -876,6 +886,7 @@ let tenants_cmd =
      and+ emit_stats = stats_t
      and+ nic, lnic = target_t ()
      and+ tel, write_metrics = metrics_t in
+     predicting @@ fun () ->
      let module I = Clara.Interference in
      let n = List.length nfs in
      if n < 2 then or_die (Error "tenants needs at least two NFs");

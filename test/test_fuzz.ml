@@ -212,40 +212,68 @@ let rec packet_stable = function
   | Ir.G_or (a, b) -> packet_stable a && packet_stable b
   | Ir.G_table_hit _ | Ir.G_scan_match | Ir.G_count_exceeds | Ir.G_opaque -> false
 
-(* TCP only at one fixed payload: the analysis sizes every path prices
-   at are then each packet's own sizes. *)
-let tcp_profile =
-  W.Profile.make ~tcp_fraction:1.0 ~payload:(W.Dist.Fixed 300) ~packets:200 ~flow_count:50 ()
+let fuzz_profile ?(packets = 200) ~tcp payload =
+  W.Profile.make ~tcp_fraction:tcp ~payload ~packets ~flow_count:50 ()
+
+(* Every packet of a [profile] trace costs what one symbolic path costs
+   at the packet's own sizes and agrees with it on emitting.  The paths
+   are enumerated once per payload and header size. *)
+let packets_follow_paths profile src =
+  match Clara.analyze_for_profile lnic ~source:src ~profile with
+  | Error _ -> true
+  | Ok a ->
+      let cir = a.Clara.df.D.Graph.cir in
+      QCheck.assume
+        (Array.for_all
+           (fun (b : Ir.block) ->
+             match b.Ir.term with
+             | Ir.Cond { guard; _ } -> packet_stable guard
+             | _ -> true)
+           cir.Ir.blocks);
+      let paths = Hashtbl.create 64 in
+      let paths_at (pkt : W.Packet.t) =
+        let payload = pkt.W.Packet.payload_bytes and header = W.Packet.header_bytes pkt in
+        match Hashtbl.find_opt paths (payload, header) with
+        | Some ps -> ps
+        | None ->
+            let sizes =
+              { a.Clara.sizes with
+                D.Cost.payload_bytes = float_of_int payload;
+                packet_bytes = float_of_int (W.Packet.total_bytes pkt);
+                header_bytes = float_of_int header }
+            in
+            let ps =
+              Clara_predict.Symexec.enumerate ~max_paths:4096 ~sizes lnic a.Clara.df
+                a.Clara.mapping
+            in
+            Hashtbl.add paths (payload, header) ps;
+            ps
+      in
+      let lat = Clara_predict.Latency.create lnic a.Clara.df a.Clara.mapping in
+      Array.for_all
+        (fun pkt ->
+          let r = Clara_predict.Latency.packet_latency lat pkt in
+          List.exists
+            (fun (p : Clara_predict.Symexec.path) ->
+              p.Clara_predict.Symexec.cost_cycles = r.Clara_predict.Latency.cycles
+              && p.Clara_predict.Symexec.emits = r.Clara_predict.Latency.emitted)
+            (paths_at pkt))
+        (W.Trace.synthesize profile).W.Trace.packets
 
 let prop_packets_follow_paths =
   QCheck.Test.make ~name:"predicted packets follow an enumerated path" ~count:200
     (QCheck.make gen_program)
-    (fun src ->
-      match Clara.analyze_for_profile lnic ~source:src ~profile:tcp_profile with
-      | Error _ -> true
-      | Ok a ->
-          let cir = a.Clara.df.D.Graph.cir in
-          QCheck.assume
-            (Array.for_all
-               (fun (b : Ir.block) ->
-                 match b.Ir.term with
-                 | Ir.Cond { guard; _ } -> packet_stable guard
-                 | _ -> true)
-               cir.Ir.blocks);
-          let paths =
-            Clara_predict.Symexec.enumerate ~max_paths:4096 ~sizes:a.Clara.sizes lnic
-              a.Clara.df a.Clara.mapping
-          in
-          let lat = Clara_predict.Latency.create lnic a.Clara.df a.Clara.mapping in
-          Array.for_all
-            (fun pkt ->
-              let r = Clara_predict.Latency.packet_latency lat pkt in
-              List.exists
-                (fun (p : Clara_predict.Symexec.path) ->
-                  p.Clara_predict.Symexec.cost_cycles = r.Clara_predict.Latency.cycles
-                  && p.Clara_predict.Symexec.emits = r.Clara_predict.Latency.emitted)
-                paths)
-            (W.Trace.synthesize tcp_profile).W.Trace.packets)
+    (packets_follow_paths (fuzz_profile ~tcp:1.0 (W.Dist.Fixed 300)))
+
+(* The same for TCP and UDP packets at payloads drawn from 0-1,500 B:
+   nearly every packet has a size of its own, so each node's price
+   table misses and, past 16 sizes, evicts, and a stale or misplaced
+   entry, or a size key that lost the header, would price a packet off
+   every path. *)
+let prop_uniform_packets_follow_paths =
+  QCheck.Test.make ~name:"packets of any size follow an enumerated path" ~count:40
+    (QCheck.make gen_program)
+    (packets_follow_paths (fuzz_profile ~packets:60 ~tcp:0.5 (W.Dist.Uniform (0, 1500))))
 
 (* With every guard decided (each atom at 0 or 1, by [seed]), the
    expected visits are the one walk's: 1 on each node it runs, 0 on the
@@ -319,5 +347,6 @@ let suite =
       prop_print_reparse_equivalent;
       prop_symexec_paths_finite;
       prop_packets_follow_paths;
+      prop_uniform_packets_follow_paths;
       prop_decided_visits_are_walk;
       prop_bounds_contain_predictions ]
