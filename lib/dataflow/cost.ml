@@ -285,6 +285,17 @@ let price r sizes =
   evaluate r sizes p;
   p
 
+let size_free_price r =
+  match r.trip with
+  | Trip_fixed _ when List.for_all (function C_fixed _ -> true | _ -> false) r.charges ->
+      (* Fixed charges and trip read no size, so any sizes do. *)
+      let no_sizes =
+        { payload_bytes = Float.nan; packet_bytes = Float.nan; header_bytes = Float.nan;
+          state_entries = (fun _ -> Float.nan); opaque_trip = Float.nan }
+      in
+      Some (price r no_sizes)
+  | _ -> None
+
 let site_of_ctx (c : ctx) =
   { lnic = c.lnic; exec_unit = c.exec_unit; state_region = c.state_region;
     state_footprint = c.state_footprint; entries = c.sizes.state_entries;

@@ -126,6 +126,11 @@ val evaluate : resolved -> sizes -> price -> unit
 val price : resolved -> sizes -> price
 (** {!evaluate} into a fresh record. *)
 
+val size_free_price : resolved -> price option
+(** The node's price at every size, when none of its charges and not its
+    loop trip depend on the packet ([None] otherwise): what {!evaluate}
+    gives at any sizes, bit for bit. *)
+
 val node_price : ctx -> Node.t -> price option
 (** The point evaluator: {!resolve} on the context's unit, placement and
     state entries, with [ctx.packet_region] on both sides of the
