@@ -58,7 +58,7 @@ let sizes_for (p : Ir.program) ~ptype ~payload_max =
     header_bytes = header;
     state_entries =
       (fun s ->
-        match List.find_opt (fun o -> o.Ir.st_name = s) p.Ir.states with
+        match Ir.state_obj_opt p s with
         | Some o -> I.const (float_of_int o.Ir.st_entries)
         | None -> I.const 0.);
     opaque_trip = I.make 1. Float.infinity;
@@ -189,11 +189,7 @@ let unbounded_loops ?(payload_max = mtu_payload) (df : D.Graph.t) =
 
 let analyze_graph ?(payload_max = mtu_payload) ~(lnic : L.Graph.t) (df : D.Graph.t) =
   let p = df.D.Graph.cir in
-  let footprint s =
-    match List.find_opt (fun o -> o.Ir.st_name = s) p.Ir.states with
-    | Some o -> Ir.state_bytes o
-    | None -> 0
-  in
+  let footprint s = Option.fold ~none:0 ~some:Ir.state_bytes (Ir.state_obj_opt p s) in
   let shared_regions =
     Array.to_list lnic.L.Graph.memories
     |> List.filter (fun (m : L.Memory.t) -> m.L.Memory.level <> L.Memory.Local)

@@ -1,6 +1,7 @@
 module W = Clara_workload
 module L = Clara_lnic
 module Lat = Clara_predict.Latency
+module Pricer = Clara_predict.Pricer
 
 type t = { stages : Pipeline.analysis list; lnic : Clara_lnic.Graph.t }
 
@@ -34,6 +35,7 @@ let predict ?(config = Lat.default_config) t (trace : W.Trace.t) =
   in
   List.iter Lat.reset_state predictors;
   let hop = fabric_hop_cycles t.lnic in
+  let wire = Pricer.wire t.lnic in
   Lat.summarize trace (fun pkt ->
       let rec run cost hops = function
         | [] -> (cost, hops, true)
@@ -48,7 +50,8 @@ let predict ?(config = Lat.default_config) t (trace : W.Trace.t) =
       in
       let compute, hops, emitted = run 0. 0 predictors in
       let cycles =
-        compute +. (float_of_int hops *. hop) +. Lat.wire_cycles t.lnic pkt ~emitted
+        compute +. (float_of_int hops *. hop)
+        +. Pricer.rx_tx_cycles wire ~bytes:(float_of_int (W.Packet.total_bytes pkt)) ~emitted
       in
       { Lat.cycles; emitted })
 

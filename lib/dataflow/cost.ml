@@ -82,15 +82,6 @@ type site = {
   packet_regions : int packet_regions;
 }
 
-type ctx = {
-  lnic : L.Graph.t;
-  exec_unit : L.Unit_.t;
-  state_region : string -> int;
-  state_footprint : string -> int;
-  packet_region : int;
-  sizes : sizes;
-}
-
 (* Caches are shared (packet spill, other flows), so even a footprint that
    fits is not always resident: the effective latency mixes hit and miss
    with a locality-discounted hit ratio.  The discount keeps Γ honest:
@@ -296,11 +287,4 @@ let size_free_price r =
       Some (price r no_sizes)
   | _ -> None
 
-let site_of_ctx (c : ctx) =
-  { lnic = c.lnic; exec_unit = c.exec_unit; state_region = c.state_region;
-    state_footprint = c.state_footprint; entries = c.sizes.state_entries;
-    packet_regions = { fits = c.packet_region; spills = c.packet_region; ctm_threshold = max_int } }
-
-let node_price ctx n = Option.map (fun r -> price r ctx.sizes) (resolve (site_of_ctx ctx) n)
-
-let node_cycles ctx n = Option.map (fun p -> p.total) (node_price ctx n)
+let cycles s sizes n = Option.map (fun r -> (price r sizes).total) (resolve s n)

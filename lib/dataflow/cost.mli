@@ -40,7 +40,7 @@ type mode = [ `Read | `Write | `Atomic ]
     change to the discount takes effect at the next resolve.
     {!evaluate} finishes the packet-size terms (the cache fit of packet
     accesses, the remaining vcall cost functions, the loop trip) into a
-    caller-owned {!price}.  {!node_price} is the two in a row. *)
+    caller-owned {!price}.  {!cycles} is the two in a row. *)
 type term =
   | T_op of float  (** Op-class cycles, FPU emulation applied. *)
   | T_access of { op : float; mode : mode; loc : Clara_cir.Ir.loc }
@@ -79,7 +79,9 @@ type 'r packet_regions = {
 
 val packet_region : 'r packet_regions -> packet_bytes:float -> 'r
 
-(** What {!resolve} needs: everything a price depends on but the packet. *)
+(** What {!resolve} needs: everything a price depends on but the packet.
+    The one pricing context: the mapping ILP, greedy and the predictor
+    all price on a site that [Clara_mapping.Encode.site] builds. *)
 type site = {
   lnic : Clara_lnic.Graph.t;
   exec_unit : Clara_lnic.Unit_.t;
@@ -89,20 +91,11 @@ type site = {
   packet_regions : int packet_regions;  (** Memory ids. *)
 }
 
-type ctx = {
-  lnic : Clara_lnic.Graph.t;
-  exec_unit : Clara_lnic.Unit_.t;
-  state_region : string -> int;   (** Γ: state object → memory id. *)
-  state_footprint : string -> int;  (** Bytes, for cache-fit decisions. *)
-  packet_region : int;            (** Memory id holding packet data. *)
-  sizes : sizes;
-}
-
 (** One pricing pass over a node: the total together with its memory and
     accelerator parts.  {!evaluate} overwrites one in place, so a caller
     that prices many nodes reuses a single record. *)
 type price = {
-  mutable total : float;  (** What {!node_cycles} returns. *)
+  mutable total : float;  (** What {!cycles} returns. *)
   mutable mem : float;    (** Memory-region access charges. *)
   mutable accel : float;  (** Accelerator service time. *)
 }
@@ -131,12 +124,11 @@ val size_free_price : resolved -> price option
     loop trip depend on the packet ([None] otherwise): what {!evaluate}
     gives at any sizes, bit for bit. *)
 
-val node_price : ctx -> Node.t -> price option
-(** The point evaluator: {!resolve} on the context's unit, placement and
-    state entries, with [ctx.packet_region] on both sides of the
-    threshold, then {!evaluate} at [ctx.sizes].  Core op and vcall base
-    cost is the residual [total - mem - accel]: consumers that need an
-    exact decomposition take compute that way. *)
-
-val node_cycles : ctx -> Node.t -> float option
-(** [total] of {!node_price}. *)
+val cycles : site -> sizes -> Node.t -> float option
+(** [total] of {!resolve} then {!price}: the point evaluator at one set
+    of sizes, the mapping's objective.  The packet region is picked at
+    [sizes.packet_bytes], so when the unit reaches both regions the
+    price is the one a site holding only the picked region gives.
+    Core op and vcall base cost is the residual [total - mem - accel]
+    of a {!price}: consumers that need an exact decomposition take
+    compute that way. *)

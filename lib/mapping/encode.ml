@@ -29,19 +29,19 @@ let packet_regions lnic (u : L.Unit_.t) =
     spills = pick L.Memory.External L.Memory.Cluster;
     ctm_threshold = lnic.L.Graph.params.L.Params.packet_ctm_threshold }
 
-let packet_region_for lnic u ~packet_bytes =
-  D.Cost.packet_region (packet_regions lnic u) ~packet_bytes
+let site lnic ~entries ~state_footprint ~state_region u =
+  { D.Cost.lnic; exec_unit = u; state_region; state_footprint; entries;
+    packet_regions = packet_regions lnic u }
 
-let cost_ctx lnic (u : L.Unit_.t) ~(sizes : D.Cost.sizes) ~state_region ~state_footprint :
-    D.Cost.ctx =
-  {
-    lnic;
-    exec_unit = u;
-    state_region;
-    state_footprint;
-    packet_region = packet_region_for lnic u ~packet_bytes:sizes.packet_bytes;
-    sizes;
-  }
+let declared_entries p s =
+  match Ir.state_obj_opt p s with Some o -> float_of_int o.Ir.st_entries | None -> 0.
+
+let with_entries p (sizes : D.Cost.sizes) =
+  { sizes with
+    D.Cost.state_entries =
+      (fun s ->
+        let v = sizes.D.Cost.state_entries s in
+        if v > 0. then v else declared_entries p s) }
 
 let rat_of_cost c = I.Rat.of_int (int_of_float (Float.round c))
 
@@ -96,33 +96,20 @@ let map_nf_exn ~(options : Mapping.options) ?dump_lp lnic (df : D.Graph.t) ~size
   let nodes = Array.map harden_node df.D.Graph.nodes in
   let weights = D.Graph.visits df ~prob in
   let states = D.Graph.states df in
-  let footprint s =
-    match List.find_opt (fun o -> o.Ir.st_name = s) states with
-    | Some o -> Ir.state_bytes o
-    | None -> raise (Ir.Unknown_state s)
-  in
+  let cir = df.D.Graph.cir in
+  let footprint s = Ir.state_bytes (Ir.state_obj cir s) in
   (* A node touching an undeclared state would otherwise surface as a
-     generic "cannot run on any unit" (no y variable to pair with). *)
-  Array.iter
-    (fun (n : D.Node.t) ->
-      match D.Node.state n with
-      | Some s when not (List.exists (fun o -> o.Ir.st_name = s) states) ->
-          raise (Ir.Unknown_state s)
-      | _ -> ())
-    nodes;
-  let state_entries s =
-    match List.find_opt (fun o -> o.Ir.st_name = s) states with
-    | Some o -> float_of_int o.Ir.st_entries
-    | None -> 0.
-  in
-  let sizes =
-    (* Resolve table sizes from the program itself unless the caller
-       already provided them. *)
-    { sizes with
-      D.Cost.state_entries =
-        (fun s ->
-          let v = sizes.D.Cost.state_entries s in
-          if v > 0. then v else state_entries s) }
+     generic "cannot run on any unit" (no y variable to pair with):
+     [Ir.state_obj] raises [Unknown_state] here instead. *)
+  Array.iter (fun n -> Option.iter (fun s -> ignore (Ir.state_obj cir s)) (D.Node.state n)) nodes;
+  let sizes = with_entries cir sizes in
+  (* A node's cycles on class [ci]'s representative, its state in
+     [state_region]. *)
+  let cycles ci ~state_region n =
+    D.Cost.cycles
+      (site lnic ~entries:sizes.D.Cost.state_entries ~state_footprint:footprint ~state_region
+         (rep ci))
+      sizes n
   in
   let shared_regions =
     Array.to_list lnic.L.Graph.memories
@@ -223,12 +210,7 @@ let map_nf_exn ~(options : Mapping.options) ?dump_lp lnic (df : D.Graph.t) ~size
       (match D.Node.state n with
       | None ->
           for ci = 0 to nclasses - 1 do
-            let ctx =
-              cost_ctx lnic (rep ci) ~sizes
-                ~state_region:(fun _ -> invalid_arg "stateless")
-                ~state_footprint:(fun _ -> 0)
-            in
-            match D.Cost.node_cycles ctx n with
+            match cycles ci ~state_region:(fun _ -> invalid_arg "stateless") n with
             | None -> ()
             | Some c ->
                 let v =
@@ -246,12 +228,7 @@ let map_nf_exn ~(options : Mapping.options) ?dump_lp lnic (df : D.Graph.t) ~size
                     match Hashtbl.find_opt y_mem (s, m.L.Memory.id) with
                     | None -> ()
                     | Some yv -> (
-                        let ctx =
-                          cost_ctx lnic (rep ci) ~sizes
-                            ~state_region:(fun _ -> m.L.Memory.id)
-                            ~state_footprint:footprint
-                        in
-                        match D.Cost.node_cycles ctx n with
+                        match cycles ci ~state_region:(fun _ -> m.L.Memory.id) n with
                         | None -> ()
                         | Some c ->
                             let zv =
@@ -270,12 +247,7 @@ let map_nf_exn ~(options : Mapping.options) ?dump_lp lnic (df : D.Graph.t) ~size
                 match Hashtbl.find_opt y_acc (s, k) with
                 | None -> ()
                 | Some yv -> (
-                    let ctx =
-                      cost_ctx lnic (rep ci) ~sizes
-                        ~state_region:(fun _ -> invalid_arg "accel state")
-                        ~state_footprint:footprint
-                    in
-                    match D.Cost.node_cycles ctx n with
+                    match cycles ci ~state_region:(fun _ -> invalid_arg "accel state") n with
                     | None -> ()
                     | Some c ->
                         let v =

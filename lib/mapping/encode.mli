@@ -26,19 +26,24 @@ val packet_regions :
     reachable region.
     @raise Invalid_argument when the unit reaches no memory. *)
 
-val packet_region_for :
-  Clara_lnic.Graph.t -> Clara_lnic.Unit_.t -> packet_bytes:float -> int
-(** The one of {!packet_regions} a packet of [packet_bytes] uses. *)
-
-val cost_ctx :
+val site :
   Clara_lnic.Graph.t ->
-  Clara_lnic.Unit_.t ->
-  sizes:Clara_dataflow.Cost.sizes ->
-  state_region:(string -> int) ->
+  entries:(string -> float) ->
   state_footprint:(string -> int) ->
-  Clara_dataflow.Cost.ctx
-(** The cost context for a unit, with the packet region chosen by
-    {!packet_region_for}. *)
+  state_region:(string -> int) ->
+  Clara_lnic.Unit_.t ->
+  Clara_dataflow.Cost.site
+(** The one {!Clara_dataflow.Cost.site} constructor: a unit under a
+    placement, with its {!packet_regions}.  The ILP's cost loops,
+    {!Greedy} and the predictor's [Pricer] all price through it. *)
+
+val declared_entries : Clara_cir.Ir.program -> string -> float
+(** The entries the program declares for a state (0 for an unknown
+    name). *)
+
+val with_entries : Clara_cir.Ir.program -> Clara_dataflow.Cost.sizes -> Clara_dataflow.Cost.sizes
+(** The sizes with [state_entries] resolved: the caller's count where it
+    gives one (above 0), else {!declared_entries}. *)
 
 val map_nf :
   ?options:Mapping.options ->

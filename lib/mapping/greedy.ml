@@ -4,23 +4,8 @@ module Ir = Clara_cir.Ir
 
 let map_nf_exn ~(options : Mapping.options) lnic (df : D.Graph.t) ~sizes ~prob =
   let states = D.Graph.states df in
-  let footprint s =
-    match List.find_opt (fun o -> o.Ir.st_name = s) states with
-    | Some o -> Ir.state_bytes o
-    | None -> raise (Ir.Unknown_state s)
-  in
-  let state_entries s =
-    match List.find_opt (fun o -> o.Ir.st_name = s) states with
-    | Some o -> float_of_int o.Ir.st_entries
-    | None -> 0.
-  in
-  let sizes =
-    { sizes with
-      D.Cost.state_entries =
-        (fun s ->
-          let v = sizes.D.Cost.state_entries s in
-          if v > 0. then v else state_entries s) }
-  in
+  let footprint s = Ir.state_bytes (Ir.state_obj df.D.Graph.cir s) in
+  let sizes = Encode.with_entries df.D.Graph.cir sizes in
   (* First-fit state placement: fastest shared region with remaining
      capacity.  The greedy port never considers accelerator SRAM — using
      the flow cache is exactly the insight hand-tuning discovers. *)
@@ -84,10 +69,11 @@ let map_nf_exn ~(options : Mapping.options) lnic (df : D.Graph.t) ~sizes ~prob =
                      accelerator's SRAM (the flow cache) is possible. *)
                   None
                 else
-                  let ctx =
-                    Encode.cost_ctx lnic u ~sizes ~state_region ~state_footprint:footprint
+                  let site =
+                    Encode.site lnic ~entries:sizes.D.Cost.state_entries
+                      ~state_footprint:footprint ~state_region u
                   in
-                  Option.map (fun cost -> (u, cost)) (D.Cost.node_cycles ctx n))
+                  Option.map (fun cost -> (u, cost)) (D.Cost.cycles site sizes n))
               classes
           in
           match List.sort (fun (_, a) (_, b) -> compare a b) candidates with

@@ -57,7 +57,7 @@ let estimate ?powers ~sizes ~prob ~rate_pps lnic (df : D.Graph.t) (mapping : M.t
   Array.iter
     (fun (n : D.Node.t) ->
       let unit_ = Pricer.mapped_unit pricer n in
-      match Pricer.price_on pricer unit_ sizes n with
+      match Pricer.price pricer sizes n with
       | None -> ()
       | Some { D.Cost.total = c; _ } ->
           add unit_.L.Unit_.name (nj_of unit_ (weights.(n.D.Node.id) *. c)))

@@ -183,14 +183,10 @@ let rec resolve_guard t (pkt : W.Packet.t) (g : Ir.guard) =
   | Ir.G_not g' -> not (resolve_guard t pkt g')
   | Ir.G_or (a, b) -> resolve_guard t pkt a || resolve_guard t pkt b
 
-let wire_cycles lnic (pkt : W.Packet.t) ~emitted =
-  Pricer.wire_cycles lnic ~bytes:(float_of_int (W.Packet.total_bytes pkt)) ~emitted
-
-(* {!wire_cycles} from the legs resolved in [create]. *)
+(* The wire legs resolved in [create], when the config charges them. *)
 let wire_costs t (pkt : W.Packet.t) ~emitted =
   if t.config.include_wire then
-    let bytes = float_of_int (W.Packet.total_bytes pkt) in
-    Pricer.rx_cycles t.wire ~bytes +. if emitted then Pricer.tx_cycles t.wire ~bytes else 0.
+    Pricer.rx_tx_cycles t.wire ~bytes:(float_of_int (W.Packet.total_bytes pkt)) ~emitted
   else 0.
 
 (* The predictor's walk of [pkt] through {!D.Graph.walk}.  Guards
@@ -238,7 +234,7 @@ type prediction = {
 (* [compare]'s float order as a signed int64 order: NaN lowest, then
    negatives with their magnitude bits flipped, then positives; adding
    0. folds -0. into 0., which [compare] holds equal. *)
-let key x =
+let[@inline] key x =
   if Float.is_nan x then Int64.min_int
   else
     let b = Int64.bits_of_float (x +. 0.) in

@@ -93,10 +93,6 @@ val predict_trace : t -> Clara_workload.Trace.t -> prediction
 
 val pp_prediction : Format.formatter -> prediction -> unit
 
-val wire_cycles :
-  Clara_lnic.Graph.t -> Clara_workload.Packet.t -> emitted:bool -> float
-(** Wire DMA + hub constants for one packet on a target. *)
-
 (** {2 Latency attribution} — the prediction decomposed into where the
     cycles go (compute / memory / accelerator / wire).  The predictor
     models no queueing, so unlike the simulator's attribution there is

@@ -14,11 +14,8 @@ type split = {
   total_ns : float;
 }
 
-(* Cost of one node on a unit, in ns. *)
-let node_ns pricer unit_ ~sizes (n : D.Node.t) =
-  Option.map
-    (fun p -> p.D.Cost.total *. 1000. /. float_of_int unit_.L.Unit_.freq_mhz)
-    (Pricer.price_on pricer unit_ sizes n)
+(* A node's price on a unit, in ns. *)
+let to_ns unit_ = Option.map (fun p -> p.D.Cost.total *. 1000. /. float_of_int unit_.L.Unit_.freq_mhz)
 
 (* The all-host split and every feasible cut with a NIC part, largest
    NIC part first. *)
@@ -41,10 +38,10 @@ let cuts ~sizes ~prob lnic (df : D.Graph.t) (mapping : M.t) =
     (fun pos nid ->
       let node = D.Graph.node df nid in
       let w = weights.(nid) in
-      (match node_ns nic (Pricer.mapped_unit nic node) ~sizes node with
+      (match to_ns (Pricer.mapped_unit nic node) (Pricer.price nic sizes node) with
       | Some ns -> nic_cost.(pos) <- w *. ns
       | None -> feasible_nic.(pos) <- false);
-      match node_ns on_host host_core ~sizes node with
+      match to_ns host_core (Pricer.price_on on_host host_core sizes node) with
       | Some ns -> host_cost.(pos) <- w *. ns
       | None ->
           (* Host cores run everything in software. *)

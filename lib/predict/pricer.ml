@@ -7,6 +7,7 @@ module W = Clara_workload
 type t = {
   lnic : L.Graph.t;
   mapping : M.t option;
+  cir : Ir.program;
   state_entries : string -> float;
   state_footprint : string -> int;
   state_region : string -> int;
@@ -15,24 +16,12 @@ type t = {
          per-packet walk only evaluates the packet-size terms. *)
 }
 
-let site lnic ~state_entries ~state_footprint ~state_region unit_ =
-  { D.Cost.lnic;
-    exec_unit = unit_;
-    state_region;
-    state_footprint;
-    entries = state_entries;
-    packet_regions = Clara_mapping.Encode.packet_regions lnic unit_ }
+let site t unit_ =
+  Clara_mapping.Encode.site t.lnic ~entries:t.state_entries ~state_footprint:t.state_footprint
+    ~state_region:t.state_region unit_
 
 let create ?mapping lnic (df : D.Graph.t) =
-  let entries = Hashtbl.create 8 and footprints = Hashtbl.create 8 in
-  (* The first declaration of a name wins. *)
-  List.iter
-    (fun (o : Ir.state_obj) ->
-      if not (Hashtbl.mem entries o.Ir.st_name) then begin
-        Hashtbl.add entries o.Ir.st_name (float_of_int o.Ir.st_entries);
-        Hashtbl.add footprints o.Ir.st_name (Ir.state_bytes o)
-      end)
-    (D.Graph.states df);
+  let cir = df.D.Graph.cir in
   let external_mem =
     match Array.find_opt (fun m -> m.L.Memory.level = L.Memory.External) lnic.L.Graph.memories with
     | Some m -> m.L.Memory.id
@@ -43,28 +32,22 @@ let create ?mapping lnic (df : D.Graph.t) =
     | Some (M.In_memory m) -> m
     | Some (M.In_accel _) | None -> external_mem
   in
-  let state_entries s = Option.value ~default:0. (Hashtbl.find_opt entries s) in
-  let state_footprint s = Option.value ~default:0 (Hashtbl.find_opt footprints s) in
-  {
-    lnic;
-    mapping;
-    state_entries;
-    state_footprint;
-    state_region;
-    mapped =
-      (match mapping with
-      | None -> [||]
-      | Some m ->
+  let state_footprint s = Option.fold ~none:0 ~some:Ir.state_bytes (Ir.state_obj_opt cir s) in
+  let t =
+    { lnic; mapping; cir; state_entries = Clara_mapping.Encode.declared_entries cir;
+      state_footprint; state_region; mapped = [||] }
+  in
+  match mapping with
+  | None -> t
+  | Some m ->
+      { t with
+        mapped =
           Array.map
             (fun (n : D.Node.t) ->
-              D.Cost.resolve
-                (site lnic ~state_entries ~state_footprint ~state_region
-                   (L.Graph.unit_ lnic m.M.node_unit.(n.D.Node.id)))
-                n)
-            df.D.Graph.nodes);
-  }
+              D.Cost.resolve (site t (L.Graph.unit_ lnic m.M.node_unit.(n.D.Node.id))) n)
+            df.D.Graph.nodes }
 
-let sizes t base = { base with D.Cost.state_entries = t.state_entries }
+let sizes t base = Clara_mapping.Encode.with_entries t.cir base
 
 (* A packet's sizes are a function of its payload and header bytes
    only, so one int keys them: the payload above 16 bits, the header
@@ -80,8 +63,6 @@ let sizes_of_key t key =
     state_entries = t.state_entries;
     opaque_trip = 1.;
   }
-
-let packet_sizes t pkt = sizes_of_key t (size_key pkt)
 
 (* No size key is negative, so [empty] marks a key never seen. *)
 let empty = min_int
@@ -150,15 +131,7 @@ let mapped_unit t (n : D.Node.t) =
   | Some m -> L.Graph.unit_ t.lnic m.M.node_unit.(n.D.Node.id)
   | None -> invalid_arg "Pricer.mapped_unit: no mapping"
 
-let cost_ctx t unit_ sizes =
-  Clara_mapping.Encode.cost_ctx t.lnic unit_ ~sizes ~state_region:t.state_region
-    ~state_footprint:t.state_footprint
-
-let resolve_on t unit_ n =
-  D.Cost.resolve
-    (site t.lnic ~state_entries:t.state_entries ~state_footprint:t.state_footprint
-       ~state_region:t.state_region unit_)
-    n
+let resolve_on t unit_ n = D.Cost.resolve (site t unit_) n
 
 let price_on t unit_ sizes n = Option.map (fun r -> D.Cost.price r sizes) (resolve_on t unit_ n)
 
@@ -177,7 +150,4 @@ let wire lnic =
 
 let rx_cycles w ~bytes = L.Cost_fn.eval w.rx bytes +. w.rx_hub
 let tx_cycles w ~bytes = L.Cost_fn.eval w.tx bytes +. w.tx_hub
-
-let wire_cycles lnic ~bytes ~emitted =
-  let w = wire lnic in
-  rx_cycles w ~bytes +. if emitted then tx_cycles w ~bytes else 0.
+let rx_tx_cycles w ~bytes ~emitted = rx_cycles w ~bytes +. if emitted then tx_cycles w ~bytes else 0.

@@ -1,14 +1,15 @@
-(** Mapped-node pricing: the {!Clara_dataflow.Cost} context every
+(** Mapped-node pricing: the {!Clara_dataflow.Cost.site} every
     predictor needs, resolved once per (LNIC, dataflow graph, mapping).
 
-    It owns the state lookups a cost context asks for (entry counts for
-    [S_state_entries] sizes, byte footprints for cache-fit decisions),
-    the state placement Γ with its fallback, and the packet-region
-    choice.  Latency, throughput, energy, path enumeration and
-    partial-offload estimates all price nodes through it.  For the
-    predictor's per-packet walk it also keys a packet's sizes in one int
-    ({!size_key}), keeps each node's prices by that key ({!table}) and
-    resolves the wire legs once ({!wire}). *)
+    It owns the state lookups a site asks for (the program's declared
+    entry counts for [S_state_entries] sizes, byte footprints for
+    cache-fit decisions) and the state placement Γ with its fallback;
+    {!Clara_mapping.Encode.site} adds the packet regions.  Latency,
+    throughput, energy, path enumeration and partial-offload estimates
+    all price nodes through it.  For the predictor's per-packet walk it
+    also keys a packet's sizes in one int ({!size_key}), keeps each
+    node's prices by that key ({!table}) and resolves the wire legs once
+    ({!wire}). *)
 
 type t
 
@@ -19,8 +20,8 @@ val create :
     its state in DRAM); {!price} then has no mapped unit to use. *)
 
 val sizes : t -> Clara_dataflow.Cost.sizes -> Clara_dataflow.Cost.sizes
-(** The given sizes with [state_entries] resolved against the program's
-    declared states (0 for unknown names). *)
+(** {!Clara_mapping.Encode.with_entries} of the program: the mapping's
+    rule for state entries. *)
 
 val size_key : Clara_workload.Packet.t -> int
 (** Everything of a packet that its sizes depend on, in one int: its
@@ -30,9 +31,6 @@ val size_key : Clara_workload.Packet.t -> int
 
 val sizes_of_key : t -> int -> Clara_dataflow.Cost.sizes
 (** The sizes a {!size_key} stands for, states resolved as in {!sizes}. *)
-
-val packet_sizes : t -> Clara_workload.Packet.t -> Clara_dataflow.Cost.sizes
-(** One packet's own sizes: {!sizes_of_key} of its {!size_key}. *)
 
 type sizes_memo
 (** The sizes record of the last key it was asked for, so a packet that
@@ -68,17 +66,16 @@ val table_price : t -> sizes_memo -> table -> int -> Clara_dataflow.Cost.price -
 val mapped_unit : t -> Clara_dataflow.Node.t -> Clara_lnic.Unit_.t
 (** @raise Invalid_argument when created without a mapping. *)
 
-val cost_ctx : t -> Clara_lnic.Unit_.t -> Clara_dataflow.Cost.sizes -> Clara_dataflow.Cost.ctx
-(** The point-pricing context of the given unit: Γ places state where
+val site : t -> Clara_lnic.Unit_.t -> Clara_dataflow.Cost.site
+(** The given unit's {!Clara_mapping.Encode.site}: Γ places state where
     the mapping put it; accelerator-held or unplaced state is charged at
     external memory (a stray instruction touching it, or a software
-    replay of an accelerator node, walks the full table in DRAM). *)
+    replay of an accelerator node, walks the full table in DRAM).  Its
+    packet regions cover both sides of the CTM threshold, so one
+    resolution serves every packet size. *)
 
 val resolve_on : t -> Clara_lnic.Unit_.t -> Clara_dataflow.Node.t -> Clara_dataflow.Cost.resolved option
-(** {!Clara_dataflow.Cost.resolve} of the node run on the given unit,
-    under the placement of {!cost_ctx} and with the packet regions on
-    both sides of the CTM threshold, so one resolution serves every
-    packet size. *)
+(** {!Clara_dataflow.Cost.resolve} of the node on the unit's {!site}. *)
 
 val price_on :
   t ->
@@ -86,8 +83,9 @@ val price_on :
   Clara_dataflow.Cost.sizes ->
   Clara_dataflow.Node.t ->
   Clara_dataflow.Cost.price option
-(** {!resolve_on} evaluated at [sizes]: equal to
-    {!Clara_dataflow.Cost.node_price} in {!cost_ctx}. *)
+(** {!resolve_on} evaluated at [sizes]; for a node off its mapped unit
+    (the host side of a partial offload).  A mapped node's price is
+    {!price}, which reuses {!resolved}. *)
 
 val resolved : t -> Clara_dataflow.Node.t -> Clara_dataflow.Cost.resolved option
 (** The node resolved on its mapped unit, which {!create} does once for
@@ -96,7 +94,7 @@ val resolved : t -> Clara_dataflow.Node.t -> Clara_dataflow.Cost.resolved option
 
 val price :
   t -> Clara_dataflow.Cost.sizes -> Clara_dataflow.Node.t -> Clara_dataflow.Cost.price option
-(** {!price_on} the node's mapped unit, from {!resolved}. *)
+(** {!Clara_dataflow.Cost.price} of {!resolved} at [sizes]. *)
 
 type wire
 (** A target's two wire legs, resolved: the DMA cost function and the
@@ -111,5 +109,5 @@ val rx_cycles : wire -> bytes:float -> float
 val tx_cycles : wire -> bytes:float -> float
 (** Transmit cost, likewise on the egress side. *)
 
-val wire_cycles : Clara_lnic.Graph.t -> bytes:float -> emitted:bool -> float
-(** Receive plus, if the packet is emitted, transmit. *)
+val rx_tx_cycles : wire -> bytes:float -> emitted:bool -> float
+(** {!rx_cycles} plus, if the packet is emitted, {!tx_cycles}. *)

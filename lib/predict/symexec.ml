@@ -62,6 +62,7 @@ let feasible assign =
 let enumerate ?(max_paths = 64) ~sizes lnic (df : D.Graph.t) mapping =
   let pricer = Pricer.create ~mapping lnic df in
   let sizes = Pricer.sizes pricer sizes in
+  let wire = Pricer.wire lnic in
   let node_cost (n : D.Node.t) =
     match Pricer.price pricer sizes n with Some p -> p.D.Cost.total | None -> 0.
   in
@@ -91,7 +92,7 @@ let enumerate ?(max_paths = 64) ~sizes lnic (df : D.Graph.t) mapping =
     let decisions = List.rev !decisions in
     ( { decisions;
         cost_cycles =
-          !cost +. Pricer.wire_cycles lnic ~bytes:sizes.D.Cost.packet_bytes ~emitted:!emits;
+          !cost +. Pricer.rx_tx_cycles wire ~bytes:sizes.D.Cost.packet_bytes ~emitted:!emits;
         emits = !emits;
         description = describe decisions },
       !trail )

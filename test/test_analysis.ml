@@ -738,12 +738,14 @@ let test_point_price_inside_range () =
                         Printf.sprintf "%s@%s %s n%d" name target label n.D.Node.id
                       in
                       let u = Pr.mapped_unit pricer n in
-                      let ctx = Pr.cost_ctx pricer u sizes in
+                      let site = Pr.site pricer u in
                       let rctx =
                         Cr.ctx lnic ~units:[ u ]
-                          ~state_regions:(fun s -> [ ctx.C.state_region s ])
-                          ~packet_regions:[ ctx.C.packet_region ]
-                          ~state_footprint:ctx.C.state_footprint range_sizes
+                          ~state_regions:(fun s -> [ site.C.state_region s ])
+                          ~packet_regions:
+                            [ C.packet_region site.C.packet_regions
+                                ~packet_bytes:sizes.C.packet_bytes ]
+                          ~state_footprint:site.C.state_footprint range_sizes
                       in
                       match (Pr.price pricer sizes n, Cr.node rctx n) with
                       | Some p, Some r ->
@@ -760,8 +762,8 @@ let test_point_price_inside_range () =
                       | _, None -> Alcotest.failf "%s: no range price" what)
                     a.Clara.df.D.Graph.nodes)
                 [ ("profile", Pr.sizes pricer a.Clara.sizes);
-                  ("tcp64", Pr.packet_sizes pricer (tcp 64));
-                  ("tcp1500", Pr.packet_sizes pricer (tcp 1500)) ])
+                  ("tcp64", Pr.sizes_of_key pricer (Pr.size_key (tcp 64)));
+                  ("tcp1500", Pr.sizes_of_key pricer (Pr.size_key (tcp 1500))) ])
         Clara_nfs.Corpus.all)
     [ "netronome"; "soc"; "bluefield" ]
 

@@ -51,6 +51,12 @@ let default_sizes =
     opaque_trip = 1.;
   }
 
+(* A site whose packet data sits in [packet_region] at every size. *)
+let one_region_site lnic exec_unit ~state_region ~state_footprint packet_region =
+  { D.Cost.lnic; exec_unit; state_region; state_footprint;
+    entries = default_sizes.D.Cost.state_entries;
+    packet_regions = { D.Cost.fits = packet_region; spills = packet_region; ctm_threshold = max_int } }
+
 let test_build_splits_vcalls () =
   let df = D.Build.of_source nat_src in
   (* Every vcall sits alone in its node. *)
@@ -130,55 +136,45 @@ let test_cost_core_vs_accel () =
   let lnic = L.Netronome.default in
   let npu = List.hd (L.Graph.general_cores lnic) in
   let csum = Option.get (L.Graph.find_accelerator lnic L.Unit_.Checksum) in
-  let ctx u =
-    {
-      D.Cost.lnic;
-      exec_unit = u;
-      state_region = (fun _ -> 4);
-      state_footprint = (fun _ -> 2 * 1024 * 1024);
-      packet_region = 2;
-      sizes = { default_sizes with D.Cost.packet_bytes = 1000. };
-    }
+  let cycles u =
+    D.Cost.cycles
+      (one_region_site lnic u ~state_region:(fun _ -> 4)
+         ~state_footprint:(fun _ -> 2 * 1024 * 1024) 2)
+      { default_sizes with D.Cost.packet_bytes = 1000. }
   in
   let vc = { Ir.vc = P.V_checksum; size = Ir.S_packet; state = None;
              state_reads = Ir.S_const 0; state_writes = Ir.S_const 0 } in
   let node = { D.Node.id = 0; kind = D.Node.N_vcall vc; block = 0; loop_trip = None } in
-  let core_cost = Option.get (D.Cost.node_cycles (ctx npu) node) in
-  let accel_cost = Option.get (D.Cost.node_cycles (ctx csum) node) in
+  let core_cost = Option.get (cycles npu node) in
+  let accel_cost = Option.get (cycles csum node) in
   check "accel checksum ~300 @1000B" true (abs_float (accel_cost -. 300.) < 5.);
   check "core much slower" true (core_cost > accel_cost +. 1500.);
   (* Accel cannot run general compute. *)
   let comp = { D.Node.id = 1; kind = D.Node.N_compute [ Ir.Op P.Alu ]; block = 0; loop_trip = None } in
-  check "accel refuses compute" true (D.Cost.node_cycles (ctx csum) comp = None);
-  check "core accepts compute" true (D.Cost.node_cycles (ctx npu) comp <> None)
+  check "accel refuses compute" true (cycles csum comp = None);
+  check "core accepts compute" true (cycles npu comp <> None)
 
 let test_cost_memory_placement_matters () =
   let lnic = L.Netronome.default in
   let npu = List.hd (L.Graph.general_cores lnic) in
   let ctm = (L.Netronome.ctm_of_island lnic 0).L.Memory.id in
   let emem = (L.Netronome.emem lnic).L.Memory.id in
-  let mk_ctx region footprint =
-    {
-      D.Cost.lnic;
-      exec_unit = npu;
-      state_region = (fun _ -> region);
-      state_footprint = (fun _ -> footprint);
-      packet_region = ctm;
-      sizes = default_sizes;
-    }
+  let cycles region footprint =
+    D.Cost.cycles
+      (one_region_site lnic npu ~state_region:(fun _ -> region)
+         ~state_footprint:(fun _ -> footprint) ctm)
+      default_sizes
   in
   let vc = { Ir.vc = P.V_table_lookup; size = Ir.S_state_entries "t"; state = Some "t";
              state_reads = Ir.S_const 2; state_writes = Ir.S_const 0 } in
   let node = { D.Node.id = 0; kind = D.Node.N_vcall vc; block = 0; loop_trip = None } in
   let small = 64 * 1024 in
-  let in_ctm = Option.get (D.Cost.node_cycles (mk_ctx ctm small) node) in
-  let in_emem = Option.get (D.Cost.node_cycles (mk_ctx emem small) node) in
+  let in_ctm = Option.get (cycles ctm small node) in
+  let in_emem = Option.get (cycles emem small node) in
   check "CTM-resident state is faster" true (in_ctm < in_emem);
   (* A small footprint benefits from the EMEM cache vs a huge one. *)
-  let small_emem = Option.get (D.Cost.node_cycles (mk_ctx emem small) node) in
-  let big_emem =
-    Option.get (D.Cost.node_cycles (mk_ctx emem (64 * 1024 * 1024)) node)
-  in
+  let small_emem = Option.get (cycles emem small node) in
+  let big_emem = Option.get (cycles emem (64 * 1024 * 1024) node) in
   check "cache-fit footprint faster in EMEM" true (small_emem < big_emem)
 
 let test_cost_fpu_emulation () =
@@ -191,10 +187,9 @@ let test_cost_fpu_emulation () =
   let cost lnic =
     let u = List.hd (L.Graph.general_cores lnic) in
     Option.get
-      (D.Cost.node_cycles
-         { D.Cost.lnic; exec_unit = u; state_region = (fun _ -> 0);
-           state_footprint = (fun _ -> 0); packet_region = 2; sizes = default_sizes }
-         node)
+      (D.Cost.cycles
+         (one_region_site lnic u ~state_region:(fun _ -> 0) ~state_footprint:(fun _ -> 0) 2)
+         default_sizes node)
   in
   check "fp on NPU (no fpu) >> fp on ARM" true (cost netro > 10. *. cost soc)
 

@@ -163,38 +163,25 @@ let test_symexec_flow_weight_consistency () =
   in
   (* (b): weights × costs + expected wire. *)
   let weights = D.Graph.visits a.Clara.df ~prob in
-  let states = D.Graph.states a.Clara.df in
-  let sizes_resolved =
-    { sizes with
-      Clara_dataflow.Cost.state_entries =
-        (fun s ->
-          match List.find_opt (fun o -> o.Clara_cir.Ir.st_name = s) states with
-          | Some o -> float_of_int o.Clara_cir.Ir.st_entries
-          | None -> 0.) }
-  in
+  let cir = a.Clara.df.D.Graph.cir in
+  let sizes_resolved = Clara_mapping.Encode.with_entries cir sizes in
   let node_cost (n : Clara_dataflow.Node.t) =
     let unit_ =
       Clara_lnic.Graph.unit_ lnic a.Clara.mapping.Clara_mapping.Mapping.node_unit.(n.Clara_dataflow.Node.id)
     in
-    let ctx =
-      { Clara_dataflow.Cost.lnic;
-        exec_unit = unit_;
-        state_region =
-          (fun s ->
-            match Clara_mapping.Mapping.placement_of_state a.Clara.mapping s with
-            | Some (Clara_mapping.Mapping.In_memory m) -> m
-            | _ -> (Clara_lnic.Netronome.emem lnic).Clara_lnic.Memory.id);
-        state_footprint =
-          (fun s ->
-            match List.find_opt (fun o -> o.Clara_cir.Ir.st_name = s) states with
-            | Some o -> Clara_cir.Ir.state_bytes o
-            | None -> 0);
-        packet_region =
-          Clara_mapping.Encode.packet_region_for lnic unit_
-            ~packet_bytes:sizes_resolved.Clara_dataflow.Cost.packet_bytes;
-        sizes = sizes_resolved }
+    let site =
+      Clara_mapping.Encode.site lnic ~entries:sizes_resolved.C.state_entries
+        ~state_region:(fun s ->
+          match Clara_mapping.Mapping.placement_of_state a.Clara.mapping s with
+          | Some (Clara_mapping.Mapping.In_memory m) -> m
+          | _ -> (Clara_lnic.Netronome.emem lnic).Clara_lnic.Memory.id)
+        ~state_footprint:(fun s ->
+          match Clara_cir.Ir.state_obj_opt cir s with
+          | Some o -> Clara_cir.Ir.state_bytes o
+          | None -> 0)
+        unit_
     in
-    Option.value ~default:0. (Clara_dataflow.Cost.node_cycles ctx n)
+    Option.value ~default:0. (C.cycles site sizes_resolved n)
   in
   let compute_expectation =
     Array.fold_left
@@ -210,8 +197,12 @@ let test_symexec_flow_weight_consistency () =
       payload_bytes = payload; arrival_ns = 0L }
   in
   let payload = int_of_float pkt_bytes - 54 in
-  let rx_tx = Lat.wire_cycles lnic (dummy payload) ~emitted:true in
-  let rx_only = Lat.wire_cycles lnic (dummy payload) ~emitted:false in
+  let wire emitted =
+    Pr.rx_tx_cycles (Pr.wire lnic)
+      ~bytes:(float_of_int (W.Packet.total_bytes (dummy payload))) ~emitted
+  in
+  let rx_tx = wire true in
+  let rx_only = wire false in
   let p_emit = List.fold_left (fun acc p -> acc +. if p.Sym.emits then path_p p else 0.) 0. paths in
   let expected_via_weights =
     compute_expectation +. (p_emit *. rx_tx) +. ((1. -. p_emit) *. rx_only)
@@ -475,13 +466,15 @@ let packet_load_source =
   }
 }|}
 
-(* Resolving once never captures a packet size.  Every corpus node is
-   resolved once, on its mapped unit and on the first general core of
-   each target, and so is every node of [packet_load_source].  At random
-   sizes (payloads of 0 to 1,500 B, packets at the payload plus a header
-   or at the target's CTM threshold and one byte either side),
-   evaluating that resolution into one reused price equals
-   [Cost.node_price] in a context built at those sizes. *)
+(* Resolving once never captures a packet size, and it prices as the
+   mapping ILP does.  Every corpus node is resolved once on the pricer's
+   site of its mapped unit and of every placement-class representative
+   of each target (the units [Encode] prices, accelerators included),
+   and so is every node of [packet_load_source].  At random sizes
+   (payloads of 0 to 1,500 B, packets at the payload plus a header or
+   at the target's CTM threshold and one byte either side), evaluating
+   that resolution into one reused price equals the price of a site
+   holding only the packet region those sizes pick, resolved at them. *)
 let resolved_corpus =
   lazy
     (let prof = profile ~packets:200 () in
@@ -497,7 +490,9 @@ let resolved_corpus =
      in
      List.concat_map
        (fun (target, nic) ->
-         let cores = List.filteri (fun i _ -> i = 0) (L.Graph.general_cores nic) in
+         let reps =
+           List.map (fun (c : L.Graph.placement_class) -> c.L.Graph.rep) (L.Graph.placement_classes nic)
+         in
          List.concat_map
            (fun (name, source) ->
              let what = name ^ "@" ^ target in
@@ -505,7 +500,7 @@ let resolved_corpus =
              | Error _ -> []
              | Ok a ->
                  let pricer = Pr.create ~mapping:a.Clara.mapping nic a.Clara.df in
-                 resolutions what nic pricer a.Clara.df (fun n -> Pr.mapped_unit pricer n :: cores))
+                 resolutions what nic pricer a.Clara.df (fun n -> Pr.mapped_unit pricer n :: reps))
            (("packet-load", packet_load_source)
            :: List.map
                 (fun (e : Clara_nfs.Corpus.entry) -> (e.Clara_nfs.Corpus.name, e.Clara_nfs.Corpus.source))
@@ -523,7 +518,7 @@ let prop_resolve_once_never_captures_sizes =
       (match ctm with None -> "payload+header" | Some d -> Printf.sprintf "ctm%+d" d)
       trip
   in
-  QCheck.Test.make ~name:"resolve once = node_price at every size" ~count:60
+  QCheck.Test.make ~name:"resolve once = ILP's site at every size" ~count:60
     (QCheck.make ~print gen) (fun (payload, header, ctm, trip) ->
       let scratch = { C.total = 0.; mem = 0.; accel = 0. } in
       let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
@@ -542,16 +537,23 @@ let prop_resolve_once_never_captures_sizes =
                 state_entries = (fun _ -> 0.);
                 opaque_trip = float_of_int trip }
           in
-          match (resolved, C.node_price (Pr.cost_ctx pricer u sizes) n) with
+          let site = Pr.site pricer u in
+          let region = C.packet_region site.C.packet_regions ~packet_bytes:sizes.C.packet_bytes in
+          let picked =
+            { site with
+              C.packet_regions = { C.fits = region; spills = region; ctm_threshold = max_int } }
+          in
+          match (resolved, C.resolve picked n) with
           | None, None -> true
-          | Some r, Some p ->
+          | Some r, Some one ->
               C.evaluate r sizes scratch;
+              let p = C.price one sizes in
               (same scratch.C.total p.C.total && same scratch.C.mem p.C.mem
                && same scratch.C.accel p.C.accel)
-              || QCheck.Test.fail_reportf "%s: resolved %h/%h/%h, node_price %h/%h/%h" what
+              || QCheck.Test.fail_reportf "%s: resolved %h/%h/%h, one region %h/%h/%h" what
                    scratch.C.total scratch.C.mem scratch.C.accel p.C.total p.C.mem p.C.accel
-          | Some _, None -> QCheck.Test.fail_reportf "%s: resolved but no node_price" what
-          | None, Some _ -> QCheck.Test.fail_reportf "%s: node_price but no resolution" what)
+          | Some _, None -> QCheck.Test.fail_reportf "%s: resolved but not on one region" what
+          | None, Some _ -> QCheck.Test.fail_reportf "%s: one region but no resolution" what)
         (Lazy.force resolved_corpus))
 
 let test_interference_saturation_flag () =
@@ -629,12 +631,13 @@ let test_analyze_n_three () =
 (* A node's price table gives what [Cost.evaluate] gives at the key's
    sizes, bit for bit.  Every resolution of [resolved_corpus] (each
    corpus node and each node of [packet_load_source], on its mapped
-   unit and the first general core of every target) gets a fresh table
-   and a run of 24 size keys, twice over: payloads of 0 to 1,500 B with
-   every header size, and packets at the target's CTM threshold and one
-   byte either side.  A run of more than 16 distinct keys overfills the
-   table's 8 sets of 2 ways, so keys share sets and evict each other,
-   and the second pass reads back both surviving and evicted keys. *)
+   unit and every placement-class representative of every target) gets
+   a fresh table and a run of 24 size keys, twice over: payloads of 0 to
+   1,500 B with every header size, and packets at the target's CTM
+   threshold and one byte either side.  A run of more than 16 distinct
+   keys overfills the table's 8 sets of 2 ways, so keys share sets and
+   evict each other, and the second pass reads back both surviving and
+   evicted keys. *)
 let prop_table_price_is_evaluate =
   let header = QCheck.Gen.oneofl [ 34; 42; 54 ] in
   let size =

@@ -200,6 +200,35 @@ let test_syn_on_first_packet () =
       | Some () -> check "later packet no SYN" false (W.Packet.is_syn p))
     tr
 
+(* [flow_key] keeps the FNV-1a mixing of the five-tuple, so these values
+   are pinned; it is called on every table-hit guard, table update and
+   eSwitch touch of the predictor's walk, so it allocates nothing. *)
+let test_flow_key () =
+  let pkt src_ip dst_ip src_port dst_port proto =
+    { W.Packet.src_ip; dst_ip; src_port; dst_port; proto; flags = 0; payload_bytes = 100;
+      arrival_ns = 0L }
+  in
+  let pkts =
+    [| pkt 0x0a000001l 0x0a000002l 1234 80 W.Packet.Tcp;
+       pkt 0xc0a80001l 0x08080808l 5353 53 W.Packet.Udp;
+       pkt 0x01020304l 0x05060708l 0 0 (W.Packet.Other 47);
+       pkt 0xffffffffl 0x80000001l 65535 443 W.Packet.Tcp;
+       pkt 0l 0l 0 0 W.Packet.Udp |]
+  in
+  Alcotest.(check (array int))
+    "pinned keys"
+    [| 1375595989561669642; 73334730446413437; 1615731183147059826; 3084691367620719635;
+       774880811103073612 |]
+    (Array.map W.Packet.flow_key pkts);
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 1_000 do
+    acc := !acc + W.Packet.flow_key pkts.(i mod 5)
+  done;
+  let words = Gc.minor_words () -. before in
+  check "keys folded" true (!acc <> 0);
+  check (Printf.sprintf "1,000 keys: %.0f minor words" words) true (words = 0.)
+
 let test_packet_helpers () =
   let p =
     { W.Packet.src_ip = 1l; dst_ip = 2l; src_port = 10; dst_port = 20;
@@ -507,6 +536,7 @@ let suite =
     Alcotest.test_case "trace synthesis & stats" `Quick test_trace_synthesis;
     Alcotest.test_case "SYN on first flow packet" `Quick test_syn_on_first_packet;
     Alcotest.test_case "packet helpers" `Quick test_packet_helpers;
+    Alcotest.test_case "flow key pinned, allocates nothing" `Quick test_flow_key;
     Alcotest.test_case "pcap roundtrip" `Quick test_pcap_roundtrip;
     Alcotest.test_case "pcap bad magic" `Quick test_pcap_bad_magic;
     Alcotest.test_case "trace utilities" `Quick test_trace_utilities;
