@@ -41,16 +41,21 @@ type miss_regime =
    table on its mapped unit and its miss regime. *)
 type slot = { table : Pricer.table; miss : miss_regime }
 
+(* One state name's tracked contents, resolved in [create]: the keys its
+   last declaration has seen (bounded), and whether any declaration is
+   an LPM/route table — provisioned configuration, not learned state,
+   so matches against it succeed. *)
+type state = { name : string; seen : Lru.t option; provisioned : bool }
+
+(* What a name no declaration gives reads: never seen, not provisioned. *)
+let undeclared = { name = ""; seen = None; provisioned = false }
+
 type t = {
   lnic : L.Graph.t;
   df : D.Graph.t;
   pricer : Pricer.t;
   config : config;
-  (* Abstract state: which keys each table has seen (bounded). *)
-  flow_seen : (string, Lru.t) Hashtbl.t;
-  (* LPM/route tables are provisioned configuration, not learned state:
-     matches against them succeed. *)
-  provisioned : (string, unit) Hashtbl.t;
+  states : state array;  (* one per distinct state name *)
   (* Off-path only: the eSwitch flow cache, sized by its SRAM.  A vcall
      on cached flows runs at the hardware hit price; a miss pays the
      upcall plus the software cost of the same node (two-regime). *)
@@ -63,19 +68,37 @@ type t = {
   price : D.Cost.price;
   miss_price : D.Cost.price;
   memo : Pricer.sizes_memo;  (* the sizes a table miss evaluates at *)
+  (* The components sink's per-packet node sums: total (with miss
+     extras), mem and accel. *)
+  sums : D.Cost.price;
+  components : D.Node.t -> D.Cost.price -> float -> unit;
+  mutable flow : int;  (* the walked packet's flow key *)
   mutable rng : W.Prng.t;
 }
 
+(* One [state] per declared name: the last declaration's table, and
+   provisioned when any declaration of the name is an LPM table. *)
+let resolve_states (decls : Ir.state_obj list) =
+  let named name (s : Ir.state_obj) = String.equal s.Ir.st_name name in
+  List.sort_uniq String.compare (List.map (fun (s : Ir.state_obj) -> s.Ir.st_name) decls)
+  |> List.map (fun name ->
+         let last = List.find (named name) (List.rev decls) in
+         { name;
+           seen = Some (Lru.create ~capacity:(max 1 last.Ir.st_entries));
+           provisioned =
+             List.exists (fun s -> named name s && s.Ir.st_kind = Clara_cir.Ast.S_lpm) decls })
+  |> Array.of_list
+
+(* A scan of a handful of names: no hashing, no allocation. *)
+let rec find_state (states : state array) name i =
+  if i = Array.length states then undeclared
+  else
+    let st = states.(i) in
+    if st.name == name || String.equal st.name name then st else find_state states name (i + 1)
+
+let state t name = find_state t.states name 0
+
 let create ?(config = default_config) lnic df mapping =
-  let flow_seen = Hashtbl.create 8 in
-  let provisioned = Hashtbl.create 4 in
-  List.iter
-    (fun (s : Ir.state_obj) ->
-      Hashtbl.replace flow_seen s.Ir.st_name
-        (Lru.create ~capacity:(max 1 s.Ir.st_entries));
-      if s.Ir.st_kind = Clara_cir.Ast.S_lpm then
-        Hashtbl.replace provisioned s.Ir.st_name ())
-    (D.Graph.states df);
   let eswitch_cache =
     if lnic.L.Graph.arch = L.Graph.Off_path
        && L.Graph.find_accelerator lnic L.Unit_.Eswitch <> None
@@ -118,14 +141,21 @@ let create ?(config = default_config) lnic df mapping =
     | Some r -> { table = Pricer.table r; miss = miss_regime n }
   in
   let scratch () = { D.Cost.total = 0.; mem = 0.; accel = 0. } in
-  { lnic; df; pricer; config; flow_seen; provisioned; eswitch_cache; upcall_cycles;
-    slots = Array.map slot df.D.Graph.nodes;
+  let sums = scratch () in
+  (* Built once, so a components walk allocates no [charge] closure. *)
+  let components _ (p : D.Cost.price) extra =
+    sums.D.Cost.total <- sums.D.Cost.total +. p.D.Cost.total +. extra;
+    sums.D.Cost.mem <- sums.D.Cost.mem +. p.D.Cost.mem;
+    sums.D.Cost.accel <- sums.D.Cost.accel +. p.D.Cost.accel
+  in
+  { lnic; df; pricer; config; states = resolve_states (D.Graph.states df); eswitch_cache;
+    upcall_cycles; slots = Array.map slot df.D.Graph.nodes;
     wire = Pricer.wire lnic;
     price = scratch (); miss_price = scratch (); memo = Pricer.sizes_memo pricer;
-    rng = W.Prng.create ~seed }
+    sums; components; flow = 0; rng = W.Prng.create ~seed }
 
 let reset_state t =
-  Hashtbl.iter (fun _ l -> Lru.clear l) t.flow_seen;
+  Array.iter (fun st -> Option.iter Lru.clear st.seen) t.states;
   Option.iter Lru.clear t.eswitch_cache;
   t.rng <- W.Prng.create ~seed
 
@@ -143,7 +173,7 @@ type per_packet = { cycles : float; emitted : bool }
    [flow_cache_hit_ratio] pins the ratio.  Zero on every node
    [miss_regime] leaves out.  Touches the LRU, so [walk] calls it
    exactly once per executed node. *)
-let eswitch_node_extra t (pkt : W.Packet.t) key = function
+let eswitch_node_extra t key = function
   | No_upcall -> 0.
   | Upcall software ->
       let miss =
@@ -151,7 +181,7 @@ let eswitch_node_extra t (pkt : W.Packet.t) key = function
         | Some h -> 1. -. Float.max 0. (Float.min 1. h)
         | None -> (
             match t.eswitch_cache with
-            | Some c -> if Lru.touch c (W.Packet.flow_key pkt) then 0. else 1.
+            | Some c -> if Lru.touch c t.flow then 0. else 1.
             | None -> 0.)
       in
       if miss = 0. then 0.
@@ -174,11 +204,9 @@ let rec resolve_guard t (pkt : W.Packet.t) (g : Ir.guard) =
   match g with
   | Ir.G_proto k -> W.Packet.proto_number pkt.W.Packet.proto = k
   | Ir.G_flag k -> pkt.W.Packet.flags land k <> 0
-  | Ir.G_table_hit s ->
-      Hashtbl.mem t.provisioned s
-      || (match Hashtbl.find_opt t.flow_seen s with
-         | None -> false
-         | Some seen -> Lru.mem seen (W.Packet.flow_key pkt))
+  | Ir.G_table_hit s -> (
+      let st = state t s in
+      st.provisioned || match st.seen with None -> false | Some seen -> Lru.mem seen t.flow)
   | Ir.G_scan_match | Ir.G_count_exceeds | Ir.G_opaque -> W.Prng.bool t.rng (guard_prior g)
   | Ir.G_not g' -> not (resolve_guard t pkt g')
   | Ir.G_or (a, b) -> resolve_guard t pkt a || resolve_guard t pkt b
@@ -195,23 +223,26 @@ let wire_costs t (pkt : W.Packet.t) ~emitted =
    [charge] with its off-path miss extra.  Per node: the price, then
    the eSwitch LRU touch, then [charge], then the emit/insertion
    bookkeeping.  [charge] gets the predictor's scratch price, which the
-   next node overwrites.  The sinks below ([packet_latency],
-   [packet_components], [perfetto_timeline]) differ only in what
-   [charge] keeps.  Returns whether the packet is emitted. *)
+   next node overwrites.  The packet's flow key goes into [t.flow]
+   once, for the guards, the eSwitch LRU and insertions.  The sinks
+   below ([packet_latency], [packet_components], [perfetto_timeline])
+   differ only in what [charge] keeps.  Returns whether the packet is
+   emitted. *)
 let walk t (pkt : W.Packet.t) ~charge =
   let key = Pricer.size_key pkt in
+  t.flow <- W.Packet.flow_key pkt;
   let emitted = ref false in
   D.Graph.walk t.df ~guard:(resolve_guard t pkt) ~visit:(fun (n : D.Node.t) ->
       let s = t.slots.(n.D.Node.id) in
       Pricer.table_price t.pricer t.memo s.table key t.price;
-      let extra = eswitch_node_extra t pkt key s.miss in
+      let extra = eswitch_node_extra t key s.miss in
       charge n t.price extra;
       match n.D.Node.kind with
       | D.Node.N_vcall v when v.Ir.vc = P.V_emit -> emitted := true
       | D.Node.N_vcall { Ir.vc = P.V_table_update; state = Some s; _ } -> (
           (* Executed insertion: the flow is now table-resident. *)
-          match Hashtbl.find_opt t.flow_seen s with
-          | Some seen -> ignore (Lru.touch seen (W.Packet.flow_key pkt))
+          match (state t s).seen with
+          | Some seen -> ignore (Lru.touch seen t.flow)
           | None -> ())
       | _ -> ());
   !emitted
@@ -362,24 +393,27 @@ type pkt_components = {
   pc_emitted : bool;
 }
 
+(* The components sink: [walk] with [t.components] as [charge], from
+   zeroed [t.sums].  Returns whether the packet is emitted. *)
+let component_walk t pkt =
+  t.sums.D.Cost.total <- 0.;
+  t.sums.D.Cost.mem <- 0.;
+  t.sums.D.Cost.accel <- 0.;
+  walk t pkt ~charge:t.components
+
 (* Compute is the residual of the node total after memory and
    accelerator charges, so the four components sum to [pc_total]
    exactly.  The miss-regime extra is charged as compute: it lands in
    the residual. *)
 let packet_components t (pkt : W.Packet.t) =
-  let cost = ref 0. and mem = ref 0. and accel = ref 0. in
-  let emitted =
-    walk t pkt ~charge:(fun _ p extra ->
-        cost := !cost +. p.D.Cost.total +. extra;
-        mem := !mem +. p.D.Cost.mem;
-        accel := !accel +. p.D.Cost.accel)
-  in
+  let emitted = component_walk t pkt in
+  let s = t.sums in
   let wire = wire_costs t pkt ~emitted in
   {
-    pc_total = !cost +. wire;
-    pc_compute = !cost -. !mem -. !accel;
-    pc_mem = !mem;
-    pc_accel = !accel;
+    pc_total = s.D.Cost.total +. wire;
+    pc_compute = s.D.Cost.total -. s.D.Cost.mem -. s.D.Cost.accel;
+    pc_mem = s.D.Cost.mem;
+    pc_accel = s.D.Cost.accel;
     pc_wire = wire;
     pc_emitted = emitted;
   }
@@ -397,76 +431,74 @@ type att_row = {
 
 type attribution = { att_rows : att_row list; att_mean : float }
 
-let type_label (pkt : W.Packet.t) =
+(* A packet's type as a slot of [type_names]; the last slot is "all". *)
+let type_names = [| "tcp-syn"; "tcp"; "udp"; "other"; "all" |]
+let all_slot = 4
+
+let type_slot (pkt : W.Packet.t) =
   match pkt.W.Packet.proto with
-  | W.Packet.Tcp -> if W.Packet.is_syn pkt then "tcp-syn" else "tcp"
-  | W.Packet.Udp -> "udp"
-  | W.Packet.Other _ -> "other"
+  | W.Packet.Tcp -> if W.Packet.is_syn pkt then 0 else 1
+  | W.Packet.Udp -> 2
+  | W.Packet.Other _ -> 3
+
+(* The rows' order: the types by name, then "all". *)
+let row_order = [ 3; 1; 0; 2; all_slot ]
 
 let attribute_trace t (trace : W.Trace.t) =
   reset_state t;
-  let n = Array.length trace.W.Trace.packets in
+  let pkts = trace.W.Trace.packets in
+  let n = Array.length pkts in
   if n = 0 then { att_rows = []; att_mean = 0. }
   else begin
-    let total = ref 0. in
-    let sums : (string, int ref * float ref * float ref * float ref * float ref) Hashtbl.t =
-      Hashtbl.create 8
+    (* Per slot: a count, and compute, mem, accel and wire sums at
+       [4 * slot]; the trace's total sits after them. *)
+    let counts = Array.make (Array.length type_names) 0 in
+    let sums = Array.make ((4 * Array.length type_names) + 1) 0. in
+    let total = 4 * Array.length type_names in
+    let add slot compute wire =
+      let j = 4 * slot in
+      counts.(slot) <- counts.(slot) + 1;
+      sums.(j) <- sums.(j) +. compute;
+      sums.(j + 1) <- sums.(j + 1) +. t.sums.D.Cost.mem;
+      sums.(j + 2) <- sums.(j + 2) +. t.sums.D.Cost.accel;
+      sums.(j + 3) <- sums.(j + 3) +. wire
     in
-    let add ty c =
-      let cnt, co, me, ac, wi =
-        match Hashtbl.find_opt sums ty with
-        | Some v -> v
-        | None ->
-            let v = (ref 0, ref 0., ref 0., ref 0., ref 0.) in
-            Hashtbl.add sums ty v;
-            v
+    for i = 0 to n - 1 do
+      let pkt = pkts.(i) in
+      let emitted = component_walk t pkt in
+      let s = t.sums in
+      let wire = wire_costs t pkt ~emitted in
+      (* The mean sums in trace order, as [summarize]'s does. *)
+      sums.(total) <- sums.(total) +. (s.D.Cost.total +. wire);
+      let compute = s.D.Cost.total -. s.D.Cost.mem -. s.D.Cost.accel in
+      add (type_slot pkt) compute wire;
+      add all_slot compute wire
+    done;
+    let row slot =
+      let j = 4 * slot in
+      let fn = float_of_int counts.(slot) in
+      let compute = sums.(j) /. fn and mem = sums.(j + 1) /. fn in
+      let accel = sums.(j + 2) /. fn and wire = sums.(j + 3) /. fn in
+      let dominant =
+        fst
+          (List.fold_left
+             (fun (bn, bv) (nm, v) -> if v > bv then (nm, v) else (bn, bv))
+             ("compute", compute)
+             [ ("memory", mem); ("accel", accel); ("wire", wire) ])
       in
-      incr cnt;
-      co := !co +. c.pc_compute;
-      me := !me +. c.pc_mem;
-      ac := !ac +. c.pc_accel;
-      wi := !wi +. c.pc_wire
+      {
+        at_type = type_names.(slot);
+        at_count = counts.(slot);
+        at_compute = compute;
+        at_mem = mem;
+        at_accel = accel;
+        at_wire = wire;
+        at_total = compute +. mem +. accel +. wire;
+        at_dominant = dominant;
+      }
     in
-    Array.iter
-      (fun pkt ->
-        let c = packet_components t pkt in
-        (* The mean sums in trace order, as [summarize]'s does. *)
-        total := !total +. c.pc_total;
-        add (type_label pkt) c;
-        add "all" c)
-      trace.W.Trace.packets;
-    let rows =
-      Hashtbl.fold
-        (fun ty (cnt, co, me, ac, wi) acc ->
-          let fn = float_of_int !cnt in
-          let compute = !co /. fn and mem = !me /. fn in
-          let accel = !ac /. fn and wire = !wi /. fn in
-          let dominant =
-            fst
-              (List.fold_left
-                 (fun (bn, bv) (nm, v) -> if v > bv then (nm, v) else (bn, bv))
-                 ("compute", compute)
-                 [ ("memory", mem); ("accel", accel); ("wire", wire) ])
-          in
-          {
-            at_type = ty;
-            at_count = !cnt;
-            at_compute = compute;
-            at_mem = mem;
-            at_accel = accel;
-            at_wire = wire;
-            at_total = compute +. mem +. accel +. wire;
-            at_dominant = dominant;
-          }
-          :: acc)
-        sums []
-      |> List.sort (fun a b ->
-             match (a.at_type = "all", b.at_type = "all") with
-             | true, false -> 1
-             | false, true -> -1
-             | _ -> compare a.at_type b.at_type)
-    in
-    { att_rows = rows; att_mean = !total /. float_of_int n }
+    { att_rows = List.filter_map (fun s -> if counts.(s) = 0 then None else Some (row s)) row_order;
+      att_mean = sums.(total) /. float_of_int n }
   end
 
 let pp_attribution fmt a =

@@ -22,7 +22,16 @@
     evaluation per node between them, and a node whose price reads no
     size costs none; a packet that misses builds its sizes record once,
     for all its nodes.  Every price is the one
-    {!Clara_dataflow.Cost.evaluate} gives at the packet's sizes. *)
+    {!Clara_dataflow.Cost.evaluate} gives at the packet's sizes.
+
+    {!create} also resolves the tracked state: one small array with an
+    entry per declared state name, holding the last declaration's
+    flow-membership LRU and whether any declaration of the name is an
+    LPM table (provisioned, so its matches succeed).  Table-hit guards,
+    executed [table_update]s and {!reset_state} read that array by a
+    [String.equal] scan that returns the entry itself, so a lookup
+    neither hashes nor allocates; the walk computes the packet's flow
+    key once, for all of them. *)
 
 type config = {
   include_wire : bool;
@@ -113,7 +122,11 @@ type pkt_components = {
 }
 
 val packet_components : t -> Clara_workload.Packet.t -> pkt_components
-(** Stateful, like {!packet_latency}. *)
+(** Stateful, like {!packet_latency}.  The components sink: the walk
+    sums each node's total, memory and accelerator charges into one
+    scratch price the predictor holds, with a [charge] built at
+    {!create}; this wraps those sums and the wire legs in a record.
+    {!attribute_trace} reads the same sums without the record. *)
 
 type att_row = {
   at_type : string;   (** "tcp-syn", "tcp", "udp", "other" or "all". *)
@@ -135,7 +148,11 @@ type attribution = {
 
 val attribute_trace : t -> Clara_workload.Trace.t -> attribution
 (** Resets state and re-walks the trace with the same RNG seed, so the
-    totals match {!predict_trace} exactly. *)
+    totals match {!predict_trace} exactly.  Counts and the four
+    component sums live in five fixed slots (the four types and "all"),
+    each summed in trace order, so a packet costs no table lookup and
+    no record; the rows are what a per-type fold of
+    {!packet_components} gives, bit for bit. *)
 
 val pp_attribution : Format.formatter -> attribution -> unit
 

@@ -330,9 +330,10 @@ let test_prediction_major_heap () =
 (* The price table keeps the walk from evaluating a node, or building
    a sizes record, per packet: over the 36 corpus cells of the
    benchmarked targets and the benchmark's trace shape, [predict_trace]
-   allocates at most 100 and [attribute_trace] at most 150 minor words
+   allocates at most 100 and [attribute_trace] at most 60 minor words
    per packet on average (the walk without the table allocates 156 and
-   200; what is left is its captured [float ref]s and closures).  A
+   200; what is left is the walk's closures, and [predict_trace]'s
+   captured [float ref]; attribution sums into fixed slots).  A
    trace of [Uniform (0, 1500)] payloads misses a sized node's table on
    nearly every packet; it may allocate at most 20 words per packet
    more than the benchmark's shape: one sizes record per packet (17
@@ -377,9 +378,143 @@ let test_walk_allocation () =
         (Printf.sprintf "%s: %.1f minor words per packet, at most %.0f" what (per_packet w) bound)
         true
         (per_packet w <= bound))
-    [ ("predict_trace", !pred, 100.); ("attribute_trace", !att, 150.);
+    [ ("predict_trace", !pred, 100.); ("attribute_trace", !att, 60.);
       ("predict_trace, many sizes", !pred_many, per_packet !pred +. 20.);
       ("attribute_trace, many sizes", !att_many, per_packet !att +. 20.) ]
+
+(* The attribution as the per-type [Hashtbl] fold it once was: each
+   packet's [packet_components] summed under its type's label and under
+   "all", the rows sorted by label with "all" last. *)
+let reference_attribution p (trace : W.Trace.t) =
+  Lat.reset_state p;
+  let label (pkt : W.Packet.t) =
+    match pkt.W.Packet.proto with
+    | W.Packet.Tcp -> if W.Packet.is_syn pkt then "tcp-syn" else "tcp"
+    | W.Packet.Udp -> "udp"
+    | W.Packet.Other _ -> "other"
+  in
+  let sums = Hashtbl.create 8 and total = ref 0. in
+  let add ty (c : Lat.pkt_components) =
+    let cnt, co, me, ac, wi =
+      match Hashtbl.find_opt sums ty with
+      | Some v -> v
+      | None ->
+          let v = (ref 0, ref 0., ref 0., ref 0., ref 0.) in
+          Hashtbl.add sums ty v;
+          v
+    in
+    incr cnt;
+    co := !co +. c.Lat.pc_compute;
+    me := !me +. c.Lat.pc_mem;
+    ac := !ac +. c.Lat.pc_accel;
+    wi := !wi +. c.Lat.pc_wire
+  in
+  Array.iter
+    (fun pkt ->
+      let c = Lat.packet_components p pkt in
+      total := !total +. c.Lat.pc_total;
+      add (label pkt) c;
+      add "all" c)
+    trace.W.Trace.packets;
+  let row ty (cnt, co, me, ac, wi) =
+    let fn = float_of_int !cnt in
+    let compute = !co /. fn and mem = !me /. fn and accel = !ac /. fn and wire = !wi /. fn in
+    let dominant =
+      fst
+        (List.fold_left
+           (fun (bn, bv) (nm, v) -> if v > bv then (nm, v) else (bn, bv))
+           ("compute", compute)
+           [ ("memory", mem); ("accel", accel); ("wire", wire) ])
+    in
+    { Lat.at_type = ty; at_count = !cnt; at_compute = compute; at_mem = mem; at_accel = accel;
+      at_wire = wire; at_total = compute +. mem +. accel +. wire; at_dominant = dominant }
+  in
+  let rows =
+    Hashtbl.fold (fun ty v acc -> row ty v :: acc) sums []
+    |> List.sort (fun a b ->
+           match (a.Lat.at_type = "all", b.Lat.at_type = "all") with
+           | true, false -> 1
+           | false, true -> -1
+           | _ -> compare a.Lat.at_type b.Lat.at_type)
+  in
+  let n = Array.length trace.W.Trace.packets in
+  { Lat.att_rows = rows; att_mean = (if n = 0 then 0. else !total /. float_of_int n) }
+
+(* One predictor per corpus cell of the three benchmarked targets. *)
+let corpus_predictors =
+  lazy
+    (List.concat_map
+       (fun target ->
+         let nic = List.assoc target L.Targets.all in
+         List.filter_map
+           (fun (e : Clara_nfs.Corpus.entry) ->
+             match
+               Clara.analyze_for_profile nic ~source:e.Clara_nfs.Corpus.source
+                 ~profile:(profile ~packets:200 ())
+             with
+             | Error _ -> None
+             | Ok a ->
+                 Some (e.Clara_nfs.Corpus.name ^ "@" ^ target,
+                       Lat.create a.Clara.lnic a.Clara.df a.Clara.mapping))
+           Clara_nfs.Corpus.all)
+       [ "netronome"; "soc"; "bluefield" ])
+
+(* [attribute_trace] equals the reference fold on every corpus cell:
+   the same rows in the same order, each field bit for bit, and a mean
+   that is [predict_trace]'s, over random traces of TCP packets with and
+   without SYN, UDP and other protocols, on a few flows (so table state
+   matters), with payloads drawn from 0 to 1,500 B. *)
+let prop_attribution_is_reference_fold =
+  let packet =
+    QCheck.Gen.(
+      triple (oneofl [ `Syn; `Tcp; `Udp; `Other 1; `Other 47 ]) (int_range 0 7) (int_range 0 1500))
+  in
+  let print =
+    QCheck.Print.list (fun (kind, flow, payload) ->
+        Printf.sprintf "%s/f%d/%dB"
+          (match kind with
+          | `Syn -> "syn" | `Tcp -> "tcp" | `Udp -> "udp" | `Other k -> Printf.sprintf "proto%d" k)
+          flow payload)
+  in
+  let trace specs =
+    W.Trace.of_packets
+      (Array.of_list
+         (List.mapi
+            (fun i (kind, flow, payload) ->
+              let proto, flags =
+                match kind with
+                | `Syn -> (W.Packet.Tcp, 0x2)
+                | `Tcp -> (W.Packet.Tcp, 0x10)
+                | `Udp -> (W.Packet.Udp, 0)
+                | `Other k -> (W.Packet.Other k, 0)
+              in
+              { W.Packet.src_ip = Int32.of_int (0x0a000000 + flow); dst_ip = 0x0a010001l;
+                src_port = 1024 + flow; dst_port = 80; proto; flags; payload_bytes = payload;
+                arrival_ns = Int64.of_int (i * 1000) })
+            specs))
+  in
+  let bits x = Int64.bits_of_float x in
+  let fields (r : Lat.att_row) =
+    ( r.Lat.at_type, r.Lat.at_count, r.Lat.at_dominant,
+      List.map bits [ r.Lat.at_compute; r.Lat.at_mem; r.Lat.at_accel; r.Lat.at_wire; r.Lat.at_total ] )
+  in
+  QCheck.Test.make ~name:"attribute_trace = the reference fold" ~count:20
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 0 300) packet))
+    (fun specs ->
+      let tr = trace specs in
+      List.for_all
+        (fun (what, p) ->
+          let got = Lat.attribute_trace p tr in
+          let want = reference_attribution p tr in
+          let mean = (Lat.predict_trace p tr).Lat.mean_cycles in
+          (List.map fields got.Lat.att_rows = List.map fields want.Lat.att_rows
+           || QCheck.Test.fail_reportf "%s: rows differ from the reference fold" what)
+          && (bits got.Lat.att_mean = bits want.Lat.att_mean
+             || QCheck.Test.fail_reportf "%s: mean %h, reference %h" what got.Lat.att_mean
+                  want.Lat.att_mean)
+          && (bits got.Lat.att_mean = bits mean
+             || QCheck.Test.fail_reportf "%s: mean %h, predict_trace %h" what got.Lat.att_mean mean))
+        (Lazy.force corpus_predictors))
 
 (* A hand-built mapping that puts a vcall on an accelerator that cannot
    run it is found at [Latency.create], before any packet: the typed
@@ -864,4 +999,4 @@ let suite =
     Alcotest.test_case "dropped packets pay no tx leg" `Quick test_dropped_pay_no_tx ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_resolve_once_never_captures_sizes; prop_table_price_is_evaluate;
-        prop_summarize_equals_full_sort ]
+        prop_summarize_equals_full_sort; prop_attribution_is_reference_fold ]
