@@ -61,18 +61,12 @@ let cuts ~sizes ~prob lnic (df : D.Graph.t) (mapping : M.t) =
       order;
     Hashtbl.fold (fun s () acc -> acc && not (Hashtbl.mem host_states s)) nic_states true
   in
-  let wire_ns target bytes which =
-    let params = target.L.Graph.params in
-    let f =
-      match which with
-      | `In -> params.Clara_lnic.Params.wire_ingress
-      | `Out -> params.Clara_lnic.Params.wire_egress
-    in
-    L.Cost_fn.eval f bytes *. 1000. /. float_of_int (L.Graph.freq_mhz target)
-  in
+  (* Wire legs as the predictor prices them: DMA plus the hub constant. *)
   let bytes = sizes.D.Cost.packet_bytes in
+  let ns target cycles = cycles *. 1000. /. float_of_int (L.Graph.freq_mhz target) in
   let emits = D.Graph.emit_mass df weights in
-  let egress target = emits *. wire_ns target bytes `Out in
+  let egress target = emits *. ns target (Pricer.tx_cycles (Pricer.wire target) ~bytes) in
+  let nic_rx = ns lnic (Pricer.rx_cycles (Pricer.wire lnic) ~bytes) in
   let sum arr lo hi =
     let acc = ref 0. in
     for i = lo to hi - 1 do
@@ -85,7 +79,7 @@ let cuts ~sizes ~prob lnic (df : D.Graph.t) (mapping : M.t) =
        transmits the packets that leave.  A non-trivial host part adds
        one PCIe round trip. *)
     let nic_ns =
-      wire_ns lnic bytes `In +. sum nic_cost 0 k +. if k = n then egress lnic else 0.
+      nic_rx +. sum nic_cost 0 k +. if k = n then egress lnic else 0.
     in
     let host_ns = if k = n then 0. else sum host_cost k n +. egress L.Host.default in
     let pcie_ns = if k = n then 0. else L.Host.pcie_roundtrip_ns in

@@ -8,7 +8,11 @@
     with its own target model — the NIC side by the existing mapping, the
     host side on {!Clara_lnic.Host} — plus the PCIe round-trip for any
     packet that continues to the host.  Nodes are weighted by their
-    expected visits, and the egress leg by the emitted share. *)
+    expected visits, and the egress leg by the emitted share.  The NIC
+    receives every packet; the side that runs the tail transmits.  Both
+    wire legs are priced as the predictor prices them,
+    {!Pricer.rx_cycles} and {!Pricer.tx_cycles} (DMA plus the hub
+    constant), at the receiving or transmitting target's clock. *)
 
 type side = On_nic | On_host
 

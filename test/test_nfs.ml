@@ -135,6 +135,31 @@ let test_partial_offload_decisions () =
   check "NAT fully offloads" true (best (Clara_nfs.Nat.source ()) = `Nic);
   check "DPI stays on host" true (best Clara_nfs.Dpi.source = `Host)
 
+(* The all-host split's NIC part is only the receive leg, priced as
+   the predictor prices it: [Pricer.rx_cycles], DMA plus the hub
+   constant, in ns at the NIC's clock, on every target that has a hub. *)
+let test_partial_wire_is_pricer_rx () =
+  List.iter
+    (fun target ->
+      let nic = List.assoc target L.Targets.all in
+      match Clara.analyze_for_profile nic ~source:(Clara_nfs.Nat.source ()) ~profile with
+      | Error e -> Alcotest.fail e
+      | Ok a ->
+          let all_host =
+            List.find
+              (fun s -> s.Clara_predict.Partial.cut = 0)
+              (Clara_predict.Partial.enumerate_splits ~sizes:a.Clara.sizes ~prob:a.Clara.prob
+                 nic a.Clara.df a.Clara.mapping)
+          in
+          let bytes = a.Clara.sizes.Clara_dataflow.Cost.packet_bytes in
+          let rx =
+            Clara_predict.Pricer.rx_cycles (Clara_predict.Pricer.wire nic) ~bytes
+            *. 1000. /. float_of_int (L.Graph.freq_mhz nic)
+          in
+          Alcotest.(check (float 0.)) (target ^ ": all-host NIC part = rx leg") rx
+            all_host.Clara_predict.Partial.nic_ns)
+    [ "netronome"; "soc"; "bluefield" ]
+
 let test_partial_split_invariants () =
   match Clara.analyze_for_profile lnic ~source:(Clara_nfs.Vnf_chain.source ()) ~profile with
   | Error e -> Alcotest.fail e
@@ -290,6 +315,7 @@ let suite =
       test_syn_proxy_syn_path_cheaper_than_miss;
     Alcotest.test_case "partial offload decisions" `Quick test_partial_offload_decisions;
     Alcotest.test_case "partial split invariants" `Quick test_partial_split_invariants;
+    Alcotest.test_case "partial wire is the pricer's rx leg" `Quick test_partial_wire_is_pricer_rx;
     Alcotest.test_case "partial all-host split always listed" `Quick
       test_partial_all_host_split;
     Alcotest.test_case "energy estimates" `Quick test_energy_estimates;
