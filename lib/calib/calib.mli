@@ -90,7 +90,10 @@ val default_case : nf:string -> nic:string -> case
 val run_case : case -> (record, string) result
 (** Analyze + predict + simulate-with-tracing one case.  Errors cover
     unknown NFs/NICs and analysis/mapping failures (e.g. an NF the
-    target cannot host) — callers typically skip those cases. *)
+    target cannot host) — callers typically skip those cases.  A run
+    whose trace ring dropped events, or whose attribution covers other
+    than every simulated packet, is an error too, never a record of a
+    short sample. *)
 
 (** {2 The ledger} *)
 

@@ -650,33 +650,27 @@ let table_insert ctx name ~key =
   ignore (Lru.touch ts.contents key)
 
 (* Software match/action walk: per-entry compute plus one memory burst
-   per 8 entries (entries are small relative to a 64B line/burst). *)
+   per 8 entries (entries are small relative to a 64B line/burst),
+   charged as one run and traced as one memory span tagged with the
+   run's last outcome.  A walk repeated over an unchanged EMEM cache
+   does not touch the cache at all. *)
 let lpm_walk ctx (ts : table_state) region =
   let t0 = ctx.clock in
   spend ctx (core_resolved P.V_lpm_lookup ts.core_cycles.(vcall_index P.V_lpm_lookup));
   emit_compute ctx ~label:"lpm-walk" ~t0 ~arg:ts.decl.t_entries;
   let bursts = max 1 (ts.decl.t_entries / 8) in
   let stride = 8 * ts.decl.t_entry_bytes in
-  match ctx.trace with
-  | Some _ ->
-      (* One span per burst. *)
-      for i = 0 to bursts - 1 do
-        let t0 = ctx.clock in
-        mem_access ctx region ~mode:`Read ~addr:(ts.base_addr + (i * stride));
-        emit_mem ctx ~region ~outcome:(Mem_model.last_outcome ctx.sim.memm) ~t0
-      done
-  | None ->
-      (* One charge for the whole walk: a walk repeated over an
-         unchanged EMEM cache does not touch the cache at all. *)
-      let m = ctx.sim.memm in
-      let hits = Mem_model.emem_hits m and misses = Mem_model.emem_misses m in
-      spend ctx
-        (Mem_model.access_run m region ~mode:`Read ~base:ts.base_addr ~stride ~count:bursts);
-      match Mem_model.last_outcome m with
-      | Mem_model.Uncached -> ()
-      | Mem_model.Hit | Mem_model.Miss ->
-          note_cached ctx ~hits:(Mem_model.emem_hits m - hits)
-            ~misses:(Mem_model.emem_misses m - misses)
+  let m = ctx.sim.memm in
+  let t0 = ctx.clock in
+  let hits = Mem_model.emem_hits m and misses = Mem_model.emem_misses m in
+  spend ctx (Mem_model.access_run m region ~mode:`Read ~base:ts.base_addr ~stride ~count:bursts);
+  let outcome = Mem_model.last_outcome m in
+  (match outcome with
+  | Mem_model.Uncached -> ()
+  | Mem_model.Hit | Mem_model.Miss ->
+      note_cached ctx ~hits:(Mem_model.emem_hits m - hits)
+        ~misses:(Mem_model.emem_misses m - misses));
+  emit_mem ctx ~region ~outcome ~t0
 
 let[@inline] bump arr i =
   if i >= 0 && i < Array.length arr then arr.(i) <- arr.(i) + 1

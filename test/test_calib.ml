@@ -22,7 +22,8 @@ let run_ok c =
 (* run_case: component alignment                                       *)
 
 let test_components_tile () =
-  let r = run_ok (small_case ~nf:"nat" ~nic:"netronome") in
+  let c = small_case ~nf:"nat" ~nic:"netronome" in
+  let r = run_ok c in
   check "pred components tile pred mean" true
     (close (Calib.csum r.Calib.pred_comp) r.Calib.pred_mean);
   check "sim components tile sim mean" true
@@ -32,7 +33,16 @@ let test_components_tile () =
   (* The static model has no queueing or contention. *)
   check "pred queue is zero" true (r.Calib.pred_comp.Calib.c_queue = 0.);
   check "pred accel-wait is zero" true (r.Calib.pred_comp.Calib.c_accel_wait = 0.);
-  check "packets attributed" true (r.Calib.packets > 0)
+  check_int "every packet attributed" c.Calib.case_packets r.Calib.packets
+
+(* The LPM walk over 8,192 rules once traced one span per 8 rules, which
+   wrapped the run's event ring: a row must cover every packet. *)
+let test_lpm_every_packet () =
+  List.iter
+    (fun nic ->
+      let c = small_case ~nf:"lpm" ~nic in
+      check_int (nic ^ ": every packet attributed") c.Calib.case_packets (run_ok c).Calib.packets)
+    [ "netronome"; "bluefield" ]
 
 let test_path_argument_resolves () =
   let r = run_ok (small_case ~nf:"examples/nf_sources/syn_proxy.clara" ~nic:"netronome") in
@@ -180,6 +190,7 @@ let test_pp_report_renders () =
 
 let suite =
   [ Alcotest.test_case "components tile the totals" `Quick test_components_tile;
+    Alcotest.test_case "every lpm packet attributed" `Quick test_lpm_every_packet;
     Alcotest.test_case "path argument resolves to corpus NF" `Quick
       test_path_argument_resolves;
     Alcotest.test_case "unknown nf/nic are errors" `Quick test_unknown_cases_error;

@@ -54,19 +54,27 @@ let test_ring_semantics () =
 (* ------------------------------------------------------------------ *)
 (* Tracing must not change simulation results                          *)
 
+(* NAT, and the LPM walk over the corpus's 8,192 rules on both targets
+   that can host it: one traced run of a walk charges what the untraced
+   one does. *)
 let test_sink_off_identical () =
   let tr = workload ~packets:2_000 () in
-  let r_off = Eng.run lnic (nat ()) tr in
-  let sink = Trace.create () in
-  let r_on = Eng.run lnic (nat ()) ~sink tr in
-  (* [compare], not [=]: NaN hit rates must compare equal. *)
-  check "summary byte-identical" true
-    (compare r_off.Eng.summary r_on.Eng.summary = 0);
-  check "emem hit rate identical" true
-    (compare r_off.Eng.emem_hit_rate r_on.Eng.emem_hit_rate = 0);
-  check "flow cache hit rate identical" true
-    (compare r_off.Eng.flow_cache_hit_rate r_on.Eng.flow_cache_hit_rate = 0);
-  check "events recorded" true (Trace.total sink > 0)
+  let lpm () = Clara_nfs.Lpm.ported ~entries:8192 ~use_flow_cache:true () in
+  List.iter
+    (fun (what, lnic, prog) ->
+      let r_off = Eng.run lnic (prog ()) tr in
+      let sink = Trace.create () in
+      let r_on = Eng.run lnic (prog ()) ~sink tr in
+      (* [compare], not [=]: NaN hit rates must compare equal. *)
+      check (what ^ ": summary byte-identical") true
+        (compare r_off.Eng.summary r_on.Eng.summary = 0);
+      check (what ^ ": emem hit rate identical") true
+        (compare r_off.Eng.emem_hit_rate r_on.Eng.emem_hit_rate = 0);
+      check (what ^ ": flow cache hit rate identical") true
+        (compare r_off.Eng.flow_cache_hit_rate r_on.Eng.flow_cache_hit_rate = 0);
+      check (what ^ ": events recorded") true (Trace.total sink > 0))
+    [ ("nat@netronome", lnic, fun () -> nat ()); ("lpm@netronome", lnic, lpm);
+      ("lpm@bluefield", L.Bluefield.default, lpm) ]
 
 (* ------------------------------------------------------------------ *)
 (* Tiling invariant: spans sum to latency, per packet                  *)
