@@ -36,7 +36,8 @@ let predict ?(config = Lat.default_config) t (trace : W.Trace.t) =
   List.iter Lat.reset_state predictors;
   let hop = fabric_hop_cycles t.lnic in
   let wire = Pricer.wire t.lnic in
-  Lat.summarize trace (fun pkt ->
+  let cycles = [| 0. |] in
+  Lat.summarize trace cycles (fun pkt ->
       let rec run cost hops = function
         | [] -> (cost, hops, true)
         | p :: rest ->
@@ -49,11 +50,10 @@ let predict ?(config = Lat.default_config) t (trace : W.Trace.t) =
             else (cost, hops, false)
       in
       let compute, hops, emitted = run 0. 0 predictors in
-      let cycles =
+      cycles.(0) <-
         compute +. (float_of_int hops *. hop)
-        +. Pricer.rx_tx_cycles wire ~bytes:(float_of_int (W.Packet.total_bytes pkt)) ~emitted
-      in
-      { Lat.cycles; emitted })
+        +. Pricer.rx_tx_cycles wire ~bytes:(float_of_int (W.Packet.total_bytes pkt)) ~emitted;
+      emitted)
 
 let stage_names t =
   List.map

@@ -47,16 +47,19 @@ let topo_order t =
 
 exception Walk_limit
 
-let walk t ~guard ~visit =
-  let rec go bid steps =
-    if steps > 10_000 then raise Walk_limit;
-    Array.iter visit t.block_nodes.(bid);
-    match t.steps.(bid) with
-    | Stop -> ()
-    | Next d | Back { exit = d; _ } -> go d (steps + 1)
-    | Branch { guard = g; then_; else_ } -> go (if guard g then then_ else else_) (steps + 1)
-  in
-  go t.cir.Ir.entry 1
+let rec walk_from t c ~guard ~visit bid steps =
+  if steps > 10_000 then raise Walk_limit;
+  let nodes = t.block_nodes.(bid) in
+  for i = 0 to Array.length nodes - 1 do
+    visit c nodes.(i)
+  done;
+  match t.steps.(bid) with
+  | Stop -> ()
+  | Next d | Back { exit = d; _ } -> walk_from t c ~guard ~visit d (steps + 1)
+  | Branch { guard = g; then_; else_ } ->
+      walk_from t c ~guard ~visit (if guard c g then then_ else else_) (steps + 1)
+
+let walk t c ~guard ~visit = walk_from t c ~guard ~visit t.cir.Ir.entry 1
 
 let visits t ~prob =
   let n = Array.length t.steps in
@@ -88,9 +91,3 @@ let emit_mass t visits =
 let vcall_nodes t = Array.to_list t.nodes |> List.filter Node.is_vcall
 
 let states t = t.cir.Ir.states
-
-let pp fmt t =
-  Format.fprintf fmt "dataflow %s: %d nodes, %d edges, entry n%d@."
-    t.cir.Ir.prog_name (Array.length t.nodes) (List.length t.edges) t.entry;
-  Array.iter (fun n -> Format.fprintf fmt "  %a@." Node.pp n) t.nodes;
-  List.iter (fun (s, d) -> Format.fprintf fmt "  n%d -> n%d@." s d) t.edges

@@ -47,11 +47,13 @@ exception Walk_limit
     while ordering the blocks: the CFG cycles outside a structured loop,
     which {!Clara_cir.Lower} never produces. *)
 
-val walk : t -> guard:(Clara_cir.Ir.guard -> bool) -> visit:(Node.t -> unit) -> unit
+val walk :
+  t -> 'c -> guard:('c -> Clara_cir.Ir.guard -> bool) -> visit:('c -> Node.t -> unit) -> unit
 (** The one traversal of the structured CFG for one packet: from the
-    entry block it follows {!steps}, [visit] sees each executed block's
-    nodes in id order and [guard] decides each [Branch] (true takes
-    [then_]).
+    entry block it follows {!steps}, [visit c] sees each executed
+    block's nodes in id order and [guard c] decides each [Branch] (true
+    takes [then_]).  It allocates nothing, so with top-level [guard] and
+    [visit] functions of the context [c] a walk builds no closure.
     @raise Walk_limit on a malformed CFG. *)
 
 val visits : t -> prob:(Clara_cir.Ir.guard -> float) -> float array
@@ -71,5 +73,3 @@ val vcall_nodes : t -> Node.t list
 
 val states : t -> Clara_cir.Ir.state_obj list
 (** State objects of the underlying program, for Γ placement. *)
-
-val pp : Format.formatter -> t -> unit

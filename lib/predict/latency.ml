@@ -63,18 +63,25 @@ type t = {
   upcall_cycles : float;
   slots : slot array;  (* by node id *)
   wire : Pricer.wire;  (* resolved once: no per-packet leg lookup *)
-  (* The walk's scratch prices: the mapped one a sink reads, and the
-     software replay of a miss. *)
+  (* The walk's scratch prices: a node's mapped one, and the software
+     replay of a miss. *)
   price : D.Cost.price;
   miss_price : D.Cost.price;
   memo : Pricer.sizes_memo;  (* the sizes a table miss evaluates at *)
-  (* The components sink's per-packet node sums: total (with miss
-     extras), mem and accel. *)
+  (* The one accumulator every sink reads: the walked packet's node
+     sums of total (with miss extras), mem and accel. *)
   sums : D.Cost.price;
-  components : D.Node.t -> D.Cost.price -> float -> unit;
-  mutable flow : int;  (* the walked packet's flow key *)
+  mutable emitted : bool;  (* the walked packet reached an emit *)
+  (* The walked packet and its size and flow keys, set once per packet. *)
+  mutable pkt : W.Packet.t;
+  mutable key : int;
+  mutable flow : int;
+  mutable on_node : (D.Node.t -> float -> unit) option;  (* the timeline's *)
   mutable rng : W.Prng.t;
 }
+
+let no_packet = { W.Packet.src_ip = 0l; dst_ip = 0l; src_port = 0; dst_port = 0;
+                  proto = W.Packet.Other 0; flags = 0; payload_bytes = 0; arrival_ns = 0L }
 
 (* One [state] per declared name: the last declaration's table, and
    provisioned when any declaration of the name is an LPM table. *)
@@ -141,18 +148,12 @@ let create ?(config = default_config) lnic df mapping =
     | Some r -> { table = Pricer.table r; miss = miss_regime n }
   in
   let scratch () = { D.Cost.total = 0.; mem = 0.; accel = 0. } in
-  let sums = scratch () in
-  (* Built once, so a components walk allocates no [charge] closure. *)
-  let components _ (p : D.Cost.price) extra =
-    sums.D.Cost.total <- sums.D.Cost.total +. p.D.Cost.total +. extra;
-    sums.D.Cost.mem <- sums.D.Cost.mem +. p.D.Cost.mem;
-    sums.D.Cost.accel <- sums.D.Cost.accel +. p.D.Cost.accel
-  in
   { lnic; df; pricer; config; states = resolve_states (D.Graph.states df); eswitch_cache;
     upcall_cycles; slots = Array.map slot df.D.Graph.nodes;
     wire = Pricer.wire lnic;
     price = scratch (); miss_price = scratch (); memo = Pricer.sizes_memo pricer;
-    sums; components; flow = 0; rng = W.Prng.create ~seed }
+    sums = scratch (); emitted = false; pkt = no_packet; key = 0; flow = 0; on_node = None;
+    rng = W.Prng.create ~seed }
 
 let reset_state t =
   Array.iter (fun st -> Option.iter Lru.clear st.seen) t.states;
@@ -173,7 +174,7 @@ type per_packet = { cycles : float; emitted : bool }
    [flow_cache_hit_ratio] pins the ratio.  Zero on every node
    [miss_regime] leaves out.  Touches the LRU, so [walk] calls it
    exactly once per executed node. *)
-let eswitch_node_extra t key = function
+let eswitch_node_extra t = function
   | No_upcall -> 0.
   | Upcall software ->
       let miss =
@@ -189,7 +190,7 @@ let eswitch_node_extra t key = function
         let software =
           match software with
           | Some tbl ->
-              Pricer.table_price t.pricer t.memo tbl key t.miss_price;
+              Pricer.table_price t.pricer t.memo tbl t.key t.miss_price;
               t.miss_price.D.Cost.total
           | None -> 0.
         in
@@ -200,16 +201,16 @@ let eswitch_node_extra t key = function
    actually executes an insertion (V_table_update) for that table —
    mirroring the NF's real semantics (e.g. a firewall admits state only
    on SYN). *)
-let rec resolve_guard t (pkt : W.Packet.t) (g : Ir.guard) =
+let rec resolve_guard t (g : Ir.guard) =
   match g with
-  | Ir.G_proto k -> W.Packet.proto_number pkt.W.Packet.proto = k
-  | Ir.G_flag k -> pkt.W.Packet.flags land k <> 0
+  | Ir.G_proto k -> W.Packet.proto_number t.pkt.W.Packet.proto = k
+  | Ir.G_flag k -> t.pkt.W.Packet.flags land k <> 0
   | Ir.G_table_hit s -> (
       let st = state t s in
       st.provisioned || match st.seen with None -> false | Some seen -> Lru.mem seen t.flow)
   | Ir.G_scan_match | Ir.G_count_exceeds | Ir.G_opaque -> W.Prng.bool t.rng (guard_prior g)
-  | Ir.G_not g' -> not (resolve_guard t pkt g')
-  | Ir.G_or (a, b) -> resolve_guard t pkt a || resolve_guard t pkt b
+  | Ir.G_not g' -> not (resolve_guard t g')
+  | Ir.G_or (a, b) -> resolve_guard t a || resolve_guard t b
 
 (* The wire legs resolved in [create], when the config charges them. *)
 let wire_costs t (pkt : W.Packet.t) ~emitted =
@@ -217,40 +218,43 @@ let wire_costs t (pkt : W.Packet.t) ~emitted =
     Pricer.rx_tx_cycles t.wire ~bytes:(float_of_int (W.Packet.total_bytes pkt)) ~emitted
   else 0.
 
-(* The predictor's walk of [pkt] through {!D.Graph.walk}.  Guards
-   resolve against the packet and tracked state; every executed node is
-   priced from its table at the packet's size key and handed to
-   [charge] with its off-path miss extra.  Per node: the price, then
-   the eSwitch LRU touch, then [charge], then the emit/insertion
-   bookkeeping.  [charge] gets the predictor's scratch price, which the
-   next node overwrites.  The packet's flow key goes into [t.flow]
-   once, for the guards, the eSwitch LRU and insertions.  The sinks
-   below ([packet_latency], [packet_components], [perfetto_timeline])
-   differ only in what [charge] keeps.  Returns whether the packet is
-   emitted. *)
-let walk t (pkt : W.Packet.t) ~charge =
-  let key = Pricer.size_key pkt in
+(* One executed node: its table's price at the packet's size key and
+   its miss extra summed into [t.sums] (total as [(acc + total) +
+   extra]), the timeline's hook, then the emit/insertion bookkeeping. *)
+let visit_node t (n : D.Node.t) =
+  let s = t.slots.(n.D.Node.id) in
+  let p = t.price and sums = t.sums in
+  Pricer.table_price t.pricer t.memo s.table t.key p;
+  let extra = eswitch_node_extra t s.miss in
+  sums.D.Cost.total <- sums.D.Cost.total +. p.D.Cost.total +. extra;
+  sums.D.Cost.mem <- sums.D.Cost.mem +. p.D.Cost.mem;
+  sums.D.Cost.accel <- sums.D.Cost.accel +. p.D.Cost.accel;
+  (match t.on_node with None -> () | Some span -> span n (p.D.Cost.total +. extra));
+  match n.D.Node.kind with
+  | D.Node.N_vcall v when v.Ir.vc = P.V_emit -> t.emitted <- true
+  | D.Node.N_vcall { Ir.vc = P.V_table_update; state = Some s; _ } -> (
+      (* Executed insertion: the flow is now table-resident. *)
+      match (state t s).seen with
+      | Some seen -> ignore (Lru.touch seen t.flow)
+      | None -> ())
+  | _ -> ()
+
+(* The predictor's walk of [pkt], closure-free: [t] is the context of
+   [resolve_guard] and [visit_node].  Every sink below reads the
+   packet's node sums and emit flag that it leaves in [t]. *)
+let walk t (pkt : W.Packet.t) =
+  t.pkt <- pkt;
+  t.key <- Pricer.size_key pkt;
   t.flow <- W.Packet.flow_key pkt;
-  let emitted = ref false in
-  D.Graph.walk t.df ~guard:(resolve_guard t pkt) ~visit:(fun (n : D.Node.t) ->
-      let s = t.slots.(n.D.Node.id) in
-      Pricer.table_price t.pricer t.memo s.table key t.price;
-      let extra = eswitch_node_extra t key s.miss in
-      charge n t.price extra;
-      match n.D.Node.kind with
-      | D.Node.N_vcall v when v.Ir.vc = P.V_emit -> emitted := true
-      | D.Node.N_vcall { Ir.vc = P.V_table_update; state = Some s; _ } -> (
-          (* Executed insertion: the flow is now table-resident. *)
-          match (state t s).seen with
-          | Some seen -> ignore (Lru.touch seen t.flow)
-          | None -> ())
-      | _ -> ());
-  !emitted
+  t.emitted <- false;
+  t.sums.D.Cost.total <- 0.;
+  t.sums.D.Cost.mem <- 0.;
+  t.sums.D.Cost.accel <- 0.;
+  D.Graph.walk t.df t ~guard:resolve_guard ~visit:visit_node
 
 let packet_latency t (pkt : W.Packet.t) =
-  let cost = ref 0. in
-  let emitted = walk t pkt ~charge:(fun _ p extra -> cost := !cost +. p.D.Cost.total +. extra) in
-  { cycles = !cost +. wire_costs t pkt ~emitted; emitted }
+  walk t pkt;
+  { cycles = t.sums.D.Cost.total +. wire_costs t pkt ~emitted:t.emitted; emitted = t.emitted }
 
 type prediction = {
   mean_cycles : float;
@@ -315,7 +319,7 @@ let rank_value segs r =
    samples would be a major-heap block per prediction. *)
 let seg_len = 256
 
-let summarize (trace : W.Trace.t) latency =
+let summarize (trace : W.Trace.t) (cycles : float array) sink =
   let pkts = trace.W.Trace.packets in
   let n = Array.length pkts in
   if n = 0 then
@@ -330,25 +334,26 @@ let summarize (trace : W.Trace.t) latency =
     let emits = ref 0 in
     for i = 0 to n - 1 do
       let pkt = pkts.(i) in
-      let r = latency pkt in
+      let emitted = sink pkt in
+      let c = cycles.(0) in
       if i mod seg_len = 0 then begin
         seg := Array.create_float (Int.min seg_len (n - i));
         segs := !seg :: !segs
       end;
-      !seg.(i mod seg_len) <- r.cycles;
+      !seg.(i mod seg_len) <- c;
       (* The mean sums in trace order. *)
-      sum := !sum +. r.cycles;
-      if r.emitted then incr emits;
+      sum := !sum +. c;
+      if emitted then incr emits;
       (match pkt.W.Packet.proto with
       | W.Packet.Tcp ->
-          tcp := !tcp +. r.cycles;
+          tcp := !tcp +. c;
           incr tcp_n
       | W.Packet.Udp ->
-          udp := !udp +. r.cycles;
+          udp := !udp +. c;
           incr udp_n
       | W.Packet.Other _ -> ());
       if W.Packet.is_syn pkt then begin
-        syn := !syn +. r.cycles;
+        syn := !syn +. c;
         incr syn_n
       end
     done;
@@ -368,7 +373,11 @@ let summarize (trace : W.Trace.t) latency =
 
 let predict_trace t trace =
   reset_state t;
-  summarize trace (packet_latency t)
+  let cycles = [| 0. |] in
+  summarize trace cycles (fun pkt ->
+      walk t pkt;
+      cycles.(0) <- t.sums.D.Cost.total +. wire_costs t pkt ~emitted:t.emitted;
+      t.emitted)
 
 let pp_opt_mean fmt v =
   if Float.is_nan v then Format.pp_print_string fmt "n/a"
@@ -393,21 +402,13 @@ type pkt_components = {
   pc_emitted : bool;
 }
 
-(* The components sink: [walk] with [t.components] as [charge], from
-   zeroed [t.sums].  Returns whether the packet is emitted. *)
-let component_walk t pkt =
-  t.sums.D.Cost.total <- 0.;
-  t.sums.D.Cost.mem <- 0.;
-  t.sums.D.Cost.accel <- 0.;
-  walk t pkt ~charge:t.components
-
 (* Compute is the residual of the node total after memory and
    accelerator charges, so the four components sum to [pc_total]
    exactly.  The miss-regime extra is charged as compute: it lands in
    the residual. *)
 let packet_components t (pkt : W.Packet.t) =
-  let emitted = component_walk t pkt in
-  let s = t.sums in
+  walk t pkt;
+  let s = t.sums and emitted = t.emitted in
   let wire = wire_costs t pkt ~emitted in
   {
     pc_total = s.D.Cost.total +. wire;
@@ -465,9 +466,9 @@ let attribute_trace t (trace : W.Trace.t) =
     in
     for i = 0 to n - 1 do
       let pkt = pkts.(i) in
-      let emitted = component_walk t pkt in
+      walk t pkt;
       let s = t.sums in
-      let wire = wire_costs t pkt ~emitted in
+      let wire = wire_costs t pkt ~emitted:t.emitted in
       (* The mean sums in trace order, as [summarize]'s does. *)
       sums.(total) <- sums.(total) +. (s.D.Cost.total +. wire);
       let compute = s.D.Cost.total -. s.D.Cost.mem -. s.D.Cost.accel in
@@ -552,11 +553,11 @@ let perfetto_timeline t (trace : W.Trace.t) =
          charged node, wire-tx last. *)
       let bytes = float_of_int (W.Packet.total_bytes pkt) in
       if t.config.include_wire then span "wire-rx" (Pricer.rx_cycles t.wire ~bytes) ~seq;
-      let emitted =
-        walk t pkt ~charge:(fun n p extra -> span (node_name n) (p.D.Cost.total +. extra) ~seq)
-      in
-      if t.config.include_wire && emitted then span "wire-tx" (Pricer.tx_cycles t.wire ~bytes) ~seq)
+      t.on_node <- Some (fun n cycles -> span (node_name n) cycles ~seq);
+      walk t pkt;
+      if t.config.include_wire && t.emitted then span "wire-tx" (Pricer.tx_cycles t.wire ~bytes) ~seq)
     trace.W.Trace.packets;
+  t.on_node <- None;
   J.Obj
     [
       ( "traceEvents",

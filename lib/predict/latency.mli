@@ -8,10 +8,13 @@
     packet's own sizes; wire/hub constants bracket the path.  Averaging
     over a trace yields the Figure 3 "Predicted" series.
 
-    There is one walk per packet, {!Clara_dataflow.Graph.walk}, the
-    same walk {!Symexec} replays per path.  {!packet_latency},
-    {!packet_components} and {!perfetto_timeline} are sinks over it that
-    keep the total, the component split or one span per node.
+    There is one walk per packet, {!Clara_dataflow.Graph.walk} (the
+    walk {!Symexec} replays per path), and one accumulator: the node
+    sums (total with off-path miss extras, memory, accelerator) and the
+    emit flag that the walk leaves in the predictor.  Every sink reads
+    them; {!perfetto_timeline} alone also sets a per-node hook.  The
+    predictor holds the packet and its keys and is the walk's context,
+    so a walk builds no closure and allocates nothing.
 
     {!create} resolves what is fixed per predictor: every mapped node's
     charges (through {!Pricer}), each node's {!Pricer.table} of prices
@@ -24,14 +27,12 @@
     for all its nodes.  Every price is the one
     {!Clara_dataflow.Cost.evaluate} gives at the packet's sizes.
 
-    {!create} also resolves the tracked state: one small array with an
-    entry per declared state name, holding the last declaration's
-    flow-membership LRU and whether any declaration of the name is an
-    LPM table (provisioned, so its matches succeed).  Table-hit guards,
-    executed [table_update]s and {!reset_state} read that array by a
-    [String.equal] scan that returns the entry itself, so a lookup
-    neither hashes nor allocates; the walk computes the packet's flow
-    key once, for all of them. *)
+    {!create} also resolves the tracked state: per declared state name,
+    the last declaration's flow-membership LRU and whether any
+    declaration is an LPM table (provisioned, so its matches succeed).
+    Table-hit guards, executed [table_update]s and {!reset_state} find
+    an entry by a [String.equal] scan, which neither hashes nor
+    allocates. *)
 
 type config = {
   include_wire : bool;
@@ -91,14 +92,17 @@ type prediction = {
 }
 
 val summarize :
-  Clara_workload.Trace.t -> (Clara_workload.Packet.t -> per_packet) -> prediction
-(** Applies the per-packet function to every packet of the trace in
-    order and summarizes: overall and per-protocol means, nearest-rank
-    p50/p99 and the emitted fraction (NaN means for absent classes, an
-    all-zero record for an empty trace). *)
+  Clara_workload.Trace.t -> float array -> (Clara_workload.Packet.t -> bool) -> prediction
+(** [summarize trace cycles sink] runs [sink] on every packet of the
+    trace in order; it leaves the packet's cycles in [cycles.(0)] and
+    returns whether it is emitted, so a packet costs no record.  The
+    summary: overall and per-protocol means, nearest-rank p50/p99 and
+    the emitted fraction (NaN means for absent classes, an all-zero
+    record for an empty trace). *)
 
 val predict_trace : t -> Clara_workload.Trace.t -> prediction
-(** Resets state, then [summarize]s {!packet_latency} over the trace. *)
+(** Resets state, then [summarize]s {!packet_latency}'s cycles over the
+    trace. *)
 
 val pp_prediction : Format.formatter -> prediction -> unit
 
@@ -122,11 +126,8 @@ type pkt_components = {
 }
 
 val packet_components : t -> Clara_workload.Packet.t -> pkt_components
-(** Stateful, like {!packet_latency}.  The components sink: the walk
-    sums each node's total, memory and accelerator charges into one
-    scratch price the predictor holds, with a [charge] built at
-    {!create}; this wraps those sums and the wire legs in a record.
-    {!attribute_trace} reads the same sums without the record. *)
+(** Stateful, like {!packet_latency}: the walk's sums and the wire legs
+    in a record. *)
 
 type att_row = {
   at_type : string;   (** "tcp-syn", "tcp", "udp", "other" or "all". *)
@@ -159,4 +160,5 @@ val pp_attribution : Format.formatter -> attribution -> unit
 val perfetto_timeline : t -> Clara_workload.Trace.t -> Clara_util.Json.t
 (** The analytic per-packet timeline (packets end-to-end on one track,
     wire + per-node spans) as Chrome/Perfetto trace-event JSON — the
-    predictor-side counterpart of [clara trace]'s export. *)
+    predictor-side counterpart of [clara trace]'s export.  The node
+    spans come from the walk's per-node hook, set only for this call. *)

@@ -289,9 +289,9 @@ let prop_decided_visits_are_walk =
         | atom -> float_of_int (Hashtbl.hash (seed, atom) land 1)
       in
       let walked = Array.make (Array.length df.D.Graph.nodes) false in
-      D.Graph.walk df
-        ~guard:(fun g -> prob g = 1.)
-        ~visit:(fun n -> walked.(n.D.Node.id) <- true);
+      D.Graph.walk df ()
+        ~guard:(fun () g -> prob g = 1.)
+        ~visit:(fun () n -> walked.(n.D.Node.id) <- true);
       Array.for_all2
         (fun w v -> v = if w then 1. else 0.)
         walked (D.Graph.visits df ~prob))

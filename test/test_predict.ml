@@ -573,12 +573,12 @@ let prop_summarize_equals_full_sort =
             Hashtbl.add traces n t;
             t
       in
-      let i = ref 0 in
+      let i = ref 0 and cycles = [| 0. |] in
       let p =
-        Lat.summarize trace (fun _ ->
-            let c = a.(!i) in
+        Lat.summarize trace cycles (fun _ ->
+            cycles.(0) <- a.(!i);
             incr i;
-            { Lat.cycles = c; emitted = true })
+            true)
       in
       let sorted = Array.copy a in
       Array.sort compare sorted;
