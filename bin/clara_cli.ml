@@ -48,9 +48,9 @@ let write_json_file path j =
 
 (* ---- shared arguments --------------------------------------------- *)
 
-(* The terms that can fail with a [clara:] error (an unknown target, an
-   unreadable NF or capture) come last in each command, so that every
-   flag is parsed before one of them exits. *)
+(* The terms that can fail with a [clara:] error (a malformed workload,
+   an unknown target, an unreadable NF or capture) come last in each
+   command, so that every flag is parsed before one of them exits. *)
 
 let source_arg =
   let doc = "NF DSL source file." in
@@ -82,8 +82,9 @@ let options_t =
   { Clara_mapping.Mapping.default_options with
     Clara_mapping.Mapping.disallowed_accels = disallowed }
 
-(* The workload flags as an abstract profile; [calibrate] sizes its
-   cases with other [--packets]/[--flows] defaults. *)
+(* The workload flags as an abstract profile, validated here so that a
+   malformed one is a [clara:] error for every command; [calibrate]
+   sizes its cases with other [--packets]/[--flows] defaults. *)
 let profile_t ?(packets = (20_000, "Trace length in packets."))
     ?(flows = (10_000, "Concurrent flows.")) () =
   let count name (default, doc) = Arg.(value & opt int default & info [ name ] ~docv:"N" ~doc) in
@@ -99,8 +100,12 @@ let profile_t ?(packets = (20_000, "Trace length in packets."))
     let doc = "TCP fraction of the traffic mix (rest is UDP)." in
     Arg.(value & opt float 0.8 & info [ "tcp" ] ~docv:"FRAC" ~doc)
   in
-  W.Profile.make ~payload:(W.Dist.Fixed payload) ~packets ~flow_count:flows
-    ~rate_pps:rate ~tcp_fraction:tcp ()
+  let profile =
+    W.Profile.make ~payload:(W.Dist.Fixed payload) ~packets ~flow_count:flows
+      ~rate_pps:rate ~tcp_fraction:tcp ()
+  in
+  or_die (W.Profile.validate profile);
+  profile
 
 type workload = { profile : W.Profile.t; seed : int; pcap : string option }
 
@@ -318,7 +323,7 @@ let microbench_cmd =
 let nics_cmd =
   let doc = "Compare SmartNIC targets for one NF and workload." in
   Cmd.v (Cmd.info "nics" ~doc)
-  @@ let+ profile = profile_t () and+ src = source_arg in
+  @@ let+ src = source_arg and+ profile = profile_t () in
      predicting @@ fun () ->
      let source = read_file src in
      List.iter
@@ -364,8 +369,8 @@ let chain_cmd =
   let doc = "Predict end-to-end latency of a service chain." in
   Cmd.v (Cmd.info "chain" ~doc)
   @@ let+ srcs = sources_arg
-     and+ w = workload_t ~capture:false ()
      and+ emit_stats = stats_t
+     and+ w = workload_t ~capture:false ()
      and+ _, lnic = target_t () in
      predicting @@ fun () ->
      let sources = List.map read_file srcs in
@@ -581,13 +586,13 @@ let trace_cmd =
   Cmd.v (Cmd.info "trace" ~doc)
   @@ let+ nf = nf_arg "Corpus NF to trace (see 'clara corpus')."
      and+ nf_b = nf_b_arg
-     and+ w = workload_t ()
      and+ out = out_arg
      and+ limit = limit_arg
      and+ slowest = slowest_arg
      and+ timeline = timeline_arg
      and+ threads = threads_arg ()
      and+ emit_stats = stats_t
+     and+ w = workload_t ()
      and+ nic, lnic = target_t ()
      and+ tel, write_metrics = metrics_t in
      let sink = Nsim.Trace.create ~limit () in
@@ -668,9 +673,9 @@ let sim_cmd =
      and+ domains = domains_arg
      and+ shards = shards_arg
      and+ threads = threads_arg ()
-     and+ w = workload_t ()
      and+ json = json_arg
      and+ emit_stats = stats_t
+     and+ w = workload_t ()
      and+ nic, lnic = target_t ()
      and+ tel, write_metrics = metrics_t in
      let entry = corpus_entry nf in
@@ -739,12 +744,12 @@ let calibrate_cmd =
   @@ let+ nfs = nfs_arg
      and+ nics = nics_arg
      and+ ledger = ledger_arg
+     and+ json = json_arg
+     and+ emit_stats = stats_t
      and+ w =
        workload_t ~capture:false
          ~packets:(4000, "Trace length in packets per case.")
-         ~flows:(2000, "Concurrent flows per case.") ()
-     and+ json = json_arg
-     and+ emit_stats = stats_t in
+         ~flows:(2000, "Concurrent flows per case.") () in
      predicting @@ fun () ->
      let nfs = if nfs = [] then Clara_nfs.Corpus.names else nfs in
      let nics =
@@ -878,12 +883,12 @@ let tenants_cmd =
   Cmd.v (Cmd.info "tenants" ~doc)
   @@ let+ nfs = nfs_arg
      and+ weights_s = weights_arg
-     and+ w = workload_t ~capture:false ()
      and+ slo = slo_arg "Per-tenant p99 latency SLO in microseconds."
      and+ threads =
        threads_arg ~doc:"Override the NIC's hardware thread count before splitting." ()
      and+ json = json_arg
      and+ emit_stats = stats_t
+     and+ w = workload_t ~capture:false ()
      and+ nic, lnic = target_t ()
      and+ tel, write_metrics = metrics_t in
      predicting @@ fun () ->

@@ -39,10 +39,11 @@ let mean_header_bytes t =
 let mean_packet_bytes t =
   mean_payload t +. (t.tcp_fraction *. tcp_header) +. ((1. -. t.tcp_fraction) *. udp_header)
 
+(* Each test is negated so that a NaN fails it. *)
 let validate t =
-  if t.tcp_fraction < 0. || t.tcp_fraction > 1. then Error "tcp_fraction outside [0,1]"
+  if not (t.tcp_fraction >= 0. && t.tcp_fraction <= 1.) then Error "tcp_fraction outside [0,1]"
   else if t.flow_count <= 0 then Error "flow_count must be positive"
-  else if t.flow_skew < 0. then Error "flow_skew must be non-negative"
-  else if t.rate_pps <= 0. then Error "rate_pps must be positive"
+  else if not (t.flow_skew >= 0.) then Error "flow_skew must be non-negative"
+  else if not (t.rate_pps > 0.) then Error "rate_pps must be positive"
   else if t.packets <= 0 then Error "packets must be positive"
   else Ok ()

@@ -40,3 +40,4 @@ val mean_packet_bytes : t -> float
 (** Payload plus {!mean_header_bytes}. *)
 
 val validate : t -> (unit, string) result
+(** The first field out of range, by name; a NaN is out of range. *)
