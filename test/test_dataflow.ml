@@ -251,6 +251,33 @@ let test_return_in_loop_mass () =
   Alcotest.(check (float 1e-9)) "80% tcp: emit weighs 0.2" 0.2 (weight w P.V_emit);
   Alcotest.(check (float 1e-9)) "80% tcp: drop weighs 0.8" 0.8 (weight w P.V_drop)
 
+(* The walk's context: a branch counter whose parity decides each
+   guard, and a sum of the visited node ids. *)
+let walk_guard (c : int array) (_ : Ir.guard) =
+  c.(0) <- c.(0) + 1;
+  c.(0) land 1 = 0
+
+let walk_visit (c : int array) (n : D.Node.t) = c.(1) <- c.(1) + n.D.Node.id + 1
+
+(* [Graph.walk] allocates nothing: with a guard and a visit that are
+   top-level functions of the context, 1,000 walks of every corpus NF's
+   graph (their branches taken both ways) cost 0 minor words. *)
+let test_walk_allocates_nothing () =
+  List.iter
+    (fun (e : Clara_nfs.Corpus.entry) ->
+      let df = D.Build.of_source e.Clara_nfs.Corpus.source in
+      let c = [| 0; 0 |] in
+      let before = Gc.minor_words () in
+      for _ = 1 to 1_000 do
+        D.Graph.walk df c ~guard:walk_guard ~visit:walk_visit
+      done;
+      let words = Gc.minor_words () -. before in
+      check (e.Clara_nfs.Corpus.name ^ ": nodes visited") true (c.(1) > 0);
+      check
+        (Printf.sprintf "%s: 1,000 walks, %.0f minor words" e.Clara_nfs.Corpus.name words)
+        true (words = 0.))
+    Clara_nfs.Corpus.all
+
 let suite =
   [ Alcotest.test_case "build splits vcalls" `Quick test_build_splits_vcalls;
     Alcotest.test_case "topological order" `Quick test_dag_topo;
@@ -262,5 +289,6 @@ let suite =
     Alcotest.test_case "cost: FPU emulation" `Quick test_cost_fpu_emulation;
     Alcotest.test_case "size evaluation" `Quick test_eval_size;
     Alcotest.test_case "a return inside a loop carries no mass past it" `Quick
-      test_return_in_loop_mass ]
+      test_return_in_loop_mass;
+    Alcotest.test_case "the walk allocates nothing" `Quick test_walk_allocates_nothing ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_weights_bounded ]

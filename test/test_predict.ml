@@ -328,16 +328,17 @@ let test_prediction_major_heap () =
     [ "netronome"; "soc"; "bluefield" ]
 
 (* The price table keeps the walk from evaluating a node, or building
-   a sizes record, per packet: over the 36 corpus cells of the
-   benchmarked targets and the benchmark's trace shape, [predict_trace]
-   allocates at most 100 and [attribute_trace] at most 60 minor words
-   per packet on average (the walk without the table allocates 156 and
-   200; what is left is the walk's closures, and [predict_trace]'s
-   captured [float ref]; attribution sums into fixed slots).  A
-   trace of [Uniform (0, 1500)] payloads misses a sized node's table on
-   nearly every packet; it may allocate at most 20 words per packet
-   more than the benchmark's shape: one sizes record per packet (17
-   words more), not one per sized node that misses (34 more). *)
+   a sizes record, per packet, and the walk builds no closure and sums
+   into one accumulator: over the 36 corpus cells of the benchmarked
+   targets and the benchmark's trace shape, [predict_trace] and
+   [attribute_trace] each allocate at most 16 minor words per packet on
+   average (the walk without the table allocates 156 and 200, and with
+   its closures 61 and 34).  What is left is the boxed wire legs, the
+   flow tables' growth and the samples' segments.  A trace of
+   [Uniform (0, 1500)] payloads misses a sized node's table on nearly
+   every packet; it may allocate at most 20 words per packet more than
+   the benchmark's shape: one sizes record per packet (17 words more),
+   not one per sized node that misses (34 more). *)
 let test_walk_allocation () =
   let packets = 1000 in
   let prof payload =
@@ -378,7 +379,7 @@ let test_walk_allocation () =
         (Printf.sprintf "%s: %.1f minor words per packet, at most %.0f" what (per_packet w) bound)
         true
         (per_packet w <= bound))
-    [ ("predict_trace", !pred, 100.); ("attribute_trace", !att, 60.);
+    [ ("predict_trace", !pred, 16.); ("attribute_trace", !att, 16.);
       ("predict_trace, many sizes", !pred_many, per_packet !pred +. 20.);
       ("attribute_trace, many sizes", !att_many, per_packet !att +. 20.) ]
 

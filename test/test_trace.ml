@@ -287,51 +287,6 @@ let test_predict_attribution () =
 
 let packets tr = Array.of_list (List.rev (W.Trace.fold (fun acc p -> p :: acc) [] tr))
 
-(* Every corpus NF on bluefield, with the eSwitch flow cache tracked by
-   its LRU (first packet of a flow misses) and pinned at a 0.5 hit
-   ratio (every stateful eSwitch vcall blends in the miss price).  The
-   miss path charges a software replay and touches the eSwitch LRU, so
-   a walk that priced a node twice would drift from [packet_latency]. *)
-let test_predict_packet_components () =
-  let bf = L.Bluefield.default in
-  let pinned h = { Lat.default_config with Lat.flow_cache_hit_ratio = Some h } in
-  let miss_priced = ref 0 in
-  List.iter
-    (fun name ->
-      let source = corpus_source name in
-      (* Checks one mode and returns its predicted mean. *)
-      let exact mode config =
-        let label s = Printf.sprintf "%s/%s: %s" name mode s in
-        let t, tr = predictor ~config ~lnic:bf source in
-        let pkts = packets tr in
-        Lat.reset_state t;
-        let comps = Array.map (Lat.packet_components t) pkts in
-        Lat.reset_state t;
-        let lats = Array.map (Lat.packet_latency t) pkts in
-        Array.iteri
-          (fun i c ->
-            if c.Lat.pc_total <> lats.(i).Lat.cycles then
-              Alcotest.failf "%s packet %d: %h <> %h" (label "pc_total") i c.Lat.pc_total
-                lats.(i).Lat.cycles;
-            if
-              Float.abs
-                (c.Lat.pc_compute +. c.Lat.pc_mem +. c.Lat.pc_accel +. c.Lat.pc_wire
-               -. c.Lat.pc_total)
-              >= 1e-9
-            then Alcotest.failf "%s packet %d" (label "components sum") i)
-          comps;
-        let p = Lat.predict_trace t tr in
-        check (label "att_mean = mean_cycles") true
-          ((Lat.attribute_trace t tr).Lat.att_mean = p.Lat.mean_cycles);
-        p.Lat.mean_cycles
-      in
-      ignore (exact "lru" Lat.default_config);
-      let half = exact "hit-0.5" (pinned 0.5) in
-      let t, tr = predictor ~config:(pinned 1.) ~lnic:bf source in
-      if half > (Lat.predict_trace t tr).Lat.mean_cycles then incr miss_priced)
-    Clara_nfs.Corpus.names;
-  check "some corpus NF reaches the eSwitch miss path" true (!miss_priced > 0)
-
 (* Span durations of each packet, converted back to cycles, add up to
    that packet's [packet_latency]. *)
 let check_timeline_sums ~label (t, tr) =
@@ -361,6 +316,61 @@ let check_timeline_sums ~label (t, tr) =
         Alcotest.failf "%s packet %d: spans %.6f cyc, packet_latency %.6f" label i sums.(i)
           cycles)
     pkts
+
+(* Every sink reads the walk's one accumulator, so on every corpus NF on
+   netronome, soc and bluefield each packet's components total is its
+   [packet_latency] bit for bit, its timeline spans add up to it and
+   the attribution's mean is [predict_trace]'s.  On bluefield the
+   eSwitch flow cache runs tracked by its LRU (first packet of a flow
+   misses) and pinned at a 0.5 hit ratio (every stateful eSwitch vcall
+   blends in the miss price).  The miss path charges a software replay
+   and touches the eSwitch LRU, so a walk that priced a node twice
+   would drift from [packet_latency]. *)
+let test_predict_packet_components () =
+  let bf = L.Bluefield.default in
+  let pinned h = { Lat.default_config with Lat.flow_cache_hit_ratio = Some h } in
+  let miss_priced = ref 0 in
+  List.iter
+    (fun (target, name) ->
+      let lnic = List.assoc target L.Targets.all in
+      let source = corpus_source name in
+      (* Checks one mode and returns its predicted mean. *)
+      let exact mode config =
+        let label s = Printf.sprintf "%s@%s/%s: %s" name target mode s in
+        let t, tr = predictor ~config ~lnic source in
+        let pkts = packets tr in
+        Lat.reset_state t;
+        let comps = Array.map (Lat.packet_components t) pkts in
+        Lat.reset_state t;
+        let lats = Array.map (Lat.packet_latency t) pkts in
+        Array.iteri
+          (fun i c ->
+            if c.Lat.pc_total <> lats.(i).Lat.cycles then
+              Alcotest.failf "%s packet %d: %h <> %h" (label "pc_total") i c.Lat.pc_total
+                lats.(i).Lat.cycles;
+            if
+              Float.abs
+                (c.Lat.pc_compute +. c.Lat.pc_mem +. c.Lat.pc_accel +. c.Lat.pc_wire
+               -. c.Lat.pc_total)
+              >= 1e-9
+            then Alcotest.failf "%s packet %d" (label "components sum") i)
+          comps;
+        let p = Lat.predict_trace t tr in
+        check (label "att_mean = mean_cycles") true
+          ((Lat.attribute_trace t tr).Lat.att_mean = p.Lat.mean_cycles);
+        check_timeline_sums ~label:(label "timeline") (t, tr);
+        p.Lat.mean_cycles
+      in
+      ignore (exact "lru" Lat.default_config);
+      if target = "bluefield" then begin
+        let half = exact "hit-0.5" (pinned 0.5) in
+        let t, tr = predictor ~config:(pinned 1.) ~lnic:bf source in
+        if half > (Lat.predict_trace t tr).Lat.mean_cycles then incr miss_priced
+      end)
+    (List.concat_map
+       (fun target -> List.map (fun name -> (target, name)) Clara_nfs.Corpus.names)
+       [ "netronome"; "soc"; "bluefield" ]);
+  check "some corpus NF reaches the eSwitch miss path" true (!miss_priced > 0)
 
 let test_predict_timeline_json () =
   let t, tr = nat_predictor () in

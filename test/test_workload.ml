@@ -229,6 +229,29 @@ let test_flow_key () =
   check "keys folded" true (!acc <> 0);
   check (Printf.sprintf "1,000 keys: %.0f minor words" words) true (words = 0.)
 
+(* [Profile.validate] names each field out of range, a NaN included,
+   and [Trace.synthesize] refuses what it refuses. *)
+let test_profile_validate () =
+  let bad =
+    [ ("tcp_fraction", W.Profile.make ~tcp_fraction:1.5 ());
+      ("tcp_fraction", W.Profile.make ~tcp_fraction:Float.nan ());
+      ("flow_count", W.Profile.make ~flow_count:0 ());
+      ("flow_skew", W.Profile.make ~flow_skew:Float.nan ());
+      ("rate_pps", W.Profile.make ~rate_pps:0. ());
+      ("rate_pps", W.Profile.make ~rate_pps:Float.nan ());
+      ("packets", W.Profile.make ~packets:0 ()) ]
+  in
+  check "default is valid" true (W.Profile.validate W.Profile.default = Ok ());
+  List.iter
+    (fun (field, p) ->
+      (match W.Profile.validate p with
+      | Ok () -> Alcotest.failf "%s: accepted" field
+      | Error e -> check (field ^ " named: " ^ e) true (String.starts_with ~prefix:field e));
+      match W.Trace.synthesize ~seed:1L p with
+      | _ -> Alcotest.failf "%s: synthesized" field
+      | exception Invalid_argument _ -> ())
+    bad
+
 let test_packet_helpers () =
   let p =
     { W.Packet.src_ip = 1l; dst_ip = 2l; src_port = 10; dst_port = 20;
@@ -529,6 +552,8 @@ let suite =
     Alcotest.test_case "prng copy" `Quick test_prng_copy;
     Alcotest.test_case "prng ranges" `Quick test_prng_ranges;
     Alcotest.test_case "prng uniformity" `Quick test_prng_uniformity;
+    Alcotest.test_case "profile validation names the field, NaN included" `Quick
+      test_profile_validate;
     Alcotest.test_case "prng streams match the boxed generator" `Quick test_prng_streams;
     Alcotest.test_case "prng draws allocate nothing" `Quick test_prng_no_alloc;
     Alcotest.test_case "distribution means" `Quick test_dist_means;
