@@ -70,7 +70,7 @@ let enumerate ?(max_paths = 64) ~sizes lnic (df : D.Graph.t) mapping =
     let trail = ref [] in
     let assign = ref [] and decisions = ref [] in
     let cost = ref 0. and emits = ref false in
-    let guard g =
+    let guard () g =
       let undecided = List.filter (fun a -> not (List.mem_assoc a !assign)) (atoms g) in
       let options =
         List.filter (fun extra -> feasible (extra @ !assign)) (assignments [] undecided)
@@ -85,7 +85,7 @@ let enumerate ?(max_paths = 64) ~sizes lnic (df : D.Graph.t) mapping =
         List.rev_append (List.map (fun (g, taken) -> { guard = g; taken }) extra) !decisions;
       eval_guard !assign g
     in
-    D.Graph.walk df () ~guard:(fun () g -> guard g) ~visit:(fun () n ->
+    D.Graph.walk df () ~guard ~visit:(fun () n ->
         cost := !cost +. node_cost n;
         emits :=
           !emits || match n.D.Node.kind with N_vcall v -> v.Ir.vc = P.V_emit | _ -> false);
